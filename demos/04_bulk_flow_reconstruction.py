@@ -21,20 +21,22 @@ from stokes2p import (
     trace_velocity,
     velocity_field,
 )
-from stokes2p.fields import stokeslet_from_green
 
 grid = PeriodicGrid(128)
 f = InterfaceProfile(grid, 0.2 * np.cos(grid.nodes) + 0.1 * np.sin(2 * grid.nodes))
 params = PhysParams.from_theta(mu=1.0, sigma=1.0, theta=1.5)
 
 print("=" * 70)
-print("1. The periodic Stokeslet: two independent formulas, one tensor")
+print("1. The periodic Stokeslet, assembled from the layer kernels")
 print("=" * 70)
 x = (1.3, 0.8)
 U, P = stokeslet_eval(*x)
-Ug, Pg = stokeslet_from_green(*x)
+h = 1e-4
+div = [(stokeslet_eval(x[0] + h, x[1])[0][0, k] - stokeslet_eval(x[0] - h, x[1])[0][0, k]
+        + stokeslet_eval(x[0], x[1] + h)[0][1, k] - stokeslet_eval(x[0], x[1] - h)[0][1, k])
+       / (2 * h) for k in (0, 1)]
 print(f"   velocity tensor at {x}:\n{U}")
-print(f"   agreement of the two routes: {np.max(np.abs(U - Ug)):.2e}")
+print(f"   divergence of its columns (central differences): {np.max(np.abs(div)):.2e}")
 
 print()
 print("=" * 70)

@@ -72,10 +72,7 @@ def _mode_coefficients(values: np.ndarray) -> np.ndarray:
 
 def _probe_mode(grid, params, k, eps, probe, m_quad):
     phase = np.cos if probe == "cos" else np.sin
-    h = phase(k * grid.nodes)
-    plus = eval_Psi(InterfaceProfile(grid, eps * h), params, m_quad=m_quad)
-    minus = eval_Psi(InterfaceProfile(grid, -eps * h), params, m_quad=m_quad)
-    return (plus - minus) / (2.0 * eps)
+    return jacobian_action_at_zero(params, grid, phase(k * grid.nodes), eps=eps, m_quad=m_quad)
 
 
 def numeric_jacobian_at_zero(params: PhysParams, grid: PeriodicGrid, k_max: int, *,

@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--adapt", action="store_true", help="step-doubling error control")
     ps.add_argument("--tol", type=float, default=1e-8)
     ps.add_argument("--out-dir", default="out")
-    ps.add_argument("--seed", type=int, default=0)
 
     pp = sub.add_parser("spectrum", help="flat-state spectrum, analytic vs numeric")
     pp.add_argument("--n", type=int, default=256)
@@ -139,7 +138,6 @@ def cmd_simulate(args) -> int:
         "scheme": args.scheme, "dt": args.dt, "t_end": args.t_end,
         "snapshot_stride": args.snapshot_stride,
         "adapt": args.adapt, "tol": args.tol,
-        "seed": args.seed,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 

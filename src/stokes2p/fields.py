@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from .core import InterfaceProfile, PhysParams, geometry_quantities
 from .evolution import LN4, forcing_G, phi_of
-from .operators import DiagonalOps, composite_B
+from .operators import DiagonalOps, _z_kernel, composite_B
 
 SIDE_PLUS = "plus"
 SIDE_MINUS = "minus"
@@ -31,73 +31,22 @@ class ProximityError(ValueError):
 # the periodic Stokeslet
 # ---------------------------------------------------------------------------
 
-def _log_base(x1, x2):
-    """ln(sin^2(x1/2) + sinh^2(x2/2)), the periodic log-distance."""
-    return np.log(np.sin(x1 / 2.0) ** 2 + np.sinh(x2 / 2.0) ** 2)
-
-
-def green_function(x1, x2):
-    """Fundamental solution of the periodic Laplacian."""
-    return -_log_base(x1, x2) / (4.0 * np.pi)
-
-
-def green_gradient(x1, x2):
-    d = np.sin(x1 / 2.0) ** 2 + np.sinh(x2 / 2.0) ** 2
-    return (-np.sin(x1) / (8.0 * np.pi * d), -np.sinh(x2) / (8.0 * np.pi * d))
-
-
 def stokeslet_eval(x1, x2):
     """Periodic Stokeslet (U, P): U symmetric 2x2, P the pressure vector.
 
-    The half-angle rational expressions are rewritten over sin/sinh, so every
-    point off the source lattice (2*pi*Z, 0) is admissible, x1 = pi included.
+    Assembled from the layer kernels, U = [[Z0 + Z6, -Z5], [-Z5, Z0 - Z6]]/(8 pi)
+    and P = -(Z1, Z2)/(4 pi); in their sin/sinh form every point off the
+    source lattice (2*pi*Z, 0) is admissible, x1 = pi included.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    d = np.sin(x1 / 2.0) ** 2 + np.sinh(x2 / 2.0) ** 2
-    if np.any(d == 0.0):
+    with np.errstate(divide="ignore"):
+        z0 = _z_kernel(0, x1, x2)
+    if np.any(np.isneginf(z0)):
         raise ValueError("Stokeslet evaluated at a source point")
-    log_term = np.log(d)
-    sn = np.sin(x1) / (2.0 * d)
-    sh = np.sinh(x2) / (2.0 * d)
-    c = 1.0 / (8.0 * np.pi)
-    U = np.array([
-        [c * (log_term + x2 * sh), c * (-x2 * sn)],
-        [c * (-x2 * sn), c * (log_term - x2 * sh)],
-    ])
-    P = np.array([-sn / (4.0 * np.pi), -sh / (4.0 * np.pi)])
-    return U, P
-
-
-def stokeslet_eval_halfangle(x1, x2):
-    """Literal half-angle (tan/tanh) form of the Stokeslet; an independent
-    coding of the same tensor, undefined where tan(x1/2) blows up."""
-    t = np.tan(x1 / 2.0)
-    T = np.tanh(x2 / 2.0)
-    D = t * t + T * T
-    log_term = np.log(D / ((1.0 + t * t) * (1.0 - T * T)))
-    m_diag = (1.0 + t * t) * T / D
-    m_off = t * (1.0 - T * T) / D
-    c = 1.0 / (8.0 * np.pi)
-    U = np.array([
-        [c * (log_term + x2 * m_diag), c * (-x2 * m_off)],
-        [c * (-x2 * m_off), c * (log_term - x2 * m_diag)],
-    ])
-    P = np.array([-m_off / (4.0 * np.pi), -m_diag / (4.0 * np.pi)])
-    return U, P
-
-
-def stokeslet_from_green(x1, x2):
-    """Stokeslet assembled from the Laplace fundamental solution and its
-    gradient (a second independent route to the same tensor)."""
-    g = green_function(x1, x2)
-    g1, g2 = green_gradient(x1, x2)
-    c = -0.5
-    U = np.array([
-        [c * (g + x2 * g2), c * (-x2 * g1)],
-        [c * (-x2 * g1), c * (g - x2 * g2)],
-    ])
-    P = np.array([g1, g2])
+    z5, z6 = _z_kernel(5, x1, x2), _z_kernel(6, x1, x2)
+    U = np.array([[z0 + z6, -z5], [-z5, z0 - z6]]) / (8.0 * np.pi)
+    P = -np.array([_z_kernel(1, x1, x2), _z_kernel(2, x1, x2)]) / (4.0 * np.pi)
     return U, P
 
 
@@ -105,51 +54,71 @@ def stokeslet_from_green(x1, x2):
 # the layer integrals Z_0 .. Z_6
 # ---------------------------------------------------------------------------
 
-def _z_kernel(index, r1, r2):
-    """Layer kernels in sin/sinh form (finite wherever r is off the lattice).
-
-    Equivalent to the half-angle expressions
-        Z1: t(1-T^2)/D          Z2: T(1+t^2)/D
-        Z3: (r2/2)(1+t^2)(1-T^2)(t^2-T^2)/D^2
-        Z4: (r2/2) tT(1+t^2)(1-T^2)/D^2
-        Z5: r2 * Z1-kernel      Z6: r2 * Z2-kernel
-    with t = tan(r1/2), T = tanh(r2/2), D = t^2 + T^2.
-    """
-    if index == 0:
-        return _log_base(r1, r2)
-    s1, c1 = np.sin(r1 / 2.0), np.cos(r1 / 2.0)
-    s2, c2 = np.sinh(r2 / 2.0), np.cosh(r2 / 2.0)
-    d = s1 * s1 + s2 * s2
-    if index == 1:
-        return np.sin(r1) / (2.0 * d)
-    if index == 2:
-        return np.sinh(r2) / (2.0 * d)
-    if index == 3:
-        return (r2 / 2.0) * (s1 * s1 * c2 * c2 - s2 * s2 * c1 * c1) / (d * d)
-    if index == 4:
-        return r2 * np.sin(r1) * np.sinh(r2) / (8.0 * d * d)
-    if index == 5:
-        return r2 * np.sin(r1) / (2.0 * d)
-    if index == 6:
-        return r2 * np.sinh(r2) / (2.0 * d)
-    raise ValueError(f"Z index must be 0..6, got {index}")
+def _closest_samples(f: InterfaceProfile, pts: np.ndarray):
+    """Dense-sampling search for the interface sample nearest each point
+    (horizontal period folded in): its distance and its parameter."""
+    n_fine = max(8 * f.grid.n_points, 1024)
+    s = np.linspace(0.0, 2.0 * np.pi, n_fine, endpoint=False)
+    fs = f.eval_at(s)
+    dx = pts[:, 0:1] - s[None, :]
+    dx = (dx + np.pi) % (2.0 * np.pi) - np.pi
+    dy = pts[:, 1:2] - fs[None, :]
+    d2 = dx * dx + dy * dy
+    j = np.argmin(d2, axis=1)
+    return np.sqrt(d2[np.arange(len(pts)), j]), s[j]
 
 
 def min_interface_distance(f: InterfaceProfile, points) -> np.ndarray:
     """Distance from each point to the interface graph (horizontal period
     folded in); dense-sampling approximation."""
-    n_fine = max(8 * f.grid.n_points, 1024)
-    s = np.linspace(0.0, 2.0 * np.pi, n_fine, endpoint=False)
-    fs = f.eval_at(s)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dx = pts[:, 0:1] - s[None, :]
-    dx = (dx + np.pi) % (2.0 * np.pi) - np.pi
-    dy = pts[:, 1:2] - fs[None, :]
-    return np.sqrt(np.min(dx * dx + dy * dy, axis=1))
+    return _closest_samples(f, np.atleast_2d(np.asarray(points, dtype=float)))[0]
 
 
 def default_collar(f: InterfaceProfile) -> float:
     return 10.0 * f.grid.spacing
+
+
+def _trapezoid_sums(f, densities, pairs, pts, m_quad):
+    # f and every density sampled once; each kernel is contracted with all of
+    # its densities as soon as it is built, so one (P, m) table lives at a time
+    m = max(m_quad or 0, f.grid.n_points, 256)
+    s = 2.0 * np.pi * np.arange(m) / m
+    r1 = pts[:, 0:1] - s[None, :]
+    r2 = pts[:, 1:2] - f.eval_at(s)[None, :]
+    samples = {key: densities[key].eval_at(s) for key in dict.fromkeys(k for _, k in pairs)}
+    out = {}
+    for index in dict.fromkeys(i for i, _ in pairs):
+        K = _z_kernel(index, r1, r2)
+        for i, key in pairs:
+            if i == index:
+                out[(i, key)] = K @ samples[key] / m
+    return out
+
+
+def _layer_sums(f, densities, pairs, points, *, m_quad, collar, near):
+    """Z_index[densities[key]] at the points for each (index, key) pair.
+
+    One collar check per point set.  Points outside the collar take the
+    periodic trapezoid rule; points inside raise ProximityError unless
+    ``near=True``, which sends them alone to the adaptive quadrature.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    collar = default_collar(f) if collar is None else collar
+    close = min_interface_distance(f, pts) < collar
+    if np.any(close) and not near:
+        raise ProximityError(
+            "field point within the interface collar; use the trace "
+            "formulas or near=True for an approach study"
+        )
+    out = {pair: np.empty(len(pts)) for pair in pairs}
+    if not np.all(close):
+        far = _trapezoid_sums(f, densities, pairs, pts[~close], m_quad)
+        for pair in pairs:
+            out[pair][~close] = far[pair]
+    if np.any(close):
+        for index, key in pairs:
+            out[(index, key)][close] = _eval_z_near(index, f, densities[key], pts[close])
+    return out
 
 
 def eval_Z(index: int, f: InterfaceProfile, density, points, *,
@@ -158,46 +127,23 @@ def eval_Z(index: int, f: InterfaceProfile, density, points, *,
     """Layer integrals at off-interface points by the periodic trapezoid rule.
 
     Points closer to the interface than the collar raise ProximityError
-    unless ``near=True``, which switches to an adaptive quadrature with
-    geometric breakpoints clustered at the nearest interface parameter
-    (slow; meant for approach studies).
+    unless ``near=True``, which switches those points to an adaptive
+    quadrature with geometric breakpoints clustered at the nearest interface
+    parameter (slow; meant for approach studies).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
     dens = density if isinstance(density, InterfaceProfile) else \
         InterfaceProfile(f.grid, np.asarray(density, dtype=float))
-    collar = default_collar(f) if collar is None else collar
-    dist = min_interface_distance(f, pts)
-    if np.any(dist < collar):
-        if not near:
-            raise ProximityError(
-                "field point within the interface collar; use the trace "
-                "formulas or near=True for an approach study"
-            )
-        vals = _eval_z_near(index, f, dens, pts)
-    else:
-        m = max(m_quad or 0, f.grid.n_points, 256)
-        s = 2.0 * np.pi * np.arange(m) / m
-        fs = f.eval_at(s)
-        ds = dens.eval_at(s)
-        r1 = pts[:, 0:1] - s[None, :]
-        r2 = pts[:, 1:2] - fs[None, :]
-        vals = _z_kernel(index, r1, r2) @ ds / m
+    vals = _layer_sums(f, {"d": dens}, ((index, "d"),), points,
+                       m_quad=m_quad, collar=collar, near=near)[(index, "d")]
     return vals if np.asarray(points).ndim > 1 else float(vals[0])
-
-
-def _nearest_parameter(f: InterfaceProfile, point):
-    n_fine = max(8 * f.grid.n_points, 1024)
-    s = np.linspace(0.0, 2.0 * np.pi, n_fine, endpoint=False)
-    fs = f.eval_at(s)
-    dx = (point[0] - s + np.pi) % (2.0 * np.pi) - np.pi
-    return s[np.argmin(dx * dx + (point[1] - fs) ** 2)]
 
 
 def _eval_z_near(index, f, density, pts):
     out = np.empty(len(pts))
+    dist, nearest = _closest_samples(f, pts)
     for i, p in enumerate(pts):
-        s0 = _nearest_parameter(f, p)
-        scale = max(float(min_interface_distance(f, p[None, :])[0]), 1e-9)
+        s0 = nearest[i]
+        scale = max(float(dist[i]), 1e-9)
 
         def integrand(s):
             return float(_z_kernel(index, p[0] - s, p[1] - f.eval_at(s))
@@ -234,21 +180,50 @@ def side_of(f: InterfaceProfile, points) -> np.ndarray:
     return np.where(pts[:, 1] > f.eval_at(pts[:, 0]), SIDE_PLUS, SIDE_MINUS)
 
 
+def _single_layer_velocity(z, g1, g2, mu):
+    """Single-layer velocity of the forcing (g1, g2): z(index, density) is
+    either the bulk layer integral Z_index or its interface trace."""
+    mu4 = 4.0 * mu
+    v1 = (z(0, g1) + z(6, g1) - z(5, g2)) / mu4
+    v2 = (z(0, g2) - z(6, g2) - z(5, g1)) / mu4
+    return v1, v2
+
+
+_VELOCITY_PAIRS = ((0, "g1"), (6, "g1"), (5, "g2"), (0, "g2"), (6, "g2"), (5, "g1"))
+_PRESSURE_PAIRS = ((1, "g1"), (2, "g2"))
+_GRADIENT_PAIRS = ((1, "g1"), (1, "g2"), (2, "g1"), (3, "g1"), (3, "g2"), (4, "g1"), (4, "g2"))
+
+
+def _forcing_sums(f, G, pairs, points, **kw):
+    densities = {"g1": InterfaceProfile(f.grid, G.g1), "g2": InterfaceProfile(f.grid, G.g2)}
+    return _layer_sums(f, densities, pairs, points, **kw)
+
+
+def _bulk_velocity(sums, G, mu):
+    v1, v2 = _single_layer_velocity(lambda i, key: sums[(i, key)], "g1", "g2", mu)
+    v2 = v2 + float(np.mean(G.g2)) * LN4 / (4.0 * mu)
+    return np.stack([v1, v2], axis=-1)
+
+
+def _bulk_pressure(sums):
+    return -(sums[(1, "g1")] + sums[(2, "g2")]) / 2.0
+
+
+def _bulk_flow(f, G, params, pts, *, m_quad, collar):
+    """Velocity (P, 2) and pressure (P,) from one pass over the point set."""
+    sums = _forcing_sums(f, G, _VELOCITY_PAIRS + _PRESSURE_PAIRS, pts,
+                         m_quad=m_quad, collar=collar, near=False)
+    return _bulk_velocity(sums, G, params.mu), _bulk_pressure(sums)
+
+
 def velocity_field(f: InterfaceProfile, params: PhysParams, points, *,
                    m_quad: int | None = None, collar: float | None = None,
                    near: bool = False) -> np.ndarray:
     """Velocity at off-interface points, shape (P, 2)."""
     G = forcing_G(f, params)
-
-    def z(idx, dens):
-        return np.atleast_1d(eval_Z(idx, f, dens, np.atleast_2d(points),
-                                    m_quad=m_quad, collar=collar, near=near))
-
-    mu = params.mu
-    v1 = (z(0, G.g1) + z(6, G.g1) - z(5, G.g2)) / (4.0 * mu)
-    v2 = (z(0, G.g2) - z(6, G.g2) - z(5, G.g1)) / (4.0 * mu) \
-        + float(np.mean(G.g2)) * LN4 / (4.0 * mu)
-    out = np.stack([v1, v2], axis=-1)
+    sums = _forcing_sums(f, G, _VELOCITY_PAIRS, points,
+                         m_quad=m_quad, collar=collar, near=near)
+    out = _bulk_velocity(sums, G, params.mu)
     return out if np.asarray(points).ndim > 1 else out[0]
 
 
@@ -257,22 +232,19 @@ def pressure_field(f: InterfaceProfile, params: PhysParams, points, *,
                    near: bool = False):
     """Pressure at off-interface points."""
     G = forcing_G(f, params)
-    pts = np.atleast_2d(points)
-    z1 = np.atleast_1d(eval_Z(1, f, G.g1, pts, m_quad=m_quad, collar=collar, near=near))
-    z2 = np.atleast_1d(eval_Z(2, f, G.g2, pts, m_quad=m_quad, collar=collar, near=near))
-    q = -(z1 + z2) / 2.0
+    q = _bulk_pressure(_forcing_sums(f, G, _PRESSURE_PAIRS, points,
+                                     m_quad=m_quad, collar=collar, near=near))
     return q if np.asarray(points).ndim > 1 else float(q[0])
 
 
 def sample_flow(f: InterfaceProfile, params: PhysParams, points, *,
                 m_quad: int | None = None, collar: float | None = None) -> list[FieldSample]:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    v = velocity_field(f, params, pts, m_quad=m_quad, collar=collar)
-    q = pressure_field(f, params, pts, m_quad=m_quad, collar=collar)
+    v, q = _bulk_flow(f, forcing_G(f, params), params, pts, m_quad=m_quad, collar=collar)
     sides = side_of(f, pts)
     return [
         FieldSample((float(p[0]), float(p[1])), str(s), (float(vv[0]), float(vv[1])), float(qq))
-        for p, s, vv, qq in zip(pts, sides, v, np.atleast_1d(q))
+        for p, s, vv, qq in zip(pts, sides, v, q)
     ]
 
 
@@ -283,19 +255,11 @@ def velocity_gradient_field(f: InterfaceProfile, params: PhysParams, points, *,
     shape (P, 2, 2); assembled from the derivative layer combinations and
     trace-free by construction."""
     G = forcing_G(f, params)
-
-    def z(idx, dens):
-        return np.atleast_1d(eval_Z(idx, f, dens, np.atleast_2d(points),
-                                    m_quad=m_quad, collar=collar, near=near))
-
-    z1g1, z1g2 = z(1, G.g1), z(1, G.g2)
-    z2g1 = z(2, G.g1)
-    z3g1, z3g2 = z(3, G.g1), z(3, G.g2)
-    z4g1, z4g2 = z(4, G.g1), z(4, G.g2)
+    z = _forcing_sums(f, G, _GRADIENT_PAIRS, points, m_quad=m_quad, collar=collar, near=near)
     mu4 = 4.0 * params.mu
-    d1v1 = (z1g1 - 2.0 * z4g1 + z3g2) / mu4
-    d2v1 = (2.0 * z2g1 + z3g1 - z1g2 + 2.0 * z4g2) / mu4
-    d1v2 = (z3g1 + z1g2 + 2.0 * z4g2) / mu4
+    d1v1 = (z[(1, "g1")] - 2.0 * z[(4, "g1")] + z[(3, "g2")]) / mu4
+    d2v1 = (2.0 * z[(2, "g1")] + z[(3, "g1")] - z[(1, "g2")] + 2.0 * z[(4, "g2")]) / mu4
+    d1v2 = (z[(3, "g1")] + z[(1, "g2")] + 2.0 * z[(4, "g2")]) / mu4
     out = np.empty((len(d1v1), 2, 2))
     out[:, 0, 0] = d1v1
     out[:, 0, 1] = d2v1
@@ -364,9 +328,7 @@ def trace_velocity(f: InterfaceProfile, params: PhysParams, variant: str = "dire
     B = ops.composite
     if variant == "direct-g":
         G = forcing_G(f, params)
-        v1 = (B(0, G.g1) + B(6, G.g1) - B(5, G.g2)) / mu4
-        v2 = (B(0, G.g2) - B(6, G.g2) - B(5, G.g1)) / mu4
-        return np.vstack([v1, v2])
+        return np.vstack(_single_layer_velocity(B, G.g1, G.g2, params.mu))
     if variant == "parts-z":
         if abs(f.mean) > 1e-12 * (np.max(np.abs(f.values)) + 1e-300):
             raise ValueError(
@@ -513,8 +475,7 @@ def far_field_residuals(f: InterfaceProfile, params: PhysParams, *,
     out = {}
     for sign, name in ((+1.0, "plus"), (-1.0, "minus")):
         pts = np.stack([x1, np.full(n_probe, sign * height)], axis=1)
-        v = velocity_field(f, params, pts, m_quad=m_quad)
-        q = pressure_field(f, params, pts, m_quad=m_quad)
+        v, q = _bulk_flow(f, G, params, pts, m_quad=m_quad, collar=None)
         out[name] = {
             "v1_residual": float(np.max(np.abs(v[:, 0] + sign * fg1 / (2.0 * params.mu)))),
             "v2_residual": float(np.max(np.abs(v[:, 1]))),

@@ -20,6 +20,13 @@ The three satisfy, kernel by kernel,
 
 and the difference family obeys C[n,m] + C[n+2,m] = C[n,m-1] for m >= 1.
 
+The six named composites 1..6 that enter the interface velocity are the
+on-interface traces of the layer integrals Z_1..Z_6: each is one contraction
+against the closed-form layer kernel ``_z_kernel`` at r = (s, delta f), the
+same kernel the bulk fields integrate off the interface.  Their expansions
+as signed sums of tangent-family members are kept only as a test oracle.
+Composite 0 is the logarithmic operator ``eval_B0``.
+
 Quadrature.  Principal values use a midpoint rule with nodes straddling
 s = 0 symmetrically (half a spacing off the collocation grid), so the
 singularity is never sampled and odd singular parts cancel analytically.
@@ -34,7 +41,7 @@ shifts, with a circulant gather fast path when the nodes are the half grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -53,7 +60,6 @@ __all__ = [
     "composite_B",
     "frechet_B",
     "frechet_B0",
-    "COMPOSITE_MEMBERS",
 ]
 
 
@@ -96,10 +102,12 @@ def _circulant_index(n: int) -> np.ndarray:
 
 
 class KernelWorkspace:
-    """Quadrature nodes plus cached pairwise tables for one evaluation context.
+    """Quadrature nodes and weights for one evaluation context.
 
-    Holds, per argument function d, the sampling table d(xi_i - s_j) and the
-    difference table d(xi_i) - d(xi_i - s_j), both of shape (N, M).
+    Builds, per argument function d, the sampling table d(xi_i - s_j) and the
+    difference table d(xi_i) - d(xi_i - s_j), both of shape (N, M).  Tables
+    are built afresh on every call, so an input changed in place is never
+    served from a stale copy.
     """
 
     def __init__(self, grid: PeriodicGrid, rule: str = "midpoint", m_quad: int | None = None):
@@ -118,39 +126,22 @@ class KernelWorkspace:
         self._circulant = (
             _circulant_index(n) if rule == "midpoint" and len(self.nodes) == n else None
         )
-        self._samples: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._deltas: dict[int, np.ndarray] = {}
 
     def sample(self, values: np.ndarray) -> np.ndarray:
         """Table T[i, j] = d(xi_i - s_j) for the interpolant of values."""
-        key = id(values)
-        hit = self._samples.get(key)
-        if hit is not None and hit[0] is values:
-            return hit[1]
         values = np.asarray(values, dtype=float)
         n = self.grid.n_points
         if self._circulant is not None:
             c = np.fft.fft(values)
             half = np.fft.ifft(c * np.exp(1j * self.grid.wavenumbers * (self.grid.spacing / 2))).real
-            tab = half[self._circulant]
-        else:
-            c = np.fft.fft(values) / n
-            phase = np.exp(-1j * np.outer(self.grid.wavenumbers, self.nodes))
-            tab = np.fft.ifft(c[:, None] * phase * n, axis=0).real
-        tab.flags.writeable = False
-        self._samples[key] = (values, tab)
-        return tab
+            return half[self._circulant]
+        c = np.fft.fft(values) / n
+        phase = np.exp(-1j * np.outer(self.grid.wavenumbers, self.nodes))
+        return np.fft.ifft(c[:, None] * phase * n, axis=0).real
 
     def delta(self, values: np.ndarray) -> np.ndarray:
         """Difference table D[i, j] = d(xi_i) - d(xi_i - s_j)."""
-        key = id(values)
-        hit = self._deltas.get(key)
-        if hit is not None:
-            return hit
-        tab = np.asarray(values, dtype=float)[:, None] - self.sample(values)
-        tab.flags.writeable = False
-        self._deltas[key] = tab
-        return tab
+        return np.asarray(values, dtype=float)[:, None] - self.sample(values)
 
     def contract(self, kernel: np.ndarray, density_values: np.ndarray) -> np.ndarray:
         """sum_j kernel[i, j] * phi(xi_i - s_j) * w_j, fixed summation order."""
@@ -371,43 +362,80 @@ def eval_B0(f: InterfaceProfile, density, *, m_quad: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# diagonal fast path and the named composites
+# the layer kernels Z_0 .. Z_6
 # ---------------------------------------------------------------------------
 
-# composite index -> list of (coefficient, (n, m, p, q)) of diagonal members
-COMPOSITE_MEMBERS = {
-    1: ((1, (0, 1, 0, 0)), (-1, (2, 1, 2, 0))),
-    2: ((1, (1, 1, 0, 0)), (1, (1, 1, 2, 0))),
-    3: ((1, (0, 2, 0, 1)), (1, (0, 2, 2, 1)), (-1, (2, 2, 0, 1)),
-        (-2, (2, 2, 2, 1)), (-1, (2, 2, 4, 1)), (1, (4, 2, 2, 1)),
-        (1, (4, 2, 4, 1))),
-    4: ((1, (1, 2, 0, 1)), (1, (1, 2, 2, 1)), (-1, (3, 2, 2, 1)),
-        (-1, (3, 2, 4, 1))),
-    5: ((2, (0, 1, 1, 1)), (-2, (2, 1, 3, 1))),
-    6: ((2, (1, 1, 1, 1)), (2, (1, 1, 3, 1))),
-}
+def _log_base(x1, x2):
+    """ln(sin^2(x1/2) + sinh^2(x2/2)), the periodic log-distance."""
+    return np.log(np.sin(x1 / 2.0) ** 2 + np.sinh(x2 / 2.0) ** 2)
 
+
+def _z_kernel(index, r1, r2):
+    """Layer kernels in sin/sinh form (finite wherever r is off the lattice).
+
+    Equivalent to the half-angle expressions
+        Z1: t(1-T^2)/D          Z2: T(1+t^2)/D
+        Z3: (r2/2)(1+t^2)(1-T^2)(t^2-T^2)/D^2
+        Z4: (r2/2) tT(1+t^2)(1-T^2)/D^2
+        Z5: r2 * Z1-kernel      Z6: r2 * Z2-kernel
+    with t = tan(r1/2), T = tanh(r2/2), D = t^2 + T^2.  Off the interface
+    they are the layer integrands of the bulk fields; at r = (s, delta f)
+    they are, over 2*pi, the kernels of the trace composites 1..6.
+    """
+    if index == 0:
+        return _log_base(r1, r2)
+    s1, s2 = np.sin(r1 / 2.0), np.sinh(r2 / 2.0)
+    d = s1 * s1 + s2 * s2
+    if index == 1:
+        return np.sin(r1) / (2.0 * d)
+    if index == 2:
+        return np.sinh(r2) / (2.0 * d)
+    if index == 3:
+        c1, c2 = np.cos(r1 / 2.0), np.cosh(r2 / 2.0)
+        return (r2 / 2.0) * (s1 * s1 * c2 * c2 - s2 * s2 * c1 * c1) / (d * d)
+    if index == 4:
+        return r2 * np.sin(r1) * np.sinh(r2) / (8.0 * d * d)
+    if index == 5:
+        return r2 * np.sin(r1) / (2.0 * d)
+    if index == 6:
+        return r2 * np.sinh(r2) / (2.0 * d)
+    raise ValueError(f"Z index must be 0..6, got {index}")
+
+
+# ---------------------------------------------------------------------------
+# diagonal fast path and the named composites
+# ---------------------------------------------------------------------------
 
 class DiagonalOps:
     """Shared-table evaluator for operators whose arguments all equal one f.
 
-    Builds the difference table of f once and derives every member kernel
-    from cached powers, so assembling the full evolution operator costs a
-    handful of elementwise products per member.
+    Builds the difference table of f once.  A named composite 1..6 is one
+    contraction against its layer kernel; the single members of the tangent
+    family (used by the derivatives) come from cached powers built on first
+    use.
     """
 
     def __init__(self, f: InterfaceProfile, *, m_quad: int | None = None):
         self.f = f
         self.ws = KernelWorkspace(f.grid, "midpoint", m_quad)
         self.df = self.ws.delta(f.values)
-        t = self.ws.tan_half
-        self._u = np.tanh(self.df / 2.0) / t          # tangent quotient
-        self._v = (self.df / 2.0) / t                 # difference slot
-        self._den = 1.0 + self._u**2
+        self._composites: dict[int, np.ndarray] = {}
         self._u_pow = {0: 1.0}
         self._den_pow = {0: 1.0}
         self._t_pow = {}
         self._kernels: dict[tuple, np.ndarray] = {}
+
+    @cached_property
+    def _u(self):
+        return np.tanh(self.df / 2.0) / self.ws.tan_half     # tangent quotient
+
+    @cached_property
+    def _v(self):
+        return (self.df / 2.0) / self.ws.tan_half            # difference slot
+
+    @cached_property
+    def _den(self):
+        return 1.0 + self._u**2
 
     def _upow(self, n):
         if n not in self._u_pow:
@@ -454,11 +482,10 @@ class DiagonalOps:
     def composite(self, index: int, density_values) -> np.ndarray:
         if index == 0:
             return self.b0(density_values)
-        out = None
-        for coef, (n, m, p, q) in COMPOSITE_MEMBERS[index]:
-            term = coef * self.apply_member(n, m, p, q, density_values)
-            out = term if out is None else out + term
-        return out
+        K = self._composites.get(index)
+        if K is None:
+            K = self._composites[index] = _z_kernel(index, self.ws.nodes, self.df) / (2.0 * np.pi)
+        return self.ws.contract(K, density_values)
 
 
 def composite_B(index: int, f: InterfaceProfile, density, *,

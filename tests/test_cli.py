@@ -69,7 +69,7 @@ class TestSimulate:
     def test_determinism_bitwise(self, tmp_path):
         args = ["simulate", "--n", "64", "--sigma", "1", "--mu", "1",
                 "--init", "cos:1:0.01,sin:3:0.002", "--dt", "0.01",
-                "--t-end", "0.3", "--seed", "7"]
+                "--t-end", "0.3"]
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_cli(*args, "--out-dir", str(a)) == 0
         assert run_cli(*args, "--out-dir", str(b)) == 0

@@ -18,14 +18,59 @@ from stokes2p import (
     velocity_field,
     velocity_gradient_field,
 )
+from stokes2p import fields
 from stokes2p.fields import (
     antiderivative,
     default_collar,
     min_interface_distance,
-    stokeslet_eval_halfangle,
-    stokeslet_from_green,
     z_jump_coefficients,
 )
+
+
+# ---------------------------------------------------------------------------
+# independent codings of the periodic Stokeslet, cross-checks only
+# ---------------------------------------------------------------------------
+
+def green_function(x1, x2):
+    """Fundamental solution of the periodic Laplacian."""
+    return -np.log(np.sin(x1 / 2.0) ** 2 + np.sinh(x2 / 2.0) ** 2) / (4.0 * np.pi)
+
+
+def green_gradient(x1, x2):
+    d = np.sin(x1 / 2.0) ** 2 + np.sinh(x2 / 2.0) ** 2
+    return (-np.sin(x1) / (8.0 * np.pi * d), -np.sinh(x2) / (8.0 * np.pi * d))
+
+
+def stokeslet_eval_halfangle(x1, x2):
+    """Literal half-angle (tan/tanh) form of the Stokeslet, undefined where
+    tan(x1/2) blows up."""
+    t = np.tan(x1 / 2.0)
+    T = np.tanh(x2 / 2.0)
+    D = t * t + T * T
+    log_term = np.log(D / ((1.0 + t * t) * (1.0 - T * T)))
+    m_diag = (1.0 + t * t) * T / D
+    m_off = t * (1.0 - T * T) / D
+    c = 1.0 / (8.0 * np.pi)
+    U = np.array([
+        [c * (log_term + x2 * m_diag), c * (-x2 * m_off)],
+        [c * (-x2 * m_off), c * (log_term - x2 * m_diag)],
+    ])
+    P = np.array([-m_off / (4.0 * np.pi), -m_diag / (4.0 * np.pi)])
+    return U, P
+
+
+def stokeslet_from_green(x1, x2):
+    """Stokeslet assembled from the Laplace fundamental solution and its
+    gradient."""
+    g = green_function(x1, x2)
+    g1, g2 = green_gradient(x1, x2)
+    c = -0.5
+    U = np.array([
+        [c * (g + x2 * g2), c * (-x2 * g1)],
+        [c * (-x2 * g1), c * (g - x2 * g2)],
+    ])
+    P = np.array([g1, g2])
+    return U, P
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +215,23 @@ class TestLayerIntegrals:
         close = np.array([[0.0, f.values[0] + 0.5 * default_collar(f)]])
         with pytest.raises(ProximityError):
             eval_Z(1, f, np.cos(grid.nodes), close)
+
+    def test_near_evaluation_takes_only_collar_points(self, setup, monkeypatch):
+        grid, f, params = setup
+        dens = np.cos(grid.nodes)
+        far = np.array([[0.3, 2.0], [1.0, -2.5], [4.0, 1.1]])
+        close = np.array([[0.0, f.values[0] + 0.5 * default_collar(f)]])
+        seen = []
+        original = fields._eval_z_near
+
+        def spy(index, f_, density, pts):
+            seen.append(np.array(pts))
+            return original(index, f_, density, pts)
+
+        monkeypatch.setattr(fields, "_eval_z_near", spy)
+        mixed = eval_Z(1, f, dens, np.vstack([far[:2], close, far[2:]]), near=True)
+        assert len(seen) == 1 and np.array_equal(seen[0], close)
+        assert np.array_equal(mixed[[0, 1, 3]], eval_Z(1, f, dens, far, near=True))
 
     def test_min_distance(self, setup):
         grid, f, params = setup
@@ -333,6 +395,22 @@ class TestBulkFields:
         for j, e in enumerate((np.array([h, 0.0]), np.array([0.0, h]))):
             fd = (velocity_field(f, params, p + e) - velocity_field(f, params, p - e)) / (2 * h)
             assert np.max(np.abs(grad[:, j] - fd)) < 1e-6
+
+    def test_sample_flow_scans_distance_once(self, setup, monkeypatch):
+        grid, f, params = setup
+        pts = np.array([[0.5, 1.5], [0.5, -1.5], [2.0, 2.5]])
+        calls = []
+        original = fields.min_interface_distance
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fields, "min_interface_distance", spy)
+        samples = sample_flow(f, params, pts)
+        assert len(calls) == 1
+        assert np.array_equal([s.velocity for s in samples], velocity_field(f, params, pts))
+        assert np.array_equal([s.pressure for s in samples], pressure_field(f, params, pts))
 
     def test_sample_flow_sides(self, setup):
         grid, f, params = setup

@@ -6,6 +6,7 @@ from scipy.special import sici
 from stokes2p import (
     DiagonalOps,
     InterfaceProfile,
+    KernelWorkspace,
     OperatorSpec,
     PeriodicGrid,
     composite_B,
@@ -66,6 +67,21 @@ def c_kernel_direct(n, m, f, phi):
         df = f(xi) - f(xi - s)
         return (df / s) ** n / (1 + (df / s) ** 2) ** m * phi(xi - s) / (np.pi * s)
     return kernel
+
+
+# the named composites as signed sums of diagonal tangent-family members:
+# index -> ((coefficient, (n, m, p, q)), ...)
+COMPOSITE_MEMBERS = {
+    1: ((1, (0, 1, 0, 0)), (-1, (2, 1, 2, 0))),
+    2: ((1, (1, 1, 0, 0)), (1, (1, 1, 2, 0))),
+    3: ((1, (0, 2, 0, 1)), (1, (0, 2, 2, 1)), (-1, (2, 2, 0, 1)),
+        (-2, (2, 2, 2, 1)), (-1, (2, 2, 4, 1)), (1, (4, 2, 2, 1)),
+        (1, (4, 2, 4, 1))),
+    4: ((1, (1, 2, 0, 1)), (1, (1, 2, 2, 1)), (-1, (3, 2, 2, 1)),
+        (-1, (3, 2, 4, 1))),
+    5: ((2, (0, 1, 1, 1)), (-2, (2, 1, 3, 1))),
+    6: ((2, (1, 1, 1, 1)), (2, (1, 1, 3, 1))),
+}
 
 
 def a_kernel_direct(n, m, ell, q, f, phi):
@@ -330,12 +346,22 @@ class TestComposites:
         with pytest.raises(ValueError):
             composite_B(7, f_profile, density)
 
+    @pytest.mark.parametrize("n_points", [64, 128, 512])
+    @pytest.mark.parametrize("idx", range(1, 7))
+    def test_layer_kernel_matches_member_sum(self, idx, n_points):
+        # one closed-form kernel per composite against its member expansion
+        grid = PeriodicGrid(n_points)
+        f = InterfaceProfile(grid, band_limited(grid, 10 + idx, modes=16, amplitude=0.3))
+        phi = band_limited(grid, 20 + idx, modes=16)
+        ops = DiagonalOps(f)
+        want = sum(coef * ops.apply_member(n, m, p, q, phi)
+                   for coef, (n, m, p, q) in COMPOSITE_MEMBERS[idx])
+        got = composite_B(idx, f, phi)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("idx,members", [
-        (3, ((1, (0, 2, 0, 1)), (1, (0, 2, 2, 1)), (-1, (2, 2, 0, 1)),
-             (-2, (2, 2, 2, 1)), (-1, (2, 2, 4, 1)), (1, (4, 2, 2, 1)),
-             (1, (4, 2, 4, 1)))),
-        (4, ((1, (1, 2, 0, 1)), (1, (1, 2, 2, 1)), (-1, (3, 2, 2, 1)),
-             (-1, (3, 2, 4, 1)))),
+        (3, COMPOSITE_MEMBERS[3]),
+        (4, COMPOSITE_MEMBERS[4]),
     ])
     def test_against_direct_oracle(self, idx, members):
         # the two odd derivative composites on a small cosine profile
@@ -350,6 +376,17 @@ class TestComposites:
         f = InterfaceProfile(grid, fn(grid.nodes))
         got = composite_B(idx, f, phi(grid.nodes))[::16]
         assert np.max(np.abs(got - want)) < 1e-8
+
+
+class TestWorkspace:
+    def test_sample_follows_in_place_change(self, grid):
+        ws = KernelWorkspace(grid)
+        v = np.cos(grid.nodes)
+        w = np.sin(3 * grid.nodes)
+        ws.sample(v)
+        v[:] = w
+        assert np.array_equal(ws.sample(v), ws.sample(w.copy()))
+        assert np.array_equal(ws.delta(v), ws.delta(w.copy()))
 
 
 def central_difference_map(build, f0, direction, eps=1e-5):
