@@ -38,6 +38,8 @@ from .evolution import (
     BlowUpError,
     EvolutionState,
     ForcingG,
+    IntegrationError,
+    StepSizeError,
     StepperConfig,
     dphi_of,
     eval_Psi,

@@ -70,14 +70,13 @@ def _mode_coefficients(values: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _probe_mode(grid, params, k, eps, probe, m_quad):
+def _probe_mode(grid, params, k, eps, probe):
     phase = np.cos if probe == "cos" else np.sin
-    return jacobian_action_at_zero(params, grid, phase(k * grid.nodes), eps=eps, m_quad=m_quad)
+    return jacobian_action_at_zero(params, grid, phase(k * grid.nodes), eps=eps)
 
 
 def numeric_jacobian_at_zero(params: PhysParams, grid: PeriodicGrid, k_max: int, *,
                              eps: float = PROBE_EPS, probe: str = "cos",
-                             m_quad: int | None = None,
                              workers: int | None = None,
                              leakage_tol: float | None = None) -> SpectrumReport:
     """Probe the flat-state Jacobian by central differences, mode by mode.
@@ -96,9 +95,9 @@ def numeric_jacobian_at_zero(params: PhysParams, grid: PeriodicGrid, k_max: int,
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             responses = list(pool.map(
-                lambda k: _probe_mode(grid, params, k, eps, probe, m_quad), ks))
+                lambda k: _probe_mode(grid, params, k, eps, probe), ks))
     else:
-        responses = [_probe_mode(grid, params, k, eps, probe, m_quad) for k in ks]
+        responses = [_probe_mode(grid, params, k, eps, probe) for k in ks]
 
     modes = []
     leakage = 0.0
@@ -119,13 +118,12 @@ def numeric_jacobian_at_zero(params: PhysParams, grid: PeriodicGrid, k_max: int,
 
 
 def jacobian_action_at_zero(params: PhysParams, grid: PeriodicGrid, direction, *,
-                            eps: float = PROBE_EPS,
-                            m_quad: int | None = None) -> np.ndarray:
+                            eps: float = PROBE_EPS) -> np.ndarray:
     """Central-difference action of the flat-state Jacobian on a direction."""
     h = np.asarray(direction.values if isinstance(direction, InterfaceProfile) else direction,
                    dtype=float)
-    plus = eval_Psi(InterfaceProfile(grid, eps * h), params, m_quad=m_quad)
-    minus = eval_Psi(InterfaceProfile(grid, -eps * h), params, m_quad=m_quad)
+    plus = eval_Psi(InterfaceProfile(grid, eps * h), params)
+    minus = eval_Psi(InterfaceProfile(grid, -eps * h), params)
     return (plus - minus) / (2.0 * eps)
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: simulate, spectrum, field, verify.
 
-Exit codes: 0 success, 1 bad flags, 2 blow-up (last state persisted),
-3 verification failure.
+Exit codes: 0 success, 1 bad flags, 2 run stopped early by blow-up or by an
+adaptive tolerance it cannot meet (last state persisted), 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import InterfaceProfile, PeriodicGrid, PhysParams
 from .evolution import (
     BlowUpError,
     EvolutionState,
+    IntegrationError,
     StepperConfig,
     integrate,
     snapshot_record,
@@ -150,9 +152,10 @@ def cmd_simulate(args) -> int:
         sink(snapshot_record(state))
         try:
             state = integrate(state, config, sink)
-        except BlowUpError as exc:
+        except IntegrationError as exc:
             sink(snapshot_record(exc.last_state))
-            print(f"blow-up: {exc}", file=sys.stderr)
+            kind = "blow-up" if isinstance(exc, BlowUpError) else "stopped"
+            print(f"{kind}: {exc}", file=sys.stderr)
             return EXIT_BLOWUP
     print(f"completed t={state.time:g} in {state.step_count} steps -> {snap_path}")
     return EXIT_OK

@@ -96,15 +96,14 @@ def far_field_constants(f: InterfaceProfile, params: PhysParams) -> FarFieldCons
 # the evolution operator
 # ---------------------------------------------------------------------------
 
-def eval_Psi(f: InterfaceProfile, params: PhysParams, *,
-             m_quad: int | None = None,
-             ops: DiagonalOps | None = None) -> np.ndarray:
+def eval_Psi(f: InterfaceProfile, params: PhysParams) -> np.ndarray:
     """Nodal values of the interface velocity df/dt for the current profile.
 
-    Constants are equilibria: the buoyancy mean term cancels the mean of the
-    logarithmic operator exactly, and the result is mean-free.
+    The 14 composite terms act on six distinct densities, so all of them
+    come from one pass of ``DiagonalOps.composites``.  Constants are
+    equilibria: the buoyancy mean term cancels the mean of the logarithmic
+    operator exactly, and the result is mean-free.
     """
-    ops = ops or DiagonalOps(f, m_quad=m_quad)
     fv = f.values
     fp = f.deriv_values
     phi1, phi2 = phi_of(f)
@@ -112,12 +111,15 @@ def eval_Psi(f: InterfaceProfile, params: PhysParams, *,
 
     d_a = phi1 - fp * phi2
     d_b = fp * phi1
-    B = ops.composite
+    # density columns: d_a, d_b, d_b + phi2, phi2 - f' phi1, f f', f
+    A, DB, DBP, P2, FFP, F = range(6)
+    B = DiagonalOps(f).composites(
+        np.column_stack([d_a, d_b, d_b + phi2, phi2 - fp * phi1, ffp, fv]))
 
-    psi1 = B(1, d_a) - 2.0 * B(4, d_a) + 2.0 * B(2, d_b) + B(3, d_b) + B(3, phi2)
-    psi2 = B(1, phi2 - fp * phi1) + B(3, d_a) + 2.0 * B(4, d_b + phi2)
-    psi3 = B(0, ffp) + B(6, ffp) + B(5, fv)
-    psi4 = B(0, fv) - B(6, fv) + B(5, ffp)
+    psi1 = B[1][:, A] - 2.0 * B[4][:, A] + 2.0 * B[2][:, DB] + B[3][:, DBP]
+    psi2 = B[1][:, P2] + B[3][:, A] + 2.0 * B[4][:, DBP]
+    psi3 = B[0][:, FFP] + B[6][:, FFP] + B[5][:, F]
+    psi4 = B[0][:, F] - B[6][:, F] + B[5][:, FFP]
 
     sigma, theta, mu = params.sigma, params.theta, params.mu
     return (sigma / (4.0 * mu)) * (fp * psi1 - psi2) \
@@ -147,7 +149,6 @@ class StepperConfig:
     snapshot_stride: int = 1
     adapt: bool = False
     tol: float = 1e-8
-    m_quad: int | None = None
     blowup_factor: float = 1e3   # runaway guard relative to the initial size
 
     def __post_init__(self):
@@ -170,13 +171,24 @@ class EvolutionState:
     step_count: int = 0
 
 
-class BlowUpError(RuntimeError):
-    """Raised when the profile leaves the trusted range; carries the last
-    finite state so a caller can persist it."""
+class IntegrationError(RuntimeError):
+    """Raised when a run stops before t_end; carries the last accepted state
+    so a caller can persist it."""
 
     def __init__(self, message: str, last_state: EvolutionState):
         super().__init__(message)
         self.last_state = last_state
+
+
+class BlowUpError(IntegrationError):
+    """The profile left the trusted range (non-finite or runaway values)."""
+
+
+class StepSizeError(IntegrationError):
+    """Step-doubling control missed the tolerance at the smallest step."""
+
+
+MIN_ADAPTIVE_DT = 1e-8   # step-doubling control halves dt down to here, no further
 
 
 def _imex_step(values, dt, lam, psi_vals):
@@ -185,9 +197,9 @@ def _imex_step(values, dt, lam, psi_vals):
     return np.fft.ifft(rhs / (1.0 - dt * lam)).real
 
 
-def _advance(values, dt, grid, params, scheme, lam, m_quad):
+def _advance(values, dt, grid, params, scheme, lam):
     def psi(v):
-        return eval_Psi(InterfaceProfile(grid, v), params, m_quad=m_quad)
+        return eval_Psi(InterfaceProfile(grid, v), params)
 
     if scheme == "imex-euler":
         return _imex_step(values, dt, lam, psi(values))
@@ -206,7 +218,7 @@ def step(state: EvolutionState, config: StepperConfig, *,
     dt = dt if dt is not None else config.effective_dt(grid)
     lam = linear_multiplier(grid, state.params)
     new_values = _advance(state.profile.values, dt, grid, state.params,
-                          config.scheme, lam, config.m_quad)
+                          config.scheme, lam)
     if not np.all(np.isfinite(new_values)) or (
         blowup_threshold is not None and np.max(np.abs(new_values)) > blowup_threshold
     ):
@@ -236,8 +248,9 @@ def integrate(state: EvolutionState, config: StepperConfig, sink=None) -> Evolut
     """Repeated stepping to t_end with optional step-doubling error control.
 
     ``sink`` receives one snapshot record every ``snapshot_stride`` accepted
-    steps (plus the final state).  Blow-up aborts with the last good state
-    attached to the exception.
+    steps (plus the final state).  Blow-up raises BlowUpError, and an error
+    estimate above ``tol`` at the step floor ``MIN_ADAPTIVE_DT`` raises
+    StepSizeError; both carry the last accepted state.
     """
     grid = state.profile.grid
     dt = config.effective_dt(grid)
@@ -252,7 +265,11 @@ def integrate(state: EvolutionState, config: StepperConfig, sink=None) -> Evolut
             half = step(state, config, dt=dt_now / 2.0, blowup_threshold=threshold)
             half = step(half, config, dt=dt_now / 2.0, blowup_threshold=threshold)
             err = np.max(np.abs(full.profile.values - half.profile.values)) / (2**order - 1)
-            if err > config.tol and dt_now > 1e-8:
+            if err > config.tol:
+                if dt_now <= MIN_ADAPTIVE_DT:
+                    raise StepSizeError(
+                        f"error estimate {err:.3e} above tol={config.tol:g} at "
+                        f"dt={dt_now:.3g}, t={state.time:.6g}", state)
                 dt = dt_now / 2.0
                 continue
             state = replace(half, step_count=state.step_count + 1)

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from .core import InterfaceProfile, PhysParams, geometry_quantities
 from .evolution import LN4, forcing_G, phi_of
-from .operators import DiagonalOps, _z_kernel, composite_B
+from .operators import DiagonalOps, _LayerTables, _z_kernel, composite_B
 
 SIDE_PLUS = "plus"
 SIDE_MINUS = "minus"
@@ -54,18 +54,33 @@ def stokeslet_eval(x1, x2):
 # the layer integrals Z_0 .. Z_6
 # ---------------------------------------------------------------------------
 
+_SCAN_BLOCK = 128   # points per block of the dense distance scan
+
+
 def _closest_samples(f: InterfaceProfile, pts: np.ndarray):
     """Dense-sampling search for the interface sample nearest each point
-    (horizontal period folded in): its distance and its parameter."""
+    (horizontal period folded in): its distance and its parameter.
+
+    The points are scanned in blocks, so the (block, 8N) tables stay small
+    whatever the number of points."""
     n_fine = max(8 * f.grid.n_points, 1024)
     s = np.linspace(0.0, 2.0 * np.pi, n_fine, endpoint=False)
     fs = f.eval_at(s)
-    dx = pts[:, 0:1] - s[None, :]
-    dx = (dx + np.pi) % (2.0 * np.pi) - np.pi
-    dy = pts[:, 1:2] - fs[None, :]
-    d2 = dx * dx + dy * dy
-    j = np.argmin(d2, axis=1)
-    return np.sqrt(d2[np.arange(len(pts)), j]), s[j]
+    dist, nearest = np.empty(len(pts)), np.empty(len(pts))
+    for start in range(0, len(pts), _SCAN_BLOCK):
+        block = pts[start:start + _SCAN_BLOCK]
+        d2 = block[:, 0:1] - s[None, :]
+        d2 += np.pi
+        d2 %= 2.0 * np.pi
+        d2 -= np.pi
+        d2 *= d2
+        dy = block[:, 1:2] - fs[None, :]
+        dy *= dy
+        d2 += dy
+        j = np.argmin(d2, axis=1)
+        dist[start:start + len(block)] = np.sqrt(d2[np.arange(len(block)), j])
+        nearest[start:start + len(block)] = s[j]
+    return dist, nearest
 
 
 def min_interface_distance(f: InterfaceProfile, points) -> np.ndarray:
@@ -79,16 +94,16 @@ def default_collar(f: InterfaceProfile) -> float:
 
 
 def _trapezoid_sums(f, densities, pairs, pts, m_quad):
-    # f and every density sampled once; each kernel is contracted with all of
-    # its densities as soon as it is built, so one (P, m) table lives at a time
+    # f and every density sampled once; the kernels share one set of
+    # half-angle tables, and each is contracted with all of its densities as
+    # soon as it is built
     m = max(m_quad or 0, f.grid.n_points, 256)
     s = 2.0 * np.pi * np.arange(m) / m
     r1 = pts[:, 0:1] - s[None, :]
     r2 = pts[:, 1:2] - f.eval_at(s)[None, :]
     samples = {key: densities[key].eval_at(s) for key in dict.fromkeys(k for _, k in pairs)}
     out = {}
-    for index in dict.fromkeys(i for i, _ in pairs):
-        K = _z_kernel(index, r1, r2)
+    for index, K in _LayerTables.at(r1, r2).kernels(i for i, _ in pairs):
         for i, key in pairs:
             if i == index:
                 out[(i, key)] = K @ samples[key] / m
@@ -273,12 +288,12 @@ def velocity_gradient_field(f: InterfaceProfile, params: PhysParams, points, *,
 # ---------------------------------------------------------------------------
 
 def trace_B(index: int, f: InterfaceProfile, density, *,
-            m_quad: int | None = None, ops: DiagonalOps | None = None) -> np.ndarray:
+            ops: DiagonalOps | None = None) -> np.ndarray:
     """Principal-value trace of Z_index on the interface (delegates to the
     singular composites)."""
     if index not in range(1, 7):
         raise ValueError("trace index must be in 1..6")
-    return composite_B(index, f, density, m_quad=m_quad, ops=ops)
+    return composite_B(index, f, density, ops=ops)
 
 
 def z_jump_coefficients(f: InterfaceProfile) -> dict[int, np.ndarray]:
@@ -314,8 +329,8 @@ def antiderivative(values) -> np.ndarray:
     return prim - prim[0] + float(np.mean(s * values))
 
 
-def trace_velocity(f: InterfaceProfile, params: PhysParams, variant: str = "direct-g", *,
-                   m_quad: int | None = None) -> np.ndarray:
+def trace_velocity(f: InterfaceProfile, params: PhysParams,
+                   variant: str = "direct-g") -> np.ndarray:
     """Interface trace of the layer velocity, shape (2, N).
 
     ``direct-g`` integrates the forcing against the even composites;
@@ -323,7 +338,7 @@ def trace_velocity(f: InterfaceProfile, params: PhysParams, variant: str = "dire
     the odd ones.  The two agree identically in the continuum; ``parts-z``
     requires a mean-free profile so its vertical antiderivative is periodic.
     """
-    ops = DiagonalOps(f, m_quad=m_quad)
+    ops = DiagonalOps(f)
     mu4 = 4.0 * params.mu
     B = ops.composite
     if variant == "direct-g":
@@ -377,8 +392,7 @@ def _fit_order(eps, res):
 def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
                           density=None, probe_count: int = 4,
                           eps_factors=(1e-2, 1e-3, 1e-4),
-                          check_stress: bool = True,
-                          m_quad: int | None = None) -> JumpReport:
+                          check_stress: bool = True) -> JumpReport:
     """Measure one-sided limits of the layer integrals against the trace
     composites plus their jump coefficients, the pressure jump against the
     normal forcing, and the viscous-stress jump against the tangential one.
@@ -393,7 +407,7 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
     dens = np.asarray(density, dtype=float) if density is not None \
         else np.cos(grid.nodes) + 0.3 * np.sin(2.0 * grid.nodes)
     dens_prof = InterfaceProfile(grid, dens)
-    ops = DiagonalOps(f, m_quad=m_quad)
+    ops = DiagonalOps(f)
     jumps = z_jump_coefficients(f)
     traces = {idx: trace_B(idx, f, dens, ops=ops) for idx in (1, 2, 3, 4)}
 

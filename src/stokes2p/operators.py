@@ -22,10 +22,12 @@ and the difference family obeys C[n,m] + C[n+2,m] = C[n,m-1] for m >= 1.
 
 The six named composites 1..6 that enter the interface velocity are the
 on-interface traces of the layer integrals Z_1..Z_6: each is one contraction
-against the closed-form layer kernel ``_z_kernel`` at r = (s, delta f), the
-same kernel the bulk fields integrate off the interface.  Their expansions
-as signed sums of tangent-family members are kept only as a test oracle.
-Composite 0 is the logarithmic operator ``eval_B0``.
+against the closed-form layer kernel at r = (s, delta f), built from the
+same half-angle tables (``_LayerTables``) the bulk fields use off the
+interface.  Their expansions as signed sums of tangent-family members are
+kept only as a test oracle.  Composite 0 is the logarithmic operator
+``eval_B0``.  ``DiagonalOps.composites`` evaluates any set of composites on
+a batch of densities in one pass over shared tables.
 
 Quadrature.  Principal values use a midpoint rule with nodes straddling
 s = 0 symmetrically (half a spacing off the collocation grid), so the
@@ -35,7 +37,8 @@ spectrally.  The 1/s kernels are not periodic, so the midpoint rule is only
 second order for them; a symmetrized Gauss-Legendre rule is available
 (``rule="gauss"``) when converged values rather than shared-node identities
 are wanted.  Densities and arguments are sampled at xi_i - s_j by FFT phase
-shifts, with a circulant gather fast path when the nodes are the half grid.
+shifts, with a circulant fast path (a strided view of the half-grid samples)
+when the nodes are the half grid.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
 from .core import InterfaceProfile, PeriodicGrid, TWO_PI
@@ -91,14 +95,24 @@ def _gauss_rule(m_half: int):
     return s, w
 
 
-@lru_cache(maxsize=32)
-def _circulant_index(n: int) -> np.ndarray:
-    # xi_i - s_j lands on the half grid: index (i - j - 1 + n/2) mod n
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    idx = (i - j - 1 + n // 2) % n
-    idx.flags.writeable = False
-    return idx
+def _half_grid(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """Samples of the interpolant at the half grid (m + 1/2) h, along axis 0."""
+    shift = np.exp(1j * grid.wavenumbers * (grid.spacing / 2))
+    shift = shift.reshape((-1,) + (1,) * (np.ndim(values) - 1))
+    return np.fft.ifft(np.fft.fft(values, axis=0) * shift, axis=0).real
+
+
+def _circulant(vec: np.ndarray) -> np.ndarray:
+    """Read-only (n, n) view T[i, j] = vec[(i - j - 1 + n/2) mod n], no copy.
+
+    For half-grid samples, T[i, j] is the sample at xi_i - s_j on the
+    midpoint nodes s_j.  The index map is its own inverse, so for a vector
+    over the nodes, T[i, m] is the node that row i pairs with half-grid
+    sample m.
+    """
+    n = len(vec)
+    wrapped = vec[(3 * n // 2 - 2 - np.arange(2 * n - 1)) % n]
+    return sliding_window_view(wrapped, n)[::-1]
 
 
 class KernelWorkspace:
@@ -123,18 +137,14 @@ class KernelWorkspace:
         else:
             raise ValueError(f"unknown quadrature rule {rule!r}")
         self.tan_half = np.tan(self.nodes / 2.0)
-        self._circulant = (
-            _circulant_index(n) if rule == "midpoint" and len(self.nodes) == n else None
-        )
+        self._circulant = rule == "midpoint" and len(self.nodes) == n
 
     def sample(self, values: np.ndarray) -> np.ndarray:
         """Table T[i, j] = d(xi_i - s_j) for the interpolant of values."""
         values = np.asarray(values, dtype=float)
         n = self.grid.n_points
-        if self._circulant is not None:
-            c = np.fft.fft(values)
-            half = np.fft.ifft(c * np.exp(1j * self.grid.wavenumbers * (self.grid.spacing / 2))).real
-            return half[self._circulant]
+        if self._circulant:
+            return _circulant(_half_grid(self.grid, values))
         c = np.fft.fft(values) / n
         phase = np.exp(-1j * np.outer(self.grid.wavenumbers, self.nodes))
         return np.fft.ifft(c[:, None] * phase * n, axis=0).real
@@ -343,6 +353,12 @@ def _log_sin_multiplier(n: int) -> np.ndarray:
     return mult
 
 
+def _log_sin_part(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """Convolution with ln(sin^2(s/2))/(2*pi), applied spectrally along axis 0."""
+    mult = _log_sin_multiplier(grid.n_points).reshape((-1,) + (1,) * (np.ndim(values) - 1))
+    return np.fft.ifft(mult * np.fft.fft(values, axis=0), axis=0).real
+
+
 def eval_B0(f: InterfaceProfile, density, *, m_quad: int | None = None,
             workspace: KernelWorkspace | None = None) -> np.ndarray:
     """Logarithmic-kernel operator, split into an exact multiplier plus a
@@ -354,52 +370,114 @@ def eval_B0(f: InterfaceProfile, density, *, m_quad: int | None = None,
     """
     grid = f.grid
     values = _density_values(density, grid)
-    part1 = np.fft.ifft(_log_sin_multiplier(grid.n_points) * np.fft.fft(values)).real
     ws = workspace or KernelWorkspace(grid, "midpoint", m_quad)
-    df = ws.delta(f.values)
-    K = np.log1p(np.sinh(df / 2.0) ** 2 / np.sin(ws.nodes / 2.0) ** 2) / (2.0 * np.pi)
-    return part1 + ws.contract(K, values)
+    half_nodes = ws.nodes / 2.0
+    tables = _LayerTables(np.sin(half_nodes), np.cos(half_nodes), ws.delta(f.values))
+    K = tables.log_remainder() / (2.0 * np.pi)
+    return _log_sin_part(grid, values) + ws.contract(K, values)
 
 
 # ---------------------------------------------------------------------------
 # the layer kernels Z_0 .. Z_6
 # ---------------------------------------------------------------------------
 
-def _log_base(x1, x2):
-    """ln(sin^2(x1/2) + sinh^2(x2/2)), the periodic log-distance."""
-    return np.log(np.sin(x1 / 2.0) ** 2 + np.sinh(x2 / 2.0) ** 2)
+class _LayerTables:
+    """Half-angle tables at r = (r1, r2), shared by the layer kernels Z_0..Z_6.
+
+    With s1, c1 = sin(r1/2), cos(r1/2), s2, c2 = sinh(r2/2), cosh(r2/2) and
+    D = s1^2 + s2^2 the kernels are
+
+        Z0 = ln D               Z3 = (r2/2)(s1^2 c2^2 - s2^2 c1^2)/D^2
+        Z1 = s1 c1/D            Z5 = r2 Z1
+        Z2 = s2 c2/D            Z6 = r2 Z2          Z4 = Z5 Z2/2,
+
+    finite wherever r is off the lattice (2*pi*Z, 0).  They equal the
+    half-angle expressions
+        Z1: t(1-T^2)/E          Z2: T(1+t^2)/E
+        Z3: (r2/2)(1+t^2)(1-T^2)(t^2-T^2)/E^2
+        Z4: (r2/2) tT(1+t^2)(1-T^2)/E^2
+    with t = tan(r1/2), T = tanh(r2/2), E = t^2 + T^2.  Off the interface
+    they are the layer integrands of the bulk fields; at r = (s, delta f)
+    they are, over 2*pi, the kernels of the trace composites 1..6.  s1 and
+    c1 depend on r1 alone and are passed in, so that the trace pass can take
+    them as circulant views of their values at the quadrature nodes.
+    """
+
+    def __init__(self, s1, c1, r2):
+        self.s1, self.c1, self.r2 = s1, c1, r2
+        self.s2 = np.sinh(r2 / 2.0)
+
+    @classmethod
+    def at(cls, r1, r2):
+        r1, r2 = np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
+        if r1.shape != r2.shape:
+            r1, r2 = np.broadcast_arrays(r1, r2)
+        half = r1 / 2.0
+        return cls(np.sin(half), np.cos(half), r2)
+
+    def log_remainder(self) -> np.ndarray:
+        """ln(1 + s2^2/s1^2): Z0 less the ln(s1^2) that the trace applies
+        spectrally; bounded where s1 != 0."""
+        t = self.s2 * self.s2
+        t /= self.s1 * self.s1
+        return np.log1p(t, out=t)
+
+    def kernels(self, indices):
+        """Yield (index, Z_index) for the requested indices, one table at a
+        time: Z5 is built in Z1's buffer and Z4 after it, Z6 in Z2's, so use
+        each table before asking for the next."""
+        want = set(indices)
+        s1, c1, s2, r2 = self.s1, self.c1, self.s2, self.r2
+        if 0 in want:
+            yield 0, np.log(s1 * s1 + s2 * s2)
+        if not want - {0}:
+            return
+        c2 = np.cosh(r2 / 2.0) if want & {2, 3, 4, 6} else None
+        inv = s1 * s1
+        inv += s2 * s2
+        inv = 1.0 / inv
+        if 3 in want:
+            z = s1 * c2
+            z *= z
+            t = s2 * c1
+            t *= t
+            z -= t
+            del t
+            z *= r2
+            z *= 0.5
+            z *= inv
+            z *= inv
+            yield 3, z
+            del z
+        if want & {1, 4, 5}:
+            z1 = s1 * c1
+            z1 *= inv
+            if 1 in want:
+                yield 1, z1
+        if want & {2, 4, 6}:
+            z2 = s2 * c2
+            z2 *= inv
+            if 2 in want:
+                yield 2, z2
+        del c2, inv
+        if want & {4, 5}:
+            z1 *= r2
+            if 5 in want:
+                yield 5, z1
+            if 4 in want:
+                z1 *= z2
+                z1 *= 0.5
+                yield 4, z1
+        if 6 in want:
+            z2 *= r2
+            yield 6, z2
 
 
 def _z_kernel(index, r1, r2):
-    """Layer kernels in sin/sinh form (finite wherever r is off the lattice).
-
-    Equivalent to the half-angle expressions
-        Z1: t(1-T^2)/D          Z2: T(1+t^2)/D
-        Z3: (r2/2)(1+t^2)(1-T^2)(t^2-T^2)/D^2
-        Z4: (r2/2) tT(1+t^2)(1-T^2)/D^2
-        Z5: r2 * Z1-kernel      Z6: r2 * Z2-kernel
-    with t = tan(r1/2), T = tanh(r2/2), D = t^2 + T^2.  Off the interface
-    they are the layer integrands of the bulk fields; at r = (s, delta f)
-    they are, over 2*pi, the kernels of the trace composites 1..6.
-    """
-    if index == 0:
-        return _log_base(r1, r2)
-    s1, s2 = np.sin(r1 / 2.0), np.sinh(r2 / 2.0)
-    d = s1 * s1 + s2 * s2
-    if index == 1:
-        return np.sin(r1) / (2.0 * d)
-    if index == 2:
-        return np.sinh(r2) / (2.0 * d)
-    if index == 3:
-        c1, c2 = np.cos(r1 / 2.0), np.cosh(r2 / 2.0)
-        return (r2 / 2.0) * (s1 * s1 * c2 * c2 - s2 * s2 * c1 * c1) / (d * d)
-    if index == 4:
-        return r2 * np.sin(r1) * np.sinh(r2) / (8.0 * d * d)
-    if index == 5:
-        return r2 * np.sin(r1) / (2.0 * d)
-    if index == 6:
-        return r2 * np.sinh(r2) / (2.0 * d)
-    raise ValueError(f"Z index must be 0..6, got {index}")
+    """Layer kernel Z_index at r = (r1, r2); see ``_LayerTables``."""
+    if index not in range(7):
+        raise ValueError(f"Z index must be 0..6, got {index}")
+    return next(_LayerTables.at(r1, r2).kernels((index,)))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -407,23 +485,26 @@ def _z_kernel(index, r1, r2):
 # ---------------------------------------------------------------------------
 
 class DiagonalOps:
-    """Shared-table evaluator for operators whose arguments all equal one f.
+    """Evaluator for operators whose arguments all equal one profile f.
 
-    Builds the difference table of f once.  A named composite 1..6 is one
-    contraction against its layer kernel; the single members of the tangent
-    family (used by the derivatives) come from cached powers built on first
+    ``composites`` applies any set of the named composites 0..6 to a batch
+    of densities in one pass over shared kernel tables; ``composite`` is its
+    one-density form.  The single members of the tangent family (used by the
+    derivatives) come from powers of the difference table, built on first
     use.
     """
 
-    def __init__(self, f: InterfaceProfile, *, m_quad: int | None = None):
+    def __init__(self, f: InterfaceProfile):
         self.f = f
-        self.ws = KernelWorkspace(f.grid, "midpoint", m_quad)
-        self.df = self.ws.delta(f.values)
-        self._composites: dict[int, np.ndarray] = {}
+        self.ws = KernelWorkspace(f.grid)
         self._u_pow = {0: 1.0}
         self._den_pow = {0: 1.0}
         self._t_pow = {}
         self._kernels: dict[tuple, np.ndarray] = {}
+
+    @cached_property
+    def df(self):
+        return self.ws.delta(self.f.values)                  # node coordinates
 
     @cached_property
     def _u(self):
@@ -476,25 +557,47 @@ class DiagonalOps:
             K = K * ((self.ws.delta(np.asarray(d, dtype=float)) / 2.0) / self.ws.tan_half)
         return self.ws.contract(K, density_values)
 
-    def b0(self, density_values) -> np.ndarray:
-        return eval_B0(self.f, density_values, workspace=self.ws)
+    def composites(self, densities, indices=range(7)) -> dict[int, np.ndarray]:
+        """The composites ``indices`` applied to every column of ``densities``
+        (shape (N, k)), as {index: values of shape (N, k)}.
+
+        The kernel tables are in circulant coordinates: column m holds the
+        half-grid sample m, which row i pairs with the quadrature node s_j,
+        j = (i - m - 1 + N/2) mod N.  The difference table is then the outer
+        difference f(xi_i) - f_half[m], and applying a kernel to every
+        density is one matrix product against their half-grid samples.  All
+        kernels come from one set of sin/sinh tables; each is dropped once
+        applied.
+        """
+        indices = tuple(indices)
+        if not set(indices) <= set(range(7)):
+            raise ValueError(f"composite indices must be in 0..6, got {indices}")
+        grid = self.f.grid
+        densities = np.asarray(densities, dtype=float)
+        half = _half_grid(grid, np.column_stack([self.f.values, densities]))
+        rows = half[:, 1:]
+        half_nodes = self.ws.nodes / 2.0
+        tables = _LayerTables(_circulant(np.sin(half_nodes)), _circulant(np.cos(half_nodes)),
+                              np.subtract.outer(self.f.values, half[:, 0]))
+        scale = grid.spacing / TWO_PI
+        out = {}
+        if 0 in indices:
+            out[0] = _log_sin_part(grid, densities) + (tables.log_remainder() @ rows) * scale
+        for index, K in tables.kernels(i for i in indices if i):
+            out[index] = (K @ rows) * scale
+        return out
 
     def composite(self, index: int, density_values) -> np.ndarray:
-        if index == 0:
-            return self.b0(density_values)
-        K = self._composites.get(index)
-        if K is None:
-            K = self._composites[index] = _z_kernel(index, self.ws.nodes, self.df) / (2.0 * np.pi)
-        return self.ws.contract(K, density_values)
+        column = np.asarray(density_values, dtype=float)[:, None]
+        return self.composites(column, (index,))[index][:, 0]
 
 
 def composite_B(index: int, f: InterfaceProfile, density, *,
-                m_quad: int | None = None,
                 ops: DiagonalOps | None = None) -> np.ndarray:
     """The named diagonal combinations; index 0 is the logarithmic operator."""
     if index not in range(0, 7):
         raise ValueError(f"composite index must be in 0..6, got {index}")
-    ops = ops or DiagonalOps(f, m_quad=m_quad)
+    ops = ops or DiagonalOps(f)
     return ops.composite(index, _density_values(density, f.grid))
 
 
@@ -502,8 +605,7 @@ def composite_B(index: int, f: InterfaceProfile, density, *,
 # analytic directional derivatives in the interface argument
 # ---------------------------------------------------------------------------
 
-def frechet_B(spec, f0: InterfaceProfile, direction, *,
-              directions: tuple = (), m_quad: int | None = None):
+def frechet_B(spec, f0: InterfaceProfile, direction, *, directions: tuple = ()):
     """Derivative of the diagonal tangent-family operator in its profile.
 
     Returns the linear density-to-values map h -> (d/d f) B[n,m,p,q](f0)
@@ -518,7 +620,7 @@ def frechet_B(spec, f0: InterfaceProfile, direction, *,
     k = len(directions)
     if p > n + q + k + 1:
         raise ValueError("invalid member indices for the requested derivative")
-    ops = DiagonalOps(f0, m_quad=m_quad)
+    ops = DiagonalOps(f0)
     dvec = np.asarray(direction.values if isinstance(direction, InterfaceProfile) else direction,
                       dtype=float)
     extras = tuple(np.asarray(d.values if isinstance(d, InterfaceProfile) else d, dtype=float)
@@ -542,9 +644,9 @@ def frechet_B(spec, f0: InterfaceProfile, direction, *,
     return operator
 
 
-def frechet_B0(f0: InterfaceProfile, direction, *, m_quad: int | None = None):
+def frechet_B0(f0: InterfaceProfile, direction):
     """Derivative of the logarithmic operator in its profile argument."""
-    ops = DiagonalOps(f0, m_quad=m_quad)
+    ops = DiagonalOps(f0)
     dvec = np.asarray(direction.values if isinstance(direction, InterfaceProfile) else direction,
                       dtype=float)
 

@@ -66,6 +66,16 @@ class TestSimulate:
         last = json.loads(lines[-1])
         assert all(np.isfinite(v) for v in last["values"])
 
+    def test_unmeetable_tolerance_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run_cli("simulate", "--n", "32", "--init", "cos:1:0.3,sin:2:0.1",
+                       "--adapt", "--tol", "1e-18", "--t-end", "0.5",
+                       "--out-dir", str(out))
+        assert code == 2
+        assert "stopped" in capsys.readouterr().err
+        lines = (out / "snapshots.jsonl").read_text().splitlines()
+        assert json.loads(lines[-1])["t"] == 0.0
+
     def test_determinism_bitwise(self, tmp_path):
         args = ["simulate", "--n", "64", "--sigma", "1", "--mu", "1",
                 "--init", "cos:1:0.01,sin:3:0.002", "--dt", "0.01",

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokes2p import (
     BlowUpError,
+    DiagonalOps,
     EvolutionState,
     InterfaceProfile,
     PeriodicGrid,
     PhysParams,
     StepperConfig,
+    StepSizeError,
     dphi_of,
+    eval_B0,
     eval_Psi,
     far_field_constants,
     forcing_G,
@@ -17,7 +22,8 @@ from stokes2p import (
     phi_of,
     step,
 )
-from stokes2p.evolution import snapshot_record
+from stokes2p.evolution import LN4, snapshot_record
+from test_operators import COMPOSITE_MEMBERS, band_limited
 
 
 def random_profile(grid, seed, amplitude=0.25, modes=12):
@@ -169,6 +175,103 @@ class TestPsi:
         assert np.max(np.abs(rolled - np.roll(eval_Psi(f, params), shift))) < 1e-12
 
 
+def psi_from_composite_terms(f, params):
+    """Psi assembled term by term from its 14 composite applications: the
+    composites 1..6 as sums of tangent-family members, composite 0 as the
+    spectral log part plus its bounded remainder."""
+    ops = DiagonalOps(f)
+
+    def B(index, density):
+        if index == 0:
+            return eval_B0(f, density)
+        return sum(coef * ops.apply_member(n, m, p, q, density)
+                   for coef, (n, m, p, q) in COMPOSITE_MEMBERS[index])
+
+    fv, fp = f.values, f.deriv_values
+    phi1, phi2 = phi_of(f)
+    ffp = fv * fp
+    d_a, d_b = phi1 - fp * phi2, fp * phi1
+    psi1 = B(1, d_a) - 2.0 * B(4, d_a) + 2.0 * B(2, d_b) + B(3, d_b) + B(3, phi2)
+    psi2 = B(1, phi2 - fp * phi1) + B(3, d_a) + 2.0 * B(4, d_b + phi2)
+    psi3 = B(0, ffp) + B(6, ffp) + B(5, fv)
+    psi4 = B(0, fv) - B(6, fv) + B(5, ffp)
+    sigma, theta, mu = params.sigma, params.theta, params.mu
+    return (sigma / (4.0 * mu)) * (fp * psi1 - psi2) \
+        + (theta / (4.0 * mu)) * (fp * psi3 + psi4) + (theta * LN4 / (4.0 * mu)) * f.mean
+
+
+class TestPsiAgainstCompositeTerms:
+    @pytest.mark.parametrize("n_points", [64, 128, 512])
+    def test_matches_term_by_term_assembly(self, n_points):
+        grid = PeriodicGrid(n_points)
+        f = InterfaceProfile(grid, band_limited(grid, 40 + n_points, modes=16, amplitude=0.3)
+                             + 0.2)
+        params = PhysParams.from_theta(0.8, 1.3, 1.7)
+        want = psi_from_composite_terms(f, params)
+        got = eval_Psi(f, params)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@st.composite
+def psi_inputs(draw):
+    """A random band-limited profile on N in {32, 64, 128}, with mode k of
+    size exp(-k) so that it is resolved on every grid, plus parameters.
+
+    Mean-freeness and vertical-shift invariance are continuum identities
+    that the discrete Psi meets to truncation error: on slowly decaying
+    profiles they fail at the 1e-3 level on these grids."""
+    grid = PeriodicGrid(draw(st.sampled_from([32, 64, 128])))
+    modes = draw(st.integers(1, grid.n_points // 4))
+    amplitude = draw(st.floats(0.01, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.zeros(grid.n_points)
+    for k in range(1, modes + 1):
+        values += amplitude * np.exp(-k) * (rng.normal() * np.cos(k * grid.nodes)
+                                            + rng.normal() * np.sin(k * grid.nodes))
+    params = PhysParams.from_theta(draw(st.floats(0.5, 2.0)), draw(st.floats(0.2, 2.0)),
+                                   draw(st.floats(-2.0, 3.0)))
+    return InterfaceProfile(grid, values + draw(st.floats(-1.0, 1.0))), params
+
+
+def _scale(psi):
+    return 1.0 + np.max(np.abs(psi))
+
+
+class TestPsiProperties:
+    @settings(max_examples=15, deadline=None)
+    @given(psi_inputs())
+    def test_mean_free(self, case):
+        f, params = case
+        psi = eval_Psi(f, params)
+        assert abs(np.mean(psi)) < 1e-12 * _scale(psi)
+
+    @settings(max_examples=15, deadline=None)
+    @given(psi_inputs(), st.floats(-2.0, 2.0))
+    def test_vertical_shift_invariance(self, case, shift):
+        f, params = case
+        psi = eval_Psi(f, params)
+        shifted = eval_Psi(InterfaceProfile(f.grid, f.values + shift), params)
+        assert np.max(np.abs(shifted - psi)) < 1e-9 * _scale(psi)
+
+    @settings(max_examples=15, deadline=None)
+    @given(psi_inputs(), st.integers(1, 127))
+    def test_translation_equivariance(self, case, shift):
+        f, params = case
+        psi = eval_Psi(f, params)
+        rolled = eval_Psi(InterfaceProfile(f.grid, np.roll(f.values, shift)), params)
+        assert np.max(np.abs(rolled - np.roll(psi, shift))) < 1e-12 * _scale(psi)
+
+    @settings(max_examples=15, deadline=None)
+    @given(psi_inputs())
+    def test_reflection_symmetry(self, case):
+        # f(-x) moves with Psi(f)(-x)
+        f, params = case
+        psi = eval_Psi(f, params)
+        mirror = np.roll(f.values[::-1], 1)
+        reflected = eval_Psi(InterfaceProfile(f.grid, mirror), params)
+        assert np.max(np.abs(reflected - np.roll(psi[::-1], 1))) < 1e-12 * _scale(psi)
+
+
 class TestKinematicAssembly:
     def test_psi_equals_trace_combination(self):
         # the evolution operator must reproduce the kinematic condition
@@ -300,6 +403,20 @@ class TestStepping:
                              StepperConfig(scheme="rk4-explicit", dt=0.02, t_end=0.5,
                                            adapt=True, tol=1e-10))
         assert np.max(np.abs(fixed.profile.values - adaptive.profile.values)) < 1e-8
+
+    def test_adaptive_unmeetable_tolerance_fails_fast(self):
+        # below the roundoff level of the step-doubling estimate no step can
+        # pass: the run stops at the smallest step instead of accepting
+        g = PeriodicGrid(32)
+        params = PhysParams.from_theta(1.0, 1.0, 0.0)
+        state = EvolutionState(0.0, random_profile(g, 6), params)
+
+        def sink(record):
+            raise AssertionError(f"a step was accepted at t={record['t']}")
+
+        with pytest.raises(StepSizeError) as err:
+            integrate(state, StepperConfig(dt=0.02, t_end=0.5, adapt=True, tol=1e-18), sink)
+        assert err.value.last_state is state
 
     def test_snapshot_schema_and_stride(self):
         g = PeriodicGrid(32)

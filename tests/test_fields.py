@@ -238,6 +238,19 @@ class TestLayerIntegrals:
         d = min_interface_distance(f, np.array([[0.0, f.values[0] + 1.0]]))
         assert d[0] == pytest.approx(1.0, abs=0.05)
 
+    def test_blocked_scan_matches_point_by_point(self, setup):
+        # the scan runs in blocks of points; each point's nearest sample and
+        # distance must not depend on the block it falls in
+        grid, f, params = setup
+        rng = np.random.default_rng(4)
+        n = 2 * fields._SCAN_BLOCK + 7
+        pts = np.column_stack([rng.uniform(-1.0, 7.0, n), rng.uniform(-2.0, 2.0, n)])
+        dist, nearest = fields._closest_samples(f, pts)
+        for i in (0, fields._SCAN_BLOCK - 1, fields._SCAN_BLOCK, n - 1):
+            d1, s1 = fields._closest_samples(f, pts[i:i + 1])
+            assert d1[0] == dist[i] and s1[0] == nearest[i]
+        assert np.array_equal(min_interface_distance(f, pts), dist)
+
 
 class TestTraces:
     def test_one_sided_limits_converge(self):

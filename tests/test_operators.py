@@ -359,6 +359,23 @@ class TestComposites:
         got = composite_B(idx, f, phi)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    def test_batched_pass_matches_single_densities(self):
+        # one pass over all seven composites and a batch of densities gives
+        # each density's values from its own single-composite pass
+        grid = PeriodicGrid(128)
+        f = InterfaceProfile(grid, band_limited(grid, 5, modes=16, amplitude=0.3))
+        cols = np.column_stack([band_limited(grid, 30 + c, modes=16) for c in range(3)])
+        ops = DiagonalOps(f)
+        batch = ops.composites(cols)
+        assert sorted(batch) == list(range(7))
+        for idx in range(7):
+            assert batch[idx].shape == cols.shape
+            for c in range(3):
+                want = ops.composite(idx, cols[:, c])
+                assert np.max(np.abs(batch[idx][:, c] - want)) <= 1e-14 * np.max(np.abs(want))
+        with pytest.raises(ValueError):
+            ops.composites(cols, (1, 7))
+
     @pytest.mark.parametrize("idx,members", [
         (3, COMPOSITE_MEMBERS[3]),
         (4, COMPOSITE_MEMBERS[4]),
