@@ -83,19 +83,15 @@ class InterfaceProfile:
     def mean(self) -> float:
         return float(np.mean(self.values))
 
-    @cached_property
-    def _active_modes(self):
-        # prune negligible modes; pays off massively inside adaptive quadrature
-        c = self.coeffs
-        keep = np.abs(c) > 1e-15 * (np.max(np.abs(c)) + 1e-300)
-        return self.grid.wavenumbers[keep], c[keep]
-
     def eval_at(self, s):
         """Evaluate the trigonometric interpolant at arbitrary points."""
         s = np.asarray(s, dtype=float)
-        k, c = self._active_modes
-        phase = np.exp(1j * np.outer(s.ravel(), k))
-        out = (phase @ c).real
+        k = self.grid.wavenumbers
+        c = self.coeffs
+        # prune negligible modes; pays off massively inside adaptive quadrature
+        keep = np.abs(c) > 1e-15 * (np.max(np.abs(c)) + 1e-300)
+        phase = np.exp(1j * np.outer(s.ravel(), k[keep]))
+        out = (phase @ c[keep]).real
         return out.reshape(s.shape)
 
     def shifted(self, tau: float) -> np.ndarray:

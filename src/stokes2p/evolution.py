@@ -99,11 +99,10 @@ def far_field_constants(f: InterfaceProfile, params: PhysParams) -> FarFieldCons
 def eval_Psi(f: InterfaceProfile, params: PhysParams) -> np.ndarray:
     """Nodal values of the interface velocity df/dt for the current profile.
 
-    The 14 composite terms act on six distinct densities, so all of them
-    come from one pass of ``DiagonalOps.composites``.  Constants are
-    equilibria: the buoyancy mean term cancels the mean of the logarithmic
-    operator exactly, and the result is mean-free.
+    Constants are equilibria: the buoyancy mean term cancels the mean of the
+    logarithmic operator exactly, and the result is mean-free.
     """
+    ops = DiagonalOps(f)
     fv = f.values
     fp = f.deriv_values
     phi1, phi2 = phi_of(f)
@@ -111,15 +110,23 @@ def eval_Psi(f: InterfaceProfile, params: PhysParams) -> np.ndarray:
 
     d_a = phi1 - fp * phi2
     d_b = fp * phi1
-    # density columns: d_a, d_b, d_b + phi2, phi2 - f' phi1, f f', f
-    A, DB, DBP, P2, FFP, F = range(6)
-    B = DiagonalOps(f).composites(
-        np.column_stack([d_a, d_b, d_b + phi2, phi2 - fp * phi1, ffp, fv]))
 
-    psi1 = B[1][:, A] - 2.0 * B[4][:, A] + 2.0 * B[2][:, DB] + B[3][:, DBP]
-    psi2 = B[1][:, P2] + B[3][:, A] + 2.0 * B[4][:, DBP]
-    psi3 = B[0][:, FFP] + B[6][:, FFP] + B[5][:, F]
-    psi4 = B[0][:, F] - B[6][:, F] + B[5][:, FFP]
+    def B(index, *densities):
+        return [ops.composite(index, d) for d in densities]
+
+    # the 14 composite terms, grouped by index so that each kernel is built once
+    b0_ffp, b0_f = B(0, ffp, fv)
+    b1_a, b1_p = B(1, d_a, phi2 - fp * phi1)
+    (b2_b,) = B(2, d_b)
+    b3_b, b3_p2, b3_a = B(3, d_b, phi2, d_a)
+    b4_a, b4_bp = B(4, d_a, d_b + phi2)
+    b5_f, b5_ffp = B(5, fv, ffp)
+    b6_ffp, b6_f = B(6, ffp, fv)
+
+    psi1 = b1_a - 2.0 * b4_a + 2.0 * b2_b + b3_b + b3_p2
+    psi2 = b1_p + b3_a + 2.0 * b4_bp
+    psi3 = b0_ffp + b6_ffp + b5_f
+    psi4 = b0_f - b6_f + b5_ffp
 
     sigma, theta, mu = params.sigma, params.theta, params.mu
     return (sigma / (4.0 * mu)) * (fp * psi1 - psi2) \

@@ -102,11 +102,14 @@ def _trapezoid_sums(f, densities, pairs, pts, m_quad):
     r1 = pts[:, 0:1] - s[None, :]
     r2 = pts[:, 1:2] - f.eval_at(s)[None, :]
     samples = {key: densities[key].eval_at(s) for key in dict.fromkeys(k for _, k in pairs)}
+    tables = _LayerTables.at(r1, r2)
     out = {}
-    for index, K in _LayerTables.at(r1, r2).kernels(i for i, _ in pairs):
+    for index in dict.fromkeys(i for i, _ in pairs):
+        K = tables.kernel(index)
         for i, key in pairs:
             if i == index:
                 out[(i, key)] = K @ samples[key] / m
+        del K
     return out
 
 

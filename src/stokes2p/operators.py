@@ -26,8 +26,9 @@ against the closed-form layer kernel at r = (s, delta f), built from the
 same half-angle tables (``_LayerTables``) the bulk fields use off the
 interface.  Their expansions as signed sums of tangent-family members are
 kept only as a test oracle.  Composite 0 is the logarithmic operator
-``eval_B0``.  ``DiagonalOps.composites`` evaluates any set of composites on
-a batch of densities in one pass over shared tables.
+``eval_B0``.  ``DiagonalOps`` builds the layer tables at r = (s, delta f)
+once per profile and applies each composite as one product against the
+half-grid samples of a density.
 
 Quadrature.  Principal values use a midpoint rule with nodes straddling
 s = 0 symmetrically (half a spacing off the collocation grid), so the
@@ -95,11 +96,17 @@ def _gauss_rule(m_half: int):
     return s, w
 
 
-def _half_grid(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """Samples of the interpolant at the half grid (m + 1/2) h, along axis 0."""
+@lru_cache(maxsize=32)
+def _half_shift(n: int) -> np.ndarray:
+    grid = PeriodicGrid(n)
     shift = np.exp(1j * grid.wavenumbers * (grid.spacing / 2))
-    shift = shift.reshape((-1,) + (1,) * (np.ndim(values) - 1))
-    return np.fft.ifft(np.fft.fft(values, axis=0) * shift, axis=0).real
+    shift.flags.writeable = False
+    return shift
+
+
+def _half_grid(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """Samples of the interpolant at the half grid (m + 1/2) h."""
+    return np.fft.ifft(np.fft.fft(values) * _half_shift(grid.n_points)).real
 
 
 def _circulant(vec: np.ndarray) -> np.ndarray:
@@ -343,6 +350,7 @@ def hilbert_transform(density, grid: PeriodicGrid | None = None) -> np.ndarray:
     return np.fft.ifft(mult * c).real
 
 
+@lru_cache(maxsize=32)
 def _log_sin_multiplier(n: int) -> np.ndarray:
     # multiplier of convolution with ln(sin^2(s/2))/(2*pi): -1/|k|, and
     # -ln 4 on the mean mode
@@ -350,13 +358,13 @@ def _log_sin_multiplier(n: int) -> np.ndarray:
     mult = np.empty(n)
     mult[0] = -np.log(4.0)
     mult[1:] = -1.0 / k[1:]
+    mult.flags.writeable = False
     return mult
 
 
 def _log_sin_part(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """Convolution with ln(sin^2(s/2))/(2*pi), applied spectrally along axis 0."""
-    mult = _log_sin_multiplier(grid.n_points).reshape((-1,) + (1,) * (np.ndim(values) - 1))
-    return np.fft.ifft(mult * np.fft.fft(values, axis=0), axis=0).real
+    """Convolution with ln(sin^2(s/2))/(2*pi), applied spectrally."""
+    return np.fft.ifft(_log_sin_multiplier(grid.n_points) * np.fft.fft(values)).real
 
 
 def eval_B0(f: InterfaceProfile, density, *, m_quad: int | None = None,
@@ -399,21 +407,37 @@ class _LayerTables:
     with t = tan(r1/2), T = tanh(r2/2), E = t^2 + T^2.  Off the interface
     they are the layer integrands of the bulk fields; at r = (s, delta f)
     they are, over 2*pi, the kernels of the trace composites 1..6.  s1 and
-    c1 depend on r1 alone and are passed in, so that the trace pass can take
+    c1 depend on r1 alone and are passed in, so that ``DiagonalOps`` can take
     them as circulant views of their values at the quadrature nodes.
     """
 
     def __init__(self, s1, c1, r2):
         self.s1, self.c1, self.r2 = s1, c1, r2
         self.s2 = np.sinh(r2 / 2.0)
+        self._c2 = self._inv_d = None
 
     @classmethod
     def at(cls, r1, r2):
-        r1, r2 = np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
-        if r1.shape != r2.shape:
+        # scalars are kept as they are: the near quadrature calls this once
+        # per node, and numpy scalar arithmetic is cheaper than 0-d arrays'
+        if getattr(r1, "shape", ()) != getattr(r2, "shape", ()):
             r1, r2 = np.broadcast_arrays(r1, r2)
         half = r1 / 2.0
         return cls(np.sin(half), np.cos(half), r2)
+
+    # c2 and 1/D are built on first use and then shared by every kernel
+
+    def c2(self):
+        if self._c2 is None:
+            self._c2 = np.cosh(self.r2 / 2.0)
+        return self._c2
+
+    def inv_d(self):
+        if self._inv_d is None:
+            d = self.s1 * self.s1
+            d += self.s2 * self.s2
+            self._inv_d = 1.0 / d
+        return self._inv_d
 
     def log_remainder(self) -> np.ndarray:
         """ln(1 + s2^2/s1^2): Z0 less the ln(s1^2) that the trace applies
@@ -422,22 +446,16 @@ class _LayerTables:
         t /= self.s1 * self.s1
         return np.log1p(t, out=t)
 
-    def kernels(self, indices):
-        """Yield (index, Z_index) for the requested indices, one table at a
-        time: Z5 is built in Z1's buffer and Z4 after it, Z6 in Z2's, so use
-        each table before asking for the next."""
-        want = set(indices)
+    def kernel(self, index: int) -> np.ndarray:
+        """Z_index as a new table."""
+        if index not in range(7):
+            raise ValueError(f"Z index must be 0..6, got {index}")
         s1, c1, s2, r2 = self.s1, self.c1, self.s2, self.r2
-        if 0 in want:
-            yield 0, np.log(s1 * s1 + s2 * s2)
-        if not want - {0}:
-            return
-        c2 = np.cosh(r2 / 2.0) if want & {2, 3, 4, 6} else None
-        inv = s1 * s1
-        inv += s2 * s2
-        inv = 1.0 / inv
-        if 3 in want:
-            z = s1 * c2
+        if index == 0:
+            return np.log(s1 * s1 + s2 * s2)
+        inv_d = self.inv_d()
+        if index == 3:
+            z = s1 * self.c2()
             z *= z
             t = s2 * c1
             t *= t
@@ -445,39 +463,29 @@ class _LayerTables:
             del t
             z *= r2
             z *= 0.5
-            z *= inv
-            z *= inv
-            yield 3, z
-            del z
-        if want & {1, 4, 5}:
-            z1 = s1 * c1
-            z1 *= inv
-            if 1 in want:
-                yield 1, z1
-        if want & {2, 4, 6}:
-            z2 = s2 * c2
-            z2 *= inv
-            if 2 in want:
-                yield 2, z2
-        del c2, inv
-        if want & {4, 5}:
-            z1 *= r2
-            if 5 in want:
-                yield 5, z1
-            if 4 in want:
-                z1 *= z2
-                z1 *= 0.5
-                yield 4, z1
-        if 6 in want:
-            z2 *= r2
-            yield 6, z2
+            z *= inv_d
+            z *= inv_d
+            return z
+        if index in (2, 6):
+            z = s2 * self.c2()
+            z *= inv_d
+            if index == 6:
+                z *= r2
+            return z
+        z = s1 * c1                         # Z1
+        z *= inv_d
+        if index == 1:
+            return z
+        z *= r2                             # Z5
+        if index == 4:
+            z *= self.kernel(2)
+            z *= 0.5
+        return z
 
 
 def _z_kernel(index, r1, r2):
     """Layer kernel Z_index at r = (r1, r2); see ``_LayerTables``."""
-    if index not in range(7):
-        raise ValueError(f"Z index must be 0..6, got {index}")
-    return next(_LayerTables.at(r1, r2).kernels((index,)))[1]
+    return _LayerTables.at(r1, r2).kernel(index)
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +495,10 @@ def _z_kernel(index, r1, r2):
 class DiagonalOps:
     """Evaluator for operators whose arguments all equal one profile f.
 
-    ``composites`` applies any set of the named composites 0..6 to a batch
-    of densities in one pass over shared kernel tables; ``composite`` is its
-    one-density form.  The single members of the tangent family (used by the
-    derivatives) come from powers of the difference table, built on first
-    use.
+    ``composite`` applies the named composites 0..6 from one set of layer
+    tables at r = (s, delta f).  The single members of the tangent family
+    (used by the derivatives) come from powers of the difference table in
+    node coordinates.  Both sets of tables are built on first use.
     """
 
     def __init__(self, f: InterfaceProfile):
@@ -501,6 +508,7 @@ class DiagonalOps:
         self._den_pow = {0: 1.0}
         self._t_pow = {}
         self._kernels: dict[tuple, np.ndarray] = {}
+        self._composite_index, self._composite_kernel = None, None
 
     @cached_property
     def df(self):
@@ -557,48 +565,39 @@ class DiagonalOps:
             K = K * ((self.ws.delta(np.asarray(d, dtype=float)) / 2.0) / self.ws.tan_half)
         return self.ws.contract(K, density_values)
 
-    def composites(self, densities, indices=range(7)) -> dict[int, np.ndarray]:
-        """The composites ``indices`` applied to every column of ``densities``
-        (shape (N, k)), as {index: values of shape (N, k)}.
-
-        The kernel tables are in circulant coordinates: column m holds the
-        half-grid sample m, which row i pairs with the quadrature node s_j,
-        j = (i - m - 1 + N/2) mod N.  The difference table is then the outer
-        difference f(xi_i) - f_half[m], and applying a kernel to every
-        density is one matrix product against their half-grid samples.  All
-        kernels come from one set of sin/sinh tables; each is dropped once
-        applied.
-        """
-        indices = tuple(indices)
-        if not set(indices) <= set(range(7)):
-            raise ValueError(f"composite indices must be in 0..6, got {indices}")
-        grid = self.f.grid
-        densities = np.asarray(densities, dtype=float)
-        half = _half_grid(grid, np.column_stack([self.f.values, densities]))
-        rows = half[:, 1:]
+    @cached_property
+    def _layer(self) -> _LayerTables:
+        # circulant coordinates: column m holds the half-grid sample m, which
+        # row i pairs with the quadrature node s_j, j = (i - m - 1 + N/2) mod N;
+        # the difference table is the outer difference f(xi_i) - f_half[m]
+        # and the sin/cos tables are strided views of N-vectors
         half_nodes = self.ws.nodes / 2.0
-        tables = _LayerTables(_circulant(np.sin(half_nodes)), _circulant(np.cos(half_nodes)),
-                              np.subtract.outer(self.f.values, half[:, 0]))
-        scale = grid.spacing / TWO_PI
-        out = {}
-        if 0 in indices:
-            out[0] = _log_sin_part(grid, densities) + (tables.log_remainder() @ rows) * scale
-        for index, K in tables.kernels(i for i in indices if i):
-            out[index] = (K @ rows) * scale
-        return out
+        return _LayerTables(_circulant(np.sin(half_nodes)), _circulant(np.cos(half_nodes)),
+                            np.subtract.outer(self.f.values, _half_grid(self.f.grid, self.f.values)))
 
-    def composite(self, index: int, density_values) -> np.ndarray:
-        column = np.asarray(density_values, dtype=float)[:, None]
-        return self.composites(column, (index,))[index][:, 0]
+    def composite(self, index: int, density) -> np.ndarray:
+        """Composite ``index`` applied to a density: one product of its layer
+        kernel against the density's half-grid samples (index 0 adds the
+        spectral log part).  The last kernel built is kept until another
+        index is asked for, so calls grouped by index build each kernel once.
+        """
+        if index not in range(7):
+            raise ValueError(f"composite index must be in 0..6, got {index}")
+        grid = self.f.grid
+        values = _density_values(density, grid)
+        if self._composite_index != index:
+            self._composite_kernel = None       # dropped before the next is built
+            self._composite_kernel = (self._layer.log_remainder() if index == 0
+                                      else self._layer.kernel(index))
+            self._composite_index = index
+        out = (self._composite_kernel @ _half_grid(grid, values)) * (grid.spacing / TWO_PI)
+        return _log_sin_part(grid, values) + out if index == 0 else out
 
 
 def composite_B(index: int, f: InterfaceProfile, density, *,
                 ops: DiagonalOps | None = None) -> np.ndarray:
     """The named diagonal combinations; index 0 is the logarithmic operator."""
-    if index not in range(0, 7):
-        raise ValueError(f"composite index must be in 0..6, got {index}")
-    ops = ops or DiagonalOps(f)
-    return ops.composite(index, _density_values(density, f.grid))
+    return (ops or DiagonalOps(f)).composite(index, density)
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,7 @@ from stokes2p import (
 )
 from stokes2p.fields import antiderivative
 
-
-def band_limited(grid, seed, modes=None, amplitude=0.5):
-    rng = np.random.default_rng(seed)
-    modes = modes or grid.n_points // 4
-    v = np.zeros(grid.n_points)
-    for k in range(1, modes + 1):
-        v += amplitude / (1 + k) * (rng.normal() * np.cos(k * grid.nodes)
-                                    + rng.normal() * np.sin(k * grid.nodes))
-    return v
+from oracles import COMPOSITE_MEMBERS, band_limited
 
 
 # ---------------------------------------------------------------------------
@@ -67,21 +59,6 @@ def c_kernel_direct(n, m, f, phi):
         df = f(xi) - f(xi - s)
         return (df / s) ** n / (1 + (df / s) ** 2) ** m * phi(xi - s) / (np.pi * s)
     return kernel
-
-
-# the named composites as signed sums of diagonal tangent-family members:
-# index -> ((coefficient, (n, m, p, q)), ...)
-COMPOSITE_MEMBERS = {
-    1: ((1, (0, 1, 0, 0)), (-1, (2, 1, 2, 0))),
-    2: ((1, (1, 1, 0, 0)), (1, (1, 1, 2, 0))),
-    3: ((1, (0, 2, 0, 1)), (1, (0, 2, 2, 1)), (-1, (2, 2, 0, 1)),
-        (-2, (2, 2, 2, 1)), (-1, (2, 2, 4, 1)), (1, (4, 2, 2, 1)),
-        (1, (4, 2, 4, 1))),
-    4: ((1, (1, 2, 0, 1)), (1, (1, 2, 2, 1)), (-1, (3, 2, 2, 1)),
-        (-1, (3, 2, 4, 1))),
-    5: ((2, (0, 1, 1, 1)), (-2, (2, 1, 3, 1))),
-    6: ((2, (1, 1, 1, 1)), (2, (1, 1, 3, 1))),
-}
 
 
 def a_kernel_direct(n, m, ell, q, f, phi):
@@ -359,22 +336,26 @@ class TestComposites:
         got = composite_B(idx, f, phi)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_batched_pass_matches_single_densities(self):
-        # one pass over all seven composites and a batch of densities gives
-        # each density's values from its own single-composite pass
+    def test_kept_kernel_matches_fresh_ops(self):
+        # one DiagonalOps keeps the last composite kernel it built; calls in
+        # any order of indices give the values of a fresh DiagonalOps per call
         grid = PeriodicGrid(128)
         f = InterfaceProfile(grid, band_limited(grid, 5, modes=16, amplitude=0.3))
-        cols = np.column_stack([band_limited(grid, 30 + c, modes=16) for c in range(3)])
+        phis = [band_limited(grid, 30 + c, modes=16) for c in range(2)]
         ops = DiagonalOps(f)
-        batch = ops.composites(cols)
-        assert sorted(batch) == list(range(7))
-        for idx in range(7):
-            assert batch[idx].shape == cols.shape
-            for c in range(3):
-                want = ops.composite(idx, cols[:, c])
-                assert np.max(np.abs(batch[idx][:, c] - want)) <= 1e-14 * np.max(np.abs(want))
+        for idx in (3, 3, 0, 4, 2, 4, 6, 1, 0, 5):
+            for phi in phis:
+                assert np.array_equal(ops.composite(idx, phi), DiagonalOps(f).composite(idx, phi))
+
+    def test_composite_rejects_bad_input(self):
+        grid = PeriodicGrid(32)
+        ops = DiagonalOps(InterfaceProfile(grid, 0.1 * np.cos(grid.nodes)))
         with pytest.raises(ValueError):
-            ops.composites(cols, (1, 7))
+            ops.composite(7, np.ones(32))
+        with pytest.raises(ValueError):
+            ops.composite(1, np.ones((32, 1)))
+        with pytest.raises(ValueError):
+            ops.composite(1, np.ones(16))
 
     @pytest.mark.parametrize("idx,members", [
         (3, COMPOSITE_MEMBERS[3]),

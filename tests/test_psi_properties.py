@@ -1,0 +1,72 @@
+"""Property tests of the evolution operator Psi on random band-limited
+profiles: mean-freeness, vertical-shift invariance, x-translation
+equivariance and reflection symmetry."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from stokes2p import InterfaceProfile, PeriodicGrid, PhysParams, eval_Psi  # noqa: E402
+
+
+@st.composite
+def psi_inputs(draw):
+    """A random band-limited profile on N in {32, 64, 128}, with mode k of
+    size exp(-k) so that it is resolved on every grid, plus parameters.
+
+    Mean-freeness and vertical-shift invariance are continuum identities
+    that the discrete Psi meets to truncation error: on slowly decaying
+    profiles they fail at the 1e-3 level on these grids."""
+    grid = PeriodicGrid(draw(st.sampled_from([32, 64, 128])))
+    modes = draw(st.integers(1, grid.n_points // 4))
+    amplitude = draw(st.floats(0.01, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.zeros(grid.n_points)
+    for k in range(1, modes + 1):
+        values += amplitude * np.exp(-k) * (rng.normal() * np.cos(k * grid.nodes)
+                                            + rng.normal() * np.sin(k * grid.nodes))
+    params = PhysParams.from_theta(draw(st.floats(0.5, 2.0)), draw(st.floats(0.2, 2.0)),
+                                   draw(st.floats(-2.0, 3.0)))
+    return InterfaceProfile(grid, values + draw(st.floats(-1.0, 1.0))), params
+
+
+def _scale(psi):
+    return 1.0 + np.max(np.abs(psi))
+
+
+class TestPsiProperties:
+    @settings(max_examples=15, deadline=None)
+    @given(psi_inputs())
+    def test_mean_free(self, case):
+        f, params = case
+        psi = eval_Psi(f, params)
+        assert abs(np.mean(psi)) < 1e-12 * _scale(psi)
+
+    @settings(max_examples=15, deadline=None)
+    @given(psi_inputs(), st.floats(-2.0, 2.0))
+    def test_vertical_shift_invariance(self, case, shift):
+        f, params = case
+        psi = eval_Psi(f, params)
+        shifted = eval_Psi(InterfaceProfile(f.grid, f.values + shift), params)
+        assert np.max(np.abs(shifted - psi)) < 1e-9 * _scale(psi)
+
+    @settings(max_examples=15, deadline=None)
+    @given(psi_inputs(), st.integers(1, 127))
+    def test_translation_equivariance(self, case, shift):
+        f, params = case
+        psi = eval_Psi(f, params)
+        rolled = eval_Psi(InterfaceProfile(f.grid, np.roll(f.values, shift)), params)
+        assert np.max(np.abs(rolled - np.roll(psi, shift))) < 1e-12 * _scale(psi)
+
+    @settings(max_examples=15, deadline=None)
+    @given(psi_inputs())
+    def test_reflection_symmetry(self, case):
+        # f(-x) moves with Psi(f)(-x)
+        f, params = case
+        psi = eval_Psi(f, params)
+        mirror = np.roll(f.values[::-1], 1)
+        reflected = eval_Psi(InterfaceProfile(f.grid, mirror), params)
+        assert np.max(np.abs(reflected - np.roll(psi[::-1], 1))) < 1e-12 * _scale(psi)
