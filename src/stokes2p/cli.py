@@ -1,8 +1,8 @@
 """Command-line front end: simulate, spectrum, field, verify.
 
-Exit codes: 0 success, 1 bad flags, 2 run stopped early by blow-up or by an
-adaptive tolerance it cannot meet (last state persisted), 3 verification
-failure.
+Exit codes: 0 success, 1 bad flags, 2 run stopped early by blow-up, by an
+adaptive tolerance it cannot meet or by the adaptive step budget (last state
+persisted), 3 verification failure.
 """
 
 from __future__ import annotations

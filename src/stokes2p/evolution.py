@@ -192,10 +192,12 @@ class BlowUpError(IntegrationError):
 
 
 class StepSizeError(IntegrationError):
-    """Step-doubling control missed the tolerance at the smallest step."""
+    """Step-doubling control missed the tolerance at the smallest step, or
+    spent its step budget."""
 
 
 MIN_ADAPTIVE_DT = 1e-8   # step-doubling control halves dt down to here, no further
+MAX_ADAPTIVE_STEPS = 100_000   # step-doubling trials, accepted or not, per run
 
 
 def _imex_step(values, dt, lam, psi_vals):
@@ -255,19 +257,25 @@ def integrate(state: EvolutionState, config: StepperConfig, sink=None) -> Evolut
     """Repeated stepping to t_end with optional step-doubling error control.
 
     ``sink`` receives one snapshot record every ``snapshot_stride`` accepted
-    steps (plus the final state).  Blow-up raises BlowUpError, and an error
-    estimate above ``tol`` at the step floor ``MIN_ADAPTIVE_DT`` raises
-    StepSizeError; both carry the last accepted state.
+    steps (plus the final state).  Blow-up raises BlowUpError.  An error
+    estimate above ``tol`` at the step floor ``MIN_ADAPTIVE_DT``, or a run
+    that needs more than ``MAX_ADAPTIVE_STEPS`` step-doubling trials, raises
+    StepSizeError.  Both errors carry the last accepted state.
     """
     grid = state.profile.grid
     dt = config.effective_dt(grid)
     threshold = config.blowup_factor * max(np.max(np.abs(state.profile.values)), 1e-12)
     order = 1 if config.scheme == "imex-euler" else 4
-    emitted_steps = 0
+    emitted_steps = trials = 0
 
     while state.time < config.t_end - 1e-12:
         dt_now = min(dt, config.t_end - state.time)
         if config.adapt:
+            if trials >= MAX_ADAPTIVE_STEPS:
+                raise StepSizeError(
+                    f"step budget of {MAX_ADAPTIVE_STEPS} step-doubling trials spent "
+                    f"at t={state.time:.6g} with dt={dt_now:.3g}, tol={config.tol:g}", state)
+            trials += 1
             full = step(state, config, dt=dt_now, blowup_threshold=threshold)
             half = step(state, config, dt=dt_now / 2.0, blowup_threshold=threshold)
             half = step(half, config, dt=dt_now / 2.0, blowup_threshold=threshold)

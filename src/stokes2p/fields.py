@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
-from .core import InterfaceProfile, PhysParams, geometry_quantities
+from .core import InterfaceProfile, PhysParams, geometry_quantities, spectral_derivative
 from .evolution import LN4, forcing_G, phi_of
 from .operators import DiagonalOps, _LayerTables, _z_kernel, composite_B
 
@@ -93,23 +93,103 @@ def default_collar(f: InterfaceProfile) -> float:
     return 10.0 * f.grid.spacing
 
 
-def _trapezoid_sums(f, densities, pairs, pts, m_quad):
-    # f and every density sampled once; the kernels share one set of
-    # half-angle tables, and each is contracted with all of its densities as
-    # soon as it is built
-    m = max(m_quad or 0, f.grid.n_points, 256)
-    s = 2.0 * np.pi * np.arange(m) / m
-    r1 = pts[:, 0:1] - s[None, :]
-    r2 = pts[:, 1:2] - f.eval_at(s)[None, :]
-    samples = {key: densities[key].eval_at(s) for key in dict.fromkeys(k for _, k in pairs)}
-    tables = _LayerTables.at(r1, r2)
+def _kernel_sums(tables, samples, pairs, contract):
+    # each kernel is built once and contracted with all of its densities
     out = {}
     for index in dict.fromkeys(i for i, _ in pairs):
         K = tables.kernel(index)
         for i, key in pairs:
             if i == index:
-                out[(i, key)] = K @ samples[key] / m
+                out[(i, key)] = contract(K, samples[key])
         del K
+    return out
+
+
+def _trapezoid_sums(f, densities, pairs, pts, m_quad):
+    # f and every density sampled once; the kernels share one set of
+    # half-angle tables
+    m = max(m_quad or 0, f.grid.n_points, 256)
+    s = 2.0 * np.pi * np.arange(m) / m
+    r1 = pts[:, 0:1] - s[None, :]
+    r2 = pts[:, 1:2] - f.eval_at(s)[None, :]
+    samples = {key: densities[key].eval_at(s) for key in dict.fromkeys(k for _, k in pairs)}
+    return _kernel_sums(_LayerTables.at(r1, r2), samples, pairs,
+                        lambda K, v: K @ v / m)
+
+
+# near rule: a fixed Gauss-Legendre panel on each interval between the
+# breakpoints s0 +/- d * _PANEL_RATIO**k (k = 0, 1, ...) inside (s0 - pi, s0 + pi),
+# where s0 is the foot of the normal from the point and d its distance.
+# Intervals wider than _PANEL_MAX_WIDTH grid spacings are split evenly, so
+# that a panel spans at most two periods of the highest grid mode.
+_PANEL_ORDER = 16
+_PANEL_RATIO = 4.0
+_PANEL_MAX_WIDTH = 4.0
+_GL_NODES, _GL_WEIGHTS = leggauss(_PANEL_ORDER)
+_FOOT_NEWTON_STEPS = 3
+_MIN_NEAR_DISTANCE = 1e-9   # smallest panel width, for points on the interface itself
+
+
+def _interface_feet(f: InterfaceProfile, pts: np.ndarray):
+    """Foot of the normal from each point: its parameter and distance.
+
+    Newton steps on (x - s)^2 + (y - f(s))^2 start from the nearest dense
+    sample; the refined foot is kept where it is closer than that sample.
+    Between samples the near-singularity can sit well inside the innermost
+    panel, where the fixed rule fails."""
+    dist, s0 = _closest_samples(f, pts)
+    fp = InterfaceProfile(f.grid, f.deriv_values)
+    fpp = InterfaceProfile(f.grid, spectral_derivative(f, order=2))
+    x, y = pts[:, 0], pts[:, 1]
+
+    def offsets(s):
+        return (x - s + np.pi) % (2.0 * np.pi) - np.pi, y - f.eval_at(s)
+
+    s = s0
+    for _ in range(_FOOT_NEWTON_STEPS):
+        u, v = offsets(s)
+        d1 = fp.eval_at(s)
+        slope = -u - v * d1                       # half the first derivative
+        curv = 1.0 + d1 * d1 - v * fpp.eval_at(s)  # half the second
+        s = s - slope / np.where(curv > 0.0, curv, np.inf)
+    refined = np.hypot(*offsets(s))
+    closer = refined < dist
+    return np.where(closer, s, s0), np.where(closer, refined, dist)
+
+
+def _near_nodes(dist, spacing):
+    """Node offsets from the foot and weights of the graded panel rule for a
+    point at distance dist."""
+    d = max(dist, _MIN_NEAR_DISTANCE)
+    steps = d * _PANEL_RATIO ** np.arange(np.log(np.pi / d) / np.log(_PANEL_RATIO) + 1)
+    right = np.concatenate([[0.0], steps[steps < np.pi], [np.pi]])
+    edges = np.concatenate([-right[:0:-1], right])
+    pieces = np.ceil(np.diff(edges) / (_PANEL_MAX_WIDTH * spacing)).astype(int)
+    half = np.repeat(np.diff(edges) / (2.0 * pieces), pieces)
+    # piece j of an interval split evenly from a has its midpoint at a + (2j + 1) half
+    j = np.arange(len(half)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    mid = np.repeat(edges[:-1], pieces) + (2 * j + 1) * half
+    return (mid[:, None] + half[:, None] * _GL_NODES).ravel(), (half[:, None] * _GL_WEIGHTS).ravel()
+
+
+def _near_sums(f, densities, pairs, pts):
+    """Z_index[densities[key]] at points near the interface for each
+    (index, key) pair, by the graded Gauss-Legendre panel rule.
+
+    One search finds the feet of all points.  Per point, one node set, one
+    sampling of f and of each density and one set of half-angle tables
+    serve every pair."""
+    feet, dist = _interface_feet(f, pts)
+    keys = dict.fromkeys(k for _, k in pairs)
+    out = {pair: np.empty(len(pts)) for pair in pairs}
+    for i, (p, foot, d) in enumerate(zip(pts, feet, dist)):
+        offset, w = _near_nodes(d, f.grid.spacing)
+        s = foot + offset
+        # x - s taken as (x - foot) - offset keeps its digits on the small panels
+        tables = _LayerTables.at((p[0] - foot) - offset, p[1] - f.eval_at(s))
+        weighted = {key: w * densities[key].eval_at(s) for key in keys}
+        for pair, val in _kernel_sums(tables, weighted, pairs, np.dot).items():
+            out[pair][i] = val / (2.0 * np.pi)
     return out
 
 
@@ -118,7 +198,7 @@ def _layer_sums(f, densities, pairs, points, *, m_quad, collar, near):
 
     One collar check per point set.  Points outside the collar take the
     periodic trapezoid rule; points inside raise ProximityError unless
-    ``near=True``, which sends them alone to the adaptive quadrature.
+    ``near=True``, which sends them together to the near panel rule.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     collar = default_collar(f) if collar is None else collar
@@ -134,8 +214,9 @@ def _layer_sums(f, densities, pairs, points, *, m_quad, collar, near):
         for pair in pairs:
             out[pair][~close] = far[pair]
     if np.any(close):
-        for index, key in pairs:
-            out[(index, key)][close] = _eval_z_near(index, f, densities[key], pts[close])
+        near_sums = _near_sums(f, densities, pairs, pts[close])
+        for pair in pairs:
+            out[pair][close] = near_sums[pair]
     return out
 
 
@@ -145,40 +226,16 @@ def eval_Z(index: int, f: InterfaceProfile, density, points, *,
     """Layer integrals at off-interface points by the periodic trapezoid rule.
 
     Points closer to the interface than the collar raise ProximityError
-    unless ``near=True``, which switches those points to an adaptive
-    quadrature with geometric breakpoints clustered at the nearest interface
-    parameter (slow; meant for approach studies).
+    unless ``near=True``, which switches those points to a composite
+    Gauss-Legendre rule: 16-point panels between breakpoints graded
+    geometrically (ratio 4) away from the foot of the normal, the smallest
+    panel as wide as the distance to the interface.
     """
     dens = density if isinstance(density, InterfaceProfile) else \
         InterfaceProfile(f.grid, np.asarray(density, dtype=float))
     vals = _layer_sums(f, {"d": dens}, ((index, "d"),), points,
                        m_quad=m_quad, collar=collar, near=near)[(index, "d")]
     return vals if np.asarray(points).ndim > 1 else float(vals[0])
-
-
-def _eval_z_near(index, f, density, pts):
-    out = np.empty(len(pts))
-    dist, nearest = _closest_samples(f, pts)
-    for i, p in enumerate(pts):
-        s0 = nearest[i]
-        scale = max(float(dist[i]), 1e-9)
-
-        def integrand(s):
-            return float(_z_kernel(index, p[0] - s, p[1] - f.eval_at(s))
-                         * density.eval_at(s)) / (2.0 * np.pi)
-
-        # breakpoints geometric in distance from s0 so the adaptive rule
-        # resolves the near-singular peak at every scale
-        d = scale
-        brk = [s0]
-        while d < np.pi:
-            brk += [s0 - d, s0 + d]
-            d *= 4.0
-        brk = sorted(b for b in brk if s0 - np.pi < b < s0 + np.pi)
-        val, _ = quad(integrand, s0 - np.pi, s0 + np.pi, points=brk,
-                      limit=800, epsabs=1e-10, epsrel=1e-10)
-        out[i] = val
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +457,9 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
     composites plus their jump coefficients, the pressure jump against the
     normal forcing, and the viscous-stress jump against the tangential one.
 
-    Off-interface values come from the adaptive near quadrature along the
-    normal, at approach distances eps_factors * grid spacing.
+    Off-interface values come from the graded Gauss-Legendre near rule (see
+    ``eval_Z``) along the normal, at approach distances eps_factors * grid
+    spacing; all approach points go through it together.
     """
     grid = f.grid
     n = grid.n_points
@@ -409,69 +467,51 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
     G = forcing_G(f, params)
     dens = np.asarray(density, dtype=float) if density is not None \
         else np.cos(grid.nodes) + 0.3 * np.sin(2.0 * grid.nodes)
-    dens_prof = InterfaceProfile(grid, dens)
     ops = DiagonalOps(f)
     jumps = z_jump_coefficients(f)
     traces = {idx: trace_B(idx, f, dens, ops=ops) for idx in (1, 2, 3, 4)}
 
     probes = np.arange(0, n, max(1, n // probe_count))[:probe_count]
     eps_values = np.asarray(eps_factors, dtype=float) * grid.spacing
+    sides = np.array([1.0, -1.0])
+    base = np.stack([grid.nodes[probes], f.values[probes]], axis=-1)
+    nu = geo.normal[:, probes].T
+    # approach points indexed [eps, probe, side, coordinate]
+    pts = base[:, None, :] + (eps_values[:, None, None, None] * sides[:, None]) * nu[:, None, :]
 
-    z_res = {idx: np.zeros(len(eps_values)) for idx in (1, 2, 3, 4)}
-    for idx in (1, 2, 3, 4):
-        for j, eps in enumerate(eps_values):
-            worst = 0.0
-            for i in probes:
-                base = np.array([grid.nodes[i], f.values[i]])
-                nu = geo.normal[:, i]
-                for sgn in (+1.0, -1.0):
-                    got = _eval_z_near(idx, f, dens_prof, (base + sgn * eps * nu)[None, :])[0]
-                    want = traces[idx][i] + sgn * jumps[idx][i] * dens[i]
-                    worst = max(worst, abs(got - want))
-            z_res[idx][j] = worst
+    z_pairs = tuple((idx, "d") for idx in (1, 2, 3, 4))
+    densities = {"d": InterfaceProfile(grid, dens),
+                 "g1": InterfaceProfile(grid, G.g1), "g2": InterfaceProfile(grid, G.g2)}
+    z = {pair: vals.reshape(pts.shape[:-1]) for pair, vals in
+         _near_sums(f, densities, z_pairs + _PRESSURE_PAIRS, pts.reshape(-1, 2)).items()}
+
+    z_res = {}
+    for idx, key in z_pairs:
+        want = traces[idx][probes, None] + sides * (jumps[idx] * dens)[probes, None]
+        z_res[idx] = np.max(np.abs(z[(idx, key)] - want), axis=(1, 2))
     z_orders = {idx: _fit_order(eps_values, z_res[idx]) for idx in (1, 2, 3, 4)}
 
     # pressure jump [q] = -(G . nu)/omega via two-sided approach
     g_dot_nu = G.g1 * geo.normal[0] + G.g2 * geo.normal[1]
-    g1p, g2p = InterfaceProfile(grid, G.g1), InterfaceProfile(grid, G.g2)
-    q_res = np.zeros(len(eps_values))
-    for j, eps in enumerate(eps_values):
-        worst = 0.0
-        for i in probes:
-            base = np.array([grid.nodes[i], f.values[i]])
-            nu = geo.normal[:, i]
-            q_side = {}
-            for sgn in (+1.0, -1.0):
-                p = (base + sgn * eps * nu)[None, :]
-                z1v = _eval_z_near(1, f, g1p, p)[0]
-                z2v = _eval_z_near(2, f, g2p, p)[0]
-                q_side[sgn] = -(z1v + z2v) / 2.0
-            want = -g_dot_nu[i] / geo.omega[i]
-            worst = max(worst, abs((q_side[1.0] - q_side[-1.0]) - want))
-        q_res[j] = worst
+    q = _bulk_pressure(z)
+    want = -(g_dot_nu / geo.omega)[probes]
+    q_res = np.max(np.abs((q[..., 0] - q[..., 1]) - want), axis=1)
 
     # stress jumps at the smallest eps: the viscous part against the
     # tangential forcing, the full traction against the curvature forcing
     stress_t, stress_n = float("nan"), float("nan")
     if check_stress:
-        eps = eps_values[-1]
+        p = pts[-1].reshape(-1, 2)
+        grads = velocity_gradient_field(f, params, p, near=True).reshape(len(probes), 2, 2, 2)
+        q_side = pressure_field(f, params, p, near=True).reshape(len(probes), 2)
+        dgrad = grads[:, 0] - grads[:, 1]
+        visc = params.mu * np.einsum("pij,pj->pi", dgrad + dgrad.transpose(0, 2, 1), nu)
         g_dot_tau = G.g1 * geo.tangent[0] + G.g2 * geo.tangent[1]
-        stress_t, stress_n = 0.0, 0.0
-        for i in probes:
-            base = np.array([grid.nodes[i], f.values[i]])
-            nu = geo.normal[:, i]
-            grads, q_side = {}, {}
-            for sgn in (+1.0, -1.0):
-                p = (base + sgn * eps * nu)[None, :]
-                grads[sgn] = velocity_gradient_field(f, params, p, near=True)[0]
-                q_side[sgn] = float(pressure_field(f, params, p, near=True)[0])
-            dgrad = grads[1.0] - grads[-1.0]
-            visc = params.mu * (dgrad + dgrad.T) @ nu
-            want_t = g_dot_tau[i] / geo.omega[i] * geo.tangent[:, i]
-            stress_t = max(stress_t, float(np.max(np.abs(visc - want_t))))
-            traction = -(q_side[1.0] - q_side[-1.0]) * nu + visc
-            want_full = (params.theta * f.values[i] - params.sigma * geo.curvature[i]) * nu
-            stress_n = max(stress_n, float(np.max(np.abs(traction - want_full))))
+        want_t = (g_dot_tau / geo.omega)[probes, None] * geo.tangent[:, probes].T
+        stress_t = float(np.max(np.abs(visc - want_t)))
+        traction = -(q_side[:, 0] - q_side[:, 1])[:, None] * nu + visc
+        want_full = (params.theta * f.values - params.sigma * geo.curvature)[probes, None] * nu
+        stress_n = float(np.max(np.abs(traction - want_full)))
 
     return JumpReport(eps_values, z_res, z_orders, q_res,
                       _fit_order(eps_values, q_res), stress_t, stress_n)

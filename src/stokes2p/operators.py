@@ -418,10 +418,7 @@ class _LayerTables:
 
     @classmethod
     def at(cls, r1, r2):
-        # scalars are kept as they are: the near quadrature calls this once
-        # per node, and numpy scalar arithmetic is cheaper than 0-d arrays'
-        if getattr(r1, "shape", ()) != getattr(r2, "shape", ()):
-            r1, r2 = np.broadcast_arrays(r1, r2)
+        r1, r2 = np.broadcast_arrays(r1, r2)
         half = r1 / 2.0
         return cls(np.sin(half), np.cos(half), r2)
 

@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stokes2p
 from stokes2p import (
     InterfaceProfile,
     PeriodicGrid,
@@ -196,3 +201,13 @@ class TestPhysParams:
     def test_from_theta_round_trip(self):
         for theta in (2.0, -1.3, 0.0):
             assert abs(PhysParams.from_theta(1.0, 1.0, theta).theta - theta) < 1e-14
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency: the package itself must not import it
+    src = str(Path(stokes2p.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import stokes2p; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -20,6 +20,7 @@ from stokes2p import (
     phi_of,
     step,
 )
+from stokes2p import evolution
 from stokes2p.evolution import LN4, snapshot_record
 
 from oracles import COMPOSITE_MEMBERS, band_limited
@@ -372,6 +373,25 @@ class TestStepping:
         with pytest.raises(StepSizeError) as err:
             integrate(state, StepperConfig(dt=0.02, t_end=0.5, adapt=True, tol=1e-18), sink)
         assert err.value.last_state is state
+
+    def test_adaptive_step_budget(self, monkeypatch):
+        # a tolerance met only at small steps stops once the budget of
+        # step-doubling trials (three steps each) is spent
+        monkeypatch.setattr(evolution, "MAX_ADAPTIVE_STEPS", 12)
+        calls = []
+        monkeypatch.setattr(evolution, "step",
+                            lambda *a, **kw: calls.append(1) or step(*a, **kw))
+        g = PeriodicGrid(32)
+        params = PhysParams.from_theta(1.0, 1.0, 0.0)
+        state = EvolutionState(0.0, random_profile(g, 6), params)
+        records = []
+        with pytest.raises(StepSizeError, match="budget") as err:
+            integrate(state, StepperConfig(dt=0.02, t_end=0.5, adapt=True, tol=1e-10),
+                      records.append)
+        assert len(calls) == 3 * 12
+        last = err.value.last_state
+        assert 0.0 < last.time < 0.5 and 0 < last.step_count <= 12
+        assert records[-1]["t"] == last.time
 
     def test_snapshot_schema_and_stride(self):
         g = PeriodicGrid(32)

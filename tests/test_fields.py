@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -222,16 +224,38 @@ class TestLayerIntegrals:
         far = np.array([[0.3, 2.0], [1.0, -2.5], [4.0, 1.1]])
         close = np.array([[0.0, f.values[0] + 0.5 * default_collar(f)]])
         seen = []
-        original = fields._eval_z_near
+        original = fields._near_sums
 
-        def spy(index, f_, density, pts):
+        def spy(f_, densities, pairs, pts):
             seen.append(np.array(pts))
-            return original(index, f_, density, pts)
+            return original(f_, densities, pairs, pts)
 
-        monkeypatch.setattr(fields, "_eval_z_near", spy)
+        monkeypatch.setattr(fields, "_near_sums", spy)
         mixed = eval_Z(1, f, dens, np.vstack([far[:2], close, far[2:]]), near=True)
         assert len(seen) == 1 and np.array_equal(seen[0], close)
         assert np.array_equal(mixed[[0, 1, 3]], eval_Z(1, f, dens, far, near=True))
+
+    def test_near_points_scanned_once_for_all_kernels(self, setup, monkeypatch):
+        # seven (index, density) pairs of the gradient share one search for
+        # the feet of the near points
+        grid, f, params = setup
+        far = np.array([[0.3, 2.0], [4.0, -1.1]])
+        close = np.array([[0.0, f.values[0] + 0.5 * default_collar(f)],
+                          [2.5, f.eval_at(2.5) - 0.2 * default_collar(f)]])
+        pts = np.vstack([far[:1], close, far[1:]])
+        scans = []
+        original = fields._closest_samples
+
+        def spy(f_, p):
+            scans.append(np.array(p))
+            return original(f_, p)
+
+        monkeypatch.setattr(fields, "_closest_samples", spy)
+        grad = velocity_gradient_field(f, params, pts, near=True)
+        near_scans = [p for p in scans if np.array_equal(p, close)]
+        assert len(near_scans) == 1
+        assert len(scans) == 2 and np.array_equal(scans[0], pts)   # the collar check
+        assert np.array_equal(grad[[0, 3]], velocity_gradient_field(f, params, far))
 
     def test_min_distance(self, setup):
         grid, f, params = setup
@@ -250,6 +274,123 @@ class TestLayerIntegrals:
             d1, s1 = fields._closest_samples(f, pts[i:i + 1])
             assert d1[0] == dist[i] and s1[0] == nearest[i]
         assert np.array_equal(min_interface_distance(f, pts), dist)
+
+
+def z_kernel_scalar(index, r1, r2):
+    """Layer kernel Z_index at one point, coded on Python floats."""
+    s1, c1 = math.sin(r1 / 2.0), math.cos(r1 / 2.0)
+    s2, c2 = math.sinh(r2 / 2.0), math.cosh(r2 / 2.0)
+    d = s1 * s1 + s2 * s2
+    z1, z2 = s1 * c1 / d, s2 * c2 / d
+    return (math.log(d), z1, z2, r2 / 2.0 * ((s1 * c2) ** 2 - (s2 * c1) ** 2) / (d * d),
+            r2 * z1 * z2 / 2.0, r2 * z1, r2 * z2)[index]
+
+
+def quad_near(index, f_fn, dens_fn, point, foot, dist):
+    """Adaptive reference for a near layer integral of the closed-form
+    profile f_fn and density dens_fn, with breakpoints graded geometrically
+    away from the known foot of the normal."""
+    def integrand(s):
+        return z_kernel_scalar(index, point[0] - s, point[1] - f_fn(s)) * dens_fn(s) / (2.0 * np.pi)
+
+    brk, d = [foot], dist
+    while d < np.pi:
+        brk += [foot - d, foot + d]
+        d *= 4.0
+    val, _ = quad(integrand, foot - np.pi, foot + np.pi, points=sorted(brk),
+                  limit=2000, epsabs=1e-12, epsrel=1e-12)
+    return val
+
+
+def approach_points(f, foot, dist):
+    """The two points at distance dist along the normal from (foot, f(foot))."""
+    slope = float(InterfaceProfile(f.grid, f.deriv_values).eval_at(foot))
+    nu = np.array([-slope, 1.0]) / np.hypot(1.0, slope)
+    base = np.array([foot, float(f.eval_at(foot))])
+    return np.array([base + dist * nu, base - dist * nu])
+
+
+class TestNearRule:
+    GRID = PeriodicGrid(64)
+    SCAN_STEP = 2.0 * np.pi / max(8 * 64, 1024)   # spacing of the dense distance scan
+
+    @staticmethod
+    def profile(grid, fn):
+        return InterfaceProfile(grid, fn(grid.nodes))
+
+    @pytest.mark.parametrize("foot", [40 * SCAN_STEP, 163.5 * SCAN_STEP],
+                             ids=["on-sample", "between-samples"])
+    def test_matches_adaptive_quadrature(self, foot):
+        def f_fn(s):
+            return 0.1 * np.cos(s) + 0.05 * np.sin(2 * s)
+
+        def dens_fn(s):
+            return np.cos(s) + 0.3 * np.sin(2 * s)
+
+        grid = self.GRID
+        f = self.profile(grid, f_fn)
+        worst = 0.0
+        for factor in 10.0 ** -np.arange(1, 7):
+            dist = factor * grid.spacing
+            pts = approach_points(f, foot, dist)
+            for index in range(7):
+                got = eval_Z(index, f, dens_fn(grid.nodes), pts, near=True)
+                for p, g in zip(pts, got):
+                    worst = max(worst, abs(g - quad_near(index, f_fn, dens_fn, p, foot, dist)))
+        assert worst <= 1e-9
+
+    def test_high_modes_resolved(self):
+        # wide intervals are split, so grid modes far from the foot are
+        # integrated as accurately as the near peak
+        def f_fn(s):
+            return 0.3 * np.cos(s)
+
+        def dens_fn(s):
+            return np.cos(24 * s)
+
+        grid = self.GRID
+        f = self.profile(grid, f_fn)
+        foot, dist = 1.3, 1e-3 * grid.spacing
+        pts = approach_points(f, foot, dist)
+        for index in (0, 1, 3):
+            got = eval_Z(index, f, dens_fn(grid.nodes), pts, near=True)
+            want = [quad_near(index, f_fn, dens_fn, p, foot, dist) for p in pts]
+            assert np.max(np.abs(got - want)) <= 1e-9
+
+    def test_sampled_foot_kept_where_newton_cannot_improve(self):
+        # near the centre of curvature of a trough, off its axis by 1e-6:
+        # just below the centre the Newton steps overshoot and end farther
+        # than the sampled foot; just above it the sample is a local maximum
+        # of the distance along the curve, where Newton takes no step.  The
+        # sampled foot and distance are kept in both cases.
+        def f_fn(s):
+            return 0.3 * np.cos(8 * s)
+
+        grid = self.GRID
+        f = self.profile(grid, f_fn)
+        trough, radius = np.pi / 8, 1.0 / (0.3 * 64)
+        p = np.array([[trough + 1e-6, f_fn(trough) + (1.0 - 1e-4) * radius],
+                      [trough + 1e-6, f_fn(trough) + (1.0 + 1e-3) * radius]])
+        dist, sample = fields._closest_samples(f, p)
+        feet, refined = fields._interface_feet(f, p)
+        assert np.allclose(sample, trough, rtol=0.0, atol=1e-12)
+        assert np.array_equal(feet, sample) and np.array_equal(refined, dist)
+        for index in (1, 2):
+            got = eval_Z(index, f, np.cos(grid.nodes), p, near=True)
+            want = [quad_near(index, f_fn, np.cos, q, trough, d) for q, d in zip(p, dist)]
+            assert np.max(np.abs(got - want)) <= 1e-9
+
+    def test_feet_never_farther_than_samples(self):
+        grid = self.GRID
+        f = InterfaceProfile(grid, 0.3 * np.cos(8 * grid.nodes) + 0.2 * np.sin(13 * grid.nodes))
+        rng = np.random.default_rng(7)
+        s = rng.uniform(0.0, 2.0 * np.pi, 200)
+        pts = np.column_stack([rng.uniform(-1.0, 7.0, 200),
+                               f.eval_at(s) + rng.uniform(-1.0, 1.0, 200) * default_collar(f)])
+        dist, sample = fields._closest_samples(f, pts)
+        feet, refined = fields._interface_feet(f, pts)
+        assert np.all(refined <= dist)
+        assert np.all((refined < dist) | (feet == sample))
 
 
 class TestTraces:
