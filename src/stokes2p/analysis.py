@@ -70,6 +70,21 @@ def _mode_coefficients(values: np.ndarray) -> np.ndarray:
     return amps
 
 
+def probe_workers_from_env() -> int:
+    """Probe thread count from ``STOKES_NUM_THREADS``; 1 when it is unset or
+    empty.  Raises ValueError unless it is a positive integer."""
+    raw = os.environ.get("STOKES_NUM_THREADS")
+    if not raw:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError("STOKES_NUM_THREADS must be a positive integer")
+    return workers
+
+
 def _probe_mode(grid, params, k, eps, probe):
     phase = np.cos if probe == "cos" else np.sin
     return jacobian_action_at_zero(params, grid, phase(k * grid.nodes), eps=eps)
@@ -84,12 +99,13 @@ def numeric_jacobian_at_zero(params: PhysParams, grid: PeriodicGrid, k_max: int,
     The response to a single cosine must be a multiple of that cosine; the
     largest amplitude appearing in any other mode (or in the mean) is
     reported as leakage.  Probes are independent per mode and may run on a
-    small thread pool.
+    small thread pool (``workers``, default from ``STOKES_NUM_THREADS``);
+    each concurrent probe holds its own working set of layer tables.
     """
     if k_max > grid.n_points // 4:
         raise ValueError("k_max must be at most N/4 to stay well resolved")
     if workers is None:
-        workers = int(os.environ.get("STOKES_NUM_THREADS", "1"))
+        workers = probe_workers_from_env()
 
     ks = list(range(1, k_max + 1))
     if workers > 1:

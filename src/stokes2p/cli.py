@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import analytic_spectrum, numeric_jacobian_at_zero
+from .analysis import analytic_spectrum, numeric_jacobian_at_zero, probe_workers_from_env
 from .core import InterfaceProfile, PeriodicGrid, PhysParams
 from .evolution import (
     BlowUpError,
@@ -262,14 +261,11 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    if os.environ.get("STOKES_NUM_THREADS"):
-        try:
-            workers = int(os.environ["STOKES_NUM_THREADS"])
-            if workers < 1:
-                raise ValueError
-        except ValueError:
-            print("error: STOKES_NUM_THREADS must be a positive integer", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        probe_workers_from_env()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

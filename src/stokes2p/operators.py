@@ -44,6 +44,9 @@ when the nodes are the half grid.
 
 from __future__ import annotations
 
+import mmap
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -380,14 +383,70 @@ def eval_B0(f: InterfaceProfile, density, *, m_quad: int | None = None,
     values = _density_values(density, grid)
     ws = workspace or KernelWorkspace(grid, "midpoint", m_quad)
     half_nodes = ws.nodes / 2.0
-    tables = _LayerTables(np.sin(half_nodes), np.cos(half_nodes), ws.delta(f.values))
-    K = tables.log_remainder() / (2.0 * np.pi)
+    # the tables go as soon as K is built, before the contraction's tables
+    K = _LayerTables(np.sin(half_nodes), np.cos(half_nodes), ws.delta(f.values),
+                     {}).log_remainder() / (2.0 * np.pi)
     return _log_sin_part(grid, values) + ws.contract(K, values)
 
 
 # ---------------------------------------------------------------------------
 # the layer kernels Z_0 .. Z_6
 # ---------------------------------------------------------------------------
+
+def _table(tables: dict, name: str, shape) -> np.ndarray:
+    """The working-set table ``name``; a fresh set allocates it on first use."""
+    t = tables.get(name)
+    if t is None:
+        t = tables[name] = np.empty(shape)
+    return t
+
+
+_SET_NAMES = ("r2", "s2", "c2", "inv_d", "kernel", "temp")
+
+
+def _mapped_table(n: int) -> np.ndarray:
+    """An (n, n) float64 table in its own private anonymous memory map.
+
+    A pooled table outlives the call that filled it.  Kept outside the
+    malloc heap, it leaves the heap to grow and shrink around other code's
+    temporaries as it would without the pool: in the heap, an idle set
+    raised the page faults of the generic ``eval_A``/``eval_B``/``eval_C``
+    path by about a quarter.  Pages are mapped when first written.
+    """
+    return np.frombuffer(mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE),
+                         dtype=np.float64).reshape(n, n)
+
+
+class _TablePool:
+    """Working sets of (N, N) layer tables, leased to ``DiagonalOps``.
+
+    A set is a dict of the six named tables of ``_SET_NAMES``, overwritten
+    in place by each ``_LayerTables`` built on it.  A lease takes the idle
+    set if it was made for the same N and maps a new one otherwise; a
+    released set becomes the idle one.  So at most one idle set is kept, for
+    the most recent N, and a set is never held by two live leases: a second
+    concurrent lease maps its own.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._idle_n, self._idle = None, None
+
+    def lease(self, n: int) -> dict:
+        with self._lock:
+            tables = self._idle if self._idle_n == n else None
+            self._idle_n, self._idle = None, None
+        if tables is None:
+            tables = {name: _mapped_table(n) for name in _SET_NAMES}
+        return tables
+
+    def release(self, n: int, tables: dict) -> None:
+        with self._lock:
+            self._idle_n, self._idle = n, tables
+
+
+_TABLE_POOL = _TablePool()
+
 
 class _LayerTables:
     """Half-angle tables at r = (r1, r2), shared by the layer kernels Z_0..Z_6.
@@ -409,73 +468,92 @@ class _LayerTables:
     they are, over 2*pi, the kernels of the trace composites 1..6.  s1 and
     c1 depend on r1 alone and are passed in, so that ``DiagonalOps`` can take
     them as circulant views of their values at the quadrature nodes.
+
+    Every table is written in place into the working set ``tables`` (see
+    ``_table``): s2, c2 and 1/D once, each kernel into the one ``kernel``
+    table, which the next kernel overwrites.  Z3, Z4 and the log remainder
+    also need the ``temp`` table.  ``DiagonalOps`` passes a set leased from
+    ``_TABLE_POOL``; ``at`` passes an empty dict, filled on first use.
     """
 
-    def __init__(self, s1, c1, r2):
+    def __init__(self, s1, c1, r2, tables: dict):
         self.s1, self.c1, self.r2 = s1, c1, r2
-        self.s2 = np.sinh(r2 / 2.0)
+        self._tables = tables
+        self._shape = np.broadcast_shapes(np.shape(s1), np.shape(c1), np.shape(r2))
+        s2 = np.divide(r2, 2.0, out=self._t("s2"))
+        self.s2 = np.sinh(s2, out=s2)
         self._c2 = self._inv_d = None
 
     @classmethod
     def at(cls, r1, r2):
         r1, r2 = np.broadcast_arrays(r1, r2)
         half = r1 / 2.0
-        return cls(np.sin(half), np.cos(half), r2)
+        return cls(np.sin(half), np.cos(half), r2, {})
+
+    def _t(self, name: str) -> np.ndarray:
+        return _table(self._tables, name, self._shape)
 
     # c2 and 1/D are built on first use and then shared by every kernel
 
     def c2(self):
         if self._c2 is None:
-            self._c2 = np.cosh(self.r2 / 2.0)
+            c2 = np.divide(self.r2, 2.0, out=self._t("c2"))
+            self._c2 = np.cosh(c2, out=c2)
         return self._c2
 
     def inv_d(self):
+        # built by the first kernel that needs it, before that kernel is
+        # written, so the kernel table is free to hold s2^2
         if self._inv_d is None:
-            d = self.s1 * self.s1
-            d += self.s2 * self.s2
-            self._inv_d = 1.0 / d
+            d = np.multiply(self.s1, self.s1, out=self._t("inv_d"))
+            d += np.multiply(self.s2, self.s2, out=self._t("kernel"))
+            self._inv_d = np.divide(1.0, d, out=d)
         return self._inv_d
 
     def log_remainder(self) -> np.ndarray:
         """ln(1 + s2^2/s1^2): Z0 less the ln(s1^2) that the trace applies
-        spectrally; bounded where s1 != 0."""
-        t = self.s2 * self.s2
-        t /= self.s1 * self.s1
+        spectrally; bounded where s1 != 0.  Written into the kernel table."""
+        t = np.multiply(self.s2, self.s2, out=self._t("kernel"))
+        t /= np.multiply(self.s1, self.s1, out=self._t("temp"))
         return np.log1p(t, out=t)
 
     def kernel(self, index: int) -> np.ndarray:
-        """Z_index as a new table."""
+        """Z_index, written into the kernel table."""
         if index not in range(7):
             raise ValueError(f"Z index must be 0..6, got {index}")
         s1, c1, s2, r2 = self.s1, self.c1, self.s2, self.r2
-        if index == 0:
-            return np.log(s1 * s1 + s2 * s2)
+        z = self._t("kernel")
+        if index == 0:                      # off the Psi path: s2^2 is transient
+            np.multiply(s1, s1, out=z)
+            z += s2 * s2
+            return np.log(z, out=z)
         inv_d = self.inv_d()
         if index == 3:
-            z = s1 * self.c2()
+            np.multiply(s1, self.c2(), out=z)
             z *= z
-            t = s2 * c1
+            t = np.multiply(s2, c1, out=self._t("temp"))
             t *= t
             z -= t
-            del t
             z *= r2
             z *= 0.5
             z *= inv_d
             z *= inv_d
             return z
         if index in (2, 6):
-            z = s2 * self.c2()
+            np.multiply(s2, self.c2(), out=z)
             z *= inv_d
             if index == 6:
                 z *= r2
             return z
-        z = s1 * c1                         # Z1
+        np.multiply(s1, c1, out=z)          # Z1
         z *= inv_d
         if index == 1:
             return z
         z *= r2                             # Z5
         if index == 4:
-            z *= self.kernel(2)
+            t = np.multiply(s2, self.c2(), out=self._t("temp"))   # Z2
+            t *= inv_d
+            z *= t
             z *= 0.5
         return z
 
@@ -495,7 +573,10 @@ class DiagonalOps:
     ``composite`` applies the named composites 0..6 from one set of layer
     tables at r = (s, delta f).  The single members of the tangent family
     (used by the derivatives) come from powers of the difference table in
-    node coordinates.  Both sets of tables are built on first use.
+    node coordinates.  Both sets of tables are built on first use.  The
+    layer tables go into a working set leased from ``_TABLE_POOL`` on first
+    use and returned when this object is freed, so a new instance at the
+    same N reuses the memory of the last one.
     """
 
     def __init__(self, f: InterfaceProfile):
@@ -567,28 +648,39 @@ class DiagonalOps:
         # circulant coordinates: column m holds the half-grid sample m, which
         # row i pairs with the quadrature node s_j, j = (i - m - 1 + N/2) mod N;
         # the difference table is the outer difference f(xi_i) - f_half[m]
-        # and the sin/cos tables are strided views of N-vectors
+        # and the sin/cos tables are strided views of N-vectors.  The tables
+        # are written into a working set leased for the life of this object.
+        n = self.f.grid.n_points
+        tables = _TABLE_POOL.lease(n)
+        weakref.finalize(self, _TABLE_POOL.release, n, tables)
         half_nodes = self.ws.nodes / 2.0
+        r2 = np.subtract.outer(self.f.values, _half_grid(self.f.grid, self.f.values),
+                               out=tables["r2"])
         return _LayerTables(_circulant(np.sin(half_nodes)), _circulant(np.cos(half_nodes)),
-                            np.subtract.outer(self.f.values, _half_grid(self.f.grid, self.f.values)))
+                            r2, tables)
 
     def composite(self, index: int, density) -> np.ndarray:
         """Composite ``index`` applied to a density: one product of its layer
         kernel against the density's half-grid samples (index 0 adds the
-        spectral log part).  The last kernel built is kept until another
-        index is asked for, so calls grouped by index build each kernel once.
+        spectral log part, from the same forward FFT).  The last kernel built
+        is kept until another index is asked for, so calls grouped by index
+        build each kernel once.
         """
         if index not in range(7):
             raise ValueError(f"composite index must be in 0..6, got {index}")
         grid = self.f.grid
         values = _density_values(density, grid)
         if self._composite_index != index:
-            self._composite_kernel = None       # dropped before the next is built
+            self._composite_index = None        # the kernel table is rewritten in place
             self._composite_kernel = (self._layer.log_remainder() if index == 0
                                       else self._layer.kernel(index))
             self._composite_index = index
-        out = (self._composite_kernel @ _half_grid(grid, values)) * (grid.spacing / TWO_PI)
-        return _log_sin_part(grid, values) + out if index == 0 else out
+        coeffs = np.fft.fft(values)
+        half = np.fft.ifft(coeffs * _half_shift(grid.n_points)).real
+        out = (self._composite_kernel @ half) * (grid.spacing / TWO_PI)
+        if index == 0:
+            return np.fft.ifft(_log_sin_multiplier(grid.n_points) * coeffs).real + out
+        return out
 
 
 def composite_B(index: int, f: InterfaceProfile, density, *,

@@ -8,7 +8,11 @@ from stokes2p import (
     decay_rate_fit,
     numeric_jacobian_at_zero,
 )
-from stokes2p.analysis import DiagonalizationError, jacobian_action_at_zero
+from stokes2p.analysis import (
+    DiagonalizationError,
+    jacobian_action_at_zero,
+    probe_workers_from_env,
+)
 
 
 class TestAnalyticSpectrum:
@@ -79,6 +83,32 @@ class TestNumericJacobian:
         threaded = numeric_jacobian_at_zero(params, grid, 6, workers=4)
         for a, b in zip(serial.modes, threaded.modes):
             assert a.lam_numeric == b.lam_numeric
+
+    def test_concurrent_probes_match_serial_bitwise(self):
+        # two probe threads hold two live working sets of layer tables
+        grid = PeriodicGrid(128)
+        params = PhysParams.from_theta(1.0, 1.0, -0.5)
+        serial = numeric_jacobian_at_zero(params, grid, 8, workers=1)
+        threaded = numeric_jacobian_at_zero(params, grid, 8, workers=2)
+        assert [m.lam_numeric for m in threaded.modes] == [m.lam_numeric for m in serial.modes]
+        assert threaded.leakage == serial.leakage
+
+    @pytest.mark.parametrize("raw", ["0", "abc", "-3"])
+    def test_thread_env_validated(self, monkeypatch, raw):
+        monkeypatch.setenv("STOKES_NUM_THREADS", raw)
+        with pytest.raises(ValueError, match="STOKES_NUM_THREADS must be a positive integer"):
+            numeric_jacobian_at_zero(PhysParams.from_theta(1.0, 1.0, 0.0), PeriodicGrid(32), 2)
+
+    def test_thread_env_sets_workers(self, monkeypatch):
+        grid = PeriodicGrid(32)
+        params = PhysParams.from_theta(1.0, 1.0, 0.0)
+        serial = numeric_jacobian_at_zero(params, grid, 4, workers=1)
+        monkeypatch.setenv("STOKES_NUM_THREADS", "2")
+        assert probe_workers_from_env() == 2
+        threaded = numeric_jacobian_at_zero(params, grid, 4)
+        assert [m.lam_numeric for m in threaded.modes] == [m.lam_numeric for m in serial.modes]
+        monkeypatch.setenv("STOKES_NUM_THREADS", "")
+        assert probe_workers_from_env() == 1
 
 
 def synthetic_snapshots(rate, n=200, t_end=8.0, a0=1e-5, noise=0.0, seed=0):

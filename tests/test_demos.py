@@ -8,7 +8,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["01_operator_calculus.py", "04_bulk_flow_reconstruction.py"])
+@pytest.mark.parametrize("script", ["01_operator_calculus.py", "02_flat_state_spectrum.py",
+                                    "03_interface_relaxation.py",
+                                    "04_bulk_flow_reconstruction.py"])
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -213,8 +213,7 @@ class TestPsiAgainstCompositeTerms:
 
     def test_each_kernel_built_once(self, monkeypatch):
         # the 14 terms come grouped by composite index, so one eval_Psi builds
-        # the log remainder and the kernels Z1..Z6 once each (Z4 builds Z2
-        # once more inside)
+        # the log remainder and the kernels Z1..Z6 once each
         from stokes2p import operators
 
         built = []
@@ -225,7 +224,28 @@ class TestPsiAgainstCompositeTerms:
                             lambda self: built.append(0) or log_remainder(self))
         grid = PeriodicGrid(32)
         eval_Psi(random_profile(grid, 6), PhysParams.from_theta(1.0, 1.0, 1.0))
-        assert sorted(built) == [0, 1, 2, 2, 3, 4, 5, 6]
+        assert sorted(built) == [0, 1, 2, 3, 4, 5, 6]
+
+    def test_warm_call_allocates_no_table(self):
+        # the (N, N) layer tables of a warm call live in the working set the
+        # previous call released, so the call itself allocates only N-vectors
+        import tracemalloc
+
+        from stokes2p import operators
+
+        n = 256
+        grid = PeriodicGrid(n)
+        f, params = random_profile(grid, 8), PhysParams.from_theta(1.0, 1.0, 1.0)
+        eval_Psi(f, params)
+        idle = dict(operators._TABLE_POOL._idle)
+        tracemalloc.start()
+        try:
+            eval_Psi(f, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
+        assert all(operators._TABLE_POOL._idle[k] is t for k, t in idle.items())
 
 
 class TestKinematicAssembly:

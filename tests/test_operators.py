@@ -347,6 +347,77 @@ class TestComposites:
             for phi in phis:
                 assert np.array_equal(ops.composite(idx, phi), DiagonalOps(f).composite(idx, phi))
 
+    def test_live_ops_hold_their_own_tables(self):
+        # two live DiagonalOps at one N write their tables into two working
+        # sets: each keeps its kernel while the other builds a new one
+        grid = PeriodicGrid(256)
+        fs = [InterfaceProfile(grid, band_limited(grid, 50 + c, modes=16, amplitude=0.3))
+              for c in range(2)]
+        phi = band_limited(grid, 60, modes=16)
+        ops = [DiagonalOps(f) for f in fs]
+        for ia, ib in ((1, 4), (4, 1), (0, 3), (3, 0), (6, 2), (5, 5)):
+            got_a = ops[0].composite(ia, phi)
+            got_b = ops[1].composite(ib, phi)
+            again_a = ops[0].composite(ia, phi)
+            want_a = DiagonalOps(fs[0]).composite(ia, phi)
+            assert np.array_equal(got_a, want_a) and np.array_equal(again_a, want_a)
+            assert np.array_equal(got_b, DiagonalOps(fs[1]).composite(ib, phi))
+
+    def test_pool_keeps_one_set_for_latest_n(self):
+        from stokes2p import operators
+
+        for n in (128, 64):
+            grid = PeriodicGrid(n)
+            f = InterfaceProfile(grid, 0.2 * np.cos(grid.nodes))
+            for idx in range(7):
+                composite_B(idx, f, np.sin(grid.nodes))
+        pool = operators._TABLE_POOL
+        assert pool._idle_n == 64
+        assert sorted(pool._idle) == ["c2", "inv_d", "kernel", "r2", "s2", "temp"]
+        assert all(t.shape == (64, 64) for t in pool._idle.values())
+        # a lease takes the idle set; a second concurrent lease maps its own
+        idle = pool._idle
+        first, second = pool.lease(64), pool.lease(64)
+        assert first is idle
+        assert sorted(second) == sorted(idle)
+        assert all(second[k] is not idle[k] for k in idle)
+        pool.release(64, first)
+
+    def test_concurrent_ops_stress(self):
+        # more threads than cores, switching often, each building composites
+        # on its own profile: results equal the serial ones bitwise
+        import sys
+        import threading
+
+        grid = PeriodicGrid(64)
+        fs = [InterfaceProfile(grid, band_limited(grid, 70 + c, modes=12, amplitude=0.3))
+              for c in range(6)]
+        phi = band_limited(grid, 80, modes=12)
+        want = [[DiagonalOps(f).composite(idx, phi) for idx in range(7)] for f in fs]
+        got = [[None] * 7 for _ in fs]
+
+        def work(c):
+            for _ in range(5):
+                for idx in range(7):
+                    got[c][idx] = DiagonalOps(fs[c]).composite(idx, phi)
+                    if not np.array_equal(got[c][idx], want[c][idx]):
+                        return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(c,)) for c in range(len(fs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for c in range(len(fs)):
+            for idx in range(7):
+                assert np.array_equal(got[c][idx], want[c][idx])
+
     def test_composite_rejects_bad_input(self):
         grid = PeriodicGrid(32)
         ops = DiagonalOps(InterfaceProfile(grid, 0.1 * np.cos(grid.nodes)))
