@@ -209,6 +209,8 @@ def cmd_field(args) -> int:
         grid = PeriodicGrid(len(values))
         f = InterfaceProfile(grid, values)
         params = _params_from_args(args)
+        if args.nx1 < 1 or args.nx2 < 1:
+            raise ValueError(f"nx1 and nx2 must be >= 1, got {args.nx1} and {args.nx2}")
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,7 +9,7 @@ off-node evaluation are all exact for band-limited data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -94,12 +94,6 @@ class InterfaceProfile:
         out = (phase @ c[keep]).real
         return out.reshape(s.shape)
 
-    def shifted(self, tau: float) -> np.ndarray:
-        """Samples of the interpolant at nodes + tau."""
-        k = self.grid.wavenumbers
-        shifted = np.fft.ifft(self.coeffs * np.exp(1j * k * tau)) * self.grid.n_points
-        return shifted.real
-
     def __repr__(self):
         return f"InterfaceProfile(N={self.grid.n_points}, mean={self.mean:.3e})"
 
@@ -128,9 +122,23 @@ def spectral_derivative(profile: InterfaceProfile, order: int = 1) -> np.ndarray
     return np.fft.ifft(dcoeffs).real
 
 
+@lru_cache(maxsize=32)
+def _half_shift(n: int) -> np.ndarray:
+    """FFT multiplier that moves the interpolant by half a grid spacing."""
+    grid = PeriodicGrid(n)
+    shift = np.exp(1j * grid.wavenumbers * (grid.spacing / 2))
+    shift.flags.writeable = False
+    return shift
+
+
+def _half_grid(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """Samples of the interpolant at the half grid (m + 1/2) h."""
+    return np.fft.ifft(np.fft.fft(values) * _half_shift(grid.n_points)).real
+
+
 def half_shift_samples(profile: InterfaceProfile) -> np.ndarray:
     """Values of the interpolant on the half-spacing companion grid."""
-    return profile.shifted(0.5 * profile.grid.spacing)
+    return _half_grid(profile.grid, profile.values)
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,8 @@ class StepperConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.dt < 0 or self.tol <= 0 or self.blowup_factor <= 1:
             raise ValueError("dt must be >= 0, tol > 0, blowup_factor > 1")
+        if self.snapshot_stride < 1:
+            raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
 
     def effective_dt(self, grid: PeriodicGrid) -> float:
         if self.dt > 0:

@@ -105,10 +105,10 @@ def _kernel_sums(tables, samples, pairs, contract):
     return out
 
 
-def _trapezoid_sums(f, densities, pairs, pts, m_quad):
+def _trapezoid_sums(f, densities, pairs, pts):
     # f and every density sampled once; the kernels share one set of
     # half-angle tables
-    m = max(m_quad or 0, f.grid.n_points, 256)
+    m = max(f.grid.n_points, 256)
     s = 2.0 * np.pi * np.arange(m) / m
     r1 = pts[:, 0:1] - s[None, :]
     r2 = pts[:, 1:2] - f.eval_at(s)[None, :]
@@ -193,7 +193,7 @@ def _near_sums(f, densities, pairs, pts):
     return out
 
 
-def _layer_sums(f, densities, pairs, points, *, m_quad, collar, near):
+def _layer_sums(f, densities, pairs, points, *, collar, near):
     """Z_index[densities[key]] at the points for each (index, key) pair.
 
     One collar check per point set.  Points outside the collar take the
@@ -210,7 +210,7 @@ def _layer_sums(f, densities, pairs, points, *, m_quad, collar, near):
         )
     out = {pair: np.empty(len(pts)) for pair in pairs}
     if not np.all(close):
-        far = _trapezoid_sums(f, densities, pairs, pts[~close], m_quad)
+        far = _trapezoid_sums(f, densities, pairs, pts[~close])
         for pair in pairs:
             out[pair][~close] = far[pair]
     if np.any(close):
@@ -221,9 +221,9 @@ def _layer_sums(f, densities, pairs, points, *, m_quad, collar, near):
 
 
 def eval_Z(index: int, f: InterfaceProfile, density, points, *,
-           m_quad: int | None = None, collar: float | None = None,
-           near: bool = False):
-    """Layer integrals at off-interface points by the periodic trapezoid rule.
+           collar: float | None = None, near: bool = False):
+    """Layer integrals at off-interface points by the periodic trapezoid rule
+    on max(N, 256) nodes.
 
     Points closer to the interface than the collar raise ProximityError
     unless ``near=True``, which switches those points to a composite
@@ -234,7 +234,7 @@ def eval_Z(index: int, f: InterfaceProfile, density, points, *,
     dens = density if isinstance(density, InterfaceProfile) else \
         InterfaceProfile(f.grid, np.asarray(density, dtype=float))
     vals = _layer_sums(f, {"d": dens}, ((index, "d"),), points,
-                       m_quad=m_quad, collar=collar, near=near)[(index, "d")]
+                       collar=collar, near=near)[(index, "d")]
     return vals if np.asarray(points).ndim > 1 else float(vals[0])
 
 
@@ -284,38 +284,35 @@ def _bulk_pressure(sums):
     return -(sums[(1, "g1")] + sums[(2, "g2")]) / 2.0
 
 
-def _bulk_flow(f, G, params, pts, *, m_quad, collar):
+def _bulk_flow(f, G, params, pts, *, collar):
     """Velocity (P, 2) and pressure (P,) from one pass over the point set."""
     sums = _forcing_sums(f, G, _VELOCITY_PAIRS + _PRESSURE_PAIRS, pts,
-                         m_quad=m_quad, collar=collar, near=False)
+                         collar=collar, near=False)
     return _bulk_velocity(sums, G, params.mu), _bulk_pressure(sums)
 
 
 def velocity_field(f: InterfaceProfile, params: PhysParams, points, *,
-                   m_quad: int | None = None, collar: float | None = None,
-                   near: bool = False) -> np.ndarray:
+                   collar: float | None = None, near: bool = False) -> np.ndarray:
     """Velocity at off-interface points, shape (P, 2)."""
     G = forcing_G(f, params)
-    sums = _forcing_sums(f, G, _VELOCITY_PAIRS, points,
-                         m_quad=m_quad, collar=collar, near=near)
+    sums = _forcing_sums(f, G, _VELOCITY_PAIRS, points, collar=collar, near=near)
     out = _bulk_velocity(sums, G, params.mu)
     return out if np.asarray(points).ndim > 1 else out[0]
 
 
 def pressure_field(f: InterfaceProfile, params: PhysParams, points, *,
-                   m_quad: int | None = None, collar: float | None = None,
-                   near: bool = False):
+                   collar: float | None = None, near: bool = False):
     """Pressure at off-interface points."""
     G = forcing_G(f, params)
     q = _bulk_pressure(_forcing_sums(f, G, _PRESSURE_PAIRS, points,
-                                     m_quad=m_quad, collar=collar, near=near))
+                                     collar=collar, near=near))
     return q if np.asarray(points).ndim > 1 else float(q[0])
 
 
 def sample_flow(f: InterfaceProfile, params: PhysParams, points, *,
-                m_quad: int | None = None, collar: float | None = None) -> list[FieldSample]:
+                collar: float | None = None) -> list[FieldSample]:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    v, q = _bulk_flow(f, forcing_G(f, params), params, pts, m_quad=m_quad, collar=collar)
+    v, q = _bulk_flow(f, forcing_G(f, params), params, pts, collar=collar)
     sides = side_of(f, pts)
     return [
         FieldSample((float(p[0]), float(p[1])), str(s), (float(vv[0]), float(vv[1])), float(qq))
@@ -324,13 +321,12 @@ def sample_flow(f: InterfaceProfile, params: PhysParams, points, *,
 
 
 def velocity_gradient_field(f: InterfaceProfile, params: PhysParams, points, *,
-                            m_quad: int | None = None, collar: float | None = None,
-                            near: bool = False) -> np.ndarray:
+                            collar: float | None = None, near: bool = False) -> np.ndarray:
     """Velocity gradient (entry [i, j] = d_j v_i) at off-interface points,
     shape (P, 2, 2); assembled from the derivative layer combinations and
     trace-free by construction."""
     G = forcing_G(f, params)
-    z = _forcing_sums(f, G, _GRADIENT_PAIRS, points, m_quad=m_quad, collar=collar, near=near)
+    z = _forcing_sums(f, G, _GRADIENT_PAIRS, points, collar=collar, near=near)
     mu4 = 4.0 * params.mu
     d1v1 = (z[(1, "g1")] - 2.0 * z[(4, "g1")] + z[(3, "g2")]) / mu4
     d2v1 = (2.0 * z[(2, "g1")] + z[(3, "g1")] - z[(1, "g2")] + 2.0 * z[(4, "g2")]) / mu4
@@ -522,8 +518,7 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
 # ---------------------------------------------------------------------------
 
 def far_field_residuals(f: InterfaceProfile, params: PhysParams, *,
-                        height: float = 20.0, n_probe: int = 8,
-                        m_quad: int | None = None) -> dict:
+                        height: float = 20.0, n_probe: int = 8) -> dict:
     """Residuals of the velocity and pressure limits at x2 = +/- height."""
     G = forcing_G(f, params)
     fg1 = float(np.mean(f.values * G.g1))
@@ -532,7 +527,7 @@ def far_field_residuals(f: InterfaceProfile, params: PhysParams, *,
     out = {}
     for sign, name in ((+1.0, "plus"), (-1.0, "minus")):
         pts = np.stack([x1, np.full(n_probe, sign * height)], axis=1)
-        v, q = _bulk_flow(f, G, params, pts, m_quad=m_quad, collar=None)
+        v, q = _bulk_flow(f, G, params, pts, collar=None)
         out[name] = {
             "v1_residual": float(np.max(np.abs(v[:, 0] + sign * fg1 / (2.0 * params.mu)))),
             "v2_residual": float(np.max(np.abs(v[:, 1]))),

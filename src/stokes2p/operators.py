@@ -54,7 +54,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
-from .core import InterfaceProfile, PeriodicGrid, TWO_PI
+from .core import InterfaceProfile, PeriodicGrid, TWO_PI, _half_grid, _half_shift
 
 __all__ = [
     "OperatorSpec",
@@ -97,19 +97,6 @@ def _gauss_rule(m_half: int):
     s.flags.writeable = False
     w.flags.writeable = False
     return s, w
-
-
-@lru_cache(maxsize=32)
-def _half_shift(n: int) -> np.ndarray:
-    grid = PeriodicGrid(n)
-    shift = np.exp(1j * grid.wavenumbers * (grid.spacing / 2))
-    shift.flags.writeable = False
-    return shift
-
-
-def _half_grid(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """Samples of the interpolant at the half grid (m + 1/2) h."""
-    return np.fft.ifft(np.fft.fft(values) * _half_shift(grid.n_points)).real
 
 
 def _circulant(vec: np.ndarray) -> np.ndarray:
@@ -285,48 +272,43 @@ def _regularized_kernel(ws, deltas_a, deltas_b, deltas_c, ell):
     return np.broadcast_to(bracket, shape) / (2.0 * np.pi)
 
 
-def eval_B(spec: OperatorSpec, density, *, m_quad: int | None = None,
-           workspace: KernelWorkspace | None = None) -> np.ndarray:
-    """Nodal values of the tangent-family operator applied to the density."""
+def _apply(spec: OperatorSpec, density, rule, m_quad, build) -> np.ndarray:
+    """Contract the kernel build(ws, deltas_a, deltas_b, deltas_c) with the
+    density.  Each distinct argument profile gets one difference table,
+    shared by every slot it fills."""
     grid = _resolve_grid(spec, density)
-    ws = workspace or KernelWorkspace(grid, "midpoint", m_quad)
-    da = [ws.delta(a.values) for a in spec.args_a]
-    db = [ws.delta(b.values) for b in spec.args_b]
-    dc = [ws.delta(c.values) for c in spec.args_c]
-    K = _tangent_kernel(ws, da, db, dc, spec.p)
-    return ws.contract(K, _density_values(density, grid))
+    ws = KernelWorkspace(grid, rule, m_quad)
+    profiles = dict.fromkeys(spec.args_a + spec.args_b + spec.args_c)
+    tables = {pr: ws.delta(pr.values) for pr in profiles}
+    da, db, dc = ([tables[pr] for pr in args] for args in (spec.args_a, spec.args_b, spec.args_c))
+    return ws.contract(build(ws, da, db, dc), _density_values(density, grid))
+
+
+def eval_B(spec: OperatorSpec, density, *, m_quad: int | None = None) -> np.ndarray:
+    """Nodal values of the tangent-family operator applied to the density."""
+    return _apply(spec, density, "midpoint", m_quad,
+                  lambda ws, da, db, dc: _tangent_kernel(ws, da, db, dc, spec.p))
 
 
 def eval_C(spec: OperatorSpec, density, *, rule: str = "midpoint",
-           m_quad: int | None = None,
-           workspace: KernelWorkspace | None = None) -> np.ndarray:
+           m_quad: int | None = None) -> np.ndarray:
     """Nodal values of the difference-family (1/s kernel) principal value.
 
     The default midpoint rule shares nodes with :func:`eval_B`, making the
     algebraic identities between the families exact at the discrete level;
     ``rule="gauss"`` gives converged continuum values instead.
     """
-    grid = _resolve_grid(spec, density)
-    ws = workspace or KernelWorkspace(grid, rule, m_quad)
-    da = [ws.delta(a.values) for a in spec.args_a]
-    db = [ws.delta(b.values) for b in spec.args_b]
-    K = _difference_kernel(ws, da, db)
-    return ws.contract(K, _density_values(density, grid))
+    return _apply(spec, density, rule, m_quad,
+                  lambda ws, da, db, dc: _difference_kernel(ws, da, db))
 
 
 def eval_A(spec: OperatorSpec, ell: int, density, *, rule: str = "midpoint",
-           m_quad: int | None = None,
-           workspace: KernelWorkspace | None = None) -> np.ndarray:
+           m_quad: int | None = None) -> np.ndarray:
     """Nodal values of the regularized-difference operator (bounded kernel)."""
     if ell not in (1, 2):
         raise ValueError("ell must be 1 or 2")
-    grid = _resolve_grid(spec, density)
-    ws = workspace or KernelWorkspace(grid, rule, m_quad)
-    da = [ws.delta(a.values) for a in spec.args_a]
-    db = [ws.delta(b.values) for b in spec.args_b]
-    dc = [ws.delta(c.values) for c in spec.args_c]
-    K = _regularized_kernel(ws, da, db, dc, ell)
-    return ws.contract(K, _density_values(density, grid))
+    return _apply(spec, density, rule, m_quad,
+                  lambda ws, da, db, dc: _regularized_kernel(ws, da, db, dc, ell))
 
 
 # ---------------------------------------------------------------------------
@@ -365,28 +347,14 @@ def _log_sin_multiplier(n: int) -> np.ndarray:
     return mult
 
 
-def _log_sin_part(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """Convolution with ln(sin^2(s/2))/(2*pi), applied spectrally."""
-    return np.fft.ifft(_log_sin_multiplier(grid.n_points) * np.fft.fft(values)).real
-
-
-def eval_B0(f: InterfaceProfile, density, *, m_quad: int | None = None,
-            workspace: KernelWorkspace | None = None) -> np.ndarray:
-    """Logarithmic-kernel operator, split into an exact multiplier plus a
-    smooth periodic remainder.
+def eval_B0(f: InterfaceProfile, density) -> np.ndarray:
+    """Logarithmic-kernel operator: composite 0 of :class:`DiagonalOps`.
 
     The log kernel ln(sin^2(s/2) + sinh^2(delta f/2)) is written as
     ln(sin^2(s/2)) (applied spectrally) plus ln(1 + sinh^2(delta f/2)/sin^2(s/2)),
     which is bounded and handled by the half-grid midpoint rule.
     """
-    grid = f.grid
-    values = _density_values(density, grid)
-    ws = workspace or KernelWorkspace(grid, "midpoint", m_quad)
-    half_nodes = ws.nodes / 2.0
-    # the tables go as soon as K is built, before the contraction's tables
-    K = _LayerTables(np.sin(half_nodes), np.cos(half_nodes), ws.delta(f.values),
-                     {}).log_remainder() / (2.0 * np.pi)
-    return _log_sin_part(grid, values) + ws.contract(K, values)
+    return DiagonalOps(f).composite(0, density)
 
 
 # ---------------------------------------------------------------------------
@@ -571,67 +539,28 @@ class DiagonalOps:
     """Evaluator for operators whose arguments all equal one profile f.
 
     ``composite`` applies the named composites 0..6 from one set of layer
-    tables at r = (s, delta f).  The single members of the tangent family
-    (used by the derivatives) come from powers of the difference table in
-    node coordinates.  Both sets of tables are built on first use.  The
-    layer tables go into a working set leased from ``_TABLE_POOL`` on first
-    use and returned when this object is freed, so a new instance at the
-    same N reuses the memory of the last one.
+    tables at r = (s, delta f); composite 0 is the logarithmic operator
+    ``eval_B0``.  ``kernel`` gives a single member of the tangent family (used
+    by the derivatives): the ``eval_B`` kernel with the one difference table
+    ``df`` in every slot.  The layer tables go into a working set leased from
+    ``_TABLE_POOL`` on first use and returned when this object is freed, so a
+    new instance at the same N reuses the memory of the last one.
     """
 
     def __init__(self, f: InterfaceProfile):
         self.f = f
         self.ws = KernelWorkspace(f.grid)
-        self._u_pow = {0: 1.0}
-        self._den_pow = {0: 1.0}
-        self._t_pow = {}
-        self._kernels: dict[tuple, np.ndarray] = {}
         self._composite_index, self._composite_kernel = None, None
 
     @cached_property
     def df(self):
         return self.ws.delta(self.f.values)                  # node coordinates
 
-    @cached_property
-    def _u(self):
-        return np.tanh(self.df / 2.0) / self.ws.tan_half     # tangent quotient
-
-    @cached_property
-    def _v(self):
-        return (self.df / 2.0) / self.ws.tan_half            # difference slot
-
-    @cached_property
-    def _den(self):
-        return 1.0 + self._u**2
-
-    def _upow(self, n):
-        if n not in self._u_pow:
-            self._u_pow[n] = self._upow(n - 1) * self._u
-        return self._u_pow[n]
-
-    def _denpow(self, m):
-        if m not in self._den_pow:
-            self._den_pow[m] = self._denpow(m - 1) * self._den
-        return self._den_pow[m]
-
-    def _tpow(self, p):
-        if p not in self._t_pow:
-            self._t_pow[p] = self.ws.tan_half ** p
-        return self._t_pow[p]
-
     def kernel(self, n: int, m: int, p: int, q: int) -> np.ndarray:
         # boundedness at |s| = pi (p <= n + q + #extras + 1) is the caller's
         # contract; the bare table is finite at the quadrature nodes regardless
-        key = (n, m, p, q)
-        K = self._kernels.get(key)
-        if K is None:
-            K = self._upow(n) * self._tpow(p - 1) / (2.0 * np.pi)
-            if q:
-                K = K * (self._v if q == 1 else self._v**q)
-            if m:
-                K = K / self._denpow(m)
-            self._kernels[key] = K
-        return K
+        df = self.df
+        return _tangent_kernel(self.ws, [df] * m, [df] * n, [df] * q, p)
 
     def apply_member(self, n, m, p, q, density_values, extra_diffs=()) -> np.ndarray:
         """One member applied to a density; extra_diffs appends difference

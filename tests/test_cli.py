@@ -54,6 +54,12 @@ class TestSimulate:
         assert run_cli("simulate", "--init", "bogus:1:2", "--out-dir", str(tmp_path)) == 1
         assert run_cli("bogus-subcommand") == 1
 
+    def test_zero_snapshot_stride_exit_one(self, tmp_path, capsys):
+        code = run_cli("simulate", "--n", "16", "--t-end", "0.1", "--snapshot-stride", "0",
+                       "--out-dir", str(tmp_path / "run"))
+        assert code == 1
+        assert "snapshot_stride" in capsys.readouterr().err
+
     def test_blow_up_exit_two(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = run_cli("simulate", "--n", "32", "--sigma", "1", "--g", "1",
@@ -142,6 +148,15 @@ class TestField:
         sidecar = json.loads((tmp_path / "field.sidecar.json").read_text())
         assert sidecar["skipped_points"] > 0         # the x2 = 0 band is collar
         assert abs(sidecar["c1"] - sidecar["c1_alt"]) < 1e-10
+
+    @pytest.mark.parametrize("flag,count", [("--nx1", "-1"), ("--nx1", "0"), ("--nx2", "-1")])
+    def test_bad_point_count_exit_one(self, tmp_path, capsys, flag, count):
+        run_dir = tmp_path / "run"
+        assert run_cli("simulate", "--n", "16", "--t-end", "0.02", "--out-dir", str(run_dir)) == 0
+        code = run_cli("field", "--snapshot", str(run_dir / "snapshots.jsonl"),
+                       flag, count, "--out", str(tmp_path / "f.csv"))
+        assert code == 1
+        assert "nx1 and nx2 must be >= 1" in capsys.readouterr().err
 
     def test_missing_snapshot(self, tmp_path):
         assert run_cli("field", "--snapshot", str(tmp_path / "nope.jsonl"),

@@ -432,6 +432,8 @@ class TestStepping:
             StepperConfig(scheme="leapfrog")
         with pytest.raises(ValueError):
             StepperConfig(tol=0.0)
+        with pytest.raises(ValueError, match="snapshot_stride"):
+            StepperConfig(snapshot_stride=0)
 
 
 def test_snapshot_record_roundtrip():

@@ -211,6 +211,17 @@ class TestFamilyIdentities:
                 worst = max(worst, np.max(np.abs(lhs - rhs)))
         assert worst < 1e-10
 
+    @pytest.mark.parametrize("op", [eval_B, lambda spec, d: eval_A(spec, 1, d), eval_C],
+                             ids=["B", "A", "C"])
+    def test_one_difference_table_per_profile(self, f_profile, density, op, monkeypatch):
+        # the eight slots of a diagonal spec share the table of their one profile
+        calls = []
+        delta = KernelWorkspace.delta
+        monkeypatch.setattr(KernelWorkspace, "delta",
+                            lambda self, v: calls.append(1) or delta(self, v))
+        op(OperatorSpec.diagonal(4, 3, 0, 1, f_profile), density)
+        assert len(calls) == 1
+
 
 class TestFamilyC:
     @pytest.mark.parametrize("k", [1, 3])
@@ -279,6 +290,9 @@ class TestLogOperator:
 
     def test_zero_density(self, grid, f_profile):
         assert np.max(np.abs(eval_B0(f_profile, np.zeros(grid.n_points)))) < 1e-14
+
+    def test_is_composite_zero(self, f_profile, density):
+        assert np.array_equal(eval_B0(f_profile, density), composite_B(0, f_profile, density))
 
     def test_flat_factorization(self, grid):
         # on mean-free densities the flat log operator is the Hilbert
