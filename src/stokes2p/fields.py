@@ -16,7 +16,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .core import InterfaceProfile, PhysParams, geometry_quantities, spectral_derivative
 from .evolution import LN4, forcing_G, phi_of
-from .operators import DiagonalOps, _LayerTables, _z_kernel, composite_B
+from .operators import DiagonalOps, _LayerTables, composite_B
 
 SIDE_PLUS = "plus"
 SIDE_MINUS = "minus"
@@ -34,20 +34,18 @@ class ProximityError(ValueError):
 def stokeslet_eval(x1, x2):
     """Periodic Stokeslet (U, P): U symmetric 2x2, P the pressure vector.
 
-    Assembled from the layer kernels, U = [[Z0 + Z6, -Z5], [-Z5, Z0 - Z6]]/(8 pi)
-    and P = -(Z1, Z2)/(4 pi); in their sin/sinh form every point off the
-    source lattice (2*pi*Z, 0) is admissible, x1 = pi included.
+    Assembled from the layer kernels of one table, U = [[Z0 + Z6, -Z5],
+    [-Z5, Z0 - Z6]]/(8 pi) and P = -(Z1, Z2)/(4 pi).  Read from cot(w/2),
+    w = x1 + i|x2|, they admit every point off the source lattice
+    (2*pi*Z, 0), x1 = pi and any height included.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    with np.errstate(divide="ignore"):
-        z0 = _z_kernel(0, x1, x2)
-    if np.any(np.isneginf(z0)):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tables = _LayerTables.at(x1, x2)
+    if not np.all(np.isfinite(tables.cot)):
         raise ValueError("Stokeslet evaluated at a source point")
-    z5, z6 = _z_kernel(5, x1, x2), _z_kernel(6, x1, x2)
-    U = np.array([[z0 + z6, -z5], [-z5, z0 - z6]]) / (8.0 * np.pi)
-    P = -np.array([_z_kernel(1, x1, x2), _z_kernel(2, x1, x2)]) / (4.0 * np.pi)
-    return U, P
+    z = {i: tables.kernel(i).copy() for i in (0, 1, 2, 5, 6)}
+    U = np.array([[z[0] + z[6], -z[5]], [-z[5], z[0] - z[6]]]) / (8.0 * np.pi)
+    return U, -np.array([z[1], z[2]]) / (4.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -106,15 +104,13 @@ def _kernel_sums(tables, samples, pairs, contract):
 
 
 def _trapezoid_sums(f, densities, pairs, pts):
-    # f and every density sampled once; the kernels share one set of
-    # half-angle tables
+    # f and every density sampled once; the kernels share one cot table
     m = max(f.grid.n_points, 256)
     s = 2.0 * np.pi * np.arange(m) / m
-    r1 = pts[:, 0:1] - s[None, :]
-    r2 = pts[:, 1:2] - f.eval_at(s)[None, :]
+    # r1 is only needed to build the table, so it is not kept
+    tables = _LayerTables.at(pts[:, 0:1] - s[None, :], pts[:, 1:2] - f.eval_at(s)[None, :])
     samples = {key: densities[key].eval_at(s) for key in dict.fromkeys(k for _, k in pairs)}
-    return _kernel_sums(_LayerTables.at(r1, r2), samples, pairs,
-                        lambda K, v: K @ v / m)
+    return _kernel_sums(tables, samples, pairs, lambda K, v: K @ v / m)
 
 
 # near rule: a fixed Gauss-Legendre panel on each interval between the
@@ -177,8 +173,8 @@ def _near_sums(f, densities, pairs, pts):
     (index, key) pair, by the graded Gauss-Legendre panel rule.
 
     One search finds the feet of all points.  Per point, one node set, one
-    sampling of f and of each density and one set of half-angle tables
-    serve every pair."""
+    sampling of f and of each density and one cot table serve every
+    pair."""
     feet, dist = _interface_feet(f, pts)
     keys = dict.fromkeys(k for _, k in pairs)
     out = {pair: np.empty(len(pts)) for pair in pairs}

@@ -22,13 +22,13 @@ and the difference family obeys C[n,m] + C[n+2,m] = C[n,m-1] for m >= 1.
 
 The six named composites 1..6 that enter the interface velocity are the
 on-interface traces of the layer integrals Z_1..Z_6: each is one contraction
-against the closed-form layer kernel at r = (s, delta f), built from the
-same half-angle tables (``_LayerTables``) the bulk fields use off the
-interface.  Their expansions as signed sums of tangent-family members are
-kept only as a test oracle.  Composite 0 is the logarithmic operator
-``eval_B0``.  ``DiagonalOps`` builds the layer tables at r = (s, delta f)
-once per profile and applies each composite as one product against the
-half-grid samples of a density.
+against the closed-form layer kernel at r = (s, delta f).  Every kernel is
+read from one complex table, cot(w/2) at w = r1 + i|r2| (``_LayerTables``),
+the same coding the bulk fields use off the interface.  Their expansions as
+signed sums of tangent-family members are kept only as a test oracle.
+Composite 0 is the logarithmic operator ``eval_B0``.  ``DiagonalOps``
+builds the table at r = (s, delta f) once per profile and applies each
+composite as one product against the half-grid samples of a density.
 
 Quadrature.  Principal values use a midpoint rule with nodes straddling
 s = 0 symmetrically (half a spacing off the collocation grid), so the
@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
 from .core import InterfaceProfile, PeriodicGrid, TWO_PI, _half_grid, _half_shift
@@ -99,17 +98,28 @@ def _gauss_rule(m_half: int):
     return s, w
 
 
+@lru_cache(maxsize=32)
+def _wrap_index(n: int) -> np.ndarray:
+    index = (3 * n // 2 - 2 - np.arange(2 * n - 1)) % n
+    index.flags.writeable = False
+    return index
+
+
 def _circulant(vec: np.ndarray) -> np.ndarray:
     """Read-only (n, n) view T[i, j] = vec[(i - j - 1 + n/2) mod n], no copy.
 
     For half-grid samples, T[i, j] is the sample at xi_i - s_j on the
     midpoint nodes s_j.  The index map is its own inverse, so for a vector
     over the nodes, T[i, m] is the node that row i pairs with half-grid
-    sample m.
+    sample m.  Row i is the window wrapped[n-1-i : 2n-1-i] of one wrapped
+    copy of vec.
     """
     n = len(vec)
-    wrapped = vec[(3 * n // 2 - 2 - np.arange(2 * n - 1)) % n]
-    return sliding_window_view(wrapped, n)[::-1]
+    wrapped = vec[_wrap_index(n)]
+    step = wrapped.strides[0]
+    view = np.ndarray((n, n), wrapped.dtype, wrapped, (n - 1) * step, (-step, step))
+    view.flags.writeable = False
+    return view
 
 
 class KernelWorkspace:
@@ -350,9 +360,10 @@ def _log_sin_multiplier(n: int) -> np.ndarray:
 def eval_B0(f: InterfaceProfile, density) -> np.ndarray:
     """Logarithmic-kernel operator: composite 0 of :class:`DiagonalOps`.
 
-    The log kernel ln(sin^2(s/2) + sinh^2(delta f/2)) is written as
-    ln(sin^2(s/2)) (applied spectrally) plus ln(1 + sinh^2(delta f/2)/sin^2(s/2)),
-    which is bounded and handled by the half-grid midpoint rule.
+    The log kernel Z0 = ln(sin^2(s/2) + sinh^2(delta f/2)) is written as
+    ln(sin^2(s/2)) (applied spectrally) plus the remainder Z0 - ln(sin^2(s/2)),
+    which is bounded and handled by the half-grid midpoint rule; Z0 is read
+    from the cot table of the other composites.
     """
     return DiagonalOps(f).composite(0, density)
 
@@ -365,15 +376,16 @@ def _table(tables: dict, name: str, shape) -> np.ndarray:
     """The working-set table ``name``; a fresh set allocates it on first use."""
     t = tables.get(name)
     if t is None:
-        t = tables[name] = np.empty(shape)
+        t = tables[name] = np.empty(shape, _SET_NAMES[name])
     return t
 
 
-_SET_NAMES = ("r2", "s2", "c2", "inv_d", "kernel", "temp")
+# the tables of a working set and their dtypes
+_SET_NAMES = {"r2": np.float64, "t": np.float64, "kernel": np.float64, "cot": np.complex128}
 
 
-def _mapped_table(n: int) -> np.ndarray:
-    """An (n, n) float64 table in its own private anonymous memory map.
+def _mapped_table(n: int, dtype) -> np.ndarray:
+    """An (n, n) table in its own private anonymous memory map.
 
     A pooled table outlives the call that filled it.  Kept outside the
     malloc heap, it leaves the heap to grow and shrink around other code's
@@ -381,19 +393,19 @@ def _mapped_table(n: int) -> np.ndarray:
     raised the page faults of the generic ``eval_A``/``eval_B``/``eval_C``
     path by about a quarter.  Pages are mapped when first written.
     """
-    return np.frombuffer(mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE),
-                         dtype=np.float64).reshape(n, n)
+    return np.frombuffer(mmap.mmap(-1, np.dtype(dtype).itemsize * n * n, flags=mmap.MAP_PRIVATE),
+                         dtype=dtype).reshape(n, n)
 
 
 class _TablePool:
     """Working sets of (N, N) layer tables, leased to ``DiagonalOps``.
 
-    A set is a dict of the six named tables of ``_SET_NAMES``, overwritten
-    in place by each ``_LayerTables`` built on it.  A lease takes the idle
-    set if it was made for the same N and maps a new one otherwise; a
-    released set becomes the idle one.  So at most one idle set is kept, for
-    the most recent N, and a set is never held by two live leases: a second
-    concurrent lease maps its own.
+    A set is a dict of the tables of ``_SET_NAMES``, five float64 tables'
+    worth, overwritten in place by each ``_LayerTables`` built on it.  A lease
+    takes the idle set if it was made for the same N and maps a new one
+    otherwise; a released set becomes the idle one.  So at most one idle set
+    is kept, for the most recent N, and a set is never held by two live
+    leases: a second concurrent lease maps its own.
     """
 
     def __init__(self):
@@ -405,7 +417,7 @@ class _TablePool:
             tables = self._idle if self._idle_n == n else None
             self._idle_n, self._idle = None, None
         if tables is None:
-            tables = {name: _mapped_table(n) for name in _SET_NAMES}
+            tables = {name: _mapped_table(n, dtype) for name, dtype in _SET_NAMES.items()}
         return tables
 
     def release(self, n: int, tables: dict) -> None:
@@ -417,118 +429,106 @@ _TABLE_POOL = _TablePool()
 
 
 class _LayerTables:
-    """Half-angle tables at r = (r1, r2), shared by the layer kernels Z_0..Z_6.
+    """The complex table C = cot(w/2), w = r1 + i|r2|, and the layer kernels
+    Z_0..Z_6 read from it.
 
-    With s1, c1 = sin(r1/2), cos(r1/2), s2, c2 = sinh(r2/2), cosh(r2/2) and
-    D = s1^2 + s2^2 the kernels are
+    With Z1 = Re C and Z2 = -sign(r2) Im C (Z2 is odd in r2) the kernels are
 
-        Z0 = ln D               Z3 = (r2/2)(s1^2 c2^2 - s2^2 c1^2)/D^2
-        Z1 = s1 c1/D            Z5 = r2 Z1
-        Z2 = s2 c2/D            Z6 = r2 Z2          Z4 = Z5 Z2/2,
+        Z0 = |r2| - ln(Z1^2 + (1 + |Z2|)^2)     Z3 = (r2/2)(1 + Z1^2 - Z2^2)
+        Z5 = r2 Z1          Z6 = r2 Z2          Z4 = Z5 Z2/2,
 
-    finite wherever r is off the lattice (2*pi*Z, 0).  They equal the
-    half-angle expressions
-        Z1: t(1-T^2)/E          Z2: T(1+t^2)/E
-        Z3: (r2/2)(1+t^2)(1-T^2)(t^2-T^2)/E^2
-        Z4: (r2/2) tT(1+t^2)(1-T^2)/E^2
-    with t = tan(r1/2), T = tanh(r2/2), E = t^2 + T^2.  Off the interface
-    they are the layer integrands of the bulk fields; at r = (s, delta f)
-    they are, over 2*pi, the kernels of the trace composites 1..6.  s1 and
-    c1 depend on r1 alone and are passed in, so that ``DiagonalOps`` can take
-    them as circulant views of their values at the quadrature nodes.
+    finite wherever r is off the lattice (2*pi*Z, 0).  In real variables
+    s1, c1 = sin(r1/2), cos(r1/2), s2, c2 = sinh(r2/2), cosh(r2/2) and
+    D = s1^2 + s2^2 they are the periodic vortex-sheet kernels Z0 = ln D,
+    Z1 = s1 c1/D, Z2 = s2 c2/D.  Off the interface they are the layer
+    integrands of the bulk fields; at r = (s, delta f) they are, over 2*pi,
+    the kernels of the trace composites 1..6.
+
+    C = i + 2i/Q with Q = e^{iw} - 1 = u (u t + 2i s1), u = e^{i r1/2} and
+    t = expm1(-|r2|), so the inner factor is c1 t + i s1 (t + 2).  Each
+    factor keeps its relative digits as w -> 0, and e^{-|r2|} <= 1 never
+    overflows, so the kernels are finite however far r is from the
+    interface.  ``at_r1(g)`` gives g(u) for an elementwise function g, in
+    the shape of r2, which is the tables' shape; ``DiagonalOps`` makes it a
+    circulant view of g(u) at the quadrature nodes, so that r1 is exactly
+    the node.
 
     Every table is written in place into the working set ``tables`` (see
-    ``_table``): s2, c2 and 1/D once, each kernel into the one ``kernel``
-    table, which the next kernel overwrites.  Z3, Z4 and the log remainder
-    also need the ``temp`` table.  ``DiagonalOps`` passes a set leased from
-    ``_TABLE_POOL``; ``at`` passes an empty dict, filled on first use.
+    ``_table``): t and C once, each kernel into the one ``kernel`` table,
+    which the next kernel overwrites; once C is built, t is scratch.
+    ``DiagonalOps`` passes a set leased from ``_TABLE_POOL``; ``at`` passes
+    an empty dict, filled on first use.
     """
 
-    def __init__(self, s1, c1, r2, tables: dict):
-        self.s1, self.c1, self.r2 = s1, c1, r2
+    def __init__(self, at_r1, r2, tables: dict):
+        self.at_r1, self.r2 = at_r1, r2
         self._tables = tables
-        self._shape = np.broadcast_shapes(np.shape(s1), np.shape(c1), np.shape(r2))
-        s2 = np.divide(r2, 2.0, out=self._t("s2"))
-        self.s2 = np.sinh(s2, out=s2)
-        self._c2 = self._inv_d = None
+        self._shape = np.shape(r2)
+        t = np.abs(r2, out=self._t("t"))
+        np.negative(t, out=t)
+        np.expm1(t, out=t)
+        c = self.cot = self._t("cot")
+        np.multiply(at_r1(np.real), t, out=c.real)
+        t += 2.0
+        np.multiply(at_r1(np.imag), t, out=c.imag)
+        c *= at_r1(np.asarray)                          # Q
+        np.divide(2j, c, out=c)
+        c += 1j
 
     @classmethod
     def at(cls, r1, r2):
-        r1, r2 = np.broadcast_arrays(r1, r2)
-        half = r1 / 2.0
-        return cls(np.sin(half), np.cos(half), r2, {})
+        r1, r2 = np.broadcast_arrays(np.asarray(r1, dtype=float), np.asarray(r2, dtype=float))
+        u = np.multiply(r1, 0.5j, out=np.empty(r1.shape, complex))
+        np.exp(u, out=u)
+        return cls(lambda g: g(u), r2, {})
 
     def _t(self, name: str) -> np.ndarray:
         return _table(self._tables, name, self._shape)
 
-    # c2 and 1/D are built on first use and then shared by every kernel
-
-    def c2(self):
-        if self._c2 is None:
-            c2 = np.divide(self.r2, 2.0, out=self._t("c2"))
-            self._c2 = np.cosh(c2, out=c2)
-        return self._c2
-
-    def inv_d(self):
-        # built by the first kernel that needs it, before that kernel is
-        # written, so the kernel table is free to hold s2^2
-        if self._inv_d is None:
-            d = np.multiply(self.s1, self.s1, out=self._t("inv_d"))
-            d += np.multiply(self.s2, self.s2, out=self._t("kernel"))
-            self._inv_d = np.divide(1.0, d, out=d)
-        return self._inv_d
+    def _log_kernel(self) -> np.ndarray:
+        c = self.cot
+        z = np.subtract(1.0, c.imag, out=self._t("kernel"))     # 1 + |Z2|
+        np.square(z, out=z)
+        z += np.square(c.real, out=self._t("t"))
+        np.log(z, out=z)
+        return np.subtract(np.abs(self.r2, out=self._t("t")), z, out=z)
 
     def log_remainder(self) -> np.ndarray:
-        """ln(1 + s2^2/s1^2): Z0 less the ln(s1^2) that the trace applies
-        spectrally; bounded where s1 != 0.  Written into the kernel table."""
-        t = np.multiply(self.s2, self.s2, out=self._t("kernel"))
-        t /= np.multiply(self.s1, self.s1, out=self._t("temp"))
-        return np.log1p(t, out=t)
+        """Z0 - ln(sin^2(r1/2)): Z0 less the part that the trace applies
+        spectrally; bounded where sin(r1/2) != 0.  Written into the kernel
+        table."""
+        z = self._log_kernel()
+        z -= self.at_r1(lambda u: np.log(u.imag ** 2))
+        return z
 
     def kernel(self, index: int) -> np.ndarray:
         """Z_index, written into the kernel table."""
         if index not in range(7):
             raise ValueError(f"Z index must be 0..6, got {index}")
-        s1, c1, s2, r2 = self.s1, self.c1, self.s2, self.r2
+        if index == 0:
+            return self._log_kernel()
+        c, r2 = self.cot, self.r2
         z = self._t("kernel")
-        if index == 0:                      # off the Psi path: s2^2 is transient
-            np.multiply(s1, s1, out=z)
-            z += s2 * s2
-            return np.log(z, out=z)
-        inv_d = self.inv_d()
         if index == 3:
-            np.multiply(s1, self.c2(), out=z)
-            z *= z
-            t = np.multiply(s2, c1, out=self._t("temp"))
-            t *= t
-            z -= t
+            np.square(c.real, out=z)
+            z -= np.square(c.imag, out=self._t("t"))
+            z += 1.0
             z *= r2
             z *= 0.5
-            z *= inv_d
-            z *= inv_d
             return z
         if index in (2, 6):
-            np.multiply(s2, self.c2(), out=z)
-            z *= inv_d
+            np.copysign(c.imag, r2, out=z)
             if index == 6:
                 z *= r2
             return z
-        np.multiply(s1, c1, out=z)          # Z1
-        z *= inv_d
         if index == 1:
+            np.copyto(z, c.real)
             return z
-        z *= r2                             # Z5
+        np.multiply(c.real, r2, out=z)          # Z5
         if index == 4:
-            t = np.multiply(s2, self.c2(), out=self._t("temp"))   # Z2
-            t *= inv_d
-            z *= t
+            z *= np.copysign(c.imag, r2, out=self._t("t"))
             z *= 0.5
         return z
-
-
-def _z_kernel(index, r1, r2):
-    """Layer kernel Z_index at r = (r1, r2); see ``_LayerTables``."""
-    return _LayerTables.at(r1, r2).kernel(index)
 
 
 # ---------------------------------------------------------------------------
@@ -577,16 +577,16 @@ class DiagonalOps:
         # circulant coordinates: column m holds the half-grid sample m, which
         # row i pairs with the quadrature node s_j, j = (i - m - 1 + N/2) mod N;
         # the difference table is the outer difference f(xi_i) - f_half[m]
-        # and the sin/cos tables are strided views of N-vectors.  The tables
-        # are written into a working set leased for the life of this object.
+        # and each function of u = e^{i s_j/2} is a strided view of an
+        # N-vector.  The tables are written into a working set leased for
+        # the life of this object.
         n = self.f.grid.n_points
         tables = _TABLE_POOL.lease(n)
         weakref.finalize(self, _TABLE_POOL.release, n, tables)
-        half_nodes = self.ws.nodes / 2.0
         r2 = np.subtract.outer(self.f.values, _half_grid(self.f.grid, self.f.values),
                                out=tables["r2"])
-        return _LayerTables(_circulant(np.sin(half_nodes)), _circulant(np.cos(half_nodes)),
-                            r2, tables)
+        u = np.exp(0.5j * self.ws.nodes)
+        return _LayerTables(lambda g: _circulant(g(u)), r2, tables)
 
     def composite(self, index: int, density) -> np.ndarray:
         """Composite ``index`` applied to a density: one product of its layer

@@ -134,6 +134,15 @@ class TestStokeslet:
         with pytest.raises(ValueError):
             stokeslet_eval(0.0, 0.0)
 
+    @pytest.mark.parametrize("x2", [800.0, -800.0, 1e4, -1e4])
+    def test_finite_far_from_interface(self, x2):
+        # sinh(x2/2)^2 overflows beyond |x2| of about 710; the kernels must
+        # not, and the pressure tends to -sign(x2)/(4 pi) e_2
+        U, P = stokeslet_eval(0.3, x2)
+        assert np.isfinite(U).all() and np.isfinite(P).all()
+        assert abs(P[0]) < 1e-15
+        assert abs(P[1] + np.sign(x2) / (4.0 * np.pi)) < 1e-15
+
     def test_satisfies_stokes_system(self):
         # mu Delta U^k - grad P^k = 0 and div U^k = 0 off the lattice,
         # via fourth-order finite differences
@@ -499,6 +508,12 @@ class TestBulkFields:
             assert side["v1_residual"] < 1e-6
             assert side["v2_residual"] < 1e-6
             assert side["q_residual"] < 1e-6
+
+    def test_far_field_limits_beyond_sinh_overflow(self, setup):
+        grid, f, params = setup
+        res = far_field_residuals(f, params, height=800.0)
+        for side in res.values():
+            assert max(side.values()) <= 1e-12
 
     def test_moment_layer_far_limits(self, setup):
         # the far-field behavior of the individual layers

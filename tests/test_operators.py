@@ -20,7 +20,7 @@ from stokes2p import (
 )
 from stokes2p.fields import antiderivative
 
-from oracles import COMPOSITE_MEMBERS, band_limited
+from oracles import COMPOSITE_MEMBERS, band_limited, layer_kernels_real
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +387,7 @@ class TestComposites:
                 composite_B(idx, f, np.sin(grid.nodes))
         pool = operators._TABLE_POOL
         assert pool._idle_n == 64
-        assert sorted(pool._idle) == ["c2", "inv_d", "kernel", "r2", "s2", "temp"]
+        assert sorted(pool._idle) == sorted(operators._SET_NAMES)
         assert all(t.shape == (64, 64) for t in pool._idle.values())
         # a lease takes the idle set; a second concurrent lease maps its own
         idle = pool._idle
@@ -459,6 +459,41 @@ class TestComposites:
         f = InterfaceProfile(grid, fn(grid.nodes))
         got = composite_B(idx, f, phi(grid.nodes))[::16]
         assert np.max(np.abs(got - want)) < 1e-8
+
+
+def _kernel_points(kind, count=4000):
+    rng = np.random.default_rng({"random": 1, "near_lattice": 2, "tall": 3}[kind])
+    if kind == "random":
+        return rng.uniform(-7.0, 7.0, count), rng.uniform(-5.0, 5.0, count)
+    if kind == "near_lattice":
+        # |w - 2 pi k| from 1e-8 to 1 around the lattice points k = -1, 0, 1
+        radius = 10.0 ** rng.uniform(-8.0, 0.0, count)
+        angle = rng.uniform(0.0, 2.0 * np.pi, count)
+        centre = 2.0 * np.pi * rng.integers(-1, 2, count)
+        return centre + radius * np.cos(angle), radius * np.sin(angle)
+    # |r2| up to 700, where the real coding is still finite
+    return rng.uniform(-7.0, 7.0, count), rng.uniform(-700.0, 700.0, count)
+
+
+class TestLayerKernels:
+    @pytest.mark.parametrize("kind", ["random", "near_lattice", "tall"])
+    def test_match_real_coding(self, kind):
+        from stokes2p.operators import _LayerTables
+
+        r1, r2 = _kernel_points(kind)
+        want = layer_kernels_real(r1, r2)
+        tables = _LayerTables.at(r1, r2)
+        got = [tables.kernel(i).copy() for i in range(7)] + [tables.log_remainder()]
+        for i, (g, w) in enumerate(zip(got, want)):
+            scale = np.maximum(1.0, np.abs(w))
+            if i == 3:
+                # Z3 = (r2/2)(1 + Z1^2 - Z2^2) is a difference of terms of
+                # this size.  Near a lattice point with |r1 - 2 pi k| ~ |r2|
+                # neither coding resolves it better (both are off a 50-digit
+                # value by up to 7e-12 there), and for |r2| >> 1 the complex
+                # form knows 1 - Z2^2 to an absolute epsilon only
+                scale = np.maximum(scale, np.abs(r2) * (1.0 + want[1] ** 2 + want[2] ** 2) / 2.0)
+            assert np.max(np.abs(g - w) / scale) <= 1e-13, i
 
 
 class TestWorkspace:
