@@ -60,10 +60,6 @@ class InterfaceProfile:
         self.values.flags.writeable = False
 
     @classmethod
-    def from_function(cls, grid: PeriodicGrid, fn) -> "InterfaceProfile":
-        return cls(grid, fn(grid.nodes))
-
-    @classmethod
     def zero(cls, grid: PeriodicGrid) -> "InterfaceProfile":
         return cls(grid, np.zeros(grid.n_points))
 
@@ -76,9 +72,6 @@ class InterfaceProfile:
     def deriv_values(self) -> np.ndarray:
         return spectral_derivative(self)
 
-    def coeff(self, k: int) -> complex:
-        return self.coeffs[k % self.grid.n_points]
-
     @property
     def mean(self) -> float:
         return float(np.mean(self.values))
@@ -88,7 +81,7 @@ class InterfaceProfile:
         s = np.asarray(s, dtype=float)
         k = self.grid.wavenumbers
         c = self.coeffs
-        # prune negligible modes; pays off massively inside adaptive quadrature
+        # prune negligible modes: the phase matrix spans only the active ones
         keep = np.abs(c) > 1e-15 * (np.max(np.abs(c)) + 1e-300)
         phase = np.exp(1j * np.outer(s.ravel(), k[keep]))
         out = (phase @ c[keep]).real

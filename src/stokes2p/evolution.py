@@ -2,9 +2,9 @@
 operator driving df/dt, and time integration.
 
 The interface graph x2 = f(x1) moves with the vertical velocity of the flow
-it induces.  That velocity is assembled from the diagonal singular-operator
-composites applied to densities built from f and the slope functions
-phi = (1/omega - 1, f'/omega).
+it induces.  Its layer velocity is coded once directly (``_direct_velocity``)
+and once by parts (``_parts_velocity``); ``eval_Psi``, the interface traces
+and the bulk flow of ``fields`` all read these two.
 """
 
 from __future__ import annotations
@@ -96,41 +96,43 @@ def far_field_constants(f: InterfaceProfile, params: PhysParams) -> FarFieldCons
 # the evolution operator
 # ---------------------------------------------------------------------------
 
+def _direct_velocity(B, g1, g2):
+    """4 mu times the layer velocity of the forcing (g1, g2): composites 0, 5
+    and 6.  ``B(index, *densities)`` is one composite (on the interface) or
+    layer integral (off it) per density; calls come grouped by index."""
+    b0_1, b0_2 = B(0, g1, g2)
+    b5_1, b5_2 = B(5, g1, g2)
+    b6_1, b6_2 = B(6, g1, g2)
+    return b0_1 + b6_1 - b5_2, b0_2 - b6_2 - b5_1
+
+
+def _parts_velocity(B, F1, F2, fp):
+    """4 mu times the interface velocity of the forcing (F1', F2'), with
+    (F1, F2) integrated by parts against composites 1..4; fp = f'."""
+    a, b = F1 - fp * F2, fp * F1
+    b1_a, b1_c = B(1, a, F2 - fp * F1)
+    (b2_b,) = B(2, b)
+    b3_b, b3_F2, b3_a = B(3, b, F2, a)
+    b4_a, b4_c = B(4, a, b + F2)
+    return (b1_a - 2.0 * b4_a + 2.0 * b2_b + b3_b + b3_F2,
+            b1_c + b3_a + 2.0 * b4_c)
+
+
 def eval_Psi(f: InterfaceProfile, params: PhysParams) -> np.ndarray:
-    """Nodal values of the interface velocity df/dt for the current profile.
+    """Nodal values of the interface velocity df/dt = -f' v1 + v2: surface
+    tension by parts (through phi), buoyancy directly.
 
     Constants are equilibria: the buoyancy mean term cancels the mean of the
     logarithmic operator exactly, and the result is mean-free.
     """
-    ops = DiagonalOps(f)
+    B = DiagonalOps(f).composites
     fv = f.values
     fp = f.deriv_values
-    phi1, phi2 = phi_of(f)
-    ffp = fv * fp
-
-    d_a = phi1 - fp * phi2
-    d_b = fp * phi1
-
-    def B(index, *densities):
-        return [ops.composite(index, d) for d in densities]
-
-    # the 14 composite terms, grouped by index so that each kernel is built once
-    b0_ffp, b0_f = B(0, ffp, fv)
-    b1_a, b1_p = B(1, d_a, phi2 - fp * phi1)
-    (b2_b,) = B(2, d_b)
-    b3_b, b3_p2, b3_a = B(3, d_b, phi2, d_a)
-    b4_a, b4_bp = B(4, d_a, d_b + phi2)
-    b5_f, b5_ffp = B(5, fv, ffp)
-    b6_ffp, b6_f = B(6, ffp, fv)
-
-    psi1 = b1_a - 2.0 * b4_a + 2.0 * b2_b + b3_b + b3_p2
-    psi2 = b1_p + b3_a + 2.0 * b4_bp
-    psi3 = b0_ffp + b6_ffp + b5_f
-    psi4 = b0_f - b6_f + b5_ffp
-
+    s1, s2 = _parts_velocity(B, *phi_of(f), fp)
+    t1, t2 = _direct_velocity(B, fv * fp, -fv)
     sigma, theta, mu = params.sigma, params.theta, params.mu
-    return (sigma / (4.0 * mu)) * (fp * psi1 - psi2) \
-        + (theta / (4.0 * mu)) * (fp * psi3 + psi4) \
+    return (sigma / (4.0 * mu)) * (fp * s1 - s2) \
+        + (theta / (4.0 * mu)) * (fp * t1 - t2) \
         + (theta * LN4 / (4.0 * mu)) * f.mean
 
 

@@ -4,7 +4,8 @@ The flow induced by the interface forcing is a single-layer potential
 against the horizontally periodic Stokeslet.  Everything reduces to seven
 scalar layer integrals Z_0 .. Z_6 with kernels smooth off the interface;
 their one-sided interface limits reproduce the singular trace composites
-plus explicit local jump terms.
+plus explicit local jump terms.  Bulk velocity and velocity traces read the
+two layer-velocity codings of ``evolution``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .core import InterfaceProfile, PhysParams, geometry_quantities, spectral_derivative
-from .evolution import LN4, forcing_G, phi_of
+from .evolution import (LN4, _direct_velocity, _parts_velocity, far_field_constants,
+                        forcing_G, phi_of)
 from .operators import DiagonalOps, _LayerTables, composite_B
 
 SIDE_PLUS = "plus"
@@ -37,8 +39,13 @@ def stokeslet_eval(x1, x2):
     Assembled from the layer kernels of one table, U = [[Z0 + Z6, -Z5],
     [-Z5, Z0 - Z6]]/(8 pi) and P = -(Z1, Z2)/(4 pi).  Read from cot(w/2),
     w = x1 + i|x2|, they admit every point off the source lattice
-    (2*pi*Z, 0), x1 = pi and any height included.
+    (2*pi*Z, 0), x1 = pi and any height included.  Points within a few ulps
+    of the lattice are source points (sin(pi k) rounds to 1e-16, not 0).
     """
+    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    offset = np.abs((x1 + np.pi) % (2.0 * np.pi) - np.pi)
+    if np.any((x2 == 0.0) & (offset <= 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(x1)))):
+        raise ValueError("Stokeslet evaluated at a source point")
     with np.errstate(divide="ignore", invalid="ignore"):
         tables = _LayerTables.at(x1, x2)
     if not np.all(np.isfinite(tables.cot)):
@@ -251,15 +258,6 @@ def side_of(f: InterfaceProfile, points) -> np.ndarray:
     return np.where(pts[:, 1] > f.eval_at(pts[:, 0]), SIDE_PLUS, SIDE_MINUS)
 
 
-def _single_layer_velocity(z, g1, g2, mu):
-    """Single-layer velocity of the forcing (g1, g2): z(index, density) is
-    either the bulk layer integral Z_index or its interface trace."""
-    mu4 = 4.0 * mu
-    v1 = (z(0, g1) + z(6, g1) - z(5, g2)) / mu4
-    v2 = (z(0, g2) - z(6, g2) - z(5, g1)) / mu4
-    return v1, v2
-
-
 _VELOCITY_PAIRS = ((0, "g1"), (6, "g1"), (5, "g2"), (0, "g2"), (6, "g2"), (5, "g1"))
 _PRESSURE_PAIRS = ((1, "g1"), (2, "g2"))
 _GRADIENT_PAIRS = ((1, "g1"), (1, "g2"), (2, "g1"), (3, "g1"), (3, "g2"), (4, "g1"), (4, "g2"))
@@ -271,9 +269,9 @@ def _forcing_sums(f, G, pairs, points, **kw):
 
 
 def _bulk_velocity(sums, G, mu):
-    v1, v2 = _single_layer_velocity(lambda i, key: sums[(i, key)], "g1", "g2", mu)
-    v2 = v2 + float(np.mean(G.g2)) * LN4 / (4.0 * mu)
-    return np.stack([v1, v2], axis=-1)
+    t1, t2 = _direct_velocity(lambda i, *keys: [sums[(i, key)] for key in keys], "g1", "g2")
+    mu4 = 4.0 * mu
+    return np.stack([t1 / mu4, t2 / mu4 + float(np.mean(G.g2)) * LN4 / mu4], axis=-1)
 
 
 def _bulk_pressure(sums):
@@ -385,17 +383,16 @@ def trace_velocity(f: InterfaceProfile, params: PhysParams,
                    variant: str = "direct-g") -> np.ndarray:
     """Interface trace of the layer velocity, shape (2, N).
 
-    ``direct-g`` integrates the forcing against the even composites;
-    ``parts-z`` integrates an antiderivative of the forcing by parts against
-    the odd ones.  The two agree identically in the continuum; ``parts-z``
-    requires a mean-free profile so its vertical antiderivative is periodic.
+    ``direct-g`` integrates the forcing against composites 0, 5 and 6,
+    ``parts-z`` an antiderivative of it by parts against composites 1..4:
+    the two codings of ``evolution`` that ``eval_Psi`` combines.  They agree
+    in the continuum; ``parts-z`` requires a mean-free profile so its
+    vertical antiderivative is periodic.
     """
-    ops = DiagonalOps(f)
-    mu4 = 4.0 * params.mu
-    B = ops.composite
+    B = DiagonalOps(f).composites
     if variant == "direct-g":
         G = forcing_G(f, params)
-        return np.vstack(_single_layer_velocity(B, G.g1, G.g2, params.mu))
+        return np.vstack(_direct_velocity(B, G.g1, G.g2)) / (4.0 * params.mu)
     if variant == "parts-z":
         if abs(f.mean) > 1e-12 * (np.max(np.abs(f.values)) + 1e-300):
             raise ValueError(
@@ -406,12 +403,7 @@ def trace_velocity(f: InterfaceProfile, params: PhysParams,
         sigma, theta = params.sigma, params.theta
         F1 = -sigma * phi1 - theta * f.values**2 / 2.0
         F2 = -sigma * phi2 + theta * antiderivative(f.values)
-        fp = f.deriv_values
-        v1 = (B(1, F1 - fp * F2) - 2.0 * B(4, F1 - fp * F2)
-              + 2.0 * B(2, fp * F1) + B(3, fp * F1) + B(3, F2)) / mu4
-        v2 = (B(1, F2 - fp * F1) + B(3, F1 - fp * F2)
-              + 2.0 * B(4, fp * F1 + F2)) / mu4
-        return np.vstack([v1, v2])
+        return np.vstack(_parts_velocity(B, F1, F2, f.deriv_values)) / (4.0 * params.mu)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -515,18 +507,18 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
 
 def far_field_residuals(f: InterfaceProfile, params: PhysParams, *,
                         height: float = 20.0, n_probe: int = 8) -> dict:
-    """Residuals of the velocity and pressure limits at x2 = +/- height."""
+    """Residuals of the velocity and pressure limits at x2 = +/- height,
+    against the offsets +/-(c1_alt, c2_alt) of ``far_field_constants``."""
     G = forcing_G(f, params)
-    fg1 = float(np.mean(f.values * G.g1))
-    g2 = float(np.mean(G.g2))
+    c = far_field_constants(f, params)
     x1 = 2.0 * np.pi * (np.arange(n_probe) + 0.37) / n_probe
     out = {}
     for sign, name in ((+1.0, "plus"), (-1.0, "minus")):
         pts = np.stack([x1, np.full(n_probe, sign * height)], axis=1)
         v, q = _bulk_flow(f, G, params, pts, collar=None)
         out[name] = {
-            "v1_residual": float(np.max(np.abs(v[:, 0] + sign * fg1 / (2.0 * params.mu)))),
+            "v1_residual": float(np.max(np.abs(v[:, 0] - sign * c.c1_alt))),
             "v2_residual": float(np.max(np.abs(v[:, 1]))),
-            "q_residual": float(np.max(np.abs(q + sign * g2 / 2.0))),
+            "q_residual": float(np.max(np.abs(q - sign * c.c2_alt))),
         }
     return out

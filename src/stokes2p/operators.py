@@ -611,6 +611,10 @@ class DiagonalOps:
             return np.fft.ifft(_log_sin_multiplier(grid.n_points) * coeffs).real + out
         return out
 
+    def composites(self, index: int, *densities) -> list:
+        """Composite ``index`` applied to each density, from one kernel."""
+        return [self.composite(index, d) for d in densities]
+
 
 def composite_B(index: int, f: InterfaceProfile, density, *,
                 ops: DiagonalOps | None = None) -> np.ndarray:

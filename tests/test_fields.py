@@ -134,6 +134,36 @@ class TestStokeslet:
         with pytest.raises(ValueError):
             stokeslet_eval(0.0, 0.0)
 
+    @pytest.mark.parametrize("k", [1, -1, 2, 3])
+    def test_periodic_source_images_rejected(self, k):
+        # at x1 = 2 pi k the rounded sin(x1/2) is about 1e-16, not 0
+        with pytest.raises(ValueError):
+            stokeslet_eval(2.0 * np.pi * k, 0.0)
+        with pytest.raises(ValueError):
+            stokeslet_eval(np.array([0.5, 2.0 * np.pi * k]), np.zeros(2))
+
+    @pytest.mark.parametrize("x1", [np.pi, 1e-6, 2.0 * np.pi + 1e-6])
+    def test_points_beside_the_source_lattice_evaluate(self, x1):
+        U, P = stokeslet_eval(x1, 0.0)
+        assert np.isfinite(U).all() and np.isfinite(P).all()
+
+    def test_beside_an_image_as_beside_the_source(self):
+        # 1e-6 from the image at 2 pi is 1e-6 from the source, up to the
+        # rounding of 2 pi + 1e-6
+        U, P = stokeslet_eval(2.0 * np.pi + 1e-6, 0.0)
+        U0, P0 = stokeslet_eval(1e-6, 0.0)
+        assert np.max(np.abs(U - U0)) < 1e-8 * np.max(np.abs(U0))
+        assert np.max(np.abs(P - P0)) < 1e-8 * np.max(np.abs(P0))
+
+    def test_array_points_evaluate(self):
+        x1 = np.array([np.pi, 1e-6, 2.0 * np.pi + 1e-6, 0.0, 2.0 * np.pi])
+        x2 = np.array([0.0, 0.0, 0.0, 0.3, -0.3])
+        U, P = stokeslet_eval(x1, x2)
+        assert U.shape == (2, 2, 5) and P.shape == (2, 5)
+        for i in range(5):
+            Ui, Pi = stokeslet_eval(x1[i], x2[i])
+            assert np.array_equal(U[..., i], Ui) and np.array_equal(P[..., i], Pi)
+
     @pytest.mark.parametrize("x2", [800.0, -800.0, 1e4, -1e4])
     def test_finite_far_from_interface(self, x2):
         # sinh(x2/2)^2 overflows beyond |x2| of about 710; the kernels must
@@ -459,6 +489,24 @@ class TestTraces:
             a = trace_velocity(f, params, "direct-g")
             b = trace_velocity(f, params, "parts-z")
             assert np.max(np.abs(a - b)) < 1e-8
+
+    @pytest.mark.parametrize("variant, kernels",
+                             [("direct-g", [0, 5, 6]), ("parts-z", [1, 2, 3, 4])])
+    def test_each_kernel_built_once(self, variant, kernels, monkeypatch):
+        # the direct trace reads composites 0, 5 and 6, the by-parts trace
+        # composites 1..4; each helper groups its terms by index
+        from stokes2p import operators
+
+        built = []
+        kernel, log_remainder = operators._LayerTables.kernel, operators._LayerTables.log_remainder
+        monkeypatch.setattr(operators._LayerTables, "kernel",
+                            lambda self, i: built.append(i) or kernel(self, i))
+        monkeypatch.setattr(operators._LayerTables, "log_remainder",
+                            lambda self: built.append(0) or log_remainder(self))
+        grid = PeriodicGrid(32)
+        f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes) + 0.05 * np.sin(2 * grid.nodes))
+        trace_velocity(f, PhysParams.from_theta(1.0, 1.0, 1.0), variant)
+        assert sorted(built) == kernels
 
     def test_variants_zero_on_flat(self):
         grid = PeriodicGrid(64)
