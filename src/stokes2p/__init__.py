@@ -25,7 +25,6 @@ from .operators import (
     DiagonalOps,
     KernelWorkspace,
     OperatorSpec,
-    composite_B,
     eval_A,
     eval_B,
     eval_B0,
@@ -59,7 +58,6 @@ from .fields import (
     pressure_field,
     sample_flow,
     stokeslet_eval,
-    trace_B,
     trace_velocity,
     velocity_field,
     velocity_gradient_field,

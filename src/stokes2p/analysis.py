@@ -85,13 +85,13 @@ def probe_workers_from_env() -> int:
     return workers
 
 
-def _probe_mode(grid, params, k, eps, probe):
+def _probe_mode(grid, params, k, probe):
     phase = np.cos if probe == "cos" else np.sin
-    return jacobian_action_at_zero(params, grid, phase(k * grid.nodes), eps=eps)
+    return jacobian_action_at_zero(params, grid, phase(k * grid.nodes))
 
 
 def numeric_jacobian_at_zero(params: PhysParams, grid: PeriodicGrid, k_max: int, *,
-                             eps: float = PROBE_EPS, probe: str = "cos",
+                             probe: str = "cos",
                              workers: int | None = None,
                              leakage_tol: float | None = None) -> SpectrumReport:
     """Probe the flat-state Jacobian by central differences, mode by mode.
@@ -111,9 +111,9 @@ def numeric_jacobian_at_zero(params: PhysParams, grid: PeriodicGrid, k_max: int,
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             responses = list(pool.map(
-                lambda k: _probe_mode(grid, params, k, eps, probe), ks))
+                lambda k: _probe_mode(grid, params, k, probe), ks))
     else:
-        responses = [_probe_mode(grid, params, k, eps, probe) for k in ks]
+        responses = [_probe_mode(grid, params, k, probe) for k in ks]
 
     modes = []
     leakage = 0.0
@@ -133,14 +133,14 @@ def numeric_jacobian_at_zero(params: PhysParams, grid: PeriodicGrid, k_max: int,
     return SpectrumReport(tuple(modes), params.regime, params.decay_constant, leakage)
 
 
-def jacobian_action_at_zero(params: PhysParams, grid: PeriodicGrid, direction, *,
-                            eps: float = PROBE_EPS) -> np.ndarray:
-    """Central-difference action of the flat-state Jacobian on a direction."""
+def jacobian_action_at_zero(params: PhysParams, grid: PeriodicGrid, direction) -> np.ndarray:
+    """Central-difference action of the flat-state Jacobian on a direction,
+    offset ``PROBE_EPS``."""
     h = np.asarray(direction.values if isinstance(direction, InterfaceProfile) else direction,
                    dtype=float)
-    plus = eval_Psi(InterfaceProfile(grid, eps * h), params)
-    minus = eval_Psi(InterfaceProfile(grid, -eps * h), params)
-    return (plus - minus) / (2.0 * eps)
+    plus = eval_Psi(InterfaceProfile(grid, PROBE_EPS * h), params)
+    minus = eval_Psi(InterfaceProfile(grid, -PROBE_EPS * h), params)
+    return (plus - minus) / (2.0 * PROBE_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +170,13 @@ def _amplitudes(snapshots, kind):
 
 
 def decay_rate_fit(snapshots, *, kind="l2",
-                   amp_window=(1e-10, 1e-4), tail_fraction=0.5) -> RateFit:
+                   amp_window=(1e-10, 1e-4)) -> RateFit:
     """Least-squares slope of log amplitude over the tail of a trajectory.
 
     Keeps only snapshots whose amplitude lies inside ``amp_window`` (linear
-    regime, above roundoff), then the last ``tail_fraction`` of those.
-    Returns the decay rate (positive for decay) and the fit residual; a
-    non-monotone or underpopulated tail is flagged unreliable.
+    regime, above roundoff), then the last half of those.  Returns the decay
+    rate (positive for decay) and the fit residual; a non-monotone or
+    underpopulated tail is flagged unreliable.
     """
     if len(snapshots) < 10:
         return RateFit(None, None, 0, False, "need at least 10 snapshots")
@@ -185,8 +185,7 @@ def decay_rate_fit(snapshots, *, kind="l2",
     times, amps = times[ok], amps[ok]
     if len(times) < 5:
         return RateFit(None, None, len(times), False, "too few snapshots in amplitude window")
-    start = int(len(times) * (1.0 - tail_fraction))
-    times, amps = times[start:], amps[start:]
+    times, amps = times[len(times) // 2:], amps[len(times) // 2:]
     if np.any(amps <= 0.0):
         return RateFit(None, None, len(times), False, "vanishing amplitude in fit window")
     log_amps = np.log(amps)

@@ -114,7 +114,7 @@ def cmd_simulate(args) -> int:
     try:
         grid = PeriodicGrid(args.n)
         params = _params_from_args(args)
-        values = parse_init(args.init, grid)
+        profile = InterfaceProfile(grid, parse_init(args.init, grid))
         config = StepperConfig(scheme=args.scheme, dt=args.dt, t_end=args.t_end,
                                snapshot_stride=args.snapshot_stride,
                                adapt=args.adapt, tol=args.tol)
@@ -142,7 +142,7 @@ def cmd_simulate(args) -> int:
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
-    state = EvolutionState(time=0.0, profile=InterfaceProfile(grid, values), params=params)
+    state = EvolutionState(time=0.0, profile=profile, params=params)
     snap_path = out_dir / "snapshots.jsonl"
     with snap_path.open("w") as fh:
         def sink(record):
@@ -211,6 +211,8 @@ def cmd_field(args) -> int:
         params = _params_from_args(args)
         if args.nx1 < 1 or args.nx2 < 1:
             raise ValueError(f"nx1 and nx2 must be >= 1, got {args.nx1} and {args.nx2}")
+        if not np.all(np.isfinite([args.x1_min, args.x1_max, args.x2_min, args.x2_max])):
+            raise ValueError("window bounds must be finite")
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

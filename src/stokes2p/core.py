@@ -164,6 +164,8 @@ class PhysParams:
     rho_minus: float = 0.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.mu, self.sigma, self.g, self.rho_plus, self.rho_minus])):
+            raise ValueError("mu, sigma, g, rho_plus and rho_minus must be finite")
         if not self.mu > 0:
             raise ValueError("viscosity mu must be positive")
         if not self.sigma > 0:

@@ -163,6 +163,8 @@ class StepperConfig:
     def __post_init__(self):
         if self.scheme not in ("imex-euler", "rk4-explicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not np.all(np.isfinite([self.dt, self.t_end, self.tol, self.blowup_factor])):
+            raise ValueError("dt, t_end, tol and blowup_factor must be finite")
         if self.dt < 0 or self.tol <= 0 or self.blowup_factor <= 1:
             raise ValueError("dt must be >= 0, tol > 0, blowup_factor > 1")
         if self.snapshot_stride < 1:

@@ -4,8 +4,11 @@ The flow induced by the interface forcing is a single-layer potential
 against the horizontally periodic Stokeslet.  Everything reduces to seven
 scalar layer integrals Z_0 .. Z_6 with kernels smooth off the interface;
 their one-sided interface limits reproduce the singular trace composites
-plus explicit local jump terms.  Bulk velocity and velocity traces read the
-two layer-velocity codings of ``evolution``.
+plus explicit local jump terms.  Off the interface one evaluator,
+``_PointLayers``, gives them with the call form ``composites(index,
+*densities)`` that ``DiagonalOps`` gives the composites on it, so the bulk
+velocity and the velocity traces read the same layer-velocity coding of
+``evolution``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from numpy.polynomial.legendre import leggauss
 from .core import InterfaceProfile, PhysParams, geometry_quantities, spectral_derivative
 from .evolution import (LN4, _direct_velocity, _parts_velocity, far_field_constants,
                         forcing_G, phi_of)
-from .operators import DiagonalOps, _LayerTables, composite_B
+from .operators import DiagonalOps, _LayerTables, _density_values
 
 SIDE_PLUS = "plus"
 SIDE_MINUS = "minus"
@@ -98,28 +101,6 @@ def default_collar(f: InterfaceProfile) -> float:
     return 10.0 * f.grid.spacing
 
 
-def _kernel_sums(tables, samples, pairs, contract):
-    # each kernel is built once and contracted with all of its densities
-    out = {}
-    for index in dict.fromkeys(i for i, _ in pairs):
-        K = tables.kernel(index)
-        for i, key in pairs:
-            if i == index:
-                out[(i, key)] = contract(K, samples[key])
-        del K
-    return out
-
-
-def _trapezoid_sums(f, densities, pairs, pts):
-    # f and every density sampled once; the kernels share one cot table
-    m = max(f.grid.n_points, 256)
-    s = 2.0 * np.pi * np.arange(m) / m
-    # r1 is only needed to build the table, so it is not kept
-    tables = _LayerTables.at(pts[:, 0:1] - s[None, :], pts[:, 1:2] - f.eval_at(s)[None, :])
-    samples = {key: densities[key].eval_at(s) for key in dict.fromkeys(k for _, k in pairs)}
-    return _kernel_sums(tables, samples, pairs, lambda K, v: K @ v / m)
-
-
 # near rule: a fixed Gauss-Legendre panel on each interval between the
 # breakpoints s0 +/- d * _PANEL_RATIO**k (k = 0, 1, ...) inside (s0 - pi, s0 + pi),
 # where s0 is the foot of the normal from the point and d its distance.
@@ -175,52 +156,97 @@ def _near_nodes(dist, spacing):
     return (mid[:, None] + half[:, None] * _GL_NODES).ravel(), (half[:, None] * _GL_WEIGHTS).ravel()
 
 
-def _near_sums(f, densities, pairs, pts):
-    """Z_index[densities[key]] at points near the interface for each
-    (index, key) pair, by the graded Gauss-Legendre panel rule.
+def _trapezoid_rule(f: InterfaceProfile, pts: np.ndarray):
+    """The periodic trapezoid rule on max(N, 256) nodes at points away from
+    the interface: a density sampler, one cot table over (point, node) and
+    the contraction of a kernel with the samples."""
+    m = max(f.grid.n_points, 256)
+    s = 2.0 * np.pi * np.arange(m) / m
+    # r1 is only needed to build the table, so it is not kept
+    tables = _LayerTables.at(pts[:, 0:1] - s[None, :], pts[:, 1:2] - f.eval_at(s)[None, :])
+    return (lambda profile: profile.eval_at(s)), tables, (lambda K, v: K @ v / m)
 
-    One search finds the feet of all points.  Per point, one node set, one
-    sampling of f and of each density and one cot table serve every
-    pair."""
+
+def _near_rule(f: InterfaceProfile, pts: np.ndarray):
+    """The graded panel rule at points near the interface, in the form of
+    ``_trapezoid_rule``.  One search finds the feet of all points; the nodes
+    of all points share one flat cot table, each point's sum one segment of
+    it.  f and the densities are sampled point by point: one ``eval_at``
+    over all nodes would build a phase matrix of all nodes times all active
+    modes (about 90 MB for 20 points at N = 256)."""
     feet, dist = _interface_feet(f, pts)
-    keys = dict.fromkeys(k for _, k in pairs)
-    out = {pair: np.empty(len(pts)) for pair in pairs}
-    for i, (p, foot, d) in enumerate(zip(pts, feet, dist)):
+    nodes, r1, r2 = [], [], []
+    for p, foot, d in zip(pts, feet, dist):
         offset, w = _near_nodes(d, f.grid.spacing)
-        s = foot + offset
+        nodes.append((foot + offset, w))
         # x - s taken as (x - foot) - offset keeps its digits on the small panels
-        tables = _LayerTables.at((p[0] - foot) - offset, p[1] - f.eval_at(s))
-        weighted = {key: w * densities[key].eval_at(s) for key in keys}
-        for pair, val in _kernel_sums(tables, weighted, pairs, np.dot).items():
-            out[pair][i] = val / (2.0 * np.pi)
-    return out
+        r1.append((p[0] - foot) - offset)
+        r2.append(p[1] - f.eval_at(foot + offset))
+    starts = np.cumsum([0] + [len(w) for _, w in nodes[:-1]])
+
+    def sample(profile):
+        return np.concatenate([w * profile.eval_at(s) for s, w in nodes])
+
+    return (sample, _LayerTables.at(np.concatenate(r1), np.concatenate(r2)),
+            lambda K, v: np.add.reduceat(K * v, starts) / (2.0 * np.pi))
 
 
-def _layer_sums(f, densities, pairs, points, *, collar, near):
-    """Z_index[densities[key]] at the points for each (index, key) pair.
+class _PointLayers:
+    """Layer integrals Z_index[density] at a set of off-interface points.
 
-    One collar check per point set.  Points outside the collar take the
-    periodic trapezoid rule; points inside raise ProximityError unless
-    ``near=True``, which sends them together to the near panel rule.
+    ``composites(index, *densities)`` has the call form of
+    ``DiagonalOps.composites``, with one array over the points per density.
+    One collar check sorts the points: those outside the collar take
+    ``_trapezoid_rule``; those inside raise ProximityError unless
+    ``near=True``, which sends them to ``_near_rule``.
+
+    Each distinct density is sampled once, in a memo keyed by its values,
+    and before the call's kernel is built, which keeps the kernel table out
+    of the sampling's peak memory.  The last kernel built is kept
+    until another index is asked for, so calls grouped by index build each
+    kernel once per rule.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    collar = default_collar(f) if collar is None else collar
-    close = min_interface_distance(f, pts) < collar
-    if np.any(close) and not near:
-        raise ProximityError(
-            "field point within the interface collar; use the trace "
-            "formulas or near=True for an approach study"
-        )
-    out = {pair: np.empty(len(pts)) for pair in pairs}
-    if not np.all(close):
-        far = _trapezoid_sums(f, densities, pairs, pts[~close])
-        for pair in pairs:
-            out[pair][~close] = far[pair]
-    if np.any(close):
-        near_sums = _near_sums(f, densities, pairs, pts[close])
-        for pair in pairs:
-            out[pair][close] = near_sums[pair]
-    return out
+
+    def __init__(self, f: InterfaceProfile, points, *, collar=None, near=False):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        collar = default_collar(f) if collar is None else collar
+        close = min_interface_distance(f, pts) < collar
+        if np.any(close) and not near:
+            raise ProximityError(
+                "field point within the interface collar; use the trace "
+                "formulas or near=True for an approach study"
+            )
+        self.grid, self.n_points = f.grid, len(pts)
+        self._rules = [(mask, build(f, pts[mask]))
+                       for mask, build in ((~close, _trapezoid_rule), (close, _near_rule))
+                       if np.any(mask)]
+        self._samples = {}
+        self._index, self._kernels = None, None
+
+    def _sample(self, density):
+        # keyed by content: a density changed in place is sampled afresh
+        values = _density_values(density, self.grid)
+        key = values.tobytes()
+        if key not in self._samples:
+            profile = density if isinstance(density, InterfaceProfile) else \
+                InterfaceProfile(self.grid, values)
+            self._samples[key] = [sample(profile) for _, (sample, _, _) in self._rules]
+        return self._samples[key]
+
+    def composites(self, index: int, *densities) -> list:
+        """Z_index of each density at the points, from one kernel per rule."""
+        samples = [self._sample(d) for d in densities]
+        if self._index != index:
+            self._index = None          # the kernel tables are rewritten in place
+            self._kernels = [tables.kernel(index) for _, (_, tables, _) in self._rules]
+            self._index = index
+        out = []
+        for per_rule in samples:
+            z = np.empty(self.n_points)
+            for (mask, (_, _, contract)), K, v in zip(self._rules, self._kernels, per_rule):
+                z[mask] = contract(K, v)
+            out.append(z)
+        return out
 
 
 def eval_Z(index: int, f: InterfaceProfile, density, points, *,
@@ -234,10 +260,7 @@ def eval_Z(index: int, f: InterfaceProfile, density, points, *,
     geometrically (ratio 4) away from the foot of the normal, the smallest
     panel as wide as the distance to the interface.
     """
-    dens = density if isinstance(density, InterfaceProfile) else \
-        InterfaceProfile(f.grid, np.asarray(density, dtype=float))
-    vals = _layer_sums(f, {"d": dens}, ((index, "d"),), points,
-                       collar=collar, near=near)[(index, "d")]
+    (vals,) = _PointLayers(f, points, collar=collar, near=near).composites(index, density)
     return vals if np.asarray(points).ndim > 1 else float(vals[0])
 
 
@@ -258,48 +281,36 @@ def side_of(f: InterfaceProfile, points) -> np.ndarray:
     return np.where(pts[:, 1] > f.eval_at(pts[:, 0]), SIDE_PLUS, SIDE_MINUS)
 
 
-_VELOCITY_PAIRS = ((0, "g1"), (6, "g1"), (5, "g2"), (0, "g2"), (6, "g2"), (5, "g1"))
-_PRESSURE_PAIRS = ((1, "g1"), (2, "g2"))
-_GRADIENT_PAIRS = ((1, "g1"), (1, "g2"), (2, "g1"), (3, "g1"), (3, "g2"), (4, "g1"), (4, "g2"))
-
-
-def _forcing_sums(f, G, pairs, points, **kw):
-    densities = {"g1": InterfaceProfile(f.grid, G.g1), "g2": InterfaceProfile(f.grid, G.g2)}
-    return _layer_sums(f, densities, pairs, points, **kw)
-
-
-def _bulk_velocity(sums, G, mu):
-    t1, t2 = _direct_velocity(lambda i, *keys: [sums[(i, key)] for key in keys], "g1", "g2")
+def _bulk_velocity(B, G, mu):
+    t1, t2 = _direct_velocity(B, G.g1, G.g2)
     mu4 = 4.0 * mu
     return np.stack([t1 / mu4, t2 / mu4 + float(np.mean(G.g2)) * LN4 / mu4], axis=-1)
 
 
-def _bulk_pressure(sums):
-    return -(sums[(1, "g1")] + sums[(2, "g2")]) / 2.0
+def _bulk_pressure(B, G):
+    (z1,), (z2,) = B(1, G.g1), B(2, G.g2)
+    return -(z1 + z2) / 2.0
 
 
 def _bulk_flow(f, G, params, pts, *, collar):
-    """Velocity (P, 2) and pressure (P,) from one pass over the point set."""
-    sums = _forcing_sums(f, G, _VELOCITY_PAIRS + _PRESSURE_PAIRS, pts,
-                         collar=collar, near=False)
-    return _bulk_velocity(sums, G, params.mu), _bulk_pressure(sums)
+    """Velocity (P, 2) and pressure (P,) from one evaluator over the points."""
+    B = _PointLayers(f, pts, collar=collar).composites
+    return _bulk_velocity(B, G, params.mu), _bulk_pressure(B, G)
 
 
 def velocity_field(f: InterfaceProfile, params: PhysParams, points, *,
                    collar: float | None = None, near: bool = False) -> np.ndarray:
     """Velocity at off-interface points, shape (P, 2)."""
-    G = forcing_G(f, params)
-    sums = _forcing_sums(f, G, _VELOCITY_PAIRS, points, collar=collar, near=near)
-    out = _bulk_velocity(sums, G, params.mu)
+    out = _bulk_velocity(_PointLayers(f, points, collar=collar, near=near).composites,
+                         forcing_G(f, params), params.mu)
     return out if np.asarray(points).ndim > 1 else out[0]
 
 
 def pressure_field(f: InterfaceProfile, params: PhysParams, points, *,
                    collar: float | None = None, near: bool = False):
     """Pressure at off-interface points."""
-    G = forcing_G(f, params)
-    q = _bulk_pressure(_forcing_sums(f, G, _PRESSURE_PAIRS, points,
-                                     collar=collar, near=near))
+    q = _bulk_pressure(_PointLayers(f, points, collar=collar, near=near).composites,
+                       forcing_G(f, params))
     return q if np.asarray(points).ndim > 1 else float(q[0])
 
 
@@ -320,31 +331,22 @@ def velocity_gradient_field(f: InterfaceProfile, params: PhysParams, points, *,
     shape (P, 2, 2); assembled from the derivative layer combinations and
     trace-free by construction."""
     G = forcing_G(f, params)
-    z = _forcing_sums(f, G, _GRADIENT_PAIRS, points, collar=collar, near=near)
+    B = _PointLayers(f, points, collar=collar, near=near).composites
+    z1_1, z1_2 = B(1, G.g1, G.g2)
+    (z2_1,) = B(2, G.g1)
+    z3_1, z3_2 = B(3, G.g1, G.g2)
+    z4_1, z4_2 = B(4, G.g1, G.g2)
     mu4 = 4.0 * params.mu
-    d1v1 = (z[(1, "g1")] - 2.0 * z[(4, "g1")] + z[(3, "g2")]) / mu4
-    d2v1 = (2.0 * z[(2, "g1")] + z[(3, "g1")] - z[(1, "g2")] + 2.0 * z[(4, "g2")]) / mu4
-    d1v2 = (z[(3, "g1")] + z[(1, "g2")] + 2.0 * z[(4, "g2")]) / mu4
-    out = np.empty((len(d1v1), 2, 2))
-    out[:, 0, 0] = d1v1
-    out[:, 0, 1] = d2v1
-    out[:, 1, 0] = d1v2
-    out[:, 1, 1] = -d1v1
+    d1v1 = (z1_1 - 2.0 * z4_1 + z3_2) / mu4
+    d2v1 = (2.0 * z2_1 + z3_1 - z1_2 + 2.0 * z4_2) / mu4
+    d1v2 = (z3_1 + z1_2 + 2.0 * z4_2) / mu4
+    out = np.stack([d1v1, d2v1, d1v2, -d1v1], axis=-1).reshape(-1, 2, 2)
     return out if np.asarray(points).ndim > 1 else out[0]
 
 
 # ---------------------------------------------------------------------------
 # interface traces
 # ---------------------------------------------------------------------------
-
-def trace_B(index: int, f: InterfaceProfile, density, *,
-            ops: DiagonalOps | None = None) -> np.ndarray:
-    """Principal-value trace of Z_index on the interface (delegates to the
-    singular composites)."""
-    if index not in range(1, 7):
-        raise ValueError("trace index must be in 1..6")
-    return composite_B(index, f, density, ops=ops)
-
 
 def z_jump_coefficients(f: InterfaceProfile) -> dict[int, np.ndarray]:
     """One-sided limit offsets: {Z_n}^(+/-) on the interface equals the trace
@@ -434,7 +436,7 @@ def _fit_order(eps, res):
 
 
 def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
-                          density=None, probe_count: int = 4,
+                          probe_count: int = 4,
                           eps_factors=(1e-2, 1e-3, 1e-4),
                           check_stress: bool = True) -> JumpReport:
     """Measure one-sided limits of the layer integrals against the trace
@@ -443,17 +445,16 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
 
     Off-interface values come from the graded Gauss-Legendre near rule (see
     ``eval_Z``) along the normal, at approach distances eps_factors * grid
-    spacing; all approach points go through it together.
+    spacing; all approach points go through one evaluator.
     """
     grid = f.grid
     n = grid.n_points
     geo = geometry_quantities(f)
     G = forcing_G(f, params)
-    dens = np.asarray(density, dtype=float) if density is not None \
-        else np.cos(grid.nodes) + 0.3 * np.sin(2.0 * grid.nodes)
-    ops = DiagonalOps(f)
+    dens = np.cos(grid.nodes) + 0.3 * np.sin(2.0 * grid.nodes)
     jumps = z_jump_coefficients(f)
-    traces = {idx: trace_B(idx, f, dens, ops=ops) for idx in (1, 2, 3, 4)}
+    ops = DiagonalOps(f)
+    traces = {idx: ops.composite(idx, dens) for idx in (1, 2, 3, 4)}
 
     probes = np.arange(0, n, max(1, n // probe_count))[:probe_count]
     eps_values = np.asarray(eps_factors, dtype=float) * grid.spacing
@@ -463,21 +464,20 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
     # approach points indexed [eps, probe, side, coordinate]
     pts = base[:, None, :] + (eps_values[:, None, None, None] * sides[:, None]) * nu[:, None, :]
 
-    z_pairs = tuple((idx, "d") for idx in (1, 2, 3, 4))
-    densities = {"d": InterfaceProfile(grid, dens),
-                 "g1": InterfaceProfile(grid, G.g1), "g2": InterfaceProfile(grid, G.g2)}
-    z = {pair: vals.reshape(pts.shape[:-1]) for pair, vals in
-         _near_sums(f, densities, z_pairs + _PRESSURE_PAIRS, pts.reshape(-1, 2)).items()}
+    # the pressure -(Z1[g1] + Z2[g2])/2 shares kernels 1 and 2 with the density
+    B = _PointLayers(f, pts.reshape(-1, 2), near=True).composites
+    (z1, q1), (z2, q2) = B(1, dens, G.g1), B(2, dens, G.g2)
+    z = {1: z1, 2: z2, 3: B(3, dens)[0], 4: B(4, dens)[0]}
 
     z_res = {}
-    for idx, key in z_pairs:
+    for idx, vals in z.items():
         want = traces[idx][probes, None] + sides * (jumps[idx] * dens)[probes, None]
-        z_res[idx] = np.max(np.abs(z[(idx, key)] - want), axis=(1, 2))
+        z_res[idx] = np.max(np.abs(vals.reshape(pts.shape[:-1]) - want), axis=(1, 2))
     z_orders = {idx: _fit_order(eps_values, z_res[idx]) for idx in (1, 2, 3, 4)}
 
     # pressure jump [q] = -(G . nu)/omega via two-sided approach
     g_dot_nu = G.g1 * geo.normal[0] + G.g2 * geo.normal[1]
-    q = _bulk_pressure(z)
+    q = (-(q1 + q2) / 2.0).reshape(pts.shape[:-1])
     want = -(g_dot_nu / geo.omega)[probes]
     q_res = np.max(np.abs((q[..., 0] - q[..., 1]) - want), axis=1)
 
@@ -506,19 +506,21 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
 # ---------------------------------------------------------------------------
 
 def far_field_residuals(f: InterfaceProfile, params: PhysParams, *,
-                        height: float = 20.0, n_probe: int = 8) -> dict:
+                        height: float = 20.0) -> dict:
     """Residuals of the velocity and pressure limits at x2 = +/- height,
-    against the offsets +/-(c1_alt, c2_alt) of ``far_field_constants``."""
-    G = forcing_G(f, params)
+    against the offsets +/-(c1_alt, c2_alt) of ``far_field_constants``;
+    eight probes per height, both heights from one evaluator."""
     c = far_field_constants(f, params)
-    x1 = 2.0 * np.pi * (np.arange(n_probe) + 0.37) / n_probe
+    x1 = 2.0 * np.pi * (np.arange(8) + 0.37) / 8
+    signs = np.array([1.0, -1.0])
+    pts = np.stack(np.broadcast_arrays(x1, signs[:, None] * height), axis=-1).reshape(-1, 2)
+    v, q = _bulk_flow(f, forcing_G(f, params), params, pts, collar=None)
     out = {}
-    for sign, name in ((+1.0, "plus"), (-1.0, "minus")):
-        pts = np.stack([x1, np.full(n_probe, sign * height)], axis=1)
-        v, q = _bulk_flow(f, G, params, pts, collar=None)
+    for sign, name, v_side, q_side in zip(signs, ("plus", "minus"), v.reshape(2, 8, 2),
+                                          q.reshape(2, 8)):
         out[name] = {
-            "v1_residual": float(np.max(np.abs(v[:, 0] - sign * c.c1_alt))),
-            "v2_residual": float(np.max(np.abs(v[:, 1]))),
-            "q_residual": float(np.max(np.abs(q - sign * c.c2_alt))),
+            "v1_residual": float(np.max(np.abs(v_side[:, 0] - sign * c.c1_alt))),
+            "v2_residual": float(np.max(np.abs(v_side[:, 1]))),
+            "q_residual": float(np.max(np.abs(q_side - sign * c.c2_alt))),
         }
     return out

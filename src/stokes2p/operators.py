@@ -64,7 +64,6 @@ __all__ = [
     "eval_C",
     "eval_A",
     "eval_B0",
-    "composite_B",
     "frechet_B",
     "frechet_B0",
 ]
@@ -614,12 +613,6 @@ class DiagonalOps:
     def composites(self, index: int, *densities) -> list:
         """Composite ``index`` applied to each density, from one kernel."""
         return [self.composite(index, d) for d in densities]
-
-
-def composite_B(index: int, f: InterfaceProfile, density, *,
-                ops: DiagonalOps | None = None) -> np.ndarray:
-    """The named diagonal combinations; index 0 is the logarithmic operator."""
-    return (ops or DiagonalOps(f)).composite(index, density)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,15 @@ class TestSimulate:
         lines = (out / "snapshots.jsonl").read_text().splitlines()
         assert json.loads(lines[-1])["t"] == 0.0
 
+    @pytest.mark.parametrize("flags", [("--t-end", "nan"), ("--dt", "inf"), ("--tol", "nan"),
+                                       ("--g", "nan"), ("--mu", "inf"),
+                                       ("--init", "cos:1:nan")])
+    def test_non_finite_flags_exit_one(self, tmp_path, capsys, flags):
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--n", "16", *flags, "--out-dir", str(out)) == 1
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_determinism_bitwise(self, tmp_path):
         args = ["simulate", "--n", "64", "--sigma", "1", "--mu", "1",
                 "--init", "cos:1:0.01,sin:3:0.002", "--dt", "0.01",
@@ -113,6 +122,11 @@ class TestSpectrum:
                        "--g", "1", "--rho-minus", "3", "--k-max", "4")
         assert code == 0
         assert "theta0=0.8660254038" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--rho-minus"])
+    def test_non_finite_params_exit_one(self, capsys, flag):
+        assert run_cli("spectrum", "--n", "64", "--k-max", "2", flag, "inf") == 1
+        assert "error: " in capsys.readouterr().err
 
     def test_bad_kmax(self):
         assert run_cli("spectrum", "--n", "64", "--k-max", "50") == 1
@@ -157,6 +171,17 @@ class TestField:
                        flag, count, "--out", str(tmp_path / "f.csv"))
         assert code == 1
         assert "nx1 and nx2 must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--x1-min", "--x1-max", "--x2-min", "--x2-max"])
+    def test_non_finite_window_exit_one(self, tmp_path, capsys, flag):
+        run_dir = tmp_path / "run"
+        assert run_cli("simulate", "--n", "16", "--t-end", "0.02", "--out-dir", str(run_dir)) == 0
+        out = tmp_path / "f.csv"
+        code = run_cli("field", "--snapshot", str(run_dir / "snapshots.jsonl"),
+                       flag, "nan", "--out", str(out))
+        assert code == 1
+        assert "window bounds must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_snapshot(self, tmp_path):
         assert run_cli("field", "--snapshot", str(tmp_path / "nope.jsonl"),

@@ -184,6 +184,12 @@ class TestPhysParams:
         with pytest.raises(ValueError):
             PhysParams(mu=1.0, sigma=1.0, rho_plus=-0.1)
 
+    @pytest.mark.parametrize("field", ["mu", "sigma", "g", "rho_plus", "rho_minus"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            PhysParams(**{"mu": 1.0, "sigma": 1.0, field: value})
+
     def test_regime(self):
         assert PhysParams.from_theta(1.0, 1.0, 0.0).regime == "stable"
         assert PhysParams.from_theta(1.0, 1.0, -2.0).regime == "unstable"

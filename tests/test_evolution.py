@@ -435,6 +435,12 @@ class TestStepping:
         with pytest.raises(ValueError, match="snapshot_stride"):
             StepperConfig(snapshot_stride=0)
 
+    @pytest.mark.parametrize("field", ["dt", "t_end", "tol", "blowup_factor"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            StepperConfig(**{field: value})
+
 
 def test_snapshot_record_roundtrip():
     g = PeriodicGrid(16)

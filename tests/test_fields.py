@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from stokes2p import (
+    DiagonalOps,
     InterfaceProfile,
     PeriodicGrid,
     PhysParams,
@@ -15,12 +16,12 @@ from stokes2p import (
     pressure_field,
     sample_flow,
     stokeslet_eval,
-    trace_B,
     trace_velocity,
     velocity_field,
     velocity_gradient_field,
 )
 from stokes2p import fields
+from stokes2p.operators import _LayerTables
 from stokes2p.fields import (
     antiderivative,
     default_collar,
@@ -81,6 +82,24 @@ def setup():
     f = InterfaceProfile(grid, 0.2 * np.cos(grid.nodes) + 0.1 * np.sin(2 * grid.nodes))
     params = PhysParams.from_theta(mu=1.0, sigma=1.0, theta=1.5)
     return grid, f, params
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """(table, index) of each layer kernel built while the test runs."""
+    from stokes2p import operators
+
+    built = []
+    kernel = operators._LayerTables.kernel
+    monkeypatch.setattr(operators._LayerTables, "kernel",
+                        lambda self, i: built.append((self, i)) or kernel(self, i))
+    return built
+
+
+def builds_per_table(built):
+    """The indices built on each table, tables in order of first build."""
+    tables = list(dict.fromkeys(table for table, _ in built))
+    return [sorted(i for table, i in built if table is t) for t in tables]
 
 
 class TestStokeslet:
@@ -263,16 +282,41 @@ class TestLayerIntegrals:
         far = np.array([[0.3, 2.0], [1.0, -2.5], [4.0, 1.1]])
         close = np.array([[0.0, f.values[0] + 0.5 * default_collar(f)]])
         seen = []
-        original = fields._near_sums
+        original = fields._near_rule
 
-        def spy(f_, densities, pairs, pts):
+        def spy(f_, pts):
             seen.append(np.array(pts))
-            return original(f_, densities, pairs, pts)
+            return original(f_, pts)
 
-        monkeypatch.setattr(fields, "_near_sums", spy)
+        monkeypatch.setattr(fields, "_near_rule", spy)
         mixed = eval_Z(1, f, dens, np.vstack([far[:2], close, far[2:]]), near=True)
         assert len(seen) == 1 and np.array_equal(seen[0], close)
         assert np.array_equal(mixed[[0, 1, 3]], eval_Z(1, f, dens, far, near=True))
+
+    def test_sample_flow_builds_each_kernel_once(self, setup, kernel_builds):
+        grid, f, params = setup
+        sample_flow(f, params, np.array([[0.3, 2.0], [1.0, -2.5], [4.0, 1.1]]))
+        assert builds_per_table(kernel_builds) == [[0, 1, 2, 5, 6]]
+
+    def test_gradient_builds_each_kernel_once_per_rule(self, setup, kernel_builds):
+        # far and near points: one trapezoid table and one flat panel table
+        grid, f, params = setup
+        pts = np.array([[0.3, 2.0], [0.0, f.values[0] + 0.5 * default_collar(f)],
+                        [2.5, f.eval_at(2.5) - 0.2 * default_collar(f)], [4.0, -1.1]])
+        velocity_gradient_field(f, params, pts, near=True)
+        assert builds_per_table(kernel_builds) == [[1, 2, 3, 4], [1, 2, 3, 4]]
+
+    def test_density_changed_in_place_is_sampled_afresh(self, setup):
+        grid, f, params = setup
+        pts = np.array([[0.3, 2.0], [0.0, f.values[0] + 0.5 * default_collar(f)]])
+        dens = np.cos(grid.nodes)
+        B = fields._PointLayers(f, pts, near=True).composites
+        (before,) = B(1, dens)
+        dens *= 2.0
+        dens[3] += 0.1
+        (after,) = B(1, dens)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, fields._PointLayers(f, pts, near=True).composites(1, dens)[0])
 
     def test_near_points_scanned_once_for_all_kernels(self, setup, monkeypatch):
         # seven (index, density) pairs of the gradient share one search for
@@ -378,6 +422,25 @@ class TestNearRule:
                     worst = max(worst, abs(g - quad_near(index, f_fn, dens_fn, p, foot, dist)))
         assert worst <= 1e-9
 
+    def test_segment_sums_match_point_by_point_loop(self):
+        # the flat table's segment sums against one dot product per point on
+        # that point's own table: the same terms, summed in another order
+        grid = self.GRID
+        f = self.profile(grid, lambda s: 0.1 * np.cos(s) + 0.05 * np.sin(2 * s))
+        dens = InterfaceProfile(grid, np.cos(grid.nodes) + 0.3 * np.sin(2 * grid.nodes))
+        pts = np.vstack([approach_points(f, foot, factor * grid.spacing)
+                         for foot, factor in ((0.4, 1e-1), (2.0, 1e-4), (5.1, 1e-7))])
+        feet, dist = fields._interface_feet(f, pts)
+        for index in range(7):
+            got = eval_Z(index, f, dens, pts, near=True)
+            for p, foot, d, g in zip(pts, feet, dist, got):
+                offset, w = fields._near_nodes(d, grid.spacing)
+                s = foot + offset
+                K = _LayerTables.at((p[0] - foot) - offset, p[1] - f.eval_at(s)).kernel(index)
+                terms = K * (w * dens.eval_at(s)) / (2.0 * np.pi)
+                want = np.dot(K, w * dens.eval_at(s)) / (2.0 * np.pi)
+                assert abs(g - want) <= 64 * np.finfo(float).eps * np.sum(np.abs(terms))
+
     def test_high_modes_resolved(self):
         # wide intervals are split, so grid modes far from the foot are
         # integrated as accurately as the near peak
@@ -444,7 +507,7 @@ class TestTraces:
         nu = np.array([-fp[i], 1.0]) / np.sqrt(1 + fp[i] ** 2)
         base = np.array([grid.nodes[i], f.values[i]])
         for idx in (1, 2):
-            tr = trace_B(idx, f, dens)[i]
+            tr = DiagonalOps(f).composite(idx, dens)[i]
             res = []
             for eps in (1e-2, 1e-3):
                 got = eval_Z(idx, f, dens, (base + eps * nu)[None, :], near=True)[0]
@@ -473,13 +536,8 @@ class TestTraces:
             up = eval_Z(idx, f, dens, (base + eps * nu)[None, :], near=True)[0]
             dn = eval_Z(idx, f, dens, (base - eps * nu)[None, :], near=True)[0]
             assert abs(up - dn) < 1e-6
-            tr = trace_B(idx, f, dens)[i]
+            tr = DiagonalOps(f).composite(idx, dens)[i]
             assert abs(up - tr) < 1e-5
-
-    def test_trace_index_validated(self, setup):
-        grid, f, params = setup
-        with pytest.raises(ValueError):
-            trace_B(0, f, np.cos(grid.nodes))
 
     def test_variants_agree(self):
         grid = PeriodicGrid(128)
@@ -638,6 +696,14 @@ class TestBulkFields:
 
 @pytest.mark.slow
 class TestJumpReport:
+    def test_builds_each_kernel_once_per_rule(self, kernel_builds):
+        # the traces on the interface, the approach points on one flat table
+        grid = PeriodicGrid(32)
+        f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes))
+        interface_jump_checks(f, PhysParams.from_theta(1.0, 1.0, 0.5), probe_count=2,
+                              eps_factors=(1e-2, 1e-3), check_stress=False)
+        assert builds_per_table(kernel_builds) == [[1, 2, 3, 4], [1, 2, 3, 4]]
+
     def test_report_converges(self):
         grid = PeriodicGrid(64)
         f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes))

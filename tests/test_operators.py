@@ -9,7 +9,6 @@ from stokes2p import (
     KernelWorkspace,
     OperatorSpec,
     PeriodicGrid,
-    composite_B,
     eval_A,
     eval_B,
     eval_B0,
@@ -292,7 +291,8 @@ class TestLogOperator:
         assert np.max(np.abs(eval_B0(f_profile, np.zeros(grid.n_points)))) < 1e-14
 
     def test_is_composite_zero(self, f_profile, density):
-        assert np.array_equal(eval_B0(f_profile, density), composite_B(0, f_profile, density))
+        assert np.array_equal(eval_B0(f_profile, density),
+                              DiagonalOps(f_profile).composite(0, density))
 
     def test_flat_factorization(self, grid):
         # on mean-free densities the flat log operator is the Hilbert
@@ -328,14 +328,14 @@ class TestLogOperator:
 class TestComposites:
     def test_flat_state_reduction(self, grid, density):
         zero = InterfaceProfile.zero(grid)
-        assert np.max(np.abs(composite_B(1, zero, density)
+        assert np.max(np.abs(DiagonalOps(zero).composite(1, density)
                              - hilbert_transform(density, grid))) < 1e-12
         for idx in (2, 3, 4, 5, 6):
-            assert np.max(np.abs(composite_B(idx, zero, density))) < 1e-13
+            assert np.max(np.abs(DiagonalOps(zero).composite(idx, density))) < 1e-13
 
     def test_index_validation(self, f_profile, density):
         with pytest.raises(ValueError):
-            composite_B(7, f_profile, density)
+            DiagonalOps(f_profile).composite(7, density)
 
     @pytest.mark.parametrize("n_points", [64, 128, 512])
     @pytest.mark.parametrize("idx", range(1, 7))
@@ -347,7 +347,7 @@ class TestComposites:
         ops = DiagonalOps(f)
         want = sum(coef * ops.apply_member(n, m, p, q, phi)
                    for coef, (n, m, p, q) in COMPOSITE_MEMBERS[idx])
-        got = composite_B(idx, f, phi)
+        got = DiagonalOps(f).composite(idx, phi)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_kept_kernel_matches_fresh_ops(self):
@@ -384,7 +384,7 @@ class TestComposites:
             grid = PeriodicGrid(n)
             f = InterfaceProfile(grid, 0.2 * np.cos(grid.nodes))
             for idx in range(7):
-                composite_B(idx, f, np.sin(grid.nodes))
+                DiagonalOps(f).composite(idx, np.sin(grid.nodes))
         pool = operators._TABLE_POOL
         assert pool._idle_n == 64
         assert sorted(pool._idle) == sorted(operators._SET_NAMES)
@@ -457,7 +457,7 @@ class TestComposites:
             want = want + coef * oracle_pv_midpoint(
                 b_kernel_direct(n, m, p, q, fn, phi), probe, 8 * grid.n_points)
         f = InterfaceProfile(grid, fn(grid.nodes))
-        got = composite_B(idx, f, phi(grid.nodes))[::16]
+        got = DiagonalOps(f).composite(idx, phi(grid.nodes))[::16]
         assert np.max(np.abs(got - want)) < 1e-8
 
 
