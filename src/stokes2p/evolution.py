@@ -82,11 +82,15 @@ class FarFieldConstants:
 
 
 def far_field_constants(f: InterfaceProfile, params: PhysParams) -> FarFieldConstants:
+    return _far_field_constants(f, params, forcing_G(f, params))
+
+
+def _far_field_constants(f, params, G) -> FarFieldConstants:
+    """``far_field_constants`` with the forcing G of (f, params) given."""
     fp = f.deriv_values
     omega = np.sqrt(1.0 + fp * fp)
     c1 = -params.sigma / (2.0 * params.mu) * float(np.mean(fp / omega))
     c2 = -params.theta / 2.0 * f.mean
-    G = forcing_G(f, params)
     c1_alt = -float(np.mean(f.values * G.g1)) / (2.0 * params.mu)
     c2_alt = -float(np.mean(G.g2)) / 2.0
     return FarFieldConstants(c1, c2, c1_alt, c2_alt)

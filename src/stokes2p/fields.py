@@ -9,6 +9,13 @@ plus explicit local jump terms.  Off the interface one evaluator,
 *densities)`` that ``DiagonalOps`` gives the composites on it, so the bulk
 velocity and the velocity traces read the same layer-velocity coding of
 ``evolution``.
+
+Which points lie in the interface collar, and where the feet of the near
+points are, comes from a box-pruned search over max(8N, 1024) uniform
+samples of f that returns what a dense scan over all of them would, in
+memory bounded by a chunk of points.  Uniform samples (the search's, and
+the trapezoid rule's) are one zero-padded inverse FFT; the other off-grid
+values (the near rule's nodes, the Newton feet) come from ``eval_at``.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .core import InterfaceProfile, PhysParams, geometry_quantities, spectral_derivative
-from .evolution import (LN4, _direct_velocity, _parts_velocity, far_field_constants,
+from .evolution import (LN4, _direct_velocity, _far_field_constants, _parts_velocity,
                         forcing_G, phi_of)
 from .operators import DiagonalOps, _LayerTables, _density_values
 
@@ -62,38 +69,105 @@ def stokeslet_eval(x1, x2):
 # the layer integrals Z_0 .. Z_6
 # ---------------------------------------------------------------------------
 
-_SCAN_BLOCK = 128   # points per block of the dense distance scan
+def _uniform_samples(profile: InterfaceProfile, m: int) -> np.ndarray:
+    """The trigonometric interpolant at the m >= N uniform targets 2 pi j / m:
+    the nodal values for m = N, otherwise one zero-padded inverse FFT, with
+    the Nyquist coefficient split in half between modes +N/2 and -N/2 (N is
+    always even) as ``InterfaceProfile.eval_at`` reads it."""
+    n = profile.grid.n_points
+    if m == n:
+        return profile.values
+    c, h = profile.coeffs, n // 2
+    padded = np.zeros(m, dtype=complex)
+    padded[:h], padded[m - h + 1:] = c[:h], c[h + 1:]
+    padded[h] = padded[m - h] = c[h] / 2.0
+    return np.fft.ifft(padded, norm="forward").real
+
+
+_SCAN_BLOCK = 512   # points per chunk of the distance search
+_BOX = 64           # samples per box of the distance search
+
+
+def _period_offset(x, s):
+    """x - s folded into [-pi, pi), in the dense scan's operation order."""
+    d = x - s
+    d += np.pi
+    d %= 2.0 * np.pi
+    d -= np.pi
+    return d
 
 
 def _closest_samples(f: InterfaceProfile, pts: np.ndarray):
-    """Dense-sampling search for the interface sample nearest each point
-    (horizontal period folded in): its distance and its parameter.
+    """The interface sample nearest each point (horizontal period folded in)
+    among max(8N, 1024) uniform samples of f: its distance and its parameter.
 
-    The points are scanned in blocks, so the (block, 8N) tables stay small
-    whatever the number of points."""
-    n_fine = max(8 * f.grid.n_points, 1024)
-    s = np.linspace(0.0, 2.0 * np.pi, n_fine, endpoint=False)
-    fs = f.eval_at(s)
+    A box-pruned search that returns bitwise what the dense scan over all
+    samples returns.  The samples are grouped in boxes of ``_BOX``, each with
+    its parameter interval and its [min f, max f] range.  A point visits the
+    boxes in order of a lower bound on its squared distance to them, and
+    stops once the bound exceeds the best squared distance found.  The bound
+    applies the scan's own expression to the box's end samples and range
+    ends, so by monotone rounding it never exceeds the scan's value at a
+    sample of the box; it is scaled by (1 - 1e-12) besides.  Ties go to the
+    lower sample index, as ``argmin``'s do.  Points are searched in chunks of
+    ``_SCAN_BLOCK``, so memory stays bounded for any number of points.
+    """
+    m = max(8 * f.grid.n_points, 1024)
+    s = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+    fs = _uniform_samples(f, m)
+    # the last box is padded with copies of the last sample, which lose its
+    # ties to it
+    n_box = -(-m // _BOX)
+    pad = np.minimum(np.arange(n_box * _BOX), m - 1).reshape(n_box, _BOX)
+    s_box, f_box = s[pad], fs[pad]
+    f_min, f_max = f_box.min(axis=1), f_box.max(axis=1)
+
     dist, nearest = np.empty(len(pts)), np.empty(len(pts))
     for start in range(0, len(pts), _SCAN_BLOCK):
         block = pts[start:start + _SCAN_BLOCK]
-        d2 = block[:, 0:1] - s[None, :]
-        d2 += np.pi
-        d2 %= 2.0 * np.pi
-        d2 -= np.pi
-        d2 *= d2
-        dy = block[:, 1:2] - fs[None, :]
-        dy *= dy
-        d2 += dy
-        j = np.argmin(d2, axis=1)
-        dist[start:start + len(block)] = np.sqrt(d2[np.arange(len(block)), j])
-        nearest[start:start + len(block)] = s[j]
+        x, y = block[:, 0:1], block[:, 1:2]
+        # across a box the offset decreases but at one wrap (from -pi to pi),
+        # so its smallest magnitude there is at an end sample, or zero between
+        # ends of opposite sign; the height gap to the range is the least
+        # |y - f| there
+        a, b = _period_offset(x, s_box[:, 0]), _period_offset(x, s_box[:, -1])
+        bound = np.where((a >= 0.0) & (b <= 0.0), 0.0, np.minimum(np.abs(a), np.abs(b)))
+        bound *= bound
+        gap = np.maximum(np.maximum(y - f_max, f_min - y), 0.0)
+        bound += gap * gap
+        bound *= 1.0 - 1e-12
+
+        best, best_s = np.full(len(block), np.inf), np.zeros(len(block))
+        active = np.arange(len(block))
+        for _ in range(n_box):
+            # each active point visits its nearest unvisited box, if any
+            # box's bound is still within its best
+            box = np.argmin(bound[active], axis=1)
+            within = bound[active, box] <= best[active]
+            active, box = active[within], box[within]
+            if not len(active):
+                break
+            bound[active, box] = np.inf
+            # the dense scan's squared distance, in its operation order
+            d2 = _period_offset(x[active], s_box[box])
+            d2 *= d2
+            dy = y[active] - f_box[box]
+            dy *= dy
+            d2 += dy
+            local = np.argmin(d2, axis=1)
+            d2, near = d2[np.arange(len(active)), local], s_box[box, local]
+            # s increases with the sample index, so ties go to the lower s
+            better = (d2 < best[active]) | ((d2 == best[active]) & (near < best_s[active]))
+            best[active[better]], best_s[active[better]] = d2[better], near[better]
+        dist[start:start + len(block)] = np.sqrt(best)
+        nearest[start:start + len(block)] = best_s
     return dist, nearest
 
 
 def min_interface_distance(f: InterfaceProfile, points) -> np.ndarray:
     """Distance from each point to the interface graph (horizontal period
-    folded in); dense-sampling approximation."""
+    folded in), approximated by its nearest uniform sample (see
+    ``_closest_samples``)."""
     return _closest_samples(f, np.atleast_2d(np.asarray(points, dtype=float)))[0]
 
 
@@ -159,12 +233,15 @@ def _near_nodes(dist, spacing):
 def _trapezoid_rule(f: InterfaceProfile, pts: np.ndarray):
     """The periodic trapezoid rule on max(N, 256) nodes at points away from
     the interface: a density sampler, one cot table over (point, node) and
-    the contraction of a kernel with the samples."""
+    the contraction of a kernel with the samples.  The nodes are uniform, so
+    f and the densities are sampled by ``_uniform_samples``: their nodal
+    values from N = 256 up."""
     m = max(f.grid.n_points, 256)
     s = 2.0 * np.pi * np.arange(m) / m
     # r1 is only needed to build the table, so it is not kept
-    tables = _LayerTables.at(pts[:, 0:1] - s[None, :], pts[:, 1:2] - f.eval_at(s)[None, :])
-    return (lambda profile: profile.eval_at(s)), tables, (lambda K, v: K @ v / m)
+    tables = _LayerTables.at(pts[:, 0:1] - s[None, :],
+                             pts[:, 1:2] - _uniform_samples(f, m)[None, :])
+    return (lambda profile: _uniform_samples(profile, m)), tables, (lambda K, v: K @ v / m)
 
 
 def _near_rule(f: InterfaceProfile, pts: np.ndarray):
@@ -202,7 +279,8 @@ class _PointLayers:
 
     Each distinct density is sampled once, in a memo keyed by its values,
     and before the call's kernel is built, which keeps the kernel table out
-    of the sampling's peak memory.  The last kernel built is kept
+    of the sampling's peak memory.  Each (index, density) integral is kept
+    too, so a repeated call builds nothing.  The last kernel built is kept
     until another index is asked for, so calls grouped by index build each
     kernel once per rule.
     """
@@ -220,10 +298,12 @@ class _PointLayers:
         self._rules = [(mask, build(f, pts[mask]))
                        for mask, build in ((~close, _trapezoid_rule), (close, _near_rule))
                        if np.any(mask)]
-        self._samples = {}
+        self._samples, self._values = {}, {}
         self._index, self._kernels = None, None
 
-    def _sample(self, density):
+    def _key(self, density):
+        """The density's memo key; its samples for each rule are taken the
+        first time it is seen."""
         # keyed by content: a density changed in place is sampled afresh
         values = _density_values(density, self.grid)
         key = values.tobytes()
@@ -231,22 +311,24 @@ class _PointLayers:
             profile = density if isinstance(density, InterfaceProfile) else \
                 InterfaceProfile(self.grid, values)
             self._samples[key] = [sample(profile) for _, (sample, _, _) in self._rules]
-        return self._samples[key]
+        return key
 
     def composites(self, index: int, *densities) -> list:
         """Z_index of each density at the points, from one kernel per rule."""
-        samples = [self._sample(d) for d in densities]
-        if self._index != index:
-            self._index = None          # the kernel tables are rewritten in place
-            self._kernels = [tables.kernel(index) for _, (_, tables, _) in self._rules]
-            self._index = index
-        out = []
-        for per_rule in samples:
+        keys = [(index, self._key(d)) for d in densities]
+        for key in keys:
+            if key in self._values:
+                continue
+            if self._index != index:
+                self._index = None          # the kernel tables are rewritten in place
+                self._kernels = [tables.kernel(index) for _, (_, tables, _) in self._rules]
+                self._index = index
             z = np.empty(self.n_points)
-            for (mask, (_, _, contract)), K, v in zip(self._rules, self._kernels, per_rule):
+            for (mask, (_, _, contract)), K, v in zip(self._rules, self._kernels,
+                                                      self._samples[key[1]]):
                 z[mask] = contract(K, v)
-            out.append(z)
-        return out
+            self._values[key] = z
+        return [self._values[key] for key in keys]
 
 
 def eval_Z(index: int, f: InterfaceProfile, density, points, *,
@@ -292,6 +374,20 @@ def _bulk_pressure(B, G):
     return -(z1 + z2) / 2.0
 
 
+def _bulk_gradient(B, G, mu):
+    """Velocity gradient (entry [i, j] = d_j v_i), shape (P, 2, 2), from the
+    derivative layer combinations; trace-free by construction."""
+    z1_1, z1_2 = B(1, G.g1, G.g2)
+    (z2_1,) = B(2, G.g1)
+    z3_1, z3_2 = B(3, G.g1, G.g2)
+    z4_1, z4_2 = B(4, G.g1, G.g2)
+    mu4 = 4.0 * mu
+    d1v1 = (z1_1 - 2.0 * z4_1 + z3_2) / mu4
+    d2v1 = (2.0 * z2_1 + z3_1 - z1_2 + 2.0 * z4_2) / mu4
+    d1v2 = (z3_1 + z1_2 + 2.0 * z4_2) / mu4
+    return np.stack([d1v1, d2v1, d1v2, -d1v1], axis=-1).reshape(-1, 2, 2)
+
+
 def _bulk_flow(f, G, params, pts, *, collar):
     """Velocity (P, 2) and pressure (P,) from one evaluator over the points."""
     B = _PointLayers(f, pts, collar=collar).composites
@@ -328,19 +424,9 @@ def sample_flow(f: InterfaceProfile, params: PhysParams, points, *,
 def velocity_gradient_field(f: InterfaceProfile, params: PhysParams, points, *,
                             collar: float | None = None, near: bool = False) -> np.ndarray:
     """Velocity gradient (entry [i, j] = d_j v_i) at off-interface points,
-    shape (P, 2, 2); assembled from the derivative layer combinations and
-    trace-free by construction."""
-    G = forcing_G(f, params)
-    B = _PointLayers(f, points, collar=collar, near=near).composites
-    z1_1, z1_2 = B(1, G.g1, G.g2)
-    (z2_1,) = B(2, G.g1)
-    z3_1, z3_2 = B(3, G.g1, G.g2)
-    z4_1, z4_2 = B(4, G.g1, G.g2)
-    mu4 = 4.0 * params.mu
-    d1v1 = (z1_1 - 2.0 * z4_1 + z3_2) / mu4
-    d2v1 = (2.0 * z2_1 + z3_1 - z1_2 + 2.0 * z4_2) / mu4
-    d1v2 = (z3_1 + z1_2 + 2.0 * z4_2) / mu4
-    out = np.stack([d1v1, d2v1, d1v2, -d1v1], axis=-1).reshape(-1, 2, 2)
+    shape (P, 2, 2); see ``_bulk_gradient``."""
+    out = _bulk_gradient(_PointLayers(f, points, collar=collar, near=near).composites,
+                         forcing_G(f, params), params.mu)
     return out if np.asarray(points).ndim > 1 else out[0]
 
 
@@ -464,10 +550,10 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
     # approach points indexed [eps, probe, side, coordinate]
     pts = base[:, None, :] + (eps_values[:, None, None, None] * sides[:, None]) * nu[:, None, :]
 
-    # the pressure -(Z1[g1] + Z2[g2])/2 shares kernels 1 and 2 with the density
+    # the pressure -(Z1[g1] + Z2[g2])/2 and the velocity gradient share
+    # kernels 1..4 with the density; the evaluator keeps every integral
     B = _PointLayers(f, pts.reshape(-1, 2), near=True).composites
-    (z1, q1), (z2, q2) = B(1, dens, G.g1), B(2, dens, G.g2)
-    z = {1: z1, 2: z2, 3: B(3, dens)[0], 4: B(4, dens)[0]}
+    z = {idx: B(idx, dens, G.g1, G.g2)[0] for idx in (1, 2, 3, 4)}
 
     z_res = {}
     for idx, vals in z.items():
@@ -477,7 +563,7 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
 
     # pressure jump [q] = -(G . nu)/omega via two-sided approach
     g_dot_nu = G.g1 * geo.normal[0] + G.g2 * geo.normal[1]
-    q = (-(q1 + q2) / 2.0).reshape(pts.shape[:-1])
+    q = _bulk_pressure(B, G).reshape(pts.shape[:-1])
     want = -(g_dot_nu / geo.omega)[probes]
     q_res = np.max(np.abs((q[..., 0] - q[..., 1]) - want), axis=1)
 
@@ -485,9 +571,8 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
     # tangential forcing, the full traction against the curvature forcing
     stress_t, stress_n = float("nan"), float("nan")
     if check_stress:
-        p = pts[-1].reshape(-1, 2)
-        grads = velocity_gradient_field(f, params, p, near=True).reshape(len(probes), 2, 2, 2)
-        q_side = pressure_field(f, params, p, near=True).reshape(len(probes), 2)
+        grads = _bulk_gradient(B, G, params.mu).reshape(pts.shape[:-1] + (2, 2))[-1]
+        q_side = q[-1]
         dgrad = grads[:, 0] - grads[:, 1]
         visc = params.mu * np.einsum("pij,pj->pi", dgrad + dgrad.transpose(0, 2, 1), nu)
         g_dot_tau = G.g1 * geo.tangent[0] + G.g2 * geo.tangent[1]
@@ -510,11 +595,12 @@ def far_field_residuals(f: InterfaceProfile, params: PhysParams, *,
     """Residuals of the velocity and pressure limits at x2 = +/- height,
     against the offsets +/-(c1_alt, c2_alt) of ``far_field_constants``;
     eight probes per height, both heights from one evaluator."""
-    c = far_field_constants(f, params)
+    G = forcing_G(f, params)
+    c = _far_field_constants(f, params, G)
     x1 = 2.0 * np.pi * (np.arange(8) + 0.37) / 8
     signs = np.array([1.0, -1.0])
     pts = np.stack(np.broadcast_arrays(x1, signs[:, None] * height), axis=-1).reshape(-1, 2)
-    v, q = _bulk_flow(f, forcing_G(f, params), params, pts, collar=None)
+    v, q = _bulk_flow(f, G, params, pts, collar=None)
     out = {}
     for sign, name, v_side, q_side in zip(signs, ("plus", "minus"), v.reshape(2, 8, 2),
                                           q.reshape(2, 8)):

@@ -1,6 +1,6 @@
 """Helpers shared by the test modules: a random band-limited density, the
-named composites' expansions into tangent-family members and a real-variable
-coding of the layer kernels."""
+named composites' expansions into tangent-family members, a real-variable
+coding of the layer kernels and the dense nearest-sample scan."""
 
 import numpy as np
 
@@ -44,3 +44,26 @@ def layer_kernels_real(r1, r2):
     z5 = r2 * z1
     return (np.log(d), z1, z2, z3, z5 * z2 / 2.0, z5, r2 * z2,
             np.log1p(s2 * s2 / (s1 * s1)))
+
+
+def dense_closest_samples(s, fs, pts, block=128):
+    """Reference nearest-sample search: the distance from each point to the
+    nearest of the samples (s, fs), horizontal period folded in, and that
+    sample's parameter, by a dense scan over all samples; ties go to the
+    lower sample index.  Points are scanned in blocks, so the (block,
+    samples) tables stay small."""
+    dist, nearest = np.empty(len(pts)), np.empty(len(pts))
+    for start in range(0, len(pts), block):
+        chunk = pts[start:start + block]
+        d2 = chunk[:, 0:1] - s[None, :]
+        d2 += np.pi
+        d2 %= 2.0 * np.pi
+        d2 -= np.pi
+        d2 *= d2
+        dy = chunk[:, 1:2] - fs[None, :]
+        dy *= dy
+        d2 += dy
+        j = np.argmin(d2, axis=1)
+        dist[start:start + len(chunk)] = np.sqrt(d2[np.arange(len(chunk)), j])
+        nearest[start:start + len(chunk)] = s[j]
+    return dist, nearest

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from stokes2p import (
     velocity_field,
     velocity_gradient_field,
 )
-from stokes2p import fields
+from stokes2p import evolution, fields
 from stokes2p.operators import _LayerTables
 from stokes2p.fields import (
     antiderivative,
@@ -28,6 +29,7 @@ from stokes2p.fields import (
     min_interface_distance,
     z_jump_coefficients,
 )
+from oracles import band_limited, dense_closest_samples
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +361,115 @@ class TestLayerIntegrals:
         assert np.array_equal(min_interface_distance(f, pts), dist)
 
 
+def scan_samples(f):
+    """The samples of f that the distance search scans."""
+    m = max(8 * f.grid.n_points, 1024)
+    return np.linspace(0.0, 2.0 * np.pi, m, endpoint=False), fields._uniform_samples(f, m)
+
+
+def with_nyquist(grid, seed):
+    """A random profile whose spectrum reaches the Nyquist mode."""
+    return InterfaceProfile(grid, band_limited(grid, seed, modes=grid.n_points // 2 - 1)
+                            + 0.3 * np.cos(grid.n_points // 2 * grid.nodes))
+
+
+class TestDistanceSearch:
+    """The box-pruned search against the dense scan on the same samples,
+    and the uniform sampler behind both."""
+
+    @staticmethod
+    def assert_matches_dense_scan(f, pts):
+        dist, nearest = fields._closest_samples(f, pts)
+        want_dist, want_nearest = dense_closest_samples(*scan_samples(f), pts)
+        assert np.array_equal(dist, want_dist) and np.array_equal(nearest, want_nearest)
+
+    @pytest.mark.parametrize("n", [8, 64, 130, 256])
+    def test_matches_dense_scan_across_the_seam(self, n):
+        grid = PeriodicGrid(n)
+        f = with_nyquist(grid, n)
+        rng = np.random.default_rng(n)
+        x = np.concatenate([rng.uniform(-3.0, 0.0, 300), rng.uniform(0.0, 2.0 * np.pi, 300),
+                            rng.uniform(2.0 * np.pi, 2.0 * np.pi + 3.0, 300)])
+        y = rng.uniform(np.min(f.values) - 2.0, np.max(f.values) + 2.0, len(x))
+        self.assert_matches_dense_scan(f, np.column_stack([x, y]))
+
+    def test_matches_dense_scan_inside_the_band(self):
+        # heights between min f and max f: the range bounds prune nothing
+        grid = PeriodicGrid(128)
+        f = InterfaceProfile(grid, 0.4 * np.cos(grid.nodes) + 0.1 * np.sin(7 * grid.nodes))
+        rng = np.random.default_rng(1)
+        s = rng.uniform(-1.0, 7.0, 1000)
+        pts = np.column_stack([s + rng.uniform(-0.1, 0.1, len(s)),
+                               f.eval_at(s) + rng.uniform(-1e-3, 1e-3, len(s))])
+        self.assert_matches_dense_scan(f, pts)
+
+    def test_matches_dense_scan_on_a_steep_profile(self):
+        grid = PeriodicGrid(256)
+        f = InterfaceProfile(grid, 3.0 * np.sin(5 * grid.nodes) + 0.5 * np.cos(40 * grid.nodes))
+        rng = np.random.default_rng(2)
+        pts = np.column_stack([rng.uniform(-1.0, 7.0, 1000), rng.uniform(-4.0, 4.0, 1000)])
+        self.assert_matches_dense_scan(f, pts)
+
+    def test_exact_ties_go_to_the_lower_index(self):
+        # a profile below half an ulp of the heights, so high above it that
+        # (y - f)^2 swamps the horizontal offsets below its rounding: at
+        # y = 1e9 all samples tie, at y = 1e8 those within |dx| < 1 of x,
+        # across the seam included
+        grid = PeriodicGrid(64)
+        f = InterfaceProfile(grid, 1e-9 * np.cos(grid.nodes))
+        x = np.array([0.0, 0.1, 3.0, 6.2, -0.5, 7.0])
+        pts = np.vstack([np.column_stack([x, np.full(len(x), 1e9)]),
+                         np.column_stack([x, np.full(len(x), 1e8)])])
+        dist, nearest = dense_closest_samples(*scan_samples(f), pts)
+        assert np.all(nearest[:len(x)] == 0.0) and nearest[len(x) + 1] == 0.0
+        self.assert_matches_dense_scan(f, pts)
+
+    def test_empty_and_single_point(self):
+        grid = PeriodicGrid(64)
+        f = with_nyquist(grid, 5)
+        dist, nearest = fields._closest_samples(f, np.empty((0, 2)))
+        assert dist.shape == nearest.shape == (0,)
+        assert min_interface_distance(f, np.empty((0, 2))).shape == (0,)
+        self.assert_matches_dense_scan(f, np.array([[1.0, 0.3]]))
+
+    @pytest.mark.parametrize("n, m", [(64, 64), (64, 512), (200, 200), (200, 1600), (200, 256)])
+    def test_uniform_samples_match_eval_at(self, n, m):
+        # small high modes, whose phases eval_at keeps to 1e-14, and a
+        # Nyquist mode, which both split between +N/2 and -N/2
+        grid = PeriodicGrid(n)
+        f = InterfaceProfile(grid, band_limited(grid, n, modes=16)
+                             + 0.01 * np.cos(grid.n_points // 2 * grid.nodes))
+        got = fields._uniform_samples(f, m)
+        assert np.max(np.abs(got - f.eval_at(2.0 * np.pi * np.arange(m) / m))) <= 1e-14
+
+    @pytest.mark.parametrize("n, m", [(200, 1600), (200, 256)])
+    def test_uniform_samples_of_a_full_spectrum(self, n, m):
+        # against the interpolant summed with phases k j mod m reduced
+        # exactly; eval_at's phases k s lose digits as k grows
+        # (3e-14 here)
+        grid = PeriodicGrid(n)
+        f = with_nyquist(grid, n)
+        c = np.fft.rfft(f.values) / n
+        c[1:-1] *= 2.0
+        k = np.arange(n // 2 + 1)
+        phase = np.exp(2j * np.pi * (np.outer(np.arange(m), k) % m) / m)
+        assert np.max(np.abs(fields._uniform_samples(f, m) - (phase @ c).real)) <= 1e-14
+
+    def test_single_point_search_memory(self):
+        # a full spectrum at N = 1024: a dense (8N x N) phase matrix would
+        # take 128 MB
+        grid = PeriodicGrid(1024)
+        f = InterfaceProfile(grid, np.random.default_rng(0).normal(size=1024))
+        f.coeffs
+        tracemalloc.start()
+        try:
+            min_interface_distance(f, np.array([[1.0, 5.0]]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
 def z_kernel_scalar(index, r1, r2):
     """Layer kernel Z_index at one point, coded on Python floats."""
     s1, c1 = math.sin(r1 / 2.0), math.cos(r1 / 2.0)
@@ -687,6 +798,20 @@ class TestBulkFields:
         assert np.array_equal([s.velocity for s in samples], velocity_field(f, params, pts))
         assert np.array_equal([s.pressure for s in samples], pressure_field(f, params, pts))
 
+    def test_far_field_residuals_build_forcing_once(self, setup, monkeypatch):
+        grid, f, params = setup
+        calls = []
+        original = evolution.forcing_G
+
+        def spy(f_, params_):
+            calls.append(f_)
+            return original(f_, params_)
+
+        monkeypatch.setattr(fields, "forcing_G", spy)
+        monkeypatch.setattr(evolution, "forcing_G", spy)
+        far_field_residuals(f, params)
+        assert len(calls) == 1
+
     def test_sample_flow_sides(self, setup):
         grid, f, params = setup
         samples = sample_flow(f, params, np.array([[0.5, 1.5], [0.5, -1.5]]))
@@ -703,6 +828,23 @@ class TestJumpReport:
         interface_jump_checks(f, PhysParams.from_theta(1.0, 1.0, 0.5), probe_count=2,
                               eps_factors=(1e-2, 1e-3), check_stress=False)
         assert builds_per_table(kernel_builds) == [[1, 2, 3, 4], [1, 2, 3, 4]]
+
+    def test_stress_check_shares_the_jump_evaluator(self, kernel_builds, monkeypatch):
+        # one collar check and one feet search, one kernel set per table
+        grid = PeriodicGrid(32)
+        f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes))
+        scans = []
+        original = fields._closest_samples
+
+        def spy(f_, p):
+            scans.append(len(p))
+            return original(f_, p)
+
+        monkeypatch.setattr(fields, "_closest_samples", spy)
+        interface_jump_checks(f, PhysParams.from_theta(1.0, 1.0, 0.5), probe_count=2,
+                              eps_factors=(1e-2, 1e-3), check_stress=True)
+        assert builds_per_table(kernel_builds) == [[1, 2, 3, 4], [1, 2, 3, 4]]
+        assert len(scans) == 2
 
     def test_report_converges(self):
         grid = PeriodicGrid(64)
