@@ -103,7 +103,8 @@ def _far_field_constants(f, params, G) -> FarFieldConstants:
 def _direct_velocity(B, g1, g2):
     """4 mu times the layer velocity of the forcing (g1, g2): composites 0, 5
     and 6.  ``B(index, *densities)`` is one composite (on the interface) or
-    layer integral (off it) per density; calls come grouped by index."""
+    layer integral (off it) per density; calls come grouped by index, so
+    the log table is built once and 5 and 6 share the table r2 D."""
     b0_1, b0_2 = B(0, g1, g2)
     b5_1, b5_2 = B(5, g1, g2)
     b6_1, b6_2 = B(6, g1, g2)
@@ -112,7 +113,8 @@ def _direct_velocity(B, g1, g2):
 
 def _parts_velocity(B, F1, F2, fp):
     """4 mu times the interface velocity of the forcing (F1', F2'), with
-    (F1, F2) integrated by parts against composites 1..4; fp = f'."""
+    (F1, F2) integrated by parts against composites 1..4; fp = f'.  1 and 2
+    read the table D, 3 and 4 share one build of (r2/2)(1 + D^2)."""
     a, b = F1 - fp * F2, fp * F1
     b1_a, b1_c = B(1, a, F2 - fp * F1)
     (b2_b,) = B(2, b)

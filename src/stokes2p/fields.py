@@ -46,11 +46,12 @@ class ProximityError(ValueError):
 def stokeslet_eval(x1, x2):
     """Periodic Stokeslet (U, P): U symmetric 2x2, P the pressure vector.
 
-    Assembled from the layer kernels of one table, U = [[Z0 + Z6, -Z5],
-    [-Z5, Z0 - Z6]]/(8 pi) and P = -(Z1, Z2)/(4 pi).  Read from cot(w/2),
-    w = x1 + i|x2|, they admit every point off the source lattice
-    (2*pi*Z, 0), x1 = pi and any height included.  Points within a few ulps
-    of the lattice are source points (sin(pi k) rounds to 1e-16, not 0).
+    Assembled from the layer kernels, U = [[Z0 + Z6, -Z5], [-Z5, Z0 - Z6]]/(8 pi)
+    and P = -(Z1, Z2)/(4 pi): Z0, and the parts of D = Z1 + i Z2 and
+    r2 D = Z5 + i Z6.  Read from D = cot((x1 - i x2)/2), they admit every
+    point off the source lattice (2*pi*Z, 0), x1 = pi and any height
+    included.  Points within a few ulps of the lattice are source points
+    (sin(pi k) rounds to 1e-16, not 0).
     """
     x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
     offset = np.abs((x1 + np.pi) % (2.0 * np.pi) - np.pi)
@@ -60,9 +61,10 @@ def stokeslet_eval(x1, x2):
         tables = _LayerTables.at(x1, x2)
     if not np.all(np.isfinite(tables.cot)):
         raise ValueError("Stokeslet evaluated at a source point")
-    z = {i: tables.kernel(i).copy() for i in (0, 1, 2, 5, 6)}
-    U = np.array([[z[0] + z[6], -z[5]], [-z[5], z[0] - z[6]]]) / (8.0 * np.pi)
-    return U, -np.array([z[1], z[2]]) / (4.0 * np.pi)
+    z0 = tables.part(0)[0].copy()       # the next table overwrites it
+    d, r2d = tables.cot, tables.part(5)[0]
+    U = np.array([[z0 + r2d.imag, -r2d.real], [-r2d.real, z0 - r2d.imag]]) / (8.0 * np.pi)
+    return U, -np.array([d.real, d.imag]) / (4.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -232,25 +234,25 @@ def _near_nodes(dist, spacing):
 
 def _trapezoid_rule(f: InterfaceProfile, pts: np.ndarray):
     """The periodic trapezoid rule on max(N, 256) nodes at points away from
-    the interface: a density sampler, one cot table over (point, node) and
-    the contraction of a kernel with the samples.  The nodes are uniform, so
-    f and the densities are sampled by ``_uniform_samples``: their nodal
+    the interface: a density sampler, the layer tables over (point, node)
+    and the contraction of a table with the samples.  The nodes are uniform,
+    so f and the densities are sampled by ``_uniform_samples``: their nodal
     values from N = 256 up."""
     m = max(f.grid.n_points, 256)
     s = 2.0 * np.pi * np.arange(m) / m
-    # r1 is only needed to build the table, so it is not kept
-    tables = _LayerTables.at(pts[:, 0:1] - s[None, :],
-                             pts[:, 1:2] - _uniform_samples(f, m)[None, :])
+    # u = e^{i r1/2} as an outer product of phases: no table of r1
+    u = np.multiply.outer(np.exp(0.5j * pts[:, 0]), np.exp(-0.5j * s))
+    tables = _LayerTables(lambda g: g(u), pts[:, 1:2] - _uniform_samples(f, m)[None, :], {})
     return (lambda profile: _uniform_samples(profile, m)), tables, (lambda K, v: K @ v / m)
 
 
 def _near_rule(f: InterfaceProfile, pts: np.ndarray):
     """The graded panel rule at points near the interface, in the form of
     ``_trapezoid_rule``.  One search finds the feet of all points; the nodes
-    of all points share one flat cot table, each point's sum one segment of
-    it.  f and the densities are sampled point by point: one ``eval_at``
-    over all nodes would build a phase matrix of all nodes times all active
-    modes (about 90 MB for 20 points at N = 256)."""
+    of all points share one flat set of layer tables, each point's sum one
+    segment of it.  f and the densities are sampled point by point: one
+    ``eval_at`` over all nodes would build a phase matrix of all nodes times
+    all active modes (about 90 MB for 20 points at N = 256)."""
     feet, dist = _interface_feet(f, pts)
     nodes, r1, r2 = [], [], []
     for p, foot, d in zip(pts, feet, dist):
@@ -278,11 +280,11 @@ class _PointLayers:
     ``near=True``, which sends them to ``_near_rule``.
 
     Each distinct density is sampled once, in a memo keyed by its values,
-    and before the call's kernel is built, which keeps the kernel table out
-    of the sampling's peak memory.  Each (index, density) integral is kept
-    too, so a repeated call builds nothing.  The last kernel built is kept
-    until another index is asked for, so calls grouped by index build each
-    kernel once per rule.
+    and before the call's table is built, which keeps the table out of the
+    sampling's peak memory.  Each (index, density) integral is kept too, so
+    a repeated call builds nothing.  Each rule reads Z_index as a part of its
+    ``_LayerTables``, which keep the last table built: calls grouped by index
+    build each table once per rule, and (3, 4) and (5, 6) share theirs.
     """
 
     def __init__(self, f: InterfaceProfile, points, *, collar=None, near=False):
@@ -299,7 +301,6 @@ class _PointLayers:
                        for mask, build in ((~close, _trapezoid_rule), (close, _near_rule))
                        if np.any(mask)]
         self._samples, self._values = {}, {}
-        self._index, self._kernels = None, None
 
     def _key(self, density):
         """The density's memo key; its samples for each rule are taken the
@@ -314,19 +315,15 @@ class _PointLayers:
         return key
 
     def composites(self, index: int, *densities) -> list:
-        """Z_index of each density at the points, from one kernel per rule."""
+        """Z_index of each density at the points, from one table per rule."""
         keys = [(index, self._key(d)) for d in densities]
         for key in keys:
             if key in self._values:
                 continue
-            if self._index != index:
-                self._index = None          # the kernel tables are rewritten in place
-                self._kernels = [tables.kernel(index) for _, (_, tables, _) in self._rules]
-                self._index = index
             z = np.empty(self.n_points)
-            for (mask, (_, _, contract)), K, v in zip(self._rules, self._kernels,
-                                                      self._samples[key[1]]):
-                z[mask] = contract(K, v)
+            for (mask, (_, tables, contract)), v in zip(self._rules, self._samples[key[1]]):
+                table, take, factor = tables.part(index)
+                z[mask] = take(contract(table, v)) * factor
             self._values[key] = z
         return [self._values[key] for key in keys]
 

@@ -22,13 +22,14 @@ and the difference family obeys C[n,m] + C[n+2,m] = C[n,m-1] for m >= 1.
 
 The six named composites 1..6 that enter the interface velocity are the
 on-interface traces of the layer integrals Z_1..Z_6: each is one contraction
-against the closed-form layer kernel at r = (s, delta f).  Every kernel is
-read from one complex table, cot(w/2) at w = r1 + i|r2| (``_LayerTables``),
-the same coding the bulk fields use off the interface.  Their expansions as
-signed sums of tangent-family members are kept only as a test oracle.
-Composite 0 is the logarithmic operator ``eval_B0``.  ``DiagonalOps``
-builds the table at r = (s, delta f) once per profile and applies each
-composite as one product against the half-grid samples of a density.
+against the closed-form layer kernel at r = (s, delta f).  The kernels are
+the real and imaginary parts of three complex tables, D = cot((r1 - i r2)/2),
+r2 D and (r2/2)(1 + D^2) (``_LayerTables``), the same coding the bulk fields
+use off the interface.  Their expansions as signed sums of tangent-family
+members are kept only as a test oracle.  Composite 0 is the logarithmic
+operator ``eval_B0``.  ``DiagonalOps`` builds D at r = (s, delta f) once per
+profile and applies each composite as one product of its table against the
+half-grid samples of a density.
 
 Quadrature.  Principal values use a midpoint rule with nodes straddling
 s = 0 symmetrically (half a spacing off the collocation grid), so the
@@ -262,23 +263,10 @@ def _difference_kernel(ws, deltas_a, deltas_b):
 
 
 def _regularized_kernel(ws, deltas_a, deltas_b, deltas_c, ell):
-    t = ws.tan_half
-    s = ws.nodes
-    num_t, den_t = 1.0, 1.0
-    for db in deltas_b:
-        num_t = num_t * (np.tanh(db / 2.0) / t)
-    for dc in deltas_c:
-        num_t = num_t * ((dc / 2.0) / t)
-    for da in deltas_a:
-        den_t = den_t * (1.0 + (np.tanh(da / 2.0) / t) ** 2)
-    num_s, den_s = 1.0, 1.0
-    for d in deltas_b + deltas_c:
-        num_s = num_s * (d / s)
-    for da in deltas_a:
-        den_s = den_s * (1.0 + (da / s) ** 2)
-    shape = (ws.grid.n_points, len(ws.nodes))
-    bracket = num_t / den_t / t**ell - num_s / den_s / (s / 2.0) ** ell
-    return np.broadcast_to(bracket, shape) / (2.0 * np.pi)
+    # the tangent kernel over tan(s/2)**ell less its difference counterpart
+    # over (s/2)**ell
+    return (_tangent_kernel(ws, deltas_a, deltas_b, deltas_c, 1 - ell)
+            - _difference_kernel(ws, deltas_a, deltas_b + deltas_c) * (2.0 / ws.nodes) ** (ell - 1))
 
 
 def _apply(spec: OperatorSpec, density, rule, m_quad, build) -> np.ndarray:
@@ -361,8 +349,8 @@ def eval_B0(f: InterfaceProfile, density) -> np.ndarray:
 
     The log kernel Z0 = ln(sin^2(s/2) + sinh^2(delta f/2)) is written as
     ln(sin^2(s/2)) (applied spectrally) plus the remainder Z0 - ln(sin^2(s/2)),
-    which is bounded and handled by the half-grid midpoint rule; Z0 is read
-    from the cot table of the other composites.
+    which is bounded and handled by the half-grid midpoint rule; Z0 is built
+    from the table D of the other composites.
     """
     return DiagonalOps(f).composite(0, density)
 
@@ -380,7 +368,7 @@ def _table(tables: dict, name: str, shape) -> np.ndarray:
 
 
 # the tables of a working set and their dtypes
-_SET_NAMES = {"r2": np.float64, "t": np.float64, "kernel": np.float64, "cot": np.complex128}
+_SET_NAMES = {"r2": np.float64, "cot": np.complex128, "pair": np.complex128}
 
 
 def _mapped_table(n: int, dtype) -> np.ndarray:
@@ -427,52 +415,71 @@ class _TablePool:
 _TABLE_POOL = _TablePool()
 
 
+# index -> (lead, take, factor): Z_index = factor * take(the table of lead).
+# D (lead 1) is built with the tables; the log table (lead 0), r2 (1 + D^2)
+# (lead 3) and r2 D (lead 5) go into the pair slot
+_PARTS = ((0, np.real, 1.0), (1, np.real, 1.0), (1, np.imag, 1.0), (3, np.real, 0.5),
+          (3, np.imag, 0.25), (5, np.real, 1.0), (5, np.imag, 1.0))
+
+
 class _LayerTables:
-    """The complex table C = cot(w/2), w = r1 + i|r2|, and the layer kernels
-    Z_0..Z_6 read from it.
+    """The complex table D = cot((r1 - i r2)/2) = Z1 + i Z2 and the layer
+    kernels Z_0..Z_6 read from it.
 
-    With Z1 = Re C and Z2 = -sign(r2) Im C (Z2 is odd in r2) the kernels are
+    Each kernel but Z0 is a part of one of three complex tables,
 
-        Z0 = |r2| - ln(Z1^2 + (1 + |Z2|)^2)     Z3 = (r2/2)(1 + Z1^2 - Z2^2)
-        Z5 = r2 Z1          Z6 = r2 Z2          Z4 = Z5 Z2/2,
+        D = Z1 + i Z2      r2 D = Z5 + i Z6      (r2/2)(1 + D^2) = Z3 + 2i Z4,
 
-    finite wherever r is off the lattice (2*pi*Z, 0).  In real variables
-    s1, c1 = sin(r1/2), cos(r1/2), s2, c2 = sinh(r2/2), cosh(r2/2) and
-    D = s1^2 + s2^2 they are the periodic vortex-sheet kernels Z0 = ln D,
-    Z1 = s1 c1/D, Z2 = s2 c2/D.  Off the interface they are the layer
-    integrands of the bulk fields; at r = (s, delta f) they are, over 2*pi,
-    the kernels of the trace composites 1..6.
+    and Z0 = |r2| - ln(Z1^2 + (1 + |Z2|)^2) is real; all are finite wherever
+    r is off the lattice (2*pi*Z, 0).  In real variables s1, c1 = sin(r1/2),
+    cos(r1/2), s2, c2 = sinh(r2/2), cosh(r2/2) and S = s1^2 + s2^2 they are
+    the periodic vortex-sheet kernels Z0 = ln S, Z1 = s1 c1/S, Z2 = s2 c2/S.
+    Off the interface they are the layer integrands of the bulk fields; at
+    r = (s, delta f) they are, over 2*pi, the kernels of the trace
+    composites 1..6.
 
-    C = i + 2i/Q with Q = e^{iw} - 1 = u (u t + 2i s1), u = e^{i r1/2} and
-    t = expm1(-|r2|), so the inner factor is c1 t + i s1 (t + 2).  Each
-    factor keeps its relative digits as w -> 0, and e^{-|r2|} <= 1 never
-    overflows, so the kernels are finite however far r is from the
-    interface.  ``at_r1(g)`` gives g(u) for an elementwise function g, in
-    the shape of r2, which is the tables' shape; ``DiagonalOps`` makes it a
-    circulant view of g(u) at the quadrature nodes, so that r1 is exactly
-    the node.
+    D is built as C = cot(w/2), w = r1 + i|r2|, with its imaginary part then
+    given the sign of r2 (one ``copysign``).  C = i + 2i/Q with Q = e^{iw} - 1
+    = u (u t + 2i s1), u = e^{i r1/2} and t = expm1(-|r2|), so the inner
+    factor is c1 t + i s1 (t + 2).  Each factor keeps its relative digits as
+    w -> 0, and e^{-|r2|} <= 1 never overflows, so the kernels are finite
+    however far r is from the interface.  ``at_r1(g)`` gives g(u) for an
+    elementwise function g, in the shape of r2, which is the tables' shape;
+    ``DiagonalOps`` makes it a circulant view of g(u) at the quadrature
+    nodes, so that r1 is exactly the node.
 
     Every table is written in place into the working set ``tables`` (see
-    ``_table``): t and C once, each kernel into the one ``kernel`` table,
-    which the next kernel overwrites; once C is built, t is scratch.
-    ``DiagonalOps`` passes a set leased from ``_TABLE_POOL``; ``at`` passes
-    an empty dict, filled on first use.
+    ``_table``): r2, D and the one ``pair`` slot.  ``part`` builds the
+    other tables into the slot when first asked for, each overwriting the
+    last; this object alone tracks which one the slot holds.  Held as a
+    complex table, (r2/2)(1 + D^2) is r2 (1 + D^2), and the factors of
+    ``_PARTS`` take its halves.  While the slot holds no complex table its
+    bytes are two contiguous real tables: the constructor's expm1 scratch,
+    then the log table and its scratch.  With ``split_log`` the log table is
+    Z0 - ln(sin^2(r1/2)), the bounded remainder of Z0 that the trace adds to
+    the spectrally applied log.  ``DiagonalOps`` passes a set leased from
+    ``_TABLE_POOL``; ``at`` passes an empty dict, filled on first use.
     """
 
-    def __init__(self, at_r1, r2, tables: dict):
-        self.at_r1, self.r2 = at_r1, r2
-        self._tables = tables
-        self._shape = np.shape(r2)
-        t = np.abs(r2, out=self._t("t"))
+    def __init__(self, at_r1, r2, tables: dict, split_log: bool = False):
+        self.at_r1, self.r2, self.split_log = at_r1, r2, split_log
+        shape = np.shape(r2)
+        self._pair = _table(tables, "pair", shape)
+        # reshape(-1) first: a 0-d complex array has no float view
+        reals = self._pair.reshape(-1).view(np.float64).reshape((2,) + shape)
+        self._log, self._scratch = reals[0, ...], reals[1, ...]
+        self._held = None
+        t = np.abs(r2, out=self._scratch)
         np.negative(t, out=t)
         np.expm1(t, out=t)
-        c = self.cot = self._t("cot")
+        c = self.cot = _table(tables, "cot", shape)
         np.multiply(at_r1(np.real), t, out=c.real)
         t += 2.0
         np.multiply(at_r1(np.imag), t, out=c.imag)
         c *= at_r1(np.asarray)                          # Q
         np.divide(2j, c, out=c)
         c += 1j
+        np.copysign(c.imag, r2, out=c.imag)             # D
 
     @classmethod
     def at(cls, r1, r2):
@@ -481,53 +488,40 @@ class _LayerTables:
         np.exp(u, out=u)
         return cls(lambda g: g(u), r2, {})
 
-    def _t(self, name: str) -> np.ndarray:
-        return _table(self._tables, name, self._shape)
-
-    def _log_kernel(self) -> np.ndarray:
-        c = self.cot
-        z = np.subtract(1.0, c.imag, out=self._t("kernel"))     # 1 + |Z2|
-        np.square(z, out=z)
-        z += np.square(c.real, out=self._t("t"))
-        np.log(z, out=z)
-        return np.subtract(np.abs(self.r2, out=self._t("t")), z, out=z)
-
-    def log_remainder(self) -> np.ndarray:
-        """Z0 - ln(sin^2(r1/2)): Z0 less the part that the trace applies
-        spectrally; bounded where sin(r1/2) != 0.  Written into the kernel
-        table."""
-        z = self._log_kernel()
-        z -= self.at_r1(lambda u: np.log(u.imag ** 2))
-        return z
-
-    def kernel(self, index: int) -> np.ndarray:
-        """Z_index, written into the kernel table."""
+    def part(self, index: int):
+        """Z_index as (table, take, factor): Z_index = factor * take(table),
+        where take is ``np.real`` or ``np.imag``; so a product of the table
+        with real samples, taken apart, gives the integral."""
         if index not in range(7):
             raise ValueError(f"Z index must be 0..6, got {index}")
-        if index == 0:
-            return self._log_kernel()
-        c, r2 = self.cot, self.r2
-        z = self._t("kernel")
-        if index == 3:
-            np.square(c.real, out=z)
-            z -= np.square(c.imag, out=self._t("t"))
+        lead, take, factor = _PARTS[index]
+        if lead == 1:
+            return self.cot, take, factor
+        if self._held != lead:
+            self._held = None                   # the slot is rewritten in place
+            self._build(lead)
+            self._held = lead
+        return (self._log if lead == 0 else self._pair), take, factor
+
+    def _build(self, lead: int) -> None:
+        """Write the table of ``lead`` into the pair slot."""
+        d, p, r2 = self.cot, self._pair, self.r2
+        if lead == 5:
+            np.multiply(d, r2, out=p)
+        elif lead == 3:
+            np.square(d, out=p)
+            p += 1.0
+            p *= r2
+        else:
+            z, scratch = self._log, self._scratch
+            np.abs(d.imag, out=z)
             z += 1.0
-            z *= r2
-            z *= 0.5
-            return z
-        if index in (2, 6):
-            np.copysign(c.imag, r2, out=z)
-            if index == 6:
-                z *= r2
-            return z
-        if index == 1:
-            np.copyto(z, c.real)
-            return z
-        np.multiply(c.real, r2, out=z)          # Z5
-        if index == 4:
-            z *= np.copysign(c.imag, r2, out=self._t("t"))
-            z *= 0.5
-        return z
+            np.square(z, out=z)
+            z += np.square(d.real, out=scratch)
+            np.log(z, out=z)
+            np.subtract(np.abs(r2, out=scratch), z, out=z)
+            if self.split_log:
+                z -= self.at_r1(lambda u: np.log(u.imag ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +543,7 @@ class DiagonalOps:
     def __init__(self, f: InterfaceProfile):
         self.f = f
         self.ws = KernelWorkspace(f.grid)
-        self._composite_index, self._composite_kernel = None, None
+        self._samples = {}
 
     @cached_property
     def df(self):
@@ -585,33 +579,38 @@ class DiagonalOps:
         r2 = np.subtract.outer(self.f.values, _half_grid(self.f.grid, self.f.values),
                                out=tables["r2"])
         u = np.exp(0.5j * self.ws.nodes)
-        return _LayerTables(lambda g: _circulant(g(u)), r2, tables)
+        return _LayerTables(lambda g: _circulant(g(u)), r2, tables, split_log=True)
 
     def composite(self, index: int, density) -> np.ndarray:
         """Composite ``index`` applied to a density: one product of its layer
-        kernel against the density's half-grid samples (index 0 adds the
-        spectral log part, from the same forward FFT).  The last kernel built
-        is kept until another index is asked for, so calls grouped by index
-        build each kernel once.
+        table against the density's half-grid samples, taken apart (index 0
+        adds the spectral log part, from the same forward FFT).  The tables
+        keep the last one built, so calls grouped by index build each table
+        once, and (3, 4) and (5, 6) share theirs.
         """
-        if index not in range(7):
-            raise ValueError(f"composite index must be in 0..6, got {index}")
         grid = self.f.grid
-        values = _density_values(density, grid)
-        if self._composite_index != index:
-            self._composite_index = None        # the kernel table is rewritten in place
-            self._composite_kernel = (self._layer.log_remainder() if index == 0
-                                      else self._layer.kernel(index))
-            self._composite_index = index
-        coeffs = np.fft.fft(values)
-        half = np.fft.ifft(coeffs * _half_shift(grid.n_points)).real
-        out = (self._composite_kernel @ half) * (grid.spacing / TWO_PI)
+        coeffs, half = self._sampled(density)
+        table, take, factor = self._layer.part(index)
+        out = take(table @ half) * (factor * grid.spacing / TWO_PI)
         if index == 0:
             return np.fft.ifft(_log_sin_multiplier(grid.n_points) * coeffs).real + out
         return out
 
+    def _sampled(self, density):
+        """The density's FFT and its half-grid samples, taken once per
+        distinct density (the 14 terms of one ``Psi`` have 7) and kept for
+        the life of this object."""
+        grid = self.f.grid
+        values = _density_values(density, grid)
+        # keyed by content: a density changed in place is sampled afresh
+        key = values.tobytes()
+        if key not in self._samples:
+            coeffs = np.fft.fft(values)
+            self._samples[key] = coeffs, np.fft.ifft(coeffs * _half_shift(grid.n_points)).real
+        return self._samples[key]
+
     def composites(self, index: int, *densities) -> list:
-        """Composite ``index`` applied to each density, from one kernel."""
+        """Composite ``index`` applied to each density, from one table."""
         return [self.composite(index, d) for d in densities]
 
 

@@ -213,18 +213,17 @@ class TestPsiAgainstCompositeTerms:
 
     def test_each_kernel_built_once(self, monkeypatch):
         # the 14 terms come grouped by composite index, so one eval_Psi builds
-        # the log remainder and the kernels Z1..Z6 once each
+        # the log remainder, the (3, 4) table and the (5, 6) table once each;
+        # Z1 and Z2 are the parts of D, built with the tables
         from stokes2p import operators
 
         built = []
-        kernel, log_remainder = operators._LayerTables.kernel, operators._LayerTables.log_remainder
-        monkeypatch.setattr(operators._LayerTables, "kernel",
-                            lambda self, i: built.append(i) or kernel(self, i))
-        monkeypatch.setattr(operators._LayerTables, "log_remainder",
-                            lambda self: built.append(0) or log_remainder(self))
+        build = operators._LayerTables._build
+        monkeypatch.setattr(operators._LayerTables, "_build",
+                            lambda self, lead: built.append(lead) or build(self, lead))
         grid = PeriodicGrid(32)
         eval_Psi(random_profile(grid, 6), PhysParams.from_theta(1.0, 1.0, 1.0))
-        assert sorted(built) == [0, 1, 2, 3, 4, 5, 6]
+        assert sorted(built) == [0, 3, 5]
 
     def test_warm_call_allocates_no_table(self):
         # the (N, N) layer tables of a warm call live in the working set the

@@ -88,18 +88,19 @@ def setup():
 
 @pytest.fixture
 def kernel_builds(monkeypatch):
-    """(table, index) of each layer kernel built while the test runs."""
+    """(tables, lead) of each table built into a pair slot while the test
+    runs: lead 0 the log table, 3 the (3, 4) table, 5 the (5, 6) table."""
     from stokes2p import operators
 
     built = []
-    kernel = operators._LayerTables.kernel
-    monkeypatch.setattr(operators._LayerTables, "kernel",
-                        lambda self, i: built.append((self, i)) or kernel(self, i))
+    build = operators._LayerTables._build
+    monkeypatch.setattr(operators._LayerTables, "_build",
+                        lambda self, lead: built.append((self, lead)) or build(self, lead))
     return built
 
 
 def builds_per_table(built):
-    """The indices built on each table, tables in order of first build."""
+    """The leads built on each set of tables, in order of first build."""
     tables = list(dict.fromkeys(table for table, _ in built))
     return [sorted(i for table, i in built if table is t) for t in tables]
 
@@ -297,8 +298,9 @@ class TestLayerIntegrals:
 
     def test_sample_flow_builds_each_kernel_once(self, setup, kernel_builds):
         grid, f, params = setup
+        # Z1 and Z2 of the pressure are the parts of D
         sample_flow(f, params, np.array([[0.3, 2.0], [1.0, -2.5], [4.0, 1.1]]))
-        assert builds_per_table(kernel_builds) == [[0, 1, 2, 5, 6]]
+        assert builds_per_table(kernel_builds) == [[0, 5]]
 
     def test_gradient_builds_each_kernel_once_per_rule(self, setup, kernel_builds):
         # far and near points: one trapezoid table and one flat panel table
@@ -306,7 +308,27 @@ class TestLayerIntegrals:
         pts = np.array([[0.3, 2.0], [0.0, f.values[0] + 0.5 * default_collar(f)],
                         [2.5, f.eval_at(2.5) - 0.2 * default_collar(f)], [4.0, -1.1]])
         velocity_gradient_field(f, params, pts, near=True)
-        assert builds_per_table(kernel_builds) == [[1, 2, 3, 4], [1, 2, 3, 4]]
+        assert builds_per_table(kernel_builds) == [[3], [3]]
+
+    def test_trapezoid_tables_peak_bounded(self, setup):
+        # the tables over (point, node) are r2 (8 bytes an entry), D and the
+        # pair slot (16 each) and the phases u (16): no table of r1 is held
+        # while they are allocated, and no build adds a full table
+        grid, f, params = setup
+        x1, x2 = np.meshgrid(np.linspace(0.0, 6.0, 40), np.linspace(1.0, 3.0, 25))
+        pts = np.stack([x1.ravel(), x2.ravel()], axis=-1)
+        dens = np.cos(grid.nodes)
+        entries = len(pts) * max(grid.n_points, 256)
+        fields._PointLayers(f, pts).composites(0, dens)   # numpy's first-use allocations
+        tracemalloc.start()
+        try:
+            B = fields._PointLayers(f, pts).composites
+            for index in range(7):
+                B(index, dens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 60 * entries
 
     def test_density_changed_in_place_is_sampled_afresh(self, setup):
         grid, f, params = setup
@@ -547,7 +569,9 @@ class TestNearRule:
             for p, foot, d, g in zip(pts, feet, dist, got):
                 offset, w = fields._near_nodes(d, grid.spacing)
                 s = foot + offset
-                K = _LayerTables.at((p[0] - foot) - offset, p[1] - f.eval_at(s)).kernel(index)
+                table, take, factor = _LayerTables.at((p[0] - foot) - offset,
+                                                      p[1] - f.eval_at(s)).part(index)
+                K = factor * take(table)
                 terms = K * (w * dens.eval_at(s)) / (2.0 * np.pi)
                 want = np.dot(K, w * dens.eval_at(s)) / (2.0 * np.pi)
                 assert abs(g - want) <= 64 * np.finfo(float).eps * np.sum(np.abs(terms))
@@ -660,18 +684,17 @@ class TestTraces:
             assert np.max(np.abs(a - b)) < 1e-8
 
     @pytest.mark.parametrize("variant, kernels",
-                             [("direct-g", [0, 5, 6]), ("parts-z", [1, 2, 3, 4])])
+                             [("direct-g", [0, 5]), ("parts-z", [3])])
     def test_each_kernel_built_once(self, variant, kernels, monkeypatch):
         # the direct trace reads composites 0, 5 and 6, the by-parts trace
-        # composites 1..4; each helper groups its terms by index
+        # composites 1..4; each helper groups its terms by index, so (3, 4)
+        # and (5, 6) share a table, and 1 and 2 read D
         from stokes2p import operators
 
         built = []
-        kernel, log_remainder = operators._LayerTables.kernel, operators._LayerTables.log_remainder
-        monkeypatch.setattr(operators._LayerTables, "kernel",
-                            lambda self, i: built.append(i) or kernel(self, i))
-        monkeypatch.setattr(operators._LayerTables, "log_remainder",
-                            lambda self: built.append(0) or log_remainder(self))
+        build = operators._LayerTables._build
+        monkeypatch.setattr(operators._LayerTables, "_build",
+                            lambda self, lead: built.append(lead) or build(self, lead))
         grid = PeriodicGrid(32)
         f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes) + 0.05 * np.sin(2 * grid.nodes))
         trace_velocity(f, PhysParams.from_theta(1.0, 1.0, 1.0), variant)
@@ -827,10 +850,10 @@ class TestJumpReport:
         f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes))
         interface_jump_checks(f, PhysParams.from_theta(1.0, 1.0, 0.5), probe_count=2,
                               eps_factors=(1e-2, 1e-3), check_stress=False)
-        assert builds_per_table(kernel_builds) == [[1, 2, 3, 4], [1, 2, 3, 4]]
+        assert builds_per_table(kernel_builds) == [[3], [3]]
 
     def test_stress_check_shares_the_jump_evaluator(self, kernel_builds, monkeypatch):
-        # one collar check and one feet search, one kernel set per table
+        # one collar check and one feet search, one (3, 4) table per rule
         grid = PeriodicGrid(32)
         f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes))
         scans = []
@@ -843,7 +866,7 @@ class TestJumpReport:
         monkeypatch.setattr(fields, "_closest_samples", spy)
         interface_jump_checks(f, PhysParams.from_theta(1.0, 1.0, 0.5), probe_count=2,
                               eps_factors=(1e-2, 1e-3), check_stress=True)
-        assert builds_per_table(kernel_builds) == [[1, 2, 3, 4], [1, 2, 3, 4]]
+        assert builds_per_table(kernel_builds) == [[3], [3]]
         assert len(scans) == 2
 
     def test_report_converges(self):

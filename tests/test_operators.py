@@ -361,6 +361,18 @@ class TestComposites:
             for phi in phis:
                 assert np.array_equal(ops.composite(idx, phi), DiagonalOps(f).composite(idx, phi))
 
+    def test_density_changed_in_place_is_sampled_afresh(self):
+        grid = PeriodicGrid(64)
+        f = InterfaceProfile(grid, band_limited(grid, 7, modes=12, amplitude=0.3))
+        phi = band_limited(grid, 8, modes=12)
+        ops = DiagonalOps(f)
+        before = ops.composite(0, phi)
+        phi *= 2.0
+        phi[5] += 0.1
+        for idx in (0, 3):
+            assert np.array_equal(ops.composite(idx, phi), DiagonalOps(f).composite(idx, phi))
+        assert not np.array_equal(ops.composite(0, phi), before)
+
     def test_live_ops_hold_their_own_tables(self):
         # two live DiagonalOps at one N write their tables into two working
         # sets: each keeps its kernel while the other builds a new one
@@ -396,6 +408,17 @@ class TestComposites:
         assert sorted(second) == sorted(idle)
         assert all(second[k] is not idle[k] for k in idle)
         pool.release(64, first)
+
+    def test_working_set_holds_five_real_tables(self):
+        # r2, D and the pair slot: 40 bytes per entry, as many as the real
+        # tables they replaced
+        from stokes2p import operators
+
+        tables = operators._TABLE_POOL.lease(48)
+        try:
+            assert sum(t.nbytes for t in tables.values()) == 40 * 48 * 48
+        finally:
+            operators._TABLE_POOL.release(48, tables)
 
     def test_concurrent_ops_stress(self):
         # more threads than cores, switching often, each building composites
@@ -482,8 +505,16 @@ class TestLayerKernels:
 
         r1, r2 = _kernel_points(kind)
         want = layer_kernels_real(r1, r2)
+
+        def read(tables, index):
+            # a part is a view of a table that the next build may overwrite
+            table, take, factor = tables.part(index)
+            return factor * take(table)
+
         tables = _LayerTables.at(r1, r2)
-        got = [tables.kernel(i).copy() for i in range(7)] + [tables.log_remainder()]
+        u = np.exp(0.5j * r1)
+        split = _LayerTables(lambda g: g(u), r2, {}, split_log=True)
+        got = [read(tables, i) for i in range(7)] + [read(split, 0)]
         for i, (g, w) in enumerate(zip(got, want)):
             scale = np.maximum(1.0, np.abs(w))
             if i == 3:
