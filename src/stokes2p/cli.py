@@ -223,7 +223,8 @@ def cmd_field(args) -> int:
     collar = default_collar(f)
     keep = min_interface_distance(f, pts) >= collar
     skipped = int(np.sum(~keep))
-    samples = sample_flow(f, params, pts[keep]) if np.any(keep) else []
+    # the kept points are outside the collar already: no second search
+    samples = sample_flow(f, params, pts[keep], collar=0.0) if np.any(keep) else []
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

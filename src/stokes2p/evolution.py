@@ -104,7 +104,7 @@ def _direct_velocity(B, g1, g2):
     """4 mu times the layer velocity of the forcing (g1, g2): composites 0, 5
     and 6.  ``B(index, *densities)`` is one composite (on the interface) or
     layer integral (off it) per density; calls come grouped by index, so
-    the log table is built once and 5 and 6 share the table r2 D."""
+    the log table is built once and 5 and 6 share each product of r2 D."""
     b0_1, b0_2 = B(0, g1, g2)
     b5_1, b5_2 = B(5, g1, g2)
     b6_1, b6_2 = B(6, g1, g2)

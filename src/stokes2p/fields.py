@@ -4,11 +4,11 @@ The flow induced by the interface forcing is a single-layer potential
 against the horizontally periodic Stokeslet.  Everything reduces to seven
 scalar layer integrals Z_0 .. Z_6 with kernels smooth off the interface;
 their one-sided interface limits reproduce the singular trace composites
-plus explicit local jump terms.  Off the interface one evaluator,
-``_PointLayers``, gives them with the call form ``composites(index,
-*densities)`` that ``DiagonalOps`` gives the composites on it, so the bulk
-velocity and the velocity traces read the same layer-velocity coding of
-``evolution``.
+plus explicit local jump terms.  Off the interface ``_PointLayers`` gives
+them as the sums of ``operators._LayerSums`` that ``DiagonalOps`` takes on
+it, with the same memos of samples and products and the same call form
+``composites(index, *densities)``, so the bulk velocity and the velocity
+traces read the same layer-velocity coding of ``evolution``.
 
 Which points lie in the interface collar, and where the feet of the near
 points are, comes from a box-pruned search over max(8N, 1024) uniform
@@ -28,7 +28,7 @@ from numpy.polynomial.legendre import leggauss
 from .core import InterfaceProfile, PhysParams, geometry_quantities, spectral_derivative
 from .evolution import (LN4, _direct_velocity, _far_field_constants, _parts_velocity,
                         forcing_G, phi_of)
-from .operators import DiagonalOps, _LayerTables, _density_values
+from .operators import DiagonalOps, _LayerSums, _LayerTables
 
 SIDE_PLUS = "plus"
 SIDE_MINUS = "minus"
@@ -243,7 +243,8 @@ def _trapezoid_rule(f: InterfaceProfile, pts: np.ndarray):
     # u = e^{i r1/2} as an outer product of phases: no table of r1
     u = np.multiply.outer(np.exp(0.5j * pts[:, 0]), np.exp(-0.5j * s))
     tables = _LayerTables(lambda g: g(u), pts[:, 1:2] - _uniform_samples(f, m)[None, :], {})
-    return (lambda profile: _uniform_samples(profile, m)), tables, (lambda K, v: K @ v / m)
+    return ((lambda values: _uniform_samples(InterfaceProfile(f.grid, values), m)), tables,
+            (lambda K, v: K @ v / m))
 
 
 def _near_rule(f: InterfaceProfile, pts: np.ndarray):
@@ -263,69 +264,34 @@ def _near_rule(f: InterfaceProfile, pts: np.ndarray):
         r2.append(p[1] - f.eval_at(foot + offset))
     starts = np.cumsum([0] + [len(w) for _, w in nodes[:-1]])
 
-    def sample(profile):
+    def sample(values):
+        profile = InterfaceProfile(f.grid, values)
         return np.concatenate([w * profile.eval_at(s) for s, w in nodes])
 
     return (sample, _LayerTables.at(np.concatenate(r1), np.concatenate(r2)),
             lambda K, v: np.add.reduceat(K * v, starts) / (2.0 * np.pi))
 
 
-class _PointLayers:
-    """Layer integrals Z_index[density] at a set of off-interface points.
-
-    ``composites(index, *densities)`` has the call form of
-    ``DiagonalOps.composites``, with one array over the points per density.
-    One collar check sorts the points: those outside the collar take
-    ``_trapezoid_rule``; those inside raise ProximityError unless
-    ``near=True``, which sends them to ``_near_rule``.
-
-    Each distinct density is sampled once, in a memo keyed by its values,
-    and before the call's table is built, which keeps the table out of the
-    sampling's peak memory.  Each (index, density) integral is kept too, so
-    a repeated call builds nothing.  Each rule reads Z_index as a part of its
-    ``_LayerTables``, which keep the last table built: calls grouped by index
-    build each table once per rule, and (3, 4) and (5, 6) share theirs.
-    """
+class _PointLayers(_LayerSums):
+    """The sums of ``_LayerSums`` at off-interface points, one array over the
+    points per density.  One collar check sorts the points: those outside
+    the collar take ``_trapezoid_rule``; those inside raise ProximityError
+    unless ``near=True``, which sends them to ``_near_rule``.  A collar <= 0
+    admits every point without the search, for points already filtered."""
 
     def __init__(self, f: InterfaceProfile, points, *, collar=None, near=False):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         collar = default_collar(f) if collar is None else collar
-        close = min_interface_distance(f, pts) < collar
+        close = min_interface_distance(f, pts) < collar if collar > 0 else np.zeros(len(pts), bool)
         if np.any(close) and not near:
             raise ProximityError(
                 "field point within the interface collar; use the trace "
                 "formulas or near=True for an approach study"
             )
-        self.grid, self.n_points = f.grid, len(pts)
-        self._rules = [(mask, build(f, pts[mask]))
+        super().__init__(f.grid, len(pts))
+        self._rules = [(mask, *build(f, pts[mask]), 1.0)
                        for mask, build in ((~close, _trapezoid_rule), (close, _near_rule))
                        if np.any(mask)]
-        self._samples, self._values = {}, {}
-
-    def _key(self, density):
-        """The density's memo key; its samples for each rule are taken the
-        first time it is seen."""
-        # keyed by content: a density changed in place is sampled afresh
-        values = _density_values(density, self.grid)
-        key = values.tobytes()
-        if key not in self._samples:
-            profile = density if isinstance(density, InterfaceProfile) else \
-                InterfaceProfile(self.grid, values)
-            self._samples[key] = [sample(profile) for _, (sample, _, _) in self._rules]
-        return key
-
-    def composites(self, index: int, *densities) -> list:
-        """Z_index of each density at the points, from one table per rule."""
-        keys = [(index, self._key(d)) for d in densities]
-        for key in keys:
-            if key in self._values:
-                continue
-            z = np.empty(self.n_points)
-            for (mask, (_, tables, contract)), v in zip(self._rules, self._samples[key[1]]):
-                table, take, factor = tables.part(index)
-                z[mask] = take(contract(table, v)) * factor
-            self._values[key] = z
-        return [self._values[key] for key in keys]
 
 
 def eval_Z(index: int, f: InterfaceProfile, density, points, *,
@@ -548,7 +514,7 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
     pts = base[:, None, :] + (eps_values[:, None, None, None] * sides[:, None]) * nu[:, None, :]
 
     # the pressure -(Z1[g1] + Z2[g2])/2 and the velocity gradient share
-    # kernels 1..4 with the density; the evaluator keeps every integral
+    # kernels 1..4 with the density; the evaluator keeps every product
     B = _PointLayers(f, pts.reshape(-1, 2), near=True).composites
     z = {idx: B(idx, dens, G.g1, G.g2)[0] for idx in (1, 2, 3, 4)}
 

@@ -28,8 +28,8 @@ r2 D and (r2/2)(1 + D^2) (``_LayerTables``), the same coding the bulk fields
 use off the interface.  Their expansions as signed sums of tangent-family
 members are kept only as a test oracle.  Composite 0 is the logarithmic
 operator ``eval_B0``.  ``DiagonalOps`` builds D at r = (s, delta f) once per
-profile and applies each composite as one product of its table against the
-half-grid samples of a density.
+profile and applies each composite as a part of the product of its table
+with a density's half-grid samples: the ``_LayerSums`` that ``fields`` uses.
 
 Quadrature.  Principal values use a midpoint rule with nodes straddling
 s = 0 symmetrically (half a spacing off the collocation grid), so the
@@ -137,9 +137,13 @@ class KernelWorkspace:
         n = grid.n_points
         if rule == "midpoint":
             m = m_quad or n
+            if m < 2 or m % 2:        # an odd m puts a node on the singularity s = 0
+                raise ValueError(f"midpoint m_quad must be even and >= 2, got {m}")
             self.nodes, self.weights = _midpoint_rule(m)
         elif rule == "gauss":
             m = m_quad or n // 2
+            if m < 1:
+                raise ValueError(f"gauss m_quad must be >= 1, got {m}")
             self.nodes, self.weights = _gauss_rule(m)
         else:
             raise ValueError(f"unknown quadrature rule {rule!r}")
@@ -492,8 +496,6 @@ class _LayerTables:
         """Z_index as (table, take, factor): Z_index = factor * take(table),
         where take is ``np.real`` or ``np.imag``; so a product of the table
         with real samples, taken apart, gives the integral."""
-        if index not in range(7):
-            raise ValueError(f"Z index must be 0..6, got {index}")
         lead, take, factor = _PARTS[index]
         if lead == 1:
             return self.cot, take, factor
@@ -525,25 +527,73 @@ class _LayerTables:
 
 
 # ---------------------------------------------------------------------------
+# layer sums on and off the interface
+# ---------------------------------------------------------------------------
+
+class _LayerSums:
+    """Layer integrals Z_index[density] by the rules ``_rules`` a subclass
+    sets.  A rule is (share, sample, tables, contract, scale): its outputs
+    among several rules, its density sampler, its ``_LayerTables``, its sum
+    contract(table, samples) and the scale of the part taken.  One memo
+    samples each density once, keyed by its values (so one changed in place
+    is sampled afresh); one takes each product once per (lead of ``_PARTS``,
+    density): both parts of a complex table come from one product."""
+
+    def __init__(self, grid: PeriodicGrid, n_out: int):
+        self.grid, self.n_out = grid, n_out
+        self._samples, self._products = {}, {}
+
+    def _sampled(self, density):
+        values = _density_values(density, self.grid)
+        key = values.tobytes()
+        samples = self._samples.get(key)
+        if samples is None:
+            samples = self._samples[key] = [rule[1](values) for rule in self._rules]
+        return key, samples
+
+    def _sum(self, index: int, key: bytes, samples) -> np.ndarray:
+        if index not in range(7):
+            raise ValueError(f"Z index must be 0..6, got {index}")
+        lead, take, factor = _PARTS[index]
+        products = self._products.get((lead, key))
+        if products is None:
+            products = self._products[lead, key] = [
+                contract(tables.part(index)[0], v)
+                for (_, _, tables, contract, _), v in zip(self._rules, samples)]
+        if len(products) == 1:
+            return take(products[0]) * (factor * self._rules[0][4])
+        z = np.empty(self.n_out)
+        for (share, _, _, _, scale), p in zip(self._rules, products):
+            z[share] = take(p) * (factor * scale)
+        return z
+
+    def composite(self, index: int, density) -> np.ndarray:
+        return self._sum(index, *self._sampled(density))
+
+    def composites(self, index: int, *densities) -> list:
+        return [self.composite(index, d) for d in densities]
+
+
+# ---------------------------------------------------------------------------
 # diagonal fast path and the named composites
 # ---------------------------------------------------------------------------
 
-class DiagonalOps:
+class DiagonalOps(_LayerSums):
     """Evaluator for operators whose arguments all equal one profile f.
 
-    ``composite`` applies the named composites 0..6 from one set of layer
-    tables at r = (s, delta f); composite 0 is the logarithmic operator
-    ``eval_B0``.  ``kernel`` gives a single member of the tangent family (used
-    by the derivatives): the ``eval_B`` kernel with the one difference table
-    ``df`` in every slot.  The layer tables go into a working set leased from
-    ``_TABLE_POOL`` on first use and returned when this object is freed, so a
-    new instance at the same N reuses the memory of the last one.
+    ``composite`` applies the named composites 0..6, the layer sums of the
+    half-grid midpoint rule at r = (s, delta f); composite 0 is the
+    logarithmic operator ``eval_B0``.  ``kernel`` gives a single member of
+    the tangent family (used by the derivatives): the ``eval_B`` kernel with
+    the one difference table ``df`` in every slot.  The layer tables go into
+    a working set leased from ``_TABLE_POOL`` on first use and returned when
+    this object is freed, so a new instance at the same N reuses its memory.
     """
 
     def __init__(self, f: InterfaceProfile):
+        super().__init__(f.grid, f.grid.n_points)
         self.f = f
         self.ws = KernelWorkspace(f.grid)
-        self._samples = {}
 
     @cached_property
     def df(self):
@@ -566,52 +616,35 @@ class DiagonalOps:
         return self.ws.contract(K, density_values)
 
     @cached_property
-    def _layer(self) -> _LayerTables:
+    def _rules(self):
         # circulant coordinates: column m holds the half-grid sample m, which
         # row i pairs with the quadrature node s_j, j = (i - m - 1 + N/2) mod N;
         # the difference table is the outer difference f(xi_i) - f_half[m]
         # and each function of u = e^{i s_j/2} is a strided view of an
-        # N-vector.  The tables are written into a working set leased for
-        # the life of this object.
-        n = self.f.grid.n_points
+        # N-vector.  The working set is leased for the life of this object.
+        n = self.grid.n_points
         tables = _TABLE_POOL.lease(n)
         weakref.finalize(self, _TABLE_POOL.release, n, tables)
         r2 = np.subtract.outer(self.f.values, _half_grid(self.f.grid, self.f.values),
                                out=tables["r2"])
         u = np.exp(0.5j * self.ws.nodes)
-        return _LayerTables(lambda g: _circulant(g(u)), r2, tables, split_log=True)
+        layer = _LayerTables(lambda g: _circulant(g(u)), r2, tables, split_log=True)
+        return [(None, _half_samples, layer, lambda K, v: K @ v[0], self.grid.spacing / TWO_PI)]
 
     def composite(self, index: int, density) -> np.ndarray:
-        """Composite ``index`` applied to a density: one product of its layer
-        table against the density's half-grid samples, taken apart (index 0
-        adds the spectral log part, from the same forward FFT).  The tables
-        keep the last one built, so calls grouped by index build each table
-        once, and (3, 4) and (5, 6) share theirs.
-        """
-        grid = self.f.grid
-        coeffs, half = self._sampled(density)
-        table, take, factor = self._layer.part(index)
-        out = take(table @ half) * (factor * grid.spacing / TWO_PI)
+        """Composite ``index`` of a density: a part of its table's product with
+        the half-grid samples; index 0 adds the spectral log part."""
+        key, samples = self._sampled(density)
+        out = self._sum(index, key, samples)
         if index == 0:
-            return np.fft.ifft(_log_sin_multiplier(grid.n_points) * coeffs).real + out
+            return np.fft.ifft(_log_sin_multiplier(self.grid.n_points) * samples[0][1]).real + out
         return out
 
-    def _sampled(self, density):
-        """The density's FFT and its half-grid samples, taken once per
-        distinct density (the 14 terms of one ``Psi`` have 7) and kept for
-        the life of this object."""
-        grid = self.f.grid
-        values = _density_values(density, grid)
-        # keyed by content: a density changed in place is sampled afresh
-        key = values.tobytes()
-        if key not in self._samples:
-            coeffs = np.fft.fft(values)
-            self._samples[key] = coeffs, np.fft.ifft(coeffs * _half_shift(grid.n_points)).real
-        return self._samples[key]
 
-    def composites(self, index: int, *densities) -> list:
-        """Composite ``index`` applied to each density, from one table."""
-        return [self.composite(index, d) for d in densities]
+def _half_samples(values):
+    """A density's half-grid samples and the FFT composite 0 reuses."""
+    coeffs = np.fft.fft(values)
+    return np.fft.ifft(coeffs * _half_shift(len(values))).real, coeffs
 
 
 # ---------------------------------------------------------------------------

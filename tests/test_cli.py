@@ -163,6 +163,28 @@ class TestField:
         assert sidecar["skipped_points"] > 0         # the x2 = 0 band is collar
         assert abs(sidecar["c1"] - sidecar["c1_alt"]) < 1e-10
 
+    def test_window_searched_once(self, tmp_path, monkeypatch):
+        # the collar filter's search serves sample_flow too
+        from stokes2p import fields
+
+        run_dir = tmp_path / "run"
+        assert run_cli("simulate", "--n", "32", "--init", "cos:1:0.2",
+                       "--t-end", "0.02", "--out-dir", str(run_dir)) == 0
+        searched = []
+        original = fields._closest_samples
+
+        def spy(f, pts):
+            searched.append(np.array(pts))
+            return original(f, pts)
+
+        monkeypatch.setattr(fields, "_closest_samples", spy)
+        assert run_cli("field", "--snapshot", str(run_dir / "snapshots.jsonl"),
+                       "--x2-min", "-3", "--x2-max", "3", "--nx2", "5", "--nx1", "5",
+                       "--out", str(tmp_path / "f.csv")) == 0
+        # the far-field check searches its own probes at |x2| = 20
+        window = [p for p in searched if np.all(np.abs(p[:, 1]) <= 3.0)]
+        assert len(window) == 1 and len(window[0]) == 25
+
     @pytest.mark.parametrize("flag,count", [("--nx1", "-1"), ("--nx1", "0"), ("--nx2", "-1")])
     def test_bad_point_count_exit_one(self, tmp_path, capsys, flag, count):
         run_dir = tmp_path / "run"

@@ -225,6 +225,19 @@ class TestPsiAgainstCompositeTerms:
         eval_Psi(random_profile(grid, 6), PhysParams.from_theta(1.0, 1.0, 1.0))
         assert sorted(built) == [0, 3, 5]
 
+    def test_each_product_taken_once(self, monkeypatch):
+        # the 14 terms take 11 table products: Z4 on a and Z6 on both
+        # forcings are the other parts of products already taken
+        from stokes2p import operators
+
+        taken = []
+        part = operators._LayerTables.part
+        monkeypatch.setattr(operators._LayerTables, "part",
+                            lambda self, index: taken.append(index) or part(self, index))
+        grid = PeriodicGrid(32)
+        eval_Psi(random_profile(grid, 6), PhysParams.from_theta(1.0, 1.0, 1.0))
+        assert sorted(taken) == [0, 0, 1, 1, 2, 3, 3, 3, 4, 5, 5]
+
     def test_warm_call_allocates_no_table(self):
         # the (N, N) layer tables of a warm call live in the working set the
         # previous call released, so the call itself allocates only N-vectors

@@ -99,6 +99,19 @@ def kernel_builds(monkeypatch):
     return built
 
 
+@pytest.fixture
+def table_products(monkeypatch):
+    """The index of each product of a table with a density's samples taken
+    while the test runs: each product reads its table's part once."""
+    from stokes2p import operators
+
+    taken = []
+    part = operators._LayerTables.part
+    monkeypatch.setattr(operators._LayerTables, "part",
+                        lambda self, index: taken.append(index) or part(self, index))
+    return taken
+
+
 def builds_per_table(built):
     """The leads built on each set of tables, in order of first build."""
     tables = list(dict.fromkeys(table for table, _ in built))
@@ -310,6 +323,24 @@ class TestLayerIntegrals:
         velocity_gradient_field(f, params, pts, near=True)
         assert builds_per_table(kernel_builds) == [[3], [3]]
 
+    def test_sample_flow_takes_each_product_once(self, setup, table_products):
+        # Z5 and Z6 of the velocity are the parts of one product per density
+        grid, f, params = setup
+        sample_flow(f, params, np.array([[0.3, 2.0], [1.0, -2.5], [4.0, 1.1]]))
+        assert sorted(table_products) == [0, 0, 1, 2, 5, 5]
+
+    def test_gradient_takes_each_product_once_per_rule(self, setup, table_products):
+        # Z1/Z2 and Z3/Z4 share their products; far and near points take
+        # theirs on their own tables
+        grid, f, params = setup
+        far = np.array([[0.3, 2.0], [4.0, -1.1]])
+        velocity_gradient_field(f, params, far)
+        assert sorted(table_products) == [1, 1, 3, 3]
+        table_products.clear()
+        close = [[0.0, f.values[0] + 0.5 * default_collar(f)]]
+        velocity_gradient_field(f, params, np.vstack([far, close]), near=True)
+        assert sorted(table_products) == [1, 1, 1, 1, 3, 3, 3, 3]
+
     def test_trapezoid_tables_peak_bounded(self, setup):
         # the tables over (point, node) are r2 (8 bytes an entry), D and the
         # pair slot (16 each) and the phases u (16): no table of r1 is held
@@ -329,18 +360,6 @@ class TestLayerIntegrals:
         finally:
             tracemalloc.stop()
         assert peak <= 60 * entries
-
-    def test_density_changed_in_place_is_sampled_afresh(self, setup):
-        grid, f, params = setup
-        pts = np.array([[0.3, 2.0], [0.0, f.values[0] + 0.5 * default_collar(f)]])
-        dens = np.cos(grid.nodes)
-        B = fields._PointLayers(f, pts, near=True).composites
-        (before,) = B(1, dens)
-        dens *= 2.0
-        dens[3] += 0.1
-        (after,) = B(1, dens)
-        assert not np.array_equal(after, before)
-        assert np.array_equal(after, fields._PointLayers(f, pts, near=True).composites(1, dens)[0])
 
     def test_near_points_scanned_once_for_all_kernels(self, setup, monkeypatch):
         # seven (index, density) pairs of the gradient share one search for

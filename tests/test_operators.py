@@ -17,6 +17,7 @@ from stokes2p import (
     frechet_B0,
     hilbert_transform,
 )
+from stokes2p import fields
 from stokes2p.fields import antiderivative
 
 from oracles import COMPOSITE_MEMBERS, band_limited, layer_kernels_real
@@ -325,6 +326,25 @@ class TestLogOperator:
         assert np.max(np.abs(got - want)) < 1e-8
 
 
+# the layer-sum evaluators: the composites on the interface, the layer
+# integrals at far points (one rule) and at far and near points (two rules)
+LAYER_EVALUATORS = ("interface", "far", "far-and-near")
+
+
+def layer_evaluator(kind, f):
+    """Z_index of a density, as ``composite(index, density)`` of one new
+    evaluator of the given kind."""
+    if kind == "interface":
+        return DiagonalOps(f).composite
+    pts = [[0.3, 2.5], [4.0, -2.5]]
+    near = kind == "far-and-near"
+    if near:
+        collar = fields.default_collar(f)
+        pts += [[0.0, f.values[0] + 0.5 * collar], [2.5, f.eval_at(2.5) - 0.2 * collar]]
+    layers = fields._PointLayers(f, np.array(pts), near=near)
+    return lambda index, density: layers.composites(index, density)[0]
+
+
 class TestComposites:
     def test_flat_state_reduction(self, grid, density):
         zero = InterfaceProfile.zero(grid)
@@ -350,28 +370,31 @@ class TestComposites:
         got = DiagonalOps(f).composite(idx, phi)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_kept_kernel_matches_fresh_ops(self):
-        # one DiagonalOps keeps the last composite kernel it built; calls in
-        # any order of indices give the values of a fresh DiagonalOps per call
+    @pytest.mark.parametrize("kind", LAYER_EVALUATORS)
+    def test_kept_kernel_matches_fresh_ops(self, kind):
+        # one evaluator keeps its samples and products; calls in any order
+        # of indices give the values of a fresh evaluator per call
         grid = PeriodicGrid(128)
         f = InterfaceProfile(grid, band_limited(grid, 5, modes=16, amplitude=0.3))
         phis = [band_limited(grid, 30 + c, modes=16) for c in range(2)]
-        ops = DiagonalOps(f)
+        ops = layer_evaluator(kind, f)
         for idx in (3, 3, 0, 4, 2, 4, 6, 1, 0, 5):
             for phi in phis:
-                assert np.array_equal(ops.composite(idx, phi), DiagonalOps(f).composite(idx, phi))
+                assert np.array_equal(ops(idx, phi), layer_evaluator(kind, f)(idx, phi))
 
-    def test_density_changed_in_place_is_sampled_afresh(self):
+    @pytest.mark.parametrize("kind", LAYER_EVALUATORS)
+    def test_density_changed_in_place_is_sampled_afresh(self, kind):
         grid = PeriodicGrid(64)
         f = InterfaceProfile(grid, band_limited(grid, 7, modes=12, amplitude=0.3))
         phi = band_limited(grid, 8, modes=12)
-        ops = DiagonalOps(f)
-        before = ops.composite(0, phi)
+        ops = layer_evaluator(kind, f)
+        before = [ops(idx, phi) for idx in (0, 1, 3)]
         phi *= 2.0
         phi[5] += 0.1
-        for idx in (0, 3):
-            assert np.array_equal(ops.composite(idx, phi), DiagonalOps(f).composite(idx, phi))
-        assert not np.array_equal(ops.composite(0, phi), before)
+        for idx, old in zip((0, 1, 3), before):
+            got = ops(idx, phi)
+            assert np.array_equal(got, layer_evaluator(kind, f)(idx, phi))
+            assert not np.array_equal(got, old)
 
     def test_live_ops_hold_their_own_tables(self):
         # two live DiagonalOps at one N write their tables into two working
@@ -528,6 +551,19 @@ class TestLayerKernels:
 
 
 class TestWorkspace:
+    @pytest.mark.parametrize("rule,m_quad", [("midpoint", 1), ("midpoint", 3),
+                                             ("midpoint", -4), ("gauss", -1)])
+    def test_bad_m_quad_rejected(self, f_profile, density, rule, m_quad):
+        # an odd midpoint rule has a node on the singularity at s = 0
+        spec = OperatorSpec.diagonal(1, 1, 0, 0, f_profile)
+        with pytest.raises(ValueError, match="m_quad"):
+            eval_C(spec, density, rule=rule, m_quad=m_quad)
+        with pytest.raises(ValueError, match="m_quad"):
+            eval_A(spec, 1, density, rule=rule, m_quad=m_quad)
+        if rule == "midpoint":
+            with pytest.raises(ValueError, match="m_quad"):
+                eval_B(spec, density, m_quad=m_quad)
+
     def test_sample_follows_in_place_change(self, grid):
         ws = KernelWorkspace(grid)
         v = np.cos(grid.nodes)
