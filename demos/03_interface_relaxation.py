@@ -25,7 +25,7 @@ print("=" * 70)
 params = PhysParams.from_theta(mu=1.0, sigma=1.0, theta=0.0)
 state = EvolutionState(0.0, InterfaceProfile(grid, 1e-4 * np.cos(grid.nodes)), params)
 records = []
-integrate(state, StepperConfig(scheme="imex-euler", dt=0.02, t_end=8.0),
+integrate(state, StepperConfig(scheme="exp-euler", dt=0.02, t_end=8.0),
           sink=records.append)
 print(f"   {'t':>6} {'amplitude':>12}")
 for rec in records[::80]:
@@ -39,7 +39,7 @@ print("2. Mean and vertical shifts are conserved")
 print("=" * 70)
 f0 = InterfaceProfile(grid, 0.02 * np.cos(grid.nodes) + 0.3)
 state = EvolutionState(0.0, f0, params)
-final = integrate(state, StepperConfig(scheme="imex-euler", dt=0.02, t_end=4.0))
+final = integrate(state, StepperConfig(scheme="exp-euler", dt=0.02, t_end=4.0))
 print(f"   initial mean {f0.mean:.12f}")
 print(f"   final   mean {final.profile.mean:.12f} after {final.step_count} steps")
 
@@ -51,7 +51,7 @@ params = PhysParams.from_theta(mu=1.0, sigma=1.0, theta=-2.0)
 print(f"   sigma + theta = {params.sigma + params.theta:g} < 0 -> {params.regime}")
 state = EvolutionState(0.0, InterfaceProfile(grid, 1e-8 * np.cos(grid.nodes)), params)
 records = []
-integrate(state, StepperConfig(scheme="imex-euler", dt=0.02, t_end=40.0,
+integrate(state, StepperConfig(scheme="exp-euler", dt=0.02, t_end=40.0,
                                blowup_factor=1e6),
           sink=records.append)
 print(f"   {'t':>6} {'amplitude':>12}")
@@ -63,13 +63,13 @@ print("   only mode 1 is unstable here; higher modes are damped by tension")
 
 print()
 print("=" * 70)
-print("4. Scheme cross-check: implicit-explicit Euler vs explicit RK4")
+print("4. Scheme cross-check: exponential Euler vs explicit RK4")
 print("=" * 70)
 params = PhysParams.from_theta(mu=1.0, sigma=1.0, theta=0.5)
 f0 = InterfaceProfile(grid, 0.05 * np.cos(grid.nodes) + 0.02 * np.sin(2 * grid.nodes))
 for dt in (0.02, 0.01):
     a = integrate(EvolutionState(0.0, f0, params),
-                  StepperConfig(scheme="imex-euler", dt=dt, t_end=0.5))
+                  StepperConfig(scheme="exp-euler", dt=dt, t_end=0.5))
     b = integrate(EvolutionState(0.0, f0, params),
                   StepperConfig(scheme="rk4-explicit", dt=dt, t_end=0.5))
     diff = np.max(np.abs(a.profile.values - b.profile.values))

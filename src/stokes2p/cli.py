@@ -20,6 +20,7 @@ from . import __version__
 from .analysis import analytic_spectrum, numeric_jacobian_at_zero, probe_workers_from_env
 from .core import InterfaceProfile, PeriodicGrid, PhysParams
 from .evolution import (
+    SCHEMES,
     BlowUpError,
     EvolutionState,
     IntegrationError,
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", type=int, default=128, help="grid size (even, >= 8)")
     _add_params_flags(ps)
     ps.add_argument("--init", default="cos:1:0.01", help="initial profile spec")
-    ps.add_argument("--scheme", choices=["imex-euler", "rk4-explicit"], default="imex-euler")
+    ps.add_argument("--scheme", choices=list(SCHEMES), default=StepperConfig().scheme)
     ps.add_argument("--dt", type=float, default=0.0, help="time step (0 = scheme default)")
     ps.add_argument("--t-end", type=float, default=1.0)
     ps.add_argument("--snapshot-stride", type=int, default=1)
@@ -136,7 +137,8 @@ def cmd_simulate(args) -> int:
         "rho_plus": args.rho_plus, "rho_minus": args.rho_minus,
         "theta": params.theta,
         "init": args.init,
-        "scheme": args.scheme, "dt": args.dt, "t_end": args.t_end,
+        "scheme": args.scheme, "dt": args.dt,
+        "effective_dt": config.effective_dt(grid), "t_end": args.t_end,
         "snapshot_stride": args.snapshot_stride,
         "adapt": args.adapt, "tol": args.tol,
     }

@@ -10,6 +10,7 @@ and the bulk flow of ``fields`` all read these two.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -156,10 +157,43 @@ def linear_multiplier(grid: PeriodicGrid, params: PhysParams) -> np.ndarray:
 # time stepping
 # ---------------------------------------------------------------------------
 
+def _exp_euler(psi, values, dt, lam, k1):
+    """Exponential Euler: the flat-state part L (multiplier lam) is taken
+    exactly, the remainder N = Psi - L frozen over the step:
+    f_new^ = e^{dt lam} f^ + dt phi1(dt lam) (k1 - L f)^, with
+    phi1(z) = (e^z - 1)/z and phi1(0) = 1."""
+    z = dt * lam
+    phi1 = np.ones_like(z)
+    nz = z != 0.0
+    phi1[nz] = np.expm1(z[nz]) / z[nz]
+    f_hat = np.fft.fft(values)
+    n_hat = np.fft.fft(k1) - lam * f_hat
+    return np.fft.ifft(np.exp(z) * f_hat + dt * phi1 * n_hat).real
+
+
+def _rk4(psi, values, dt, lam, k1):
+    k2 = psi(values + 0.5 * dt * k1)
+    k3 = psi(values + 0.5 * dt * k2)
+    k4 = psi(values + dt * k3)
+    return values + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class Scheme(NamedTuple):
+    order: int          # of the global error; step doubling divides by 2^order - 1
+    dt_factor: float    # the default step is dt_factor / N
+    advance: Callable   # (psi, values, dt, lam, Psi(values)) -> new values
+
+
+SCHEMES = {
+    "exp-euler": Scheme(1, 2.0, _exp_euler),
+    "rk4-explicit": Scheme(4, 0.5, _rk4),
+}
+
+
 @dataclass(frozen=True)
 class StepperConfig:
-    scheme: str = "imex-euler"      # or "rk4-explicit"
-    dt: float = 0.0                 # 0 picks the scheme default 2/N or 0.5/N
+    scheme: str = "exp-euler"       # a key of SCHEMES
+    dt: float = 0.0                 # 0 picks the scheme default dt_factor / N
     t_end: float = 1.0
     snapshot_stride: int = 1
     adapt: bool = False
@@ -167,7 +201,7 @@ class StepperConfig:
     blowup_factor: float = 1e3   # runaway guard relative to the initial size
 
     def __post_init__(self):
-        if self.scheme not in ("imex-euler", "rk4-explicit"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not np.all(np.isfinite([self.dt, self.t_end, self.tol, self.blowup_factor])):
             raise ValueError("dt, t_end, tol and blowup_factor must be finite")
@@ -179,7 +213,7 @@ class StepperConfig:
     def effective_dt(self, grid: PeriodicGrid) -> float:
         if self.dt > 0:
             return self.dt
-        return (2.0 if self.scheme == "imex-euler" else 0.5) / grid.n_points
+        return SCHEMES[self.scheme].dt_factor / grid.n_points
 
 
 @dataclass(frozen=True)
@@ -212,34 +246,17 @@ MIN_ADAPTIVE_DT = 1e-8   # step-doubling control halves dt down to here, no furt
 MAX_ADAPTIVE_STEPS = 100_000   # step-doubling trials, accepted or not, per run
 
 
-def _imex_step(values, dt, lam, psi_vals):
-    # (I - dt L) f_new = f_old + dt (Psi(f_old) - L f_old), L diagonal in k
-    rhs = np.fft.fft(values + dt * psi_vals) - dt * lam * np.fft.fft(values)
-    return np.fft.ifft(rhs / (1.0 - dt * lam)).real
+def _step(state, config, dt, blowup_threshold, k1=None):
+    """``step`` at a given dt; ``k1``, when given, is Psi at the state."""
+    grid, params = state.profile.grid, state.params
 
-
-def _advance(values, dt, grid, params, scheme, lam):
     def psi(v):
         return eval_Psi(InterfaceProfile(grid, v), params)
 
-    if scheme == "imex-euler":
-        return _imex_step(values, dt, lam, psi(values))
-    k1 = psi(values)
-    k2 = psi(values + 0.5 * dt * k1)
-    k3 = psi(values + 0.5 * dt * k2)
-    k4 = psi(values + dt * k3)
-    return values + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def step(state: EvolutionState, config: StepperConfig, *,
-         dt: float | None = None,
-         blowup_threshold: float | None = None) -> EvolutionState:
-    """Advance one time step; raises BlowUpError on non-finite or runaway values."""
-    grid = state.profile.grid
-    dt = dt if dt is not None else config.effective_dt(grid)
-    lam = linear_multiplier(grid, state.params)
-    new_values = _advance(state.profile.values, dt, grid, state.params,
-                          config.scheme, lam)
+    if k1 is None:
+        k1 = eval_Psi(state.profile, params)
+    new_values = SCHEMES[config.scheme].advance(
+        psi, state.profile.values, dt, linear_multiplier(grid, params), k1)
     if not np.all(np.isfinite(new_values)) or (
         blowup_threshold is not None and np.max(np.abs(new_values)) > blowup_threshold
     ):
@@ -249,9 +266,17 @@ def step(state: EvolutionState, config: StepperConfig, *,
     return EvolutionState(
         time=state.time + dt,
         profile=InterfaceProfile(grid, new_values),
-        params=state.params,
+        params=params,
         step_count=state.step_count + 1,
     )
+
+
+def step(state: EvolutionState, config: StepperConfig, *,
+         dt: float | None = None,
+         blowup_threshold: float | None = None) -> EvolutionState:
+    """Advance one time step; raises BlowUpError on non-finite or runaway values."""
+    dt = dt if dt is not None else config.effective_dt(state.profile.grid)
+    return _step(state, config, dt, blowup_threshold)
 
 
 def snapshot_record(state: EvolutionState) -> dict:
@@ -277,7 +302,7 @@ def integrate(state: EvolutionState, config: StepperConfig, sink=None) -> Evolut
     grid = state.profile.grid
     dt = config.effective_dt(grid)
     threshold = config.blowup_factor * max(np.max(np.abs(state.profile.values)), 1e-12)
-    order = 1 if config.scheme == "imex-euler" else 4
+    order = SCHEMES[config.scheme].order
     emitted_steps = trials = 0
 
     while state.time < config.t_end - 1e-12:
@@ -288,9 +313,11 @@ def integrate(state: EvolutionState, config: StepperConfig, sink=None) -> Evolut
                     f"step budget of {MAX_ADAPTIVE_STEPS} step-doubling trials spent "
                     f"at t={state.time:.6g} with dt={dt_now:.3g}, tol={config.tol:g}", state)
             trials += 1
-            full = step(state, config, dt=dt_now, blowup_threshold=threshold)
-            half = step(state, config, dt=dt_now / 2.0, blowup_threshold=threshold)
-            half = step(half, config, dt=dt_now / 2.0, blowup_threshold=threshold)
+            # the full step and the first half step share Psi at the state
+            k1 = eval_Psi(state.profile, state.params)
+            full = _step(state, config, dt_now, threshold, k1)
+            half = _step(state, config, dt_now / 2.0, threshold, k1)
+            half = _step(half, config, dt_now / 2.0, threshold)
             err = np.max(np.abs(full.profile.values - half.profile.values)) / (2**order - 1)
             if err > config.tol:
                 if dt_now <= MIN_ADAPTIVE_DT:

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from stokes2p.cli import main, parse_init
+from stokes2p.cli import build_parser, main, parse_init
 from stokes2p.core import PeriodicGrid
+from stokes2p.evolution import SCHEMES, StepperConfig
 
 
 def run_cli(*argv):
@@ -49,6 +50,26 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["theta"] == pytest.approx(-9.81)
 
+    def test_scheme_flag_reads_the_scheme_table(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        scheme = next(a for a in sub.choices["simulate"]._actions if a.dest == "scheme")
+        assert list(scheme.choices) == list(SCHEMES)
+        assert scheme.default == StepperConfig().scheme == "exp-euler"
+
+    @pytest.mark.parametrize("scheme, dt, want", [("exp-euler", "0", 2.0 / 32),
+                                                  ("rk4-explicit", "0", 0.5 / 32),
+                                                  ("rk4-explicit", "0.01", 0.01)])
+    def test_manifest_records_the_step_that_ran(self, tmp_path, scheme, dt, want):
+        out = tmp_path / "run"
+        code = run_cli("simulate", "--n", "32", "--init", "cos:1:0.001", "--scheme", scheme,
+                       "--dt", dt, "--t-end", "0.125", "--out-dir", str(out))
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["dt"] == float(dt)
+        assert manifest["effective_dt"] == want
+        last = json.loads((out / "snapshots.jsonl").read_text().splitlines()[-1])
+        assert last["t"] == pytest.approx(0.125)
+
     def test_bad_flags_exit_one(self, tmp_path):
         assert run_cli("simulate", "--n", "7", "--out-dir", str(tmp_path)) == 1
         assert run_cli("simulate", "--init", "bogus:1:2", "--out-dir", str(tmp_path)) == 1
@@ -64,7 +85,7 @@ class TestSimulate:
         out = tmp_path / "run"
         code = run_cli("simulate", "--n", "32", "--sigma", "1", "--g", "1",
                        "--rho-plus", "10", "--rho-minus", "0",
-                       "--init", "cos:1:0.001", "--scheme", "imex-euler",
+                       "--init", "cos:1:0.001", "--scheme", "exp-euler",
                        "--dt", "0.05", "--t-end", "100", "--out-dir", str(out))
         assert code == 2
         # last good state persisted, all finite

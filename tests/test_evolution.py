@@ -295,11 +295,11 @@ class TestStepping:
         g = PeriodicGrid(32)
         params = PhysParams.from_theta(1.0, 1.0, 0.0)
         state = EvolutionState(0.0, InterfaceProfile.zero(g), params)
-        out = step(state, StepperConfig(scheme="imex-euler", dt=0.01))
+        out = step(state, StepperConfig(scheme="exp-euler", dt=0.01))
         assert np.max(np.abs(out.profile.values)) < 1e-15
         assert out.time == pytest.approx(0.01)
 
-    @pytest.mark.parametrize("scheme", ["imex-euler", "rk4-explicit"])
+    @pytest.mark.parametrize("scheme", ["exp-euler", "rk4-explicit"])
     def test_linear_decay_of_single_mode(self, scheme):
         # amplitude of a tiny cosine contracts like exp(-t/4)
         g = PeriodicGrid(32)
@@ -315,19 +315,19 @@ class TestStepping:
         params = PhysParams.from_theta(1.0, 1.0, 1.0)
         f = InterfaceProfile(g, 0.05 * np.cos(g.nodes) + 0.2)
         state = EvolutionState(0.0, f, params)
-        config = StepperConfig(scheme="imex-euler", dt=0.002, t_end=2.0)
+        config = StepperConfig(scheme="exp-euler", dt=0.002, t_end=2.0)
         state = integrate(state, config)
         assert state.step_count == 1000
         assert abs(state.profile.mean - 0.2) < 1e-9
 
-    def test_imex_rk4_consistency_first_order(self):
+    def test_exp_euler_rk4_consistency_first_order(self):
         g = PeriodicGrid(32)
         params = PhysParams.from_theta(1.0, 1.0, 0.5)
         f = random_profile(g, 4, amplitude=0.1)
         diffs = []
         for dt in (0.02, 0.01):
             a = integrate(EvolutionState(0.0, f, params),
-                          StepperConfig(scheme="imex-euler", dt=dt, t_end=0.4))
+                          StepperConfig(scheme="exp-euler", dt=dt, t_end=0.4))
             b = integrate(EvolutionState(0.0, f, params),
                           StepperConfig(scheme="rk4-explicit", dt=dt, t_end=0.4))
             diffs.append(np.max(np.abs(a.profile.values - b.profile.values)))
@@ -342,7 +342,7 @@ class TestStepping:
         f = random_profile(g, 8, amplitude=1e-4, modes=6)
         records = []
         integrate(EvolutionState(0.0, f, params),
-                  StepperConfig(scheme="imex-euler", dt=0.02, t_end=6.0),
+                  StepperConfig(scheme="exp-euler", dt=0.02, t_end=6.0),
                   sink=records.append)
         linf = np.array([r["linf"] for r in records])
         tail = linf[len(linf) // 5:]
@@ -378,7 +378,7 @@ class TestStepping:
         f = InterfaceProfile(g, 1e-3 * np.cos(g.nodes))
         state = EvolutionState(0.0, f, params)
         with pytest.raises(BlowUpError) as err:
-            integrate(state, StepperConfig(scheme="imex-euler", dt=0.05, t_end=50.0))
+            integrate(state, StepperConfig(scheme="exp-euler", dt=0.05, t_end=50.0))
         assert np.all(np.isfinite(err.value.last_state.profile.values))
 
     def test_adaptive_matches_fixed_step(self):
@@ -411,8 +411,9 @@ class TestStepping:
         # step-doubling trials (three steps each) is spent
         monkeypatch.setattr(evolution, "MAX_ADAPTIVE_STEPS", 12)
         calls = []
-        monkeypatch.setattr(evolution, "step",
-                            lambda *a, **kw: calls.append(1) or step(*a, **kw))
+        one_step = evolution._step
+        monkeypatch.setattr(evolution, "_step",
+                            lambda *a, **kw: calls.append(1) or one_step(*a, **kw))
         g = PeriodicGrid(32)
         params = PhysParams.from_theta(1.0, 1.0, 0.0)
         state = EvolutionState(0.0, random_profile(g, 6), params)
@@ -424,6 +425,52 @@ class TestStepping:
         last = err.value.last_state
         assert 0.0 < last.time < 0.5 and 0 < last.step_count <= 12
         assert records[-1]["t"] == last.time
+
+    @pytest.mark.parametrize("scheme, psi_calls", [("exp-euler", 2), ("rk4-explicit", 11)])
+    def test_adaptive_trial_reuses_psi_at_the_state(self, monkeypatch, scheme, psi_calls):
+        # the full step and the first half step share Psi(f_n): one trial
+        # costs 2 calls for exponential Euler and 11 for RK4, and its result
+        # is bitwise the two half steps taken one by one
+        g = PeriodicGrid(32)
+        params = PhysParams.from_theta(1.0, 1.0, 0.5)
+        state = EvolutionState(0.0, random_profile(g, 3, amplitude=0.05), params)
+        config = StepperConfig(scheme=scheme, dt=0.02, t_end=0.02, adapt=True, tol=1.0)
+        half = step(step(state, config, dt=0.01), config, dt=0.01)
+        calls = []
+        monkeypatch.setattr(evolution, "eval_Psi",
+                            lambda *a: calls.append(1) or eval_Psi(*a))
+        out = integrate(state, config)
+        assert len(calls) == psi_calls
+        assert out.step_count == 1 and out.time == 0.02
+        assert np.array_equal(out.profile.values, half.profile.values)
+
+    @pytest.mark.parametrize("theta, k", [(0.5, 3), (-3.0, 1)])
+    def test_exp_euler_exact_on_a_linear_mode_at_large_steps(self, theta, k):
+        # a tiny mode moves as exp(lambda_k t) however large the step: decay
+        # of mode 3, and growth of mode 1 in the unstable regime
+        g = PeriodicGrid(32)
+        params = PhysParams.from_theta(1.0, 1.0, theta)
+        f = InterfaceProfile(g, 1e-9 * np.cos(k * g.nodes))
+        out = integrate(EvolutionState(0.0, f, params),
+                        StepperConfig(scheme="exp-euler", dt=0.25, t_end=2.0))
+        assert out.step_count == 8
+        lam = linear_multiplier(g, params)[k]
+        assert (lam < 0) == (theta > 0)
+        amp = 2 * np.fft.fft(out.profile.values)[k].real / g.n_points
+        assert amp / 1e-9 == pytest.approx(np.exp(2.0 * lam), rel=1e-8)
+
+    def test_exp_euler_exact_for_a_frozen_remainder(self):
+        # with Psi(f) = L f + n for a fixed n, one step solves f' = L f + n
+        # exactly: f^(dt) = e^{dt lam} f^ + (e^{dt lam} - 1)/lam n^
+        g = PeriodicGrid(16)
+        lam = linear_multiplier(g, PhysParams.from_theta(1.0, 1.0, 0.5))
+        f = np.cos(g.nodes)
+        n = 0.3 * np.cos(2 * g.nodes) + 0.1
+        k1 = np.fft.ifft(lam * np.fft.fft(f)).real + n
+        got = evolution._exp_euler(None, f, 0.5, lam, k1)
+        want = (np.exp(0.5 * lam[1]) * f
+                + np.expm1(0.5 * lam[2]) / lam[2] * 0.3 * np.cos(2 * g.nodes) + 0.5 * 0.1)
+        assert np.max(np.abs(got - want)) < 1e-14
 
     def test_snapshot_schema_and_stride(self):
         g = PeriodicGrid(32)
