@@ -28,8 +28,8 @@ from .evolution import (
     integrate,
     snapshot_record,
 )
-from .fields import default_collar, far_field_residuals, min_interface_distance, sample_flow
-from .evolution import far_field_constants
+from .fields import _far_field_residuals, _sample_flow, default_collar, min_interface_distance
+from .evolution import _far_field_constants, forcing_G
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -225,8 +225,10 @@ def cmd_field(args) -> int:
     collar = default_collar(f)
     keep = min_interface_distance(f, pts) >= collar
     skipped = int(np.sum(~keep))
+    # one forcing serves the samples, the constants and the far-field check;
     # the kept points are outside the collar already: no second search
-    samples = sample_flow(f, params, pts[keep], collar=0.0) if np.any(keep) else []
+    G = forcing_G(f, params)
+    samples = _sample_flow(f, params, G, pts[keep], collar=0.0) if np.any(keep) else []
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -235,14 +237,14 @@ def cmd_field(args) -> int:
             writer.writerow([repr(s.point[0]), repr(s.point[1]), s.side,
                              repr(s.velocity[0]), repr(s.velocity[1]), repr(s.pressure)])
 
-    constants = far_field_constants(f, params)
+    constants = _far_field_constants(f, params, G)
     sidecar = {
         "snapshot_t": snap["t"],
         "c1": constants.c1, "c2": constants.c2,
         "c1_alt": constants.c1_alt, "c2_alt": constants.c2_alt,
         "collar": collar,
         "skipped_points": skipped,
-        "far_field": far_field_residuals(f, params),
+        "far_field": _far_field_residuals(f, params, G),
     }
     sidecar_path = Path(args.out).with_suffix(".sidecar.json")
     sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n")

@@ -375,13 +375,17 @@ def pressure_field(f: InterfaceProfile, params: PhysParams, points, *,
 
 def sample_flow(f: InterfaceProfile, params: PhysParams, points, *,
                 collar: float | None = None) -> list[FieldSample]:
+    return _sample_flow(f, params, forcing_G(f, params), points, collar=collar)
+
+
+def _sample_flow(f, params, G, points, *, collar) -> list[FieldSample]:
+    """``sample_flow`` with the forcing G of (f, params) given."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    v, q = _bulk_flow(f, forcing_G(f, params), params, pts, collar=collar)
+    v, q = _bulk_flow(f, G, params, pts, collar=collar)
     sides = side_of(f, pts)
-    return [
-        FieldSample((float(p[0]), float(p[1])), str(s), (float(vv[0]), float(vv[1])), float(qq))
-        for p, s, vv, qq in zip(pts, sides, v, q)
-    ]
+    (x1, x2), (v1, v2) = pts.T.tolist(), v.T.tolist()
+    return [FieldSample((a, b), s, (c, d), e)
+            for a, b, s, c, d, e in zip(x1, x2, sides.tolist(), v1, v2, q.tolist())]
 
 
 def velocity_gradient_field(f: InterfaceProfile, params: PhysParams, points, *,
@@ -558,7 +562,11 @@ def far_field_residuals(f: InterfaceProfile, params: PhysParams, *,
     """Residuals of the velocity and pressure limits at x2 = +/- height,
     against the offsets +/-(c1_alt, c2_alt) of ``far_field_constants``;
     eight probes per height, both heights from one evaluator."""
-    G = forcing_G(f, params)
+    return _far_field_residuals(f, params, forcing_G(f, params), height)
+
+
+def _far_field_residuals(f, params, G, height: float = 20.0) -> dict:
+    """``far_field_residuals`` with the forcing G of (f, params) given."""
     c = _far_field_constants(f, params, G)
     x1 = 2.0 * np.pi * (np.arange(8) + 0.37) / 8
     signs = np.array([1.0, -1.0])

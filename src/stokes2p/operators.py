@@ -128,7 +128,9 @@ class KernelWorkspace:
     Builds, per argument function d, the sampling table d(xi_i - s_j) and the
     difference table d(xi_i) - d(xi_i - s_j), both of shape (N, M).  Tables
     are built afresh on every call, so an input changed in place is never
-    served from a stale copy.
+    served from a stale copy.  A kernel build reads each difference table
+    through a ``_SlotFactors`` memo of its quotients that lives for that
+    build only.
     """
 
     def __init__(self, grid: PeriodicGrid, rule: str = "midpoint", m_quad: int | None = None):
@@ -165,8 +167,10 @@ class KernelWorkspace:
         return np.asarray(values, dtype=float)[:, None] - self.sample(values)
 
     def contract(self, kernel: np.ndarray, density_values: np.ndarray) -> np.ndarray:
-        """sum_j kernel[i, j] * phi(xi_i - s_j) * w_j, fixed summation order."""
-        return (kernel * self.sample(density_values)) @ self.weights
+        """sum_j kernel[i, j] * phi(xi_i - s_j) * w_j, fixed summation order.
+        The product is formed in place: ``kernel`` is overwritten."""
+        kernel *= self.sample(density_values)
+        return kernel @ self.weights
 
 
 # ---------------------------------------------------------------------------
@@ -240,43 +244,103 @@ def _resolve_grid(spec: OperatorSpec, density) -> PeriodicGrid:
 # kernel assembly
 # ---------------------------------------------------------------------------
 
+def _quotient(ws, kind, delta):
+    """A slot quotient over a difference table, in a fresh table: the tangent
+    quotient tanh(delta/2)/tan(s/2) ("tanh"), the half-difference quotient
+    (delta/2)/tan(s/2) ("half") or the difference quotient delta/s ("diff")."""
+    if kind == "diff":
+        return np.divide(delta, ws.nodes)
+    q = np.divide(delta, 2.0)
+    if kind == "tanh":
+        np.tanh(q, out=q)
+    q /= ws.tan_half
+    return q
+
+
+class _SlotFactors:
+    """The slot factors of one kernel build: ``factor(kind, delta)`` is a
+    quotient of ``_quotient`` or, for "tanh2" and "diff2", 1 + quotient**2,
+    the denominator factor.  Each is built once per difference table, keyed
+    by the table's identity (the caller holds its tables for the build), and
+    read by every slot that table fills; the memo goes with the build.  (A
+    closure that called itself would be a reference cycle, holding the
+    tables until the cycle collector ran.)"""
+
+    def __init__(self, ws):
+        self.ws, self._memo = ws, {}
+
+    def __call__(self, kind, delta):
+        key = kind, id(delta)
+        out = self._memo.get(key)
+        if out is None:
+            if kind in ("tanh2", "diff2"):
+                out = np.square(self(kind[:-1], delta))
+                out += 1.0
+            else:
+                out = _quotient(self.ws, kind, delta)
+            self._memo[key] = out
+        return out
+
+
+def _product(tables):
+    """The product of the tables in their order, in a fresh table; None for
+    no tables (an empty product, 1)."""
+    out = None
+    for t in tables:
+        if out is None:
+            out = t.copy()
+        else:
+            out *= t
+    return out
+
+
+def _ratio(ws, num, den):
+    """num / den as a fresh (N, M) table, either product possibly None (1);
+    written into num or den, which ``_product`` made."""
+    if num is None:
+        if den is None:
+            return np.ones((ws.grid.n_points, len(ws.nodes)))
+        return np.divide(1.0, den, out=den)
+    if den is not None:
+        num /= den
+    return num
+
+
+# The builders multiply the slot factors in the order of the slots, into a
+# copy of the first, so each kernel has the bits of the slot-by-slot product.
+
 def _tangent_kernel(ws, deltas_a, deltas_b, deltas_c, p):
-    t = ws.tan_half
-    num = 1.0
-    for db in deltas_b:
-        num = num * (np.tanh(db / 2.0) / t)
-    for dc in deltas_c:
-        num = num * ((dc / 2.0) / t)
-    den = 1.0
-    for da in deltas_a:
-        den = den * (1.0 + (np.tanh(da / 2.0) / t) ** 2)
-    shape = (ws.grid.n_points, len(ws.nodes))
-    return np.broadcast_to(num / den, shape) / (2.0 * np.pi) * t ** (p - 1)
+    factor = _SlotFactors(ws)
+    num = _product([factor("tanh", d) for d in deltas_b] + [factor("half", d) for d in deltas_c])
+    K = _ratio(ws, num, _product([factor("tanh2", d) for d in deltas_a]))
+    K /= 2.0 * np.pi
+    K *= ws.tan_half ** (p - 1)
+    return K
 
 
 def _difference_kernel(ws, deltas_a, deltas_b):
-    s = ws.nodes
-    num = 1.0
-    for db in deltas_b:
-        num = num * (db / s)
-    den = 1.0
-    for da in deltas_a:
-        den = den * (1.0 + (da / s) ** 2)
-    shape = (ws.grid.n_points, len(ws.nodes))
-    return np.broadcast_to(num / den, shape) / (np.pi * s)
+    factor = _SlotFactors(ws)
+    K = _ratio(ws, _product([factor("diff", d) for d in deltas_b]),
+               _product([factor("diff2", d) for d in deltas_a]))
+    K /= np.pi * ws.nodes
+    return K
 
 
 def _regularized_kernel(ws, deltas_a, deltas_b, deltas_c, ell):
     # the tangent kernel over tan(s/2)**ell less its difference counterpart
     # over (s/2)**ell
-    return (_tangent_kernel(ws, deltas_a, deltas_b, deltas_c, 1 - ell)
-            - _difference_kernel(ws, deltas_a, deltas_b + deltas_c) * (2.0 / ws.nodes) ** (ell - 1))
+    K = _tangent_kernel(ws, deltas_a, deltas_b, deltas_c, 1 - ell)
+    D = _difference_kernel(ws, deltas_a, deltas_b + deltas_c)
+    D *= (2.0 / ws.nodes) ** (ell - 1)
+    K -= D
+    return K
 
 
 def _apply(spec: OperatorSpec, density, rule, m_quad, build) -> np.ndarray:
     """Contract the kernel build(ws, deltas_a, deltas_b, deltas_c) with the
     density.  Each distinct argument profile gets one difference table,
-    shared by every slot it fills."""
+    shared by every slot it fills, and the build makes each of its
+    quotients once (``_SlotFactors``)."""
     grid = _resolve_grid(spec, density)
     ws = KernelWorkspace(grid, rule, m_quad)
     profiles = dict.fromkeys(spec.args_a + spec.args_b + spec.args_c)
@@ -585,9 +649,10 @@ class DiagonalOps(_LayerSums):
     half-grid midpoint rule at r = (s, delta f); composite 0 is the
     logarithmic operator ``eval_B0``.  ``kernel`` gives a single member of
     the tangent family (used by the derivatives): the ``eval_B`` kernel with
-    the one difference table ``df`` in every slot.  The layer tables go into
-    a working set leased from ``_TABLE_POOL`` on first use and returned when
-    this object is freed, so a new instance at the same N reuses its memory.
+    the one difference table ``df`` in every slot, so each of its quotients
+    is built once per call.  The layer tables go into a working set leased
+    from ``_TABLE_POOL`` on first use and returned when this object is
+    freed, so a new instance at the same N reuses its memory.
     """
 
     def __init__(self, f: InterfaceProfile):
@@ -612,7 +677,7 @@ class DiagonalOps(_LayerSums):
             raise ValueError("invalid member indices")
         K = self.kernel(n, m, p, q)
         for d in extra_diffs:
-            K = K * ((self.ws.delta(np.asarray(d, dtype=float)) / 2.0) / self.ws.tan_half)
+            K *= _quotient(self.ws, "half", self.ws.delta(np.asarray(d, dtype=float)))
         return self.ws.contract(K, density_values)
 
     @cached_property

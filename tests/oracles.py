@@ -1,8 +1,11 @@
 """Helpers shared by the test modules: a random band-limited density, the
-named composites' expansions into tangent-family members, a real-variable
-coding of the layer kernels and the dense nearest-sample scan."""
+slot-by-slot kernel assembly of the generic operator families, the named
+composites' expansions into tangent-family members, a real-variable coding
+of the layer kernels and the dense nearest-sample scan."""
 
 import numpy as np
+
+from stokes2p.operators import KernelWorkspace, _density_values, _resolve_grid
 
 
 def band_limited(grid, seed, modes=None, amplitude=0.5):
@@ -13,6 +16,108 @@ def band_limited(grid, seed, modes=None, amplitude=0.5):
         v += amplitude / (1 + k) * (rng.normal() * np.cos(k * grid.nodes)
                                     + rng.normal() * np.sin(k * grid.nodes))
     return v
+
+
+# ---------------------------------------------------------------------------
+# the generic operator families, slot by slot: every slot builds its own
+# quotient and every step allocates a new table
+# ---------------------------------------------------------------------------
+
+def tangent_kernel_loop(ws, deltas_a, deltas_b, deltas_c, p):
+    t = ws.tan_half
+    num = 1.0
+    for db in deltas_b:
+        num = num * (np.tanh(db / 2.0) / t)
+    for dc in deltas_c:
+        num = num * ((dc / 2.0) / t)
+    den = 1.0
+    for da in deltas_a:
+        den = den * (1.0 + (np.tanh(da / 2.0) / t) ** 2)
+    shape = (ws.grid.n_points, len(ws.nodes))
+    return np.broadcast_to(num / den, shape) / (2.0 * np.pi) * t ** (p - 1)
+
+
+def difference_kernel_loop(ws, deltas_a, deltas_b):
+    s = ws.nodes
+    num = 1.0
+    for db in deltas_b:
+        num = num * (db / s)
+    den = 1.0
+    for da in deltas_a:
+        den = den * (1.0 + (da / s) ** 2)
+    shape = (ws.grid.n_points, len(ws.nodes))
+    return np.broadcast_to(num / den, shape) / (np.pi * s)
+
+
+def regularized_kernel_loop(ws, deltas_a, deltas_b, deltas_c, ell):
+    return (tangent_kernel_loop(ws, deltas_a, deltas_b, deltas_c, 1 - ell)
+            - difference_kernel_loop(ws, deltas_a, deltas_b + deltas_c)
+            * (2.0 / ws.nodes) ** (ell - 1))
+
+
+def contract_loop(ws, kernel, density_values):
+    return (kernel * ws.sample(density_values)) @ ws.weights
+
+
+def apply_loop(spec, density, build, rule="midpoint", m_quad=None):
+    """A generic operator by the loop kernels: one difference table per slot
+    and ``build(ws, deltas_a, deltas_b, deltas_c)`` as the kernel."""
+    grid = _resolve_grid(spec, density)
+    ws = KernelWorkspace(grid, rule, m_quad)
+    da, db, dc = ([ws.delta(pr.values) for pr in args]
+                  for args in (spec.args_a, spec.args_b, spec.args_c))
+    return contract_loop(ws, build(ws, da, db, dc), _density_values(density, grid))
+
+
+def eval_B_loop(spec, density, m_quad=None):
+    return apply_loop(spec, density,
+                      lambda ws, da, db, dc: tangent_kernel_loop(ws, da, db, dc, spec.p),
+                      m_quad=m_quad)
+
+
+def eval_C_loop(spec, density, rule="midpoint", m_quad=None):
+    return apply_loop(spec, density,
+                      lambda ws, da, db, dc: difference_kernel_loop(ws, da, db), rule, m_quad)
+
+
+def eval_A_loop(spec, ell, density, rule="midpoint", m_quad=None):
+    return apply_loop(spec, density,
+                      lambda ws, da, db, dc: regularized_kernel_loop(ws, da, db, dc, ell),
+                      rule, m_quad)
+
+
+def apply_member_loop(f, n, m, p, q, density_values, extra_diffs=()):
+    """``DiagonalOps(f).apply_member`` by the loop kernel: the member with the
+    difference table of f in every slot, times the extra difference slots."""
+    ws = KernelWorkspace(f.grid)
+    df = ws.delta(f.values)
+    K = tangent_kernel_loop(ws, [df] * m, [df] * n, [df] * q, p)
+    for d in extra_diffs:
+        K = K * ((ws.delta(np.asarray(d, dtype=float)) / 2.0) / ws.tan_half)
+    return contract_loop(ws, K, density_values)
+
+
+def frechet_B_loop(f0, nmpq, direction, density_values, directions=()):
+    """``frechet_B(nmpq, f0, direction, directions=directions)(density)`` by
+    the loop members, in the map's order of terms."""
+    n, m, p, q = nmpq
+    extras = tuple(directions) + (direction,)
+    terms = []
+    if n:
+        terms += [(n, (n - 1, m, p, q)), (-n, (n + 1, m, p + 2, q))]
+    if m:
+        terms += [(2 * m, (n + 3, m + 1, p + 2, q)), (-2 * m, (n + 1, m + 1, p, q))]
+    if q:
+        terms += [(q, (n, m, p, q - 1))]
+    out = np.zeros(f0.grid.n_points)
+    for coef, member in terms:
+        out += coef * apply_member_loop(f0, *member, density_values, extras)
+    return out
+
+
+def frechet_B0_loop(f0, direction, density_values):
+    return 2.0 * (apply_member_loop(f0, 1, 1, 1, 0, density_values, (direction,))
+                  + apply_member_loop(f0, 1, 1, 3, 0, density_values, (direction,)))
 
 
 # the named composites as signed sums of diagonal tangent-family members:

@@ -206,6 +206,57 @@ class TestField:
         window = [p for p in searched if np.all(np.abs(p[:, 1]) <= 3.0)]
         assert len(window) == 1 and len(window[0]) == 25
 
+    def test_forcing_built_once(self, tmp_path, monkeypatch):
+        # one forcing serves the samples, the far-field constants and the
+        # far-field residuals; the files hold what the public functions give
+        import sys
+
+        from stokes2p import evolution
+        from stokes2p.cli import _params_from_args
+        from stokes2p.core import InterfaceProfile
+        from stokes2p.evolution import far_field_constants
+        from stokes2p.fields import (default_collar, far_field_residuals,
+                                     min_interface_distance, sample_flow)
+
+        run_dir = tmp_path / "run"
+        assert run_cli("simulate", "--n", "32", "--init", "cos:1:0.2",
+                       "--t-end", "0.02", "--out-dir", str(run_dir)) == 0
+        calls = []
+        original = evolution.forcing_G
+
+        def spy(f, params):
+            calls.append(1)
+            return original(f, params)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("stokes2p") and getattr(module, "forcing_G", None) is original:
+                monkeypatch.setattr(module, "forcing_G", spy)
+        out = tmp_path / "f.csv"
+        argv = ["field", "--snapshot", str(run_dir / "snapshots.jsonl"), "--g", "1.5",
+                "--rho-minus", "2", "--x2-min", "-3", "--x2-max", "3", "--nx2", "5",
+                "--nx1", "5", "--out", str(out)]
+        assert run_cli(*argv) == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+        with open(run_dir / "snapshots.jsonl") as fh:
+            values = json.loads(fh.read().splitlines()[-1])["values"]
+        f = InterfaceProfile(PeriodicGrid(len(values)), np.asarray(values))
+        params = _params_from_args(build_parser().parse_args(argv))
+        x1 = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)
+        pts = np.array([[a, b] for b in np.linspace(-3.0, 3.0, 5) for a in x1])
+        keep = min_interface_distance(f, pts) >= default_collar(f)
+        want = [[repr(s.point[0]), repr(s.point[1]), s.side, repr(s.velocity[0]),
+                 repr(s.velocity[1]), repr(s.pressure)]
+                for s in sample_flow(f, params, pts[keep], collar=0.0)]
+        with open(out) as fh:
+            assert list(csv.reader(fh))[1:] == want
+        sidecar = json.loads(out.with_suffix(".sidecar.json").read_text())
+        c = far_field_constants(f, params)
+        assert [sidecar[k] for k in ("c1", "c2", "c1_alt", "c2_alt")] == \
+            [c.c1, c.c2, c.c1_alt, c.c2_alt]
+        assert sidecar["far_field"] == far_field_residuals(f, params)
+
     @pytest.mark.parametrize("flag,count", [("--nx1", "-1"), ("--nx1", "0"), ("--nx2", "-1")])
     def test_bad_point_count_exit_one(self, tmp_path, capsys, flag, count):
         run_dir = tmp_path / "run"
@@ -249,3 +300,19 @@ class TestVerify:
         assert code == 3
         assert "FAIL operator-identity/B=A+C" in captured.out
         assert "reproduce with" in captured.err
+
+    def test_identity_check_evaluates_each_c_member_once(self, monkeypatch):
+        # B = A + C and the C recursion share their C members: 26 distinct
+        # (n, m), each evaluated once, against 75 evaluations one by one
+        from stokes2p import verify
+
+        seen = []
+        original = verify.eval_C
+
+        def spy(spec, density, **kwargs):
+            seen.append((spec.n, spec.m))
+            return original(spec, density, **kwargs)
+
+        monkeypatch.setattr(verify, "eval_C", spy)
+        assert all(ok for _, ok, _ in verify.check_operator_identities(n_points=32))
+        assert len(seen) == len(set(seen)) == 26

@@ -17,10 +17,20 @@ from stokes2p import (
     frechet_B0,
     hilbert_transform,
 )
-from stokes2p import fields
+from stokes2p import fields, operators
 from stokes2p.fields import antiderivative
 
-from oracles import COMPOSITE_MEMBERS, band_limited, layer_kernels_real
+from oracles import (
+    COMPOSITE_MEMBERS,
+    apply_member_loop,
+    band_limited,
+    eval_A_loop,
+    eval_B_loop,
+    eval_C_loop,
+    frechet_B0_loop,
+    frechet_B_loop,
+    layer_kernels_real,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +231,155 @@ class TestFamilyIdentities:
                             lambda self, v: calls.append(1) or delta(self, v))
         op(OperatorSpec.diagonal(4, 3, 0, 1, f_profile), density)
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the kernel assembly against the slot-by-slot loop of oracles.py: one
+# quotient per difference table, products formed in place, the same bits
+# ---------------------------------------------------------------------------
+
+def _bitwise(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def loop_case():
+    """A small grid, a profile f, three more profiles and two directions."""
+    g = PeriodicGrid(32)
+    x = g.nodes
+    f = InterfaceProfile(g, F_FN(x))
+    others = (InterfaceProfile(g, 0.2 * np.cos(x)),
+              InterfaceProfile(g, 0.1 * np.sin(x) + 0.05 * np.cos(3 * x)),
+              InterfaceProfile(g, 0.15 * np.sin(2 * x)), f)
+    return g, f, others, PHI_FN(x), (0.2 * np.sin(x) - 0.1 * np.cos(2 * x), 0.05 * np.cos(4 * x))
+
+
+def _loop_specs(f, others, kind, p_max=2):
+    """Every (n, m, p, q) with n <= 4, m <= 3, q <= 2 and p <= min(p_max,
+    n + q + 1), diagonal in f or with the slots cycling through ``others``."""
+    for n in range(5):
+        for m in range(4):
+            for q in range(3):
+                for p in range(min(p_max, n + q + 1) + 1):
+                    if kind == "diagonal":
+                        yield OperatorSpec.diagonal(n, m, p, q, f)
+                    else:
+                        yield OperatorSpec(n, m, p, q, tuple(others[i % 4] for i in range(m)),
+                                           tuple(others[(i + 1) % 4] for i in range(n)),
+                                           tuple(others[(i + 2) % 4] for i in range(q)))
+
+
+_LOOP_OPS = {
+    "B": (lambda s, d: eval_B(s, d), eval_B_loop, 2),
+    "A1-midpoint": (lambda s, d: eval_A(s, 1, d), lambda s, d: eval_A_loop(s, 1, d), 0),
+    "A2-midpoint": (lambda s, d: eval_A(s, 2, d), lambda s, d: eval_A_loop(s, 2, d), 0),
+    "A1-gauss": (lambda s, d: eval_A(s, 1, d, rule="gauss"),
+                 lambda s, d: eval_A_loop(s, 1, d, rule="gauss"), 0),
+    "A2-gauss": (lambda s, d: eval_A(s, 2, d, rule="gauss"),
+                 lambda s, d: eval_A_loop(s, 2, d, rule="gauss"), 0),
+    "C-midpoint": (lambda s, d: eval_C(s, d), eval_C_loop, 0),
+    "C-gauss": (lambda s, d: eval_C(s, d, rule="gauss"),
+                lambda s, d: eval_C_loop(s, d, rule="gauss"), 0),
+}
+
+
+class TestLoopOracle:
+    @pytest.mark.parametrize("kind", ["diagonal", "mixed"])
+    @pytest.mark.parametrize("name", list(_LOOP_OPS))
+    def test_generic_families_bitwise(self, loop_case, name, kind):
+        # eval_A and eval_C read no p (A's power is its ell), so p = 0 there
+        _, f, others, dens, _ = loop_case
+        op, loop, p_max = _LOOP_OPS[name]
+        specs = list(_loop_specs(f, others, kind, p_max))
+        bad = [(s.n, s.m, s.p, s.q) for s in specs if not _bitwise(op(s, dens), loop(s, dens))]
+        assert specs and bad == []
+
+    def test_members_bitwise(self, loop_case):
+        _, f, others, dens, (h1, h2) = loop_case
+        ops = DiagonalOps(f)
+        bad = []
+        for s in _loop_specs(f, others, "diagonal"):
+            for extras in ((), (h1,), (h1, h2)):
+                p = s.p + len(extras)
+                got = ops.apply_member(s.n, s.m, p, s.q, dens, extras)
+                if not _bitwise(got, apply_member_loop(f, s.n, s.m, p, s.q, dens, extras)):
+                    bad.append((s.n, s.m, p, s.q, len(extras)))
+        assert bad == []
+
+    def test_frechet_maps_bitwise(self, loop_case):
+        _, f, others, dens, (h1, h2) = loop_case
+        bad = []
+        for s in _loop_specs(f, others, "diagonal"):
+            nmpq = (s.n, s.m, s.p, s.q)
+            if not _bitwise(frechet_B(s, f, h1)(dens), frechet_B_loop(f, nmpq, h1, dens)):
+                bad.append(nmpq)
+            raised = (s.n, s.m, s.p + 1, s.q)
+            if not _bitwise(frechet_B(raised, f, h2, directions=(h1,))(dens),
+                            frechet_B_loop(f, raised, h2, dens, (h1,))):
+                bad.append(raised + ("second",))
+        assert bad == []
+        assert _bitwise(frechet_B0(f, h1)(dens), frechet_B0_loop(f, h1, dens))
+
+    @pytest.mark.parametrize("name", ["B", "A1-midpoint", "C-gauss"])
+    def test_one_tanh_quotient_per_profile_per_call(self, loop_case, monkeypatch, name):
+        # seven tangent slots of one profile, then four slots over three
+        # profiles: each call builds one tangent quotient per distinct
+        # profile of its a- and b-slots, and two calls build it twice
+        _, f, (a, b, c, _), dens, _ = loop_case
+        kinds = []
+        quotient = operators._quotient
+        monkeypatch.setattr(operators, "_quotient",
+                            lambda ws, kind, d: kinds.append(kind) or quotient(ws, kind, d))
+        op = _LOOP_OPS[name][0]
+        tangent = name != "C-gauss"
+        for spec, profiles in ((OperatorSpec.diagonal(4, 3, 0, 1, f), 1),
+                               (OperatorSpec(2, 2, 0, 1, (a, b), (b, c), (a,)), 3)):
+            for calls in (1, 2):
+                kinds.clear()
+                for _ in range(calls):
+                    op(spec, dens)
+                assert kinds.count("tanh") == calls * profiles * tangent
+                assert kinds.count("half") == calls * tangent
+                assert kinds.count("diff") == calls * profiles * (name != "B")
+
+    def test_no_table_outlives_a_call(self, f_profile, density):
+        # the quotient memo is dropped with its call, without the help of
+        # the cycle collector: repeated calls hold no more than the first
+        import gc
+        import tracemalloc
+
+        spec = OperatorSpec.diagonal(4, 3, 0, 1, f_profile)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            eval_A(spec, 1, density)
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(4):
+                eval_B(spec, density), eval_A(spec, 2, density), eval_C(spec, density)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < 8 * f_profile.grid.n_points ** 2 // 4        # a quarter table
+
+    def test_repeat_calls_bitwise(self, loop_case):
+        # a product formed in place never writes into a shared quotient, a
+        # difference table or an input
+        _, f, (a, b, c, _), dens, (h1, h2) = loop_case
+        inputs = [f.values.copy(), a.values.copy(), b.values.copy(), c.values.copy(),
+                  dens.copy(), h1.copy(), h2.copy()]
+        mixed = OperatorSpec(2, 2, 1, 1, (a, b), (b, a), (a,))
+        diag = OperatorSpec.diagonal(3, 2, 2, 2, f)
+        ops = DiagonalOps(f)
+        runs = [lambda: eval_B(mixed, dens), lambda: eval_B(diag, dens),
+                lambda: eval_A(diag, 2, dens), lambda: eval_A(mixed, 1, dens, rule="gauss"),
+                lambda: eval_C(diag, dens), lambda: ops.kernel(3, 2, 2, 2),
+                lambda: ops.apply_member(3, 2, 4, 2, dens, (h1, h1)),
+                lambda: frechet_B(diag, f, h2)(dens), lambda: frechet_B0(f, h1)(dens)]
+        for run in runs:
+            assert _bitwise(run(), run())
+        now = [f.values, a.values, b.values, c.values, dens, h1, h2]
+        assert all(_bitwise(x, y) for x, y in zip(now, inputs))
 
 
 class TestFamilyC:

@@ -1,6 +1,6 @@
 """Property tests of the evolution operator Psi on random band-limited
 profiles: mean-freeness, vertical-shift invariance, x-translation
-equivariance and reflection symmetry."""
+equivariance, reflection symmetry and oddness under f -> -f."""
 
 import numpy as np
 import pytest
@@ -70,3 +70,13 @@ class TestPsiProperties:
         mirror = np.roll(f.values[::-1], 1)
         reflected = eval_Psi(InterfaceProfile(f.grid, mirror), params)
         assert np.max(np.abs(reflected - np.roll(psi[::-1], 1))) < 1e-12 * _scale(psi)
+
+    @settings(max_examples=15, deadline=None)
+    @given(psi_inputs())
+    def test_odd_in_the_profile(self, case):
+        # f -> -f mirrors the interface in x2 = 0, and Psi(-f) = -Psi(f)
+        # holds exactly: every step of Psi is odd or even in f bit for bit
+        f, params = case
+        psi = eval_Psi(f, params)
+        flipped = eval_Psi(InterfaceProfile(f.grid, -f.values), params)
+        assert np.array_equal(flipped, -psi)
