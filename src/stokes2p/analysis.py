@@ -3,8 +3,6 @@ probes, and exponential rate fits of simulated trajectories."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,56 +68,24 @@ def _mode_coefficients(values: np.ndarray) -> np.ndarray:
     return amps
 
 
-def probe_workers_from_env() -> int:
-    """Probe thread count from ``STOKES_NUM_THREADS``; 1 when it is unset or
-    empty.  Raises ValueError unless it is a positive integer."""
-    raw = os.environ.get("STOKES_NUM_THREADS")
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError("STOKES_NUM_THREADS must be a positive integer")
-    return workers
-
-
-def _probe_mode(grid, params, k, probe):
-    phase = np.cos if probe == "cos" else np.sin
-    return jacobian_action_at_zero(params, grid, phase(k * grid.nodes))
-
-
 def numeric_jacobian_at_zero(params: PhysParams, grid: PeriodicGrid, k_max: int, *,
                              probe: str = "cos",
-                             workers: int | None = None,
                              leakage_tol: float | None = None) -> SpectrumReport:
     """Probe the flat-state Jacobian by central differences, mode by mode.
 
-    The response to a single cosine must be a multiple of that cosine; the
-    largest amplitude appearing in any other mode (or in the mean) is
-    reported as leakage.  Probes are independent per mode and may run on a
-    small thread pool (``workers``, default from ``STOKES_NUM_THREADS``);
-    each concurrent probe holds its own working set of layer tables.
+    The response to a single cosine (or sine, with ``probe="sin"``) must be
+    a multiple of that mode; the largest amplitude appearing in any other
+    mode (or in the mean) is reported as leakage.  The probes run one after
+    another, k = 1..k_max.
     """
     if k_max > grid.n_points // 4:
         raise ValueError("k_max must be at most N/4 to stay well resolved")
-    if workers is None:
-        workers = probe_workers_from_env()
 
-    ks = list(range(1, k_max + 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            responses = list(pool.map(
-                lambda k: _probe_mode(grid, params, k, probe), ks))
-    else:
-        responses = [_probe_mode(grid, params, k, probe) for k in ks]
-
+    phase, col = (np.cos, 0) if probe == "cos" else (np.sin, 1)
     modes = []
     leakage = 0.0
-    col = 0 if probe == "cos" else 1
-    for k, resp in zip(ks, responses):
-        amps = _mode_coefficients(resp)
+    for k in range(1, k_max + 1):
+        amps = _mode_coefficients(jacobian_action_at_zero(params, grid, phase(k * grid.nodes)))
         lam = float(amps[k, col])
         own = np.zeros_like(amps)
         own[k, col] = lam

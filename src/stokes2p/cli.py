@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import analytic_spectrum, numeric_jacobian_at_zero, probe_workers_from_env
+from .analysis import analytic_spectrum, numeric_jacobian_at_zero
 from .core import InterfaceProfile, PeriodicGrid, PhysParams
 from .evolution import (
     SCHEMES,
@@ -270,11 +270,6 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    try:
-        probe_workers_from_env()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -31,6 +31,11 @@ operator ``eval_B0``.  ``DiagonalOps`` builds D at r = (s, delta f) once per
 profile and applies each composite as a part of the product of its table
 with a density's half-grid samples: the ``_LayerSums`` that ``fields`` uses.
 
+The Fréchet derivatives ``frechet_B`` and ``frechet_B0`` are signed sums of
+tangent-family members of the base profile whose extra difference slots
+hold the directions: each term is one ``eval_B`` call with those directions
+in its last ``args_c`` slots.
+
 Quadrature.  Principal values use a midpoint rule with nodes straddling
 s = 0 symmetrically (half a spacing off the collocation grid), so the
 singularity is never sampled and odd singular parts cancel analytically.
@@ -359,19 +364,26 @@ def eval_C(spec: OperatorSpec, density, *, rule: str = "midpoint",
            m_quad: int | None = None) -> np.ndarray:
     """Nodal values of the difference-family (1/s kernel) principal value.
 
-    The default midpoint rule shares nodes with :func:`eval_B`, making the
-    algebraic identities between the families exact at the discrete level;
-    ``rule="gauss"`` gives converged continuum values instead.
+    The family has no power of s and no difference-numerator slots, so a
+    spec with p or q nonzero is rejected.  The default midpoint rule shares
+    nodes with :func:`eval_B`, making the algebraic identities between the
+    families exact at the discrete level; ``rule="gauss"`` gives converged
+    continuum values instead.
     """
+    if spec.p or spec.q:
+        raise ValueError(f"eval_C takes p = q = 0, got p={spec.p}, q={spec.q}")
     return _apply(spec, density, rule, m_quad,
                   lambda ws, da, db, dc: _difference_kernel(ws, da, db))
 
 
 def eval_A(spec: OperatorSpec, ell: int, density, *, rule: str = "midpoint",
            m_quad: int | None = None) -> np.ndarray:
-    """Nodal values of the regularized-difference operator (bounded kernel)."""
+    """Nodal values of the regularized-difference operator (bounded kernel).
+    Its power of tan(s/2) is ``ell``, so a spec with p nonzero is rejected."""
     if ell not in (1, 2):
         raise ValueError("ell must be 1 or 2")
+    if spec.p:
+        raise ValueError(f"eval_A takes p = 0 (its power is ell), got p={spec.p}")
     return _apply(spec, density, rule, m_quad,
                   lambda ws, da, db, dc: _regularized_kernel(ws, da, db, dc, ell))
 
@@ -643,42 +655,25 @@ class _LayerSums:
 # ---------------------------------------------------------------------------
 
 class DiagonalOps(_LayerSums):
-    """Evaluator for operators whose arguments all equal one profile f.
+    """The layer sums on the interface of one profile f.
 
     ``composite`` applies the named composites 0..6, the layer sums of the
     half-grid midpoint rule at r = (s, delta f); composite 0 is the
-    logarithmic operator ``eval_B0``.  ``kernel`` gives a single member of
-    the tangent family (used by the derivatives): the ``eval_B`` kernel with
-    the one difference table ``df`` in every slot, so each of its quotients
-    is built once per call.  The layer tables go into a working set leased
-    from ``_TABLE_POOL`` on first use and returned when this object is
-    freed, so a new instance at the same N reuses its memory.
+    logarithmic operator ``eval_B0``.  The layer tables go into a working
+    set leased from ``_TABLE_POOL`` on first use and returned when this
+    object is freed, so a new instance at the same N reuses its memory.
     """
 
     def __init__(self, f: InterfaceProfile):
         super().__init__(f.grid, f.grid.n_points)
         self.f = f
-        self.ws = KernelWorkspace(f.grid)
-
-    @cached_property
-    def df(self):
-        return self.ws.delta(self.f.values)                  # node coordinates
 
     def kernel(self, n: int, m: int, p: int, q: int) -> np.ndarray:
-        # boundedness at |s| = pi (p <= n + q + #extras + 1) is the caller's
-        # contract; the bare table is finite at the quadrature nodes regardless
-        df = self.df
-        return _tangent_kernel(self.ws, [df] * m, [df] * n, [df] * q, p)
-
-    def apply_member(self, n, m, p, q, density_values, extra_diffs=()) -> np.ndarray:
-        """One member applied to a density; extra_diffs appends difference
-        slots filled by functions other than f (used by the derivatives)."""
-        if p > n + q + len(extra_diffs) + 1:
-            raise ValueError("invalid member indices")
-        K = self.kernel(n, m, p, q)
-        for d in extra_diffs:
-            K *= _quotient(self.ws, "half", self.ws.delta(np.asarray(d, dtype=float)))
-        return self.ws.contract(K, density_values)
+        """The diagonal tangent-family kernel of f, the one ``eval_B`` builds."""
+        # bench/tracer.py still wraps this reader; ROADMAP item 1 retires it
+        ws = KernelWorkspace(self.grid)
+        df = ws.delta(self.f.values)
+        return _tangent_kernel(ws, [df] * m, [df] * n, [df] * q, p)
 
     @cached_property
     def _rules(self):
@@ -692,7 +687,7 @@ class DiagonalOps(_LayerSums):
         weakref.finalize(self, _TABLE_POOL.release, n, tables)
         r2 = np.subtract.outer(self.f.values, _half_grid(self.f.grid, self.f.values),
                                out=tables["r2"])
-        u = np.exp(0.5j * self.ws.nodes)
+        u = np.exp(0.5j * _midpoint_rule(n)[0])
         layer = _LayerTables(lambda g: _circulant(g(u)), r2, tables, split_log=True)
         return [(None, _half_samples, layer, lambda K, v: K @ v[0], self.grid.spacing / TWO_PI)]
 
@@ -716,6 +711,24 @@ def _half_samples(values):
 # analytic directional derivatives in the interface argument
 # ---------------------------------------------------------------------------
 
+def _member_sum(f0: InterfaceProfile, terms, directions):
+    """The map density -> sum of coef * B[n, m, p, q + k] over ``terms``
+    (coef, (n, m, p, q)), in their order: each member has f0 in its m, n and
+    q slots and the k ``directions`` in its last difference slots."""
+    extras = tuple(InterfaceProfile(f0.grid, d.values if isinstance(d, InterfaceProfile) else d)
+                   for d in directions)
+
+    def operator(density):
+        out = np.zeros(f0.grid.n_points)
+        for coef, (n, m, p, q) in terms:
+            spec = OperatorSpec(n, m, p, q + len(extras), (f0,) * m, (f0,) * n,
+                                (f0,) * q + extras)
+            out += coef * eval_B(spec, density)
+        return out
+
+    return operator
+
+
 def frechet_B(spec, f0: InterfaceProfile, direction, *, directions: tuple = ()):
     """Derivative of the diagonal tangent-family operator in its profile.
 
@@ -724,18 +737,20 @@ def frechet_B(spec, f0: InterfaceProfile, direction, *, directions: tuple = ()):
     difference slots of an already-differentiated member (its length is the
     derivative order built up so far); validity then requires only
     p <= n + q + len(directions) + 1, so ``spec`` may be a bare (n, m, p, q)
-    tuple for members whose p exceeds the underived bound.
+    tuple for members whose p exceeds the underived bound.  An
+    ``OperatorSpec`` must be diagonal in f0: a slot holding a profile with
+    other values is rejected.
     """
-    n, m, p, q = (spec.n, spec.m, spec.p, spec.q) if isinstance(spec, OperatorSpec) \
-        else spec
+    if isinstance(spec, OperatorSpec):
+        if any(not np.array_equal(pr.values, f0.values)
+               for pr in spec.args_a + spec.args_b + spec.args_c):
+            raise ValueError("frechet_B differentiates the member diagonal in f0; "
+                             "a slot of the spec holds another profile")
+        spec = (spec.n, spec.m, spec.p, spec.q)
+    n, m, p, q = spec
     k = len(directions)
     if p > n + q + k + 1:
         raise ValueError("invalid member indices for the requested derivative")
-    ops = DiagonalOps(f0)
-    dvec = np.asarray(direction.values if isinstance(direction, InterfaceProfile) else direction,
-                      dtype=float)
-    extras = tuple(np.asarray(d.values if isinstance(d, InterfaceProfile) else d, dtype=float)
-                   for d in directions) + (dvec,)
 
     terms = []
     if n:
@@ -744,26 +759,9 @@ def frechet_B(spec, f0: InterfaceProfile, direction, *, directions: tuple = ()):
         terms += [(2 * m, (n + 3, m + 1, p + 2, q)), (-2 * m, (n + 1, m + 1, p, q))]
     if q:
         terms += [(q, (n, m, p, q - 1))]
-
-    def operator(density):
-        values = _density_values(density, f0.grid)
-        out = np.zeros(f0.grid.n_points)
-        for coef, (nn, mm, pp, qq) in terms:
-            out += coef * ops.apply_member(nn, mm, pp, qq, values, extra_diffs=extras)
-        return out
-
-    return operator
+    return _member_sum(f0, terms, tuple(directions) + (direction,))
 
 
 def frechet_B0(f0: InterfaceProfile, direction):
     """Derivative of the logarithmic operator in its profile argument."""
-    ops = DiagonalOps(f0)
-    dvec = np.asarray(direction.values if isinstance(direction, InterfaceProfile) else direction,
-                      dtype=float)
-
-    def operator(density):
-        values = _density_values(density, f0.grid)
-        return 2.0 * (ops.apply_member(1, 1, 1, 0, values, extra_diffs=(dvec,))
-                      + ops.apply_member(1, 1, 3, 0, values, extra_diffs=(dvec,)))
-
-    return operator
+    return _member_sum(f0, [(2.0, (1, 1, 1, 0)), (2.0, (1, 1, 3, 0))], (direction,))

@@ -1,10 +1,13 @@
 """Helpers shared by the test modules: a random band-limited density, the
-slot-by-slot kernel assembly of the generic operator families, the named
-composites' expansions into tangent-family members, a real-variable coding
-of the layer kernels and the dense nearest-sample scan."""
+slot-by-slot kernel assembly of the generic operator families and of the
+Fréchet maps (each term an ``eval_B_loop`` member with the directions in
+extra difference slots), the named composites' expansions into
+tangent-family members, a real-variable coding of the layer kernels and the
+dense nearest-sample scan."""
 
 import numpy as np
 
+from stokes2p import InterfaceProfile, OperatorSpec
 from stokes2p.operators import KernelWorkspace, _density_values, _resolve_grid
 
 
@@ -86,22 +89,26 @@ def eval_A_loop(spec, ell, density, rule="midpoint", m_quad=None):
                       rule, m_quad)
 
 
-def apply_member_loop(f, n, m, p, q, density_values, extra_diffs=()):
-    """``DiagonalOps(f).apply_member`` by the loop kernel: the member with the
-    difference table of f in every slot, times the extra difference slots."""
-    ws = KernelWorkspace(f.grid)
-    df = ws.delta(f.values)
-    K = tangent_kernel_loop(ws, [df] * m, [df] * n, [df] * q, p)
-    for d in extra_diffs:
-        K = K * ((ws.delta(np.asarray(d, dtype=float)) / 2.0) / ws.tan_half)
-    return contract_loop(ws, K, density_values)
+def member_spec(f, n, m, p, q, *directions):
+    """The member (n, m, p, q) diagonal in f, with the directions (nodal
+    values) in extra difference slots after its q slots of f."""
+    extras = tuple(InterfaceProfile(f.grid, d) for d in directions)
+    return OperatorSpec(n, m, p, q + len(extras), (f,) * m, (f,) * n, (f,) * q + extras)
+
+
+def member_sum_loop(f0, terms, directions, density):
+    """sum of coef * ``eval_B_loop`` of the member (n, m, p, q) of f0 with the
+    directions in extra difference slots, in the order of ``terms``."""
+    out = np.zeros(f0.grid.n_points)
+    for coef, member in terms:
+        out += coef * eval_B_loop(member_spec(f0, *member, *directions), density)
+    return out
 
 
 def frechet_B_loop(f0, nmpq, direction, density_values, directions=()):
     """``frechet_B(nmpq, f0, direction, directions=directions)(density)`` by
     the loop members, in the map's order of terms."""
     n, m, p, q = nmpq
-    extras = tuple(directions) + (direction,)
     terms = []
     if n:
         terms += [(n, (n - 1, m, p, q)), (-n, (n + 1, m, p + 2, q))]
@@ -109,15 +116,12 @@ def frechet_B_loop(f0, nmpq, direction, density_values, directions=()):
         terms += [(2 * m, (n + 3, m + 1, p + 2, q)), (-2 * m, (n + 1, m + 1, p, q))]
     if q:
         terms += [(q, (n, m, p, q - 1))]
-    out = np.zeros(f0.grid.n_points)
-    for coef, member in terms:
-        out += coef * apply_member_loop(f0, *member, density_values, extras)
-    return out
+    return member_sum_loop(f0, terms, tuple(directions) + (direction,), density_values)
 
 
 def frechet_B0_loop(f0, direction, density_values):
-    return 2.0 * (apply_member_loop(f0, 1, 1, 1, 0, density_values, (direction,))
-                  + apply_member_loop(f0, 1, 1, 3, 0, density_values, (direction,)))
+    return member_sum_loop(f0, [(2.0, (1, 1, 1, 0)), (2.0, (1, 1, 3, 0))], (direction,),
+                           density_values)
 
 
 # the named composites as signed sums of diagonal tangent-family members:

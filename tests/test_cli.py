@@ -152,12 +152,6 @@ class TestSpectrum:
     def test_bad_kmax(self):
         assert run_cli("spectrum", "--n", "64", "--k-max", "50") == 1
 
-    @pytest.mark.parametrize("raw", ["0", "abc"])
-    def test_bad_thread_env(self, monkeypatch, capsys, raw):
-        monkeypatch.setenv("STOKES_NUM_THREADS", raw)
-        assert run_cli("spectrum", "--n", "64", "--k-max", "2") == 1
-        assert "STOKES_NUM_THREADS must be a positive integer" in capsys.readouterr().err
-
 
 class TestField:
     def test_csv_and_sidecar(self, tmp_path):

@@ -3,14 +3,15 @@ import pytest
 
 from stokes2p import (
     BlowUpError,
-    DiagonalOps,
     EvolutionState,
     InterfaceProfile,
+    OperatorSpec,
     PeriodicGrid,
     PhysParams,
     StepperConfig,
     StepSizeError,
     dphi_of,
+    eval_B,
     eval_B0,
     eval_Psi,
     far_field_constants,
@@ -179,12 +180,10 @@ def psi_from_composite_terms(f, params):
     """Psi assembled term by term from its 14 composite applications: the
     composites 1..6 as sums of tangent-family members, composite 0 as the
     spectral log part plus its bounded remainder."""
-    ops = DiagonalOps(f)
-
     def B(index, density):
         if index == 0:
             return eval_B0(f, density)
-        return sum(coef * ops.apply_member(n, m, p, q, density)
+        return sum(coef * eval_B(OperatorSpec.diagonal(n, m, p, q, f), density)
                    for coef, (n, m, p, q) in COMPOSITE_MEMBERS[index])
 
     fv, fp = f.values, f.deriv_values

@@ -22,7 +22,6 @@ from stokes2p.fields import antiderivative
 
 from oracles import (
     COMPOSITE_MEMBERS,
-    apply_member_loop,
     band_limited,
     eval_A_loop,
     eval_B_loop,
@@ -30,6 +29,7 @@ from oracles import (
     frechet_B0_loop,
     frechet_B_loop,
     layer_kernels_real,
+    member_spec,
 )
 
 
@@ -221,7 +221,8 @@ class TestFamilyIdentities:
                 worst = max(worst, np.max(np.abs(lhs - rhs)))
         assert worst < 1e-10
 
-    @pytest.mark.parametrize("op", [eval_B, lambda spec, d: eval_A(spec, 1, d), eval_C],
+    @pytest.mark.parametrize("op", [eval_B, lambda spec, d: eval_A(spec, 1, d),
+                                    lambda spec, d: eval_C(c_member(spec), d)],
                              ids=["B", "A", "C"])
     def test_one_difference_table_per_profile(self, f_profile, density, op, monkeypatch):
         # the eight slots of a diagonal spec share the table of their one profile
@@ -231,6 +232,22 @@ class TestFamilyIdentities:
                             lambda self, v: calls.append(1) or delta(self, v))
         op(OperatorSpec.diagonal(4, 3, 0, 1, f_profile), density)
         assert len(calls) == 1
+
+    def test_unread_indices_rejected(self, f_profile, density):
+        # eval_C has no power of s and no difference slots, eval_A's power
+        # is its ell: a spec that sets them names another operator
+        for p, q in ((3, 2), (0, 2), (3, 0)):
+            with pytest.raises(ValueError, match="eval_C takes p = q = 0"):
+                eval_C(OperatorSpec.diagonal(2, 1, p, q, f_profile), density)
+        with pytest.raises(ValueError, match="eval_A takes p = 0"):
+            eval_A(OperatorSpec.diagonal(2, 1, 3, 0, f_profile), 1, density)
+        eval_A(OperatorSpec.diagonal(2, 1, 0, 2, f_profile), 2, density)
+
+
+def c_member(spec):
+    """The difference-family member of B = A + C for a tangent-family spec:
+    the q difference slots join the n numerator slots, and p is 0."""
+    return OperatorSpec(spec.n + spec.q, spec.m, 0, 0, spec.args_a, spec.args_b + spec.args_c)
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +271,12 @@ def loop_case():
     return g, f, others, PHI_FN(x), (0.2 * np.sin(x) - 0.1 * np.cos(2 * x), 0.05 * np.cos(4 * x))
 
 
-def _loop_specs(f, others, kind, p_max=2):
-    """Every (n, m, p, q) with n <= 4, m <= 3, q <= 2 and p <= min(p_max,
+def _loop_specs(f, others, kind, p_max=2, q_max=2):
+    """Every (n, m, p, q) with n <= 4, m <= 3, q <= q_max and p <= min(p_max,
     n + q + 1), diagonal in f or with the slots cycling through ``others``."""
     for n in range(5):
         for m in range(4):
-            for q in range(3):
+            for q in range(q_max + 1):
                 for p in range(min(p_max, n + q + 1) + 1):
                     if kind == "diagonal":
                         yield OperatorSpec.diagonal(n, m, p, q, f)
@@ -287,24 +304,12 @@ class TestLoopOracle:
     @pytest.mark.parametrize("kind", ["diagonal", "mixed"])
     @pytest.mark.parametrize("name", list(_LOOP_OPS))
     def test_generic_families_bitwise(self, loop_case, name, kind):
-        # eval_A and eval_C read no p (A's power is its ell), so p = 0 there
+        # eval_A and eval_C take p = 0 (A's power is its ell), eval_C q = 0
         _, f, others, dens, _ = loop_case
         op, loop, p_max = _LOOP_OPS[name]
-        specs = list(_loop_specs(f, others, kind, p_max))
+        specs = list(_loop_specs(f, others, kind, p_max, 0 if name.startswith("C") else 2))
         bad = [(s.n, s.m, s.p, s.q) for s in specs if not _bitwise(op(s, dens), loop(s, dens))]
         assert specs and bad == []
-
-    def test_members_bitwise(self, loop_case):
-        _, f, others, dens, (h1, h2) = loop_case
-        ops = DiagonalOps(f)
-        bad = []
-        for s in _loop_specs(f, others, "diagonal"):
-            for extras in ((), (h1,), (h1, h2)):
-                p = s.p + len(extras)
-                got = ops.apply_member(s.n, s.m, p, s.q, dens, extras)
-                if not _bitwise(got, apply_member_loop(f, s.n, s.m, p, s.q, dens, extras)):
-                    bad.append((s.n, s.m, p, s.q, len(extras)))
-        assert bad == []
 
     def test_frechet_maps_bitwise(self, loop_case):
         _, f, others, dens, (h1, h2) = loop_case
@@ -334,6 +339,8 @@ class TestLoopOracle:
         tangent = name != "C-gauss"
         for spec, profiles in ((OperatorSpec.diagonal(4, 3, 0, 1, f), 1),
                                (OperatorSpec(2, 2, 0, 1, (a, b), (b, c), (a,)), 3)):
+            if not tangent:
+                spec = c_member(spec)
             for calls in (1, 2):
                 kinds.clear()
                 for _ in range(calls):
@@ -355,7 +362,7 @@ class TestLoopOracle:
             eval_A(spec, 1, density)
             before = tracemalloc.get_traced_memory()[0]
             for _ in range(4):
-                eval_B(spec, density), eval_A(spec, 2, density), eval_C(spec, density)
+                eval_B(spec, density), eval_A(spec, 2, density), eval_C(c_member(spec), density)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -370,11 +377,13 @@ class TestLoopOracle:
                   dens.copy(), h1.copy(), h2.copy()]
         mixed = OperatorSpec(2, 2, 1, 1, (a, b), (b, a), (a,))
         diag = OperatorSpec.diagonal(3, 2, 2, 2, f)
+        mixed_a = OperatorSpec(2, 2, 0, 1, (a, b), (b, a), (a,))
+        diag_a = OperatorSpec.diagonal(3, 2, 0, 2, f)
         ops = DiagonalOps(f)
         runs = [lambda: eval_B(mixed, dens), lambda: eval_B(diag, dens),
-                lambda: eval_A(diag, 2, dens), lambda: eval_A(mixed, 1, dens, rule="gauss"),
-                lambda: eval_C(diag, dens), lambda: ops.kernel(3, 2, 2, 2),
-                lambda: ops.apply_member(3, 2, 4, 2, dens, (h1, h1)),
+                lambda: eval_A(diag_a, 2, dens), lambda: eval_A(mixed_a, 1, dens, rule="gauss"),
+                lambda: eval_C(c_member(diag_a), dens), lambda: ops.kernel(3, 2, 2, 2),
+                lambda: eval_B(member_spec(f, 3, 2, 4, 2, h1, h1), dens),
                 lambda: frechet_B(diag, f, h2)(dens), lambda: frechet_B0(f, h1)(dens)]
         for run in runs:
             assert _bitwise(run(), run())
@@ -523,8 +532,7 @@ class TestComposites:
         grid = PeriodicGrid(n_points)
         f = InterfaceProfile(grid, band_limited(grid, 10 + idx, modes=16, amplitude=0.3))
         phi = band_limited(grid, 20 + idx, modes=16)
-        ops = DiagonalOps(f)
-        want = sum(coef * ops.apply_member(n, m, p, q, phi)
+        want = sum(coef * eval_B(OperatorSpec.diagonal(n, m, p, q, f), phi)
                    for coef, (n, m, p, q) in COMPOSITE_MEMBERS[idx])
         got = DiagonalOps(f).composite(idx, phi)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -766,9 +774,8 @@ class TestFrechet:
         density = np.cos(grid.nodes)
         m, p = 2, 1
         deriv = frechet_B(OperatorSpec.diagonal(0, m, p, 0, f0), f0, direction)
-        ops = DiagonalOps(f0)
-        want = 2 * m * (ops.apply_member(3, m + 1, p + 2, 0, density, (direction,))
-                        - ops.apply_member(1, m + 1, p, 0, density, (direction,)))
+        want = 2 * m * (eval_B(member_spec(f0, 3, m + 1, p + 2, 0, direction), density)
+                        - eval_B(member_spec(f0, 1, m + 1, p, 0, direction), density))
         assert np.max(np.abs(deriv(density) - want)) < 1e-13
 
     def test_second_order_slot_with_raised_power(self):
@@ -784,12 +791,30 @@ class TestFrechet:
         eps = 1e-5
 
         def once_derived(f):
-            return DiagonalOps(f).apply_member(*nmpq, density, (h1,))
+            return eval_B(member_spec(f, *nmpq, h1), density)
 
         fd = (once_derived(InterfaceProfile(grid, f0.values + eps * direction))
               - once_derived(InterfaceProfile(grid, f0.values - eps * direction))) / (2 * eps)
         got = deriv(density)
         assert np.max(np.abs(got - fd)) / (np.max(np.abs(fd)) + 1e-30) < 1e-6
+
+    def test_non_diagonal_spec_rejected(self):
+        # frechet_B differentiates the member of f0: a spec slot that holds
+        # a profile with other values names another operator
+        grid = PeriodicGrid(64)
+        f0 = InterfaceProfile(grid, 0.2 * np.cos(grid.nodes))
+        other = InterfaceProfile(grid, 0.1 * np.sin(grid.nodes))
+        same = InterfaceProfile(grid, f0.values)
+        h = np.sin(2 * grid.nodes)
+        for spec in (OperatorSpec(1, 1, 0, 1, (f0,), (other,), (f0,)),
+                     OperatorSpec(1, 1, 0, 1, (other,), (f0,), (f0,)),
+                     OperatorSpec(1, 1, 0, 1, (f0,), (f0,), (other,))):
+            with pytest.raises(ValueError, match="diagonal in f0"):
+                frechet_B(spec, f0, h)
+        density = np.cos(grid.nodes)
+        want = frechet_B((1, 1, 0, 1), f0, h)(density)
+        got = frechet_B(OperatorSpec(1, 1, 0, 1, (same,), (f0,), (same,)), f0, h)(density)
+        assert _bitwise(got, want)
 
     def test_linearity_in_direction(self):
         grid = PeriodicGrid(64)
@@ -829,8 +854,7 @@ class TestFrechet:
         zero = InterfaceProfile.zero(grid)
         h = np.cos(grid.nodes)
         density = np.sin(2 * grid.nodes)
-        ops = DiagonalOps(zero)
-        want = 2 * (ops.apply_member(1, 1, 1, 0, density, (h,))
-                    + ops.apply_member(1, 1, 3, 0, density, (h,)))
+        want = 2 * (eval_B(member_spec(zero, 1, 1, 1, 0, h), density)
+                    + eval_B(member_spec(zero, 1, 1, 3, 0, h), density))
         got = frechet_B0(zero, h)(density)
         assert np.max(np.abs(got - want)) < 1e-15
