@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import analytic_spectrum, numeric_jacobian_at_zero
+from .analysis import numeric_jacobian_at_zero
 from .core import InterfaceProfile, PeriodicGrid, PhysParams
 from .evolution import (
     SCHEMES,
@@ -172,17 +172,16 @@ def cmd_spectrum(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    analytic = analytic_spectrum(params, args.k_max)
-    numeric = numeric_jacobian_at_zero(params, grid, args.k_max)
-    theta0 = "n/a" if analytic.theta0 is None else f"{analytic.theta0:.10g}"
-    print(f"regime={analytic.regime} theta={params.theta:.10g} theta0={theta0} "
-          f"leakage={numeric.leakage:.3e}")
+    report = numeric_jacobian_at_zero(params, grid, args.k_max)
+    theta0 = "n/a" if report.theta0 is None else f"{report.theta0:.10g}"
+    print(f"regime={report.regime} theta={params.theta:.10g} theta0={theta0} "
+          f"leakage={report.leakage:.3e}")
     print(f"{'k':>4} {'analytic':>22} {'numeric':>22} {'rel_error':>12}")
     rows = []
-    for ma, mn in zip(analytic.modes, numeric.modes):
-        rows.append((ma.k, ma.lam_analytic, mn.lam_numeric, mn.rel_error))
-        print(f"{ma.k:>4} {ma.lam_analytic:>22.14e} {mn.lam_numeric:>22.14e} "
-              f"{mn.rel_error:>12.3e}")
+    for mode in report.modes:
+        rows.append((mode.k, mode.lam_analytic, mode.lam_numeric, mode.rel_error))
+        print(f"{mode.k:>4} {mode.lam_analytic:>22.14e} {mode.lam_numeric:>22.14e} "
+              f"{mode.rel_error:>12.3e}")
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)

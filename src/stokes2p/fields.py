@@ -242,7 +242,7 @@ def _trapezoid_rule(f: InterfaceProfile, pts: np.ndarray):
     s = 2.0 * np.pi * np.arange(m) / m
     # u = e^{i r1/2} as an outer product of phases: no table of r1
     u = np.multiply.outer(np.exp(0.5j * pts[:, 0]), np.exp(-0.5j * s))
-    tables = _LayerTables(lambda g: g(u), pts[:, 1:2] - _uniform_samples(f, m)[None, :], {})
+    tables = _LayerTables(u, pts[:, 1:2] - _uniform_samples(f, m)[None, :])
     return ((lambda values: _uniform_samples(InterfaceProfile(f.grid, values), m)), tables,
             (lambda K, v: K @ v / m))
 
@@ -288,10 +288,9 @@ class _PointLayers(_LayerSums):
                 "field point within the interface collar; use the trace "
                 "formulas or near=True for an approach study"
             )
-        super().__init__(f.grid, len(pts))
-        self._rules = [(mask, *build(f, pts[mask]), 1.0)
-                       for mask, build in ((~close, _trapezoid_rule), (close, _near_rule))
-                       if np.any(mask)]
+        super().__init__(f.grid, len(pts), [
+            (mask, *build(f, pts[mask]))
+            for mask, build in ((~close, _trapezoid_rule), (close, _near_rule)) if np.any(mask)])
 
 
 def eval_Z(index: int, f: InterfaceProfile, density, points, *,

@@ -28,13 +28,14 @@ r2 D and (r2/2)(1 + D^2) (``_LayerTables``), the same coding the bulk fields
 use off the interface.  Their expansions as signed sums of tangent-family
 members are kept only as a test oracle.  Composite 0 is the logarithmic
 operator ``eval_B0``.  ``DiagonalOps`` builds D at r = (s, delta f) once per
-profile and applies each composite as a part of the product of its table
-with a density's half-grid samples: the ``_LayerSums`` that ``fields`` uses.
+profile, into a pooled set of plain (N, N) arrays, and applies each
+composite as a part of the product of its table with a density's half-grid
+samples: the ``_LayerSums`` that ``fields`` uses, one rule per point set.
 
 The Fréchet derivatives ``frechet_B`` and ``frechet_B0`` are signed sums of
 tangent-family members of the base profile whose extra difference slots
-hold the directions: each term is one ``eval_B`` call with those directions
-in its last ``args_c`` slots.
+hold the directions: each term is the ``eval_B`` kernel of that member,
+all contracted on one workspace and its difference tables.
 
 Quadrature.  Principal values use a midpoint rule with nodes straddling
 s = 0 symmetrically (half a spacing off the collocation grid), so the
@@ -50,11 +51,10 @@ when the nodes are the half grid.
 
 from __future__ import annotations
 
-import mmap
 import threading
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -209,6 +209,11 @@ class OperatorSpec:
             )
         if len(self.args_a) != self.m or len(self.args_b) != self.n or len(self.args_c) != self.q:
             raise ValueError("argument counts must match (m, n, q)")
+        for name in ("args_a", "args_b", "args_c"):
+            for i, pr in enumerate(getattr(self, name)):
+                if not isinstance(pr, InterfaceProfile):
+                    raise ValueError(f"{name}[{i}] holds a {type(pr).__name__}, "
+                                     "not an InterfaceProfile")
         grids = {pr.grid for pr in self.args_a + self.args_b + self.args_c}
         if len(grids) > 1:
             raise ValueError("all argument profiles must share one grid")
@@ -439,29 +444,18 @@ def eval_B0(f: InterfaceProfile, density) -> np.ndarray:
 # the layer kernels Z_0 .. Z_6
 # ---------------------------------------------------------------------------
 
-def _table(tables: dict, name: str, shape) -> np.ndarray:
-    """The working-set table ``name``; a fresh set allocates it on first use."""
-    t = tables.get(name)
-    if t is None:
-        t = tables[name] = np.empty(shape, _SET_NAMES[name])
-    return t
-
-
 # the tables of a working set and their dtypes
 _SET_NAMES = {"r2": np.float64, "cot": np.complex128, "pair": np.complex128}
 
 
-def _mapped_table(n: int, dtype) -> np.ndarray:
-    """An (n, n) table in its own private anonymous memory map.
-
-    A pooled table outlives the call that filled it.  Kept outside the
-    malloc heap, it leaves the heap to grow and shrink around other code's
-    temporaries as it would without the pool: in the heap, an idle set
-    raised the page faults of the generic ``eval_A``/``eval_B``/``eval_C``
-    path by about a quarter.  Pages are mapped when first written.
-    """
-    return np.frombuffer(mmap.mmap(-1, np.dtype(dtype).itemsize * n * n, flags=mmap.MAP_PRIVATE),
-                         dtype=dtype).reshape(n, n)
+def _cache_aligned(n: int, dtype) -> np.ndarray:
+    """An (n, n) heap table that starts on a 64-byte cache line.  glibc puts
+    a large block 16 bytes past a page boundary, and on such tables the
+    layer-table builds at N = 512 took about a quarter longer."""
+    size = n * n * np.dtype(dtype).itemsize
+    block = np.empty(size + 64, np.uint8)
+    start = -block.ctypes.data % 64
+    return block[start:start + size].view(dtype).reshape(n, n)
 
 
 class _TablePool:
@@ -469,10 +463,12 @@ class _TablePool:
 
     A set is a dict of the tables of ``_SET_NAMES``, five float64 tables'
     worth, overwritten in place by each ``_LayerTables`` built on it.  A lease
-    takes the idle set if it was made for the same N and maps a new one
+    takes the idle set if it was made for the same N and allocates a new one
     otherwise; a released set becomes the idle one.  So at most one idle set
     is kept, for the most recent N, and a set is never held by two live
-    leases: a second concurrent lease maps its own.
+    leases: a second concurrent lease allocates its own.  Without the pool,
+    fresh tables cost a warm ``eval_Psi`` 609 and 1539 page faults and
+    1.4-1.6x the time at N = 256 and 512.
     """
 
     def __init__(self):
@@ -484,7 +480,7 @@ class _TablePool:
             tables = self._idle if self._idle_n == n else None
             self._idle_n, self._idle = None, None
         if tables is None:
-            tables = {name: _mapped_table(n, dtype) for name, dtype in _SET_NAMES.items()}
+            tables = {name: _cache_aligned(n, dtype) for name, dtype in _SET_NAMES.items()}
         return tables
 
     def release(self, n: int, tables: dict) -> None:
@@ -523,28 +519,31 @@ class _LayerTables:
     = u (u t + 2i s1), u = e^{i r1/2} and t = expm1(-|r2|), so the inner
     factor is c1 t + i s1 (t + 2).  Each factor keeps its relative digits as
     w -> 0, and e^{-|r2|} <= 1 never overflows, so the kernels are finite
-    however far r is from the interface.  ``at_r1(g)`` gives g(u) for an
-    elementwise function g, in the shape of r2, which is the tables' shape;
-    ``DiagonalOps`` makes it a circulant view of g(u) at the quadrature
-    nodes, so that r1 is exactly the node.
+    however far r is from the interface.  The constructor takes the phase
+    table u itself, in the shape of r2, which is the tables' shape: on the
+    interface ``DiagonalOps`` passes a circulant view of u at the quadrature
+    nodes, so that r1 is exactly the node; off it, u is an outer product of
+    phases or a broadcast table.
 
-    Every table is written in place into the working set ``tables`` (see
-    ``_table``): r2, D and the one ``pair`` slot.  ``part`` builds the
-    other tables into the slot when first asked for, each overwriting the
-    last; this object alone tracks which one the slot holds.  Held as a
-    complex table, (r2/2)(1 + D^2) is r2 (1 + D^2), and the factors of
-    ``_PARTS`` take its halves.  While the slot holds no complex table its
-    bytes are two contiguous real tables: the constructor's expm1 scratch,
-    then the log table and its scratch.  With ``split_log`` the log table is
-    Z0 - ln(sin^2(r1/2)), the bounded remainder of Z0 that the trace adds to
-    the spectrally applied log.  ``DiagonalOps`` passes a set leased from
-    ``_TABLE_POOL``; ``at`` passes an empty dict, filled on first use.
+    Every table is written in place: r2 is the caller's, and D and the one
+    ``pair`` slot go into ``tables`` (a working set of ``_TABLE_POOL``) or,
+    without it, into fresh arrays.  ``part`` builds the other tables into
+    the slot when first asked for, each overwriting the last; this object
+    alone tracks which one the slot holds.  Held as a complex table,
+    (r2/2)(1 + D^2) is r2 (1 + D^2), and the factors of ``_PARTS`` take its
+    halves.  While the slot holds no complex table its bytes are two
+    contiguous real tables: the constructor's expm1 scratch, then the log
+    table and its scratch.  A ``log_shift`` table is subtracted from the log
+    table: the trace passes ln(sin^2(r1/2)), leaving the bounded remainder of
+    Z0 that it adds to the spectrally applied log.
     """
 
-    def __init__(self, at_r1, r2, tables: dict, split_log: bool = False):
-        self.at_r1, self.r2, self.split_log = at_r1, r2, split_log
+    def __init__(self, u, r2, tables: dict | None = None, log_shift=None):
+        self.r2, self.log_shift = r2, log_shift
         shape = np.shape(r2)
-        self._pair = _table(tables, "pair", shape)
+        if tables is None:
+            tables = {name: np.empty(shape, complex) for name in ("pair", "cot")}
+        self._pair = tables["pair"]
         # reshape(-1) first: a 0-d complex array has no float view
         reals = self._pair.reshape(-1).view(np.float64).reshape((2,) + shape)
         self._log, self._scratch = reals[0, ...], reals[1, ...]
@@ -552,11 +551,11 @@ class _LayerTables:
         t = np.abs(r2, out=self._scratch)
         np.negative(t, out=t)
         np.expm1(t, out=t)
-        c = self.cot = _table(tables, "cot", shape)
-        np.multiply(at_r1(np.real), t, out=c.real)
+        c = self.cot = tables["cot"]
+        np.multiply(u.real, t, out=c.real)
         t += 2.0
-        np.multiply(at_r1(np.imag), t, out=c.imag)
-        c *= at_r1(np.asarray)                          # Q
+        np.multiply(u.imag, t, out=c.imag)
+        c *= u                                          # Q
         np.divide(2j, c, out=c)
         c += 1j
         np.copysign(c.imag, r2, out=c.imag)             # D
@@ -566,7 +565,7 @@ class _LayerTables:
         r1, r2 = np.broadcast_arrays(np.asarray(r1, dtype=float), np.asarray(r2, dtype=float))
         u = np.multiply(r1, 0.5j, out=np.empty(r1.shape, complex))
         np.exp(u, out=u)
-        return cls(lambda g: g(u), r2, {})
+        return cls(u, r2)
 
     def part(self, index: int):
         """Z_index as (table, take, factor): Z_index = factor * take(table),
@@ -598,8 +597,8 @@ class _LayerTables:
             z += np.square(d.real, out=scratch)
             np.log(z, out=z)
             np.subtract(np.abs(r2, out=scratch), z, out=z)
-            if self.split_log:
-                z -= self.at_r1(lambda u: np.log(u.imag ** 2))
+            if self.log_shift is not None:
+                z -= self.log_shift
 
 
 # ---------------------------------------------------------------------------
@@ -607,16 +606,16 @@ class _LayerTables:
 # ---------------------------------------------------------------------------
 
 class _LayerSums:
-    """Layer integrals Z_index[density] by the rules ``_rules`` a subclass
-    sets.  A rule is (share, sample, tables, contract, scale): its outputs
-    among several rules, its density sampler, its ``_LayerTables``, its sum
-    contract(table, samples) and the scale of the part taken.  One memo
-    samples each density once, keyed by its values (so one changed in place
-    is sampled afresh); one takes each product once per (lead of ``_PARTS``,
-    density): both parts of a complex table come from one product."""
+    """Layer integrals Z_index[density] by a list of rules.  A rule is
+    (share, sample, tables, contract): the outputs it fills, its density
+    sampler, its ``_LayerTables`` and its weighted sum contract(table,
+    samples).  One memo samples each density once, keyed by its values (so
+    one changed in place is sampled afresh); one takes each product once per
+    (lead of ``_PARTS``, density): both parts of a complex table come from
+    one product."""
 
-    def __init__(self, grid: PeriodicGrid, n_out: int):
-        self.grid, self.n_out = grid, n_out
+    def __init__(self, grid: PeriodicGrid, n_out: int, rules):
+        self.grid, self.n_out, self._rules = grid, n_out, rules
         self._samples, self._products = {}, {}
 
     def _sampled(self, density):
@@ -624,7 +623,7 @@ class _LayerSums:
         key = values.tobytes()
         samples = self._samples.get(key)
         if samples is None:
-            samples = self._samples[key] = [rule[1](values) for rule in self._rules]
+            samples = self._samples[key] = [sample(values) for _, sample, _, _ in self._rules]
         return key, samples
 
     def _sum(self, index: int, key: bytes, samples) -> np.ndarray:
@@ -635,12 +634,10 @@ class _LayerSums:
         if products is None:
             products = self._products[lead, key] = [
                 contract(tables.part(index)[0], v)
-                for (_, _, tables, contract, _), v in zip(self._rules, samples)]
-        if len(products) == 1:
-            return take(products[0]) * (factor * self._rules[0][4])
+                for (_, _, tables, contract), v in zip(self._rules, samples)]
         z = np.empty(self.n_out)
-        for (share, _, _, _, scale), p in zip(self._rules, products):
-            z[share] = take(p) * (factor * scale)
+        for (share, *_), p in zip(self._rules, products):
+            z[share] = take(p) * factor
         return z
 
     def composite(self, index: int, density) -> np.ndarray:
@@ -659,14 +656,30 @@ class DiagonalOps(_LayerSums):
 
     ``composite`` applies the named composites 0..6, the layer sums of the
     half-grid midpoint rule at r = (s, delta f); composite 0 is the
-    logarithmic operator ``eval_B0``.  The layer tables go into a working
-    set leased from ``_TABLE_POOL`` on first use and returned when this
-    object is freed, so a new instance at the same N reuses its memory.
+    logarithmic operator ``eval_B0``.  The constructor builds D into a
+    working set leased from ``_TABLE_POOL`` and returned when this object is
+    freed, so a new instance at the same N reuses its memory.  Its one rule
+    covers every output and folds the weight h/(2 pi) into its contraction;
+    the part factors 1, 1/2 and 1/4 are powers of two, so the order of the
+    two scalings does not change a bit.
     """
 
     def __init__(self, f: InterfaceProfile):
-        super().__init__(f.grid, f.grid.n_points)
+        # circulant coordinates: column m holds the half-grid sample m, which
+        # row i pairs with the quadrature node s_j, j = (i - m - 1 + N/2) mod N;
+        # the difference table is the outer difference f(xi_i) - f_half[m]
+        # and u = e^{i s_j/2} and the log shift are strided views of N-vectors
+        n = f.grid.n_points
         self.f = f
+        tables = _TABLE_POOL.lease(n)
+        weakref.finalize(self, _TABLE_POOL.release, n, tables)
+        r2 = np.subtract.outer(f.values, _half_grid(f.grid, f.values), out=tables["r2"])
+        u = np.exp(0.5j * _midpoint_rule(n)[0])
+        layer = _LayerTables(_circulant(u), r2, tables,
+                             log_shift=_circulant(np.log(u.imag ** 2)))
+        scale = f.grid.spacing / TWO_PI
+        super().__init__(f.grid, n, [(slice(None), _half_samples, layer,
+                                      lambda K, v: (K @ v[0]) * scale)])
 
     def kernel(self, n: int, m: int, p: int, q: int) -> np.ndarray:
         """The diagonal tangent-family kernel of f, the one ``eval_B`` builds."""
@@ -674,22 +687,6 @@ class DiagonalOps(_LayerSums):
         ws = KernelWorkspace(self.grid)
         df = ws.delta(self.f.values)
         return _tangent_kernel(ws, [df] * m, [df] * n, [df] * q, p)
-
-    @cached_property
-    def _rules(self):
-        # circulant coordinates: column m holds the half-grid sample m, which
-        # row i pairs with the quadrature node s_j, j = (i - m - 1 + N/2) mod N;
-        # the difference table is the outer difference f(xi_i) - f_half[m]
-        # and each function of u = e^{i s_j/2} is a strided view of an
-        # N-vector.  The working set is leased for the life of this object.
-        n = self.grid.n_points
-        tables = _TABLE_POOL.lease(n)
-        weakref.finalize(self, _TABLE_POOL.release, n, tables)
-        r2 = np.subtract.outer(self.f.values, _half_grid(self.f.grid, self.f.values),
-                               out=tables["r2"])
-        u = np.exp(0.5j * _midpoint_rule(n)[0])
-        layer = _LayerTables(lambda g: _circulant(g(u)), r2, tables, split_log=True)
-        return [(None, _half_samples, layer, lambda K, v: K @ v[0], self.grid.spacing / TWO_PI)]
 
     def composite(self, index: int, density) -> np.ndarray:
         """Composite ``index`` of a density: a part of its table's product with
@@ -714,16 +711,20 @@ def _half_samples(values):
 def _member_sum(f0: InterfaceProfile, terms, directions):
     """The map density -> sum of coef * B[n, m, p, q + k] over ``terms``
     (coef, (n, m, p, q)), in their order: each member has f0 in its m, n and
-    q slots and the k ``directions`` in its last difference slots."""
-    extras = tuple(InterfaceProfile(f0.grid, d.values if isinstance(d, InterfaceProfile) else d)
-                   for d in directions)
+    q slots and the k ``directions`` in its last difference slots.  An
+    application builds one workspace, f0's difference table and one table
+    per direction, and contracts each member's ``eval_B`` kernel on them."""
+    extras = [InterfaceProfile(f0.grid, d.values if isinstance(d, InterfaceProfile) else d).values
+              for d in directions]
 
     def operator(density):
+        ws = KernelWorkspace(f0.grid)
+        df, dx = ws.delta(f0.values), [ws.delta(v) for v in extras]
+        values = _density_values(density, f0.grid)
         out = np.zeros(f0.grid.n_points)
         for coef, (n, m, p, q) in terms:
-            spec = OperatorSpec(n, m, p, q + len(extras), (f0,) * m, (f0,) * n,
-                                (f0,) * q + extras)
-            out += coef * eval_B(spec, density)
+            out += coef * ws.contract(_tangent_kernel(ws, [df] * m, [df] * n, [df] * q + dx, p),
+                                      values)
         return out
 
     return operator

@@ -138,6 +138,39 @@ class TestSpectrum:
             # full-precision repr round-trips to identical floats
             assert repr(float(row["lambda_numeric"])) == row["lambda_numeric"]
 
+    @pytest.mark.parametrize("extra", [(), ("--g", "1", "--rho-minus", "3"),
+                                       ("--g", "1", "--rho-plus", "3")])
+    def test_output_is_the_two_report_rendering(self, tmp_path, capsys, extra):
+        # the numeric report carries the analytic eigenvalues, the regime and
+        # theta0 of analytic_spectrum: stdout and the CSV are byte for byte
+        # what a rendering from both reports gives
+        import io
+
+        from stokes2p.analysis import analytic_spectrum, numeric_jacobian_at_zero
+        from stokes2p.cli import _params_from_args
+
+        argv = ("spectrum", "--n", "64", "--sigma", "1", "--mu", "1", "--k-max", "6") + extra
+        out = tmp_path / "spec.csv"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        printed = capsys.readouterr().out
+        params = _params_from_args(build_parser().parse_args(argv))
+        analytic = analytic_spectrum(params, 6)
+        numeric = numeric_jacobian_at_zero(params, PeriodicGrid(64), 6)
+        theta0 = "n/a" if analytic.theta0 is None else f"{analytic.theta0:.10g}"
+        lines = [f"regime={analytic.regime} theta={params.theta:.10g} theta0={theta0} "
+                 f"leakage={numeric.leakage:.3e}",
+                 f"{'k':>4} {'analytic':>22} {'numeric':>22} {'rel_error':>12}"]
+        table = io.StringIO()
+        writer = csv.writer(table)
+        writer.writerow(["k", "lambda_analytic", "lambda_numeric", "rel_error"])
+        for ma, mn in zip(analytic.modes, numeric.modes):
+            lines.append(f"{ma.k:>4} {ma.lam_analytic:>22.14e} {mn.lam_numeric:>22.14e} "
+                         f"{mn.rel_error:>12.3e}")
+            writer.writerow([ma.k, repr(float(ma.lam_analytic)), repr(float(mn.lam_numeric)),
+                             repr(float(mn.rel_error))])
+        assert printed == "\n".join(lines) + "\n"
+        assert out.read_bytes() == table.getvalue().encode()
+
     def test_theta0_reported(self, tmp_path, capsys):
         code = run_cli("spectrum", "--n", "64", "--sigma", "1", "--mu", "1",
                        "--g", "1", "--rho-minus", "3", "--k-max", "4")

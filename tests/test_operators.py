@@ -140,6 +140,10 @@ class TestFamilyB:
         with pytest.raises(ValueError):
             OperatorSpec(1, 1, 0, 0, (f_profile,), (other,), ())
 
+    def test_non_profile_slot_rejected(self, f_profile):
+        with pytest.raises(ValueError, match=r"args_c\[0\] holds a ndarray"):
+            OperatorSpec(1, 1, 0, 1, (f_profile,), (f_profile,), (np.zeros(16),))
+
     def test_grid_mismatch_rejected(self, f_profile):
         other = PeriodicGrid(64)
         with pytest.raises(ValueError):
@@ -645,6 +649,22 @@ class TestComposites:
             for idx in range(7):
                 assert np.array_equal(got[c][idx], want[c][idx])
 
+    def test_tables_need_no_memory_map(self, monkeypatch):
+        # the working sets are heap arrays: a platform without private memory
+        # maps (Windows has no mmap.MAP_PRIVATE) builds them at a new N too
+        import mmap
+
+        from stokes2p import PhysParams, eval_Psi
+
+        monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)
+        grid = PeriodicGrid(44)
+        f = InterfaceProfile(grid, 0.2 * np.cos(grid.nodes) + 0.05 * np.sin(3 * grid.nodes))
+        psi = eval_Psi(f, PhysParams.from_theta(1.0, 1.0, 0.5))
+        assert psi.shape == (44,) and np.all(np.isfinite(psi))
+        ops = DiagonalOps(f)
+        for idx in range(7):
+            assert np.all(np.isfinite(ops.composite(idx, np.sin(grid.nodes))))
+
     def test_composite_rejects_bad_input(self):
         grid = PeriodicGrid(32)
         ops = DiagonalOps(InterfaceProfile(grid, 0.1 * np.cos(grid.nodes)))
@@ -703,7 +723,7 @@ class TestLayerKernels:
 
         tables = _LayerTables.at(r1, r2)
         u = np.exp(0.5j * r1)
-        split = _LayerTables(lambda g: g(u), r2, {}, split_log=True)
+        split = _LayerTables(u, r2, log_shift=np.log(u.imag ** 2))
         got = [read(tables, i) for i in range(7)] + [read(split, 0)]
         for i, (g, w) in enumerate(zip(got, want)):
             scale = np.maximum(1.0, np.abs(w))
@@ -815,6 +835,22 @@ class TestFrechet:
         want = frechet_B((1, 1, 0, 1), f0, h)(density)
         got = frechet_B(OperatorSpec(1, 1, 0, 1, (same,), (f0,), (same,)), f0, h)(density)
         assert _bitwise(got, want)
+
+    @pytest.mark.parametrize("directions", [(), (1,), (1, 2)])
+    def test_one_difference_table_per_argument(self, f_profile, density, directions, monkeypatch):
+        # an application builds f0's table once and one per direction, for
+        # all five members of (2, 1, 0, 1)
+        grid = f_profile.grid
+        extra = tuple(np.sin(k * grid.nodes) for k in directions)
+        deriv = frechet_B((2, 1, 0, 1), f_profile, np.cos(grid.nodes), directions=extra)
+        calls = []
+        delta = KernelWorkspace.delta
+        monkeypatch.setattr(KernelWorkspace, "delta",
+                            lambda self, v: calls.append(1) or delta(self, v))
+        deriv(density)
+        assert len(calls) == 2 + len(extra)
+        deriv(density)
+        assert len(calls) == 2 * (2 + len(extra))
 
     def test_linearity_in_direction(self):
         grid = PeriodicGrid(64)
