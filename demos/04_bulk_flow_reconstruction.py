@@ -82,7 +82,7 @@ print("5. Interface limits: jumps match the forcing")
 print("=" * 70)
 small = InterfaceProfile(PeriodicGrid(64), 0.1 * np.cos(PeriodicGrid(64).nodes))
 rep = interface_jump_checks(small, params, probe_count=2,
-                            eps_factors=(1e-2, 1e-3), check_stress=True)
+                            eps_factors=(1e-2, 1e-3))
 print(f"   layer one-sided limits: residuals at eps = {rep.eps_values[-1]:.1e} "
       f"are {rep.final_z_residual:.2e}, fitted orders "
       f"{sorted(round(o, 2) for o in rep.z_orders.values())}")

@@ -14,6 +14,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# phase-matrix entries per block of eval_at's targets: at 2^14 a verify bench
+# round took 10k page faults, against 0.2k here (glibc's mmap threshold stayed
+# below the 256 KiB tables at N = 128); 2^16 added 0.5 MB to its peak RSS
+_EVAL_BLOCK = 1 << 15
 
 
 class PeriodicGrid:
@@ -77,18 +81,42 @@ class InterfaceProfile:
         return float(np.mean(self.values))
 
     def eval_at(self, s):
-        """Evaluate the trigonometric interpolant at arbitrary points."""
+        """Evaluate the trigonometric interpolant at arbitrary points, in
+        near-equal blocks of at least two targets whose phase matrix (targets
+        x active modes) holds at most ``_EVAL_BLOCK`` entries where two rows
+        fit.  No value depends on the split (a one-row product takes numpy's
+        dot path, not gemv, and rounds differently); all blocks share one
+        phase buffer, as fresh ones would fault their pages in anew."""
         s = np.asarray(s, dtype=float)
-        k = self.grid.wavenumbers
         c = self.coeffs
         # prune negligible modes: the phase matrix spans only the active ones
         keep = np.abs(c) > 1e-15 * (np.max(np.abs(c)) + 1e-300)
-        phase = np.exp(1j * np.outer(s.ravel(), k[keep]))
-        out = (phase @ c[keep]).real
-        return out.reshape(s.shape)
+        k, c = self.grid.wavenumbers[keep], c[keep]
+        rows = max(2, _EVAL_BLOCK // max(len(k), 1))
+        n = max(1, min(-(-s.size // rows), s.size // 2))     # blocks of two rows or more
+        out, phase = np.empty(s.shape), np.empty((-(-s.size // n), len(k)), complex)
+        for b, o in zip(np.array_split(s.ravel(), n), np.array_split(out.reshape(-1), n)):
+            p = np.multiply(1j, np.multiply.outer(b, k), out=phase[:len(b)])
+            o[...] = (np.exp(p, out=p) @ c).real
+        return out
 
     def __repr__(self):
         return f"InterfaceProfile(N={self.grid.n_points}, mean={self.mean:.3e})"
+
+
+def _uniform_samples(profile: InterfaceProfile, m: int) -> np.ndarray:
+    """The trigonometric interpolant at the m >= N uniform targets 2 pi j / m:
+    the nodal values for m = N, otherwise one zero-padded inverse FFT, with
+    the Nyquist coefficient split in half between modes +N/2 and -N/2 (N is
+    always even) as ``InterfaceProfile.eval_at`` reads it."""
+    n = profile.grid.n_points
+    if m == n:
+        return profile.values
+    c, h = profile.coeffs, n // 2
+    padded = np.zeros(m, dtype=complex)
+    padded[:h], padded[m - h + 1:] = c[:h], c[h + 1:]
+    padded[h] = padded[m - h] = c[h] / 2.0
+    return np.fft.ifft(padded, norm="forward").real
 
 
 def to_spectral(profile: InterfaceProfile) -> np.ndarray:
@@ -124,14 +152,16 @@ def _half_shift(n: int) -> np.ndarray:
     return shift
 
 
-def _half_grid(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """Samples of the interpolant at the half grid (m + 1/2) h."""
-    return np.fft.ifft(np.fft.fft(values) * _half_shift(grid.n_points)).real
+def _half_samples(values: np.ndarray):
+    """Samples of the interpolant at the half grid (m + 1/2) h, and the FFT
+    of the values they came from."""
+    coeffs = np.fft.fft(values)
+    return np.fft.ifft(coeffs * _half_shift(len(values))).real, coeffs
 
 
 def half_shift_samples(profile: InterfaceProfile) -> np.ndarray:
     """Values of the interpolant on the half-spacing companion grid."""
-    return _half_grid(profile.grid, profile.values)
+    return _half_samples(profile.values)[0]
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,12 @@ traces read the same layer-velocity coding of ``evolution``.
 Which points lie in the interface collar, and where the feet of the near
 points are, comes from a box-pruned search over max(8N, 1024) uniform
 samples of f that returns what a dense scan over all of them would, in
-memory bounded by a chunk of points.  Uniform samples (the search's, and
-the trapezoid rule's) are one zero-padded inverse FFT; the other off-grid
-values (the near rule's nodes, the Newton feet) come from ``eval_at``.
+memory bounded by a chunk of points.  Off-grid values come from ``core``:
+uniform ones (the search's, and the trapezoid rule's) from
+``_uniform_samples``, one zero-padded inverse FFT; the others (the near
+rule's nodes, the Newton feet, ``side_of``) from ``eval_at``, whose memory
+is bounded by a block of its phase matrix, so the near rule samples f and
+each density by one call over the nodes of all its points.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import InterfaceProfile, PhysParams, geometry_quantities, spectral_derivative
+from .core import (InterfaceProfile, PhysParams, _uniform_samples, geometry_quantities,
+                   spectral_derivative)
 from .evolution import (LN4, _direct_velocity, _far_field_constants, _parts_velocity,
                         forcing_G, phi_of)
 from .operators import DiagonalOps, _LayerSums, _LayerTables
@@ -70,21 +74,6 @@ def stokeslet_eval(x1, x2):
 # ---------------------------------------------------------------------------
 # the layer integrals Z_0 .. Z_6
 # ---------------------------------------------------------------------------
-
-def _uniform_samples(profile: InterfaceProfile, m: int) -> np.ndarray:
-    """The trigonometric interpolant at the m >= N uniform targets 2 pi j / m:
-    the nodal values for m = N, otherwise one zero-padded inverse FFT, with
-    the Nyquist coefficient split in half between modes +N/2 and -N/2 (N is
-    always even) as ``InterfaceProfile.eval_at`` reads it."""
-    n = profile.grid.n_points
-    if m == n:
-        return profile.values
-    c, h = profile.coeffs, n // 2
-    padded = np.zeros(m, dtype=complex)
-    padded[:h], padded[m - h + 1:] = c[:h], c[h + 1:]
-    padded[h] = padded[m - h] = c[h] / 2.0
-    return np.fft.ifft(padded, norm="forward").real
-
 
 _SCAN_BLOCK = 512   # points per chunk of the distance search
 _BOX = 64           # samples per box of the distance search
@@ -250,26 +239,20 @@ def _trapezoid_rule(f: InterfaceProfile, pts: np.ndarray):
 def _near_rule(f: InterfaceProfile, pts: np.ndarray):
     """The graded panel rule at points near the interface, in the form of
     ``_trapezoid_rule``.  One search finds the feet of all points; the nodes
-    of all points share one flat set of layer tables, each point's sum one
-    segment of it.  f and the densities are sampled point by point: one
-    ``eval_at`` over all nodes would build a phase matrix of all nodes times
-    all active modes (about 90 MB for 20 points at N = 256)."""
+    of all points form one flat set, each point's sum one segment of it, on
+    which f and each density are sampled by one ``eval_at``."""
     feet, dist = _interface_feet(f, pts)
-    nodes, r1, r2 = [], [], []
-    for p, foot, d in zip(pts, feet, dist):
-        offset, w = _near_nodes(d, f.grid.spacing)
-        nodes.append((foot + offset, w))
-        # x - s taken as (x - foot) - offset keeps its digits on the small panels
-        r1.append((p[0] - foot) - offset)
-        r2.append(p[1] - f.eval_at(foot + offset))
-    starts = np.cumsum([0] + [len(w) for _, w in nodes[:-1]])
-
-    def sample(values):
-        profile = InterfaceProfile(f.grid, values)
-        return np.concatenate([w * profile.eval_at(s) for s, w in nodes])
-
-    return (sample, _LayerTables.at(np.concatenate(r1), np.concatenate(r2)),
-            lambda K, v: np.add.reduceat(K * v, starts) / (2.0 * np.pi))
+    rules = [_near_nodes(d, f.grid.spacing) for d in dist]
+    counts = [len(w) for _, w in rules]
+    offset, w = (np.concatenate(parts) for parts in zip(*rules))
+    foot = np.repeat(feet, counts)
+    s = foot + offset
+    # x - s taken as (x - foot) - offset keeps its digits on the small panels
+    r1 = (np.repeat(pts[:, 0], counts) - foot) - offset
+    r2 = np.repeat(pts[:, 1], counts) - f.eval_at(s)
+    starts = np.cumsum([0] + counts[:-1])
+    return ((lambda values: w * InterfaceProfile(f.grid, values).eval_at(s)),
+            _LayerTables.at(r1, r2), lambda K, v: np.add.reduceat(K * v, starts) / (2.0 * np.pi))
 
 
 class _PointLayers(_LayerSums):
@@ -489,8 +472,7 @@ def _fit_order(eps, res):
 
 def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
                           probe_count: int = 4,
-                          eps_factors=(1e-2, 1e-3, 1e-4),
-                          check_stress: bool = True) -> JumpReport:
+                          eps_factors=(1e-2, 1e-3, 1e-4)) -> JumpReport:
     """Measure one-sided limits of the layer integrals against the trace
     composites plus their jump coefficients, the pressure jump against the
     normal forcing, and the viscous-stress jump against the tangential one.
@@ -535,18 +517,15 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
 
     # stress jumps at the smallest eps: the viscous part against the
     # tangential forcing, the full traction against the curvature forcing
-    stress_t, stress_n = float("nan"), float("nan")
-    if check_stress:
-        grads = _bulk_gradient(B, G, params.mu).reshape(pts.shape[:-1] + (2, 2))[-1]
-        q_side = q[-1]
-        dgrad = grads[:, 0] - grads[:, 1]
-        visc = params.mu * np.einsum("pij,pj->pi", dgrad + dgrad.transpose(0, 2, 1), nu)
-        g_dot_tau = G.g1 * geo.tangent[0] + G.g2 * geo.tangent[1]
-        want_t = (g_dot_tau / geo.omega)[probes, None] * geo.tangent[:, probes].T
-        stress_t = float(np.max(np.abs(visc - want_t)))
-        traction = -(q_side[:, 0] - q_side[:, 1])[:, None] * nu + visc
-        want_full = (params.theta * f.values - params.sigma * geo.curvature)[probes, None] * nu
-        stress_n = float(np.max(np.abs(traction - want_full)))
+    grads = _bulk_gradient(B, G, params.mu).reshape(pts.shape[:-1] + (2, 2))[-1]
+    dgrad = grads[:, 0] - grads[:, 1]
+    visc = params.mu * np.einsum("pij,pj->pi", dgrad + dgrad.transpose(0, 2, 1), nu)
+    g_dot_tau = G.g1 * geo.tangent[0] + G.g2 * geo.tangent[1]
+    want_t = (g_dot_tau / geo.omega)[probes, None] * geo.tangent[:, probes].T
+    stress_t = float(np.max(np.abs(visc - want_t)))
+    traction = -(q[-1, :, 0] - q[-1, :, 1])[:, None] * nu + visc
+    want_full = (params.theta * f.values - params.sigma * geo.curvature)[probes, None] * nu
+    stress_n = float(np.max(np.abs(traction - want_full)))
 
     return JumpReport(eps_values, z_res, z_orders, q_res,
                       _fit_order(eps_values, q_res), stress_t, stress_n)

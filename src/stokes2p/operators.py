@@ -59,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import InterfaceProfile, PeriodicGrid, TWO_PI, _half_grid, _half_shift
+from .core import InterfaceProfile, PeriodicGrid, TWO_PI, _half_samples
 
 __all__ = [
     "OperatorSpec",
@@ -140,7 +140,6 @@ class KernelWorkspace:
 
     def __init__(self, grid: PeriodicGrid, rule: str = "midpoint", m_quad: int | None = None):
         self.grid = grid
-        self.rule = rule
         n = grid.n_points
         if rule == "midpoint":
             m = m_quad or n
@@ -162,7 +161,7 @@ class KernelWorkspace:
         values = np.asarray(values, dtype=float)
         n = self.grid.n_points
         if self._circulant:
-            return _circulant(_half_grid(self.grid, values))
+            return _circulant(_half_samples(values)[0])
         c = np.fft.fft(values) / n
         phase = np.exp(-1j * np.outer(self.grid.wavenumbers, self.nodes))
         return np.fft.ifft(c[:, None] * phase * n, axis=0).real
@@ -673,7 +672,7 @@ class DiagonalOps(_LayerSums):
         self.f = f
         tables = _TABLE_POOL.lease(n)
         weakref.finalize(self, _TABLE_POOL.release, n, tables)
-        r2 = np.subtract.outer(f.values, _half_grid(f.grid, f.values), out=tables["r2"])
+        r2 = np.subtract.outer(f.values, _half_samples(f.values)[0], out=tables["r2"])
         u = np.exp(0.5j * _midpoint_rule(n)[0])
         layer = _LayerTables(_circulant(u), r2, tables,
                              log_shift=_circulant(np.log(u.imag ** 2)))
@@ -696,12 +695,6 @@ class DiagonalOps(_LayerSums):
         if index == 0:
             return np.fft.ifft(_log_sin_multiplier(self.grid.n_points) * samples[0][1]).real + out
         return out
-
-
-def _half_samples(values):
-    """A density's half-grid samples and the FFT composite 0 reuses."""
-    coeffs = np.fft.fft(values)
-    return np.fft.ifft(coeffs * _half_shift(len(values))).real, coeffs
 
 
 # ---------------------------------------------------------------------------

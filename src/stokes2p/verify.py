@@ -145,23 +145,20 @@ def check_jump_relations(n_points=64, quick=True):
     params = PhysParams.from_theta(mu=1.0, sigma=1.0, theta=0.5)
     eps_factors = (1e-2, 1e-3) if quick else (1e-2, 1e-3, 1e-4)
     report = interface_jump_checks(f, params, probe_count=2 if quick else 4,
-                                   eps_factors=eps_factors, check_stress=not quick)
+                                   eps_factors=eps_factors)
     tol = 1e-2 if quick else 1e-4
     orders_ok = all(o > 0.8 for o in report.z_orders.values())
-    results = [
+    return [
         ("jumps/z-limits", report.final_z_residual < tol and orders_ok,
          f"final residual {report.final_z_residual:.3e} (tol {tol:g}), "
          f"orders {sorted(round(o, 2) for o in report.z_orders.values())}"),
         ("jumps/pressure", float(report.pressure_residuals[-1]) < tol,
          f"final residual {report.pressure_residuals[-1]:.3e} (tol {tol:g})"),
+        ("jumps/stress",
+         report.stress_tangential_residual < 1e-3 and report.stress_normal_residual < 1e-3,
+         f"tangential {report.stress_tangential_residual:.3e}, "
+         f"normal {report.stress_normal_residual:.3e} (tol 1e-3)"),
     ]
-    if not quick:
-        results.append(("jumps/stress",
-                        report.stress_tangential_residual < 1e-3
-                        and report.stress_normal_residual < 1e-3,
-                        f"tangential {report.stress_tangential_residual:.3e}, "
-                        f"normal {report.stress_normal_residual:.3e} (tol 1e-3)"))
-    return results
 
 
 def check_far_field_limits(n_points=128):

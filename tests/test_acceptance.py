@@ -185,8 +185,7 @@ def test_criterion_08_jump_relations():
     f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes))
     params = PhysParams.from_theta(mu=1.0, sigma=1.0, theta=0.5)
     rep = interface_jump_checks(f, params, probe_count=4,
-                                eps_factors=(1e-1, 1e-2, 1e-3, 1e-4),
-                                check_stress=False)
+                                eps_factors=(1e-1, 1e-2, 1e-3, 1e-4))
     converging = all(res[-1] < res[0] for res in rep.z_residuals.values())
     orders_ok = all(o > 0.8 for o in rep.z_orders.values())
     final = rep.final_z_residual

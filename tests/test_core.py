@@ -145,6 +145,42 @@ class TestHalfShift:
         assert np.max(np.abs(twice - np.roll(f.values, -1))) < 1e-12
 
 
+def full_spectrum(grid, seed):
+    """A random profile with every mode active, up to the Nyquist one."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(grid.n_points // 2 + 1)
+    c = (rng.normal(size=len(k)) + 1j * rng.normal(size=len(k))) / (1.0 + k) ** 1.05
+    return InterfaceProfile(grid, np.fft.irfft(c, grid.n_points) * grid.n_points)
+
+
+class TestEvalAt:
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_any_split_of_the_targets_is_bitwise(self, n):
+        # 3000 targets are several blocks at every n; parts of two rows or
+        # more, and the one dense product over all targets, give the same bits
+        f = full_spectrum(PeriodicGrid(n), n)
+        rng = np.random.default_rng(1)
+        s = rng.uniform(-3.0, 9.0, 3000)
+        whole = f.eval_at(s)
+        k, c = f.grid.wavenumbers, f.coeffs
+        keep = np.abs(c) > 1e-15 * np.max(np.abs(c))
+        assert np.array_equal(whole, (np.exp(1j * np.outer(s, k[keep])) @ c[keep]).real)
+        for _ in range(3):
+            cuts = np.sort(rng.choice(np.arange(2, len(s) - 1, 2), 40, replace=False))
+            parts = [f.eval_at(part) for part in np.split(s, cuts)]
+            assert np.array_equal(np.concatenate(parts), whole)
+        assert np.array_equal(np.concatenate([f.eval_at(p) for p in np.split(s, 1000)]), whole)
+
+    def test_shapes(self):
+        f = full_spectrum(PeriodicGrid(32), 2)
+        s = np.linspace(0.0, 7.0, 12)
+        assert np.shape(f.eval_at(1.5)) == ()
+        assert f.eval_at(np.empty(0)).shape == (0,)
+        assert np.array_equal(f.eval_at(s.reshape(3, 4)), f.eval_at(s).reshape(3, 4))
+        assert np.max(np.abs(f.eval_at(f.grid.nodes[:3]) - f.values[:3])) < 1e-14
+        assert np.array_equal(InterfaceProfile.zero(f.grid).eval_at(s), np.zeros(12))
+
+
 class TestGeometry:
     def test_flat(self):
         g = PeriodicGrid(16)

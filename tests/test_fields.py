@@ -510,6 +510,25 @@ class TestDistanceSearch:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_side_of_memory(self):
+        # a full k^(-2.1) spectrum at N = 1024: one (points x modes) phase
+        # matrix over the 1920 points would take 31 MB
+        grid = PeriodicGrid(1024)
+        rng = np.random.default_rng(3)
+        k = np.arange(513)
+        c = (rng.normal(size=513) + 1j * rng.normal(size=513)) / (1.0 + k) ** 2.1
+        f = InterfaceProfile(grid, np.fft.irfft(c, 1024) * 1024)
+        x1, x2 = np.meshgrid(np.linspace(0.0, 2.0 * np.pi, 64), np.linspace(-1.0, 1.0, 30))
+        pts = np.stack([x1.ravel(), x2.ravel()], axis=-1)
+        f.coeffs
+        tracemalloc.start()
+        try:
+            fields.side_of(f, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 def z_kernel_scalar(index, r1, r2):
     """Layer kernel Z_index at one point, coded on Python floats."""
@@ -594,6 +613,26 @@ class TestNearRule:
                 terms = K * (w * dens.eval_at(s)) / (2.0 * np.pi)
                 want = np.dot(K, w * dens.eval_at(s)) / (2.0 * np.pi)
                 assert abs(g - want) <= 64 * np.finfo(float).eps * np.sum(np.abs(terms))
+
+    def test_one_sample_of_f_and_of_each_density(self, monkeypatch):
+        # f for r2 and each distinct density, each over the flat node set of
+        # all points; the feet search samples only at the points themselves
+        grid = self.GRID
+        f = self.profile(grid, lambda s: 0.1 * np.cos(s) + 0.05 * np.sin(2 * s))
+        pts = np.vstack([approach_points(f, 0.4, 1e-3 * grid.spacing)[:1],
+                         approach_points(f, 2.0, 1e-1 * grid.spacing)])
+        dist = fields._interface_feet(f, pts)[1]
+        nodes = sum(len(fields._near_nodes(d, grid.spacing)[1]) for d in dist)
+        sizes = []
+        eval_at = InterfaceProfile.eval_at
+        monkeypatch.setattr(InterfaceProfile, "eval_at",
+                            lambda self, s: sizes.append(np.size(s)) or eval_at(self, s))
+        a, b = np.cos(grid.nodes), np.sin(3 * grid.nodes)
+        B = fields._PointLayers(f, pts, near=True).composites
+        for index in range(7):
+            B(index, a, b, a.copy())
+        assert set(sizes) == {len(pts), nodes}
+        assert sizes.count(nodes) == 3
 
     def test_high_modes_resolved(self):
         # wide intervals are split, so grid modes far from the foot are
@@ -868,7 +907,7 @@ class TestJumpReport:
         grid = PeriodicGrid(32)
         f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes))
         interface_jump_checks(f, PhysParams.from_theta(1.0, 1.0, 0.5), probe_count=2,
-                              eps_factors=(1e-2, 1e-3), check_stress=False)
+                              eps_factors=(1e-2, 1e-3))
         assert builds_per_table(kernel_builds) == [[3], [3]]
 
     def test_stress_check_shares_the_jump_evaluator(self, kernel_builds, monkeypatch):
@@ -884,7 +923,7 @@ class TestJumpReport:
 
         monkeypatch.setattr(fields, "_closest_samples", spy)
         interface_jump_checks(f, PhysParams.from_theta(1.0, 1.0, 0.5), probe_count=2,
-                              eps_factors=(1e-2, 1e-3), check_stress=True)
+                              eps_factors=(1e-2, 1e-3))
         assert builds_per_table(kernel_builds) == [[3], [3]]
         assert len(scans) == 2
 
@@ -893,7 +932,7 @@ class TestJumpReport:
         f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes))
         params = PhysParams.from_theta(1.0, 1.0, 0.5)
         rep = interface_jump_checks(f, params, probe_count=2,
-                                    eps_factors=(1e-2, 1e-3), check_stress=True)
+                                    eps_factors=(1e-2, 1e-3))
         for idx, res in rep.z_residuals.items():
             assert res[-1] < res[0]
         assert all(o > 0.8 for o in rep.z_orders.values())
