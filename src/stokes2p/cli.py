@@ -220,7 +220,7 @@ def cmd_field(args) -> int:
 
     x1 = np.linspace(args.x1_min, args.x1_max, args.nx1, endpoint=False)
     x2 = np.linspace(args.x2_min, args.x2_max, args.nx2)
-    pts = np.array([[a, b] for b in x2 for a in x1])
+    pts = np.stack(np.meshgrid(x1, x2), axis=-1).reshape(-1, 2)    # x2 outer, x1 inner
     collar = default_collar(f)
     keep = min_interface_distance(f, pts) >= collar
     skipped = int(np.sum(~keep))

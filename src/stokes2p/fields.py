@@ -10,15 +10,21 @@ it, with the same memos of samples and products and the same call form
 ``composites(index, *densities)``, so the bulk velocity and the velocity
 traces read the same layer-velocity coding of ``evolution``.
 
-Which points lie in the interface collar, and where the feet of the near
-points are, comes from a box-pruned search over max(8N, 1024) uniform
-samples of f that returns what a dense scan over all of them would, in
-memory bounded by a chunk of points.  Off-grid values come from ``core``:
-uniform ones (the search's, and the trapezoid rule's) from
-``_uniform_samples``, one zero-padded inverse FFT; the others (the near
-rule's nodes, the Newton feet, ``side_of``) from ``eval_at``, whose memory
-is bounded by a block of its phase matrix, so the near rule samples f and
-each density by one call over the nodes of all its points.
+Every evaluator runs one distance search over all of its points, which
+sorts them by the interface collar and starts the Newton feet of the near
+ones, and then builds its layer tables block by block (``_blocked``): each
+run of consecutive points holding at most ``core._EVAL_BLOCK`` (point, node)
+entries gets its own ``_PointLayers``, and the blocks take turns in one
+working set, so memory is bounded by one block for any number of points.
+
+The search is box-pruned over max(8N, 1024) uniform samples of f and
+returns what a dense scan over all of them would, in memory bounded by a
+chunk of points.  Off-grid values come from ``core``: uniform ones (the
+search's, and the trapezoid rule's) from ``_uniform_samples``, one
+zero-padded inverse FFT; the others (the near rule's nodes, the Newton feet,
+``side_of``) from ``eval_at``, whose memory is bounded by a block of its
+phase matrix, so the near rule samples f and each density by one call over
+the nodes of all the points of a block.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import (InterfaceProfile, PhysParams, _uniform_samples, geometry_quantities,
-                   spectral_derivative)
+from .core import (_EVAL_BLOCK, InterfaceProfile, PhysParams, _uniform_samples,
+                   geometry_quantities, spectral_derivative)
 from .evolution import (LN4, _direct_velocity, _far_field_constants, _parts_velocity,
                         forcing_G, phi_of)
 from .operators import DiagonalOps, _LayerSums, _LayerTables
@@ -179,14 +185,14 @@ _FOOT_NEWTON_STEPS = 3
 _MIN_NEAR_DISTANCE = 1e-9   # smallest panel width, for points on the interface itself
 
 
-def _interface_feet(f: InterfaceProfile, pts: np.ndarray):
+def _interface_feet(f: InterfaceProfile, pts: np.ndarray, dist, s0):
     """Foot of the normal from each point: its parameter and distance.
 
     Newton steps on (x - s)^2 + (y - f(s))^2 start from the nearest dense
-    sample; the refined foot is kept where it is closer than that sample.
-    Between samples the near-singularity can sit well inside the innermost
-    panel, where the fixed rule fails."""
-    dist, s0 = _closest_samples(f, pts)
+    sample s0, at distance dist (as ``_closest_samples`` gives them); the
+    refined foot is kept where it is closer than that sample.  Between
+    samples the near-singularity can sit well inside the innermost panel,
+    where the fixed rule fails."""
     fp = InterfaceProfile(f.grid, f.deriv_values)
     fpp = InterfaceProfile(f.grid, spectral_derivative(f, order=2))
     x, y = pts[:, 0], pts[:, 1]
@@ -221,27 +227,32 @@ def _near_nodes(dist, spacing):
     return (mid[:, None] + half[:, None] * _GL_NODES).ravel(), (half[:, None] * _GL_WEIGHTS).ravel()
 
 
-def _trapezoid_rule(f: InterfaceProfile, pts: np.ndarray):
+def _trapezoid_nodes(f: InterfaceProfile) -> int:
+    return max(f.grid.n_points, 256)
+
+
+def _trapezoid_rule(f: InterfaceProfile, pts: np.ndarray, work: dict):
     """The periodic trapezoid rule on max(N, 256) nodes at points away from
     the interface: a density sampler, the layer tables over (point, node)
     and the contraction of a table with the samples.  The nodes are uniform,
     so f and the densities are sampled by ``_uniform_samples``: their nodal
-    values from N = 256 up."""
-    m = max(f.grid.n_points, 256)
+    values from N = 256 up.  The tables u, r2, D and the pair slot are
+    written into the flat buffers of ``work`` (see ``_point_blocks``)."""
+    m = _trapezoid_nodes(f)
     s = 2.0 * np.pi * np.arange(m) / m
+    tables = {name: buf[:len(pts) * m].reshape(len(pts), m) for name, buf in work.items()}
     # u = e^{i r1/2} as an outer product of phases: no table of r1
-    u = np.multiply.outer(np.exp(0.5j * pts[:, 0]), np.exp(-0.5j * s))
-    tables = _LayerTables(u, pts[:, 1:2] - _uniform_samples(f, m)[None, :])
-    return ((lambda values: _uniform_samples(InterfaceProfile(f.grid, values), m)), tables,
-            (lambda K, v: K @ v / m))
+    u = np.multiply.outer(np.exp(0.5j * pts[:, 0]), np.exp(-0.5j * s), out=tables["u"])
+    r2 = np.subtract.outer(pts[:, 1], _uniform_samples(f, m), out=tables["r2"])
+    return ((lambda values: _uniform_samples(InterfaceProfile(f.grid, values), m)),
+            _LayerTables(u, r2, tables), (lambda K, v: K @ v / m))
 
 
-def _near_rule(f: InterfaceProfile, pts: np.ndarray):
-    """The graded panel rule at points near the interface, in the form of
-    ``_trapezoid_rule``.  One search finds the feet of all points; the nodes
+def _near_rule(f: InterfaceProfile, pts: np.ndarray, feet, dist):
+    """The graded panel rule at points near the interface, from their feet
+    (parameter, distance), in the form of ``_trapezoid_rule``.  The nodes
     of all points form one flat set, each point's sum one segment of it, on
     which f and each density are sampled by one ``eval_at``."""
-    feet, dist = _interface_feet(f, pts)
     rules = [_near_nodes(d, f.grid.spacing) for d in dist]
     counts = [len(w) for _, w in rules]
     offset, w = (np.concatenate(parts) for parts in zip(*rules))
@@ -256,30 +267,103 @@ def _near_rule(f: InterfaceProfile, pts: np.ndarray):
 
 
 class _PointLayers(_LayerSums):
-    """The sums of ``_LayerSums`` at off-interface points, one array over the
-    points per density.  One collar check sorts the points: those outside
-    the collar take ``_trapezoid_rule``; those inside raise ProximityError
-    unless ``near=True``, which sends them to ``_near_rule``.  A collar <= 0
-    admits every point without the search, for points already filtered."""
+    """The sums of ``_LayerSums`` at one block of off-interface points, one
+    array over the points per density: the points outside the collar take
+    ``_trapezoid_rule`` on the working set ``work``, those inside it
+    (``close``) ``_near_rule`` from their feet (parameter, distance)."""
 
-    def __init__(self, f: InterfaceProfile, points, *, collar=None, near=False):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        collar = default_collar(f) if collar is None else collar
-        close = min_interface_distance(f, pts) < collar if collar > 0 else np.zeros(len(pts), bool)
-        if np.any(close) and not near:
-            raise ProximityError(
-                "field point within the interface collar; use the trace "
-                "formulas or near=True for an approach study"
-            )
-        super().__init__(f.grid, len(pts), [
-            (mask, *build(f, pts[mask]))
-            for mask, build in ((~close, _trapezoid_rule), (close, _near_rule)) if np.any(mask)])
+    def __init__(self, f: InterfaceProfile, pts: np.ndarray, close, feet, dist, work):
+        rules = []
+        if not np.all(close):
+            rules.append((~close, *_trapezoid_rule(f, pts[~close], work)))
+        if np.any(close):
+            rules.append((close, *_near_rule(f, pts[close], feet, dist)))
+        super().__init__(f.grid, len(pts), rules)
+
+
+def _collar_search(f: InterfaceProfile, pts: np.ndarray, collar, near):
+    """One distance search over the points: the mask of those inside the
+    collar and their feet (parameter, distance), which start from the
+    search's nearest samples.  Points inside raise ProximityError unless
+    ``near=True``, so without it the distances alone are needed.  A collar
+    <= 0 admits every point without the search, for points already
+    filtered."""
+    close, feet, dist = np.zeros(len(pts), bool), np.empty(0), np.empty(0)
+    collar = default_collar(f) if collar is None else collar
+    if collar > 0 and near:
+        d, s0 = _closest_samples(f, pts)
+        close = d < collar
+        if np.any(close):
+            feet, dist = _interface_feet(f, pts[close], d[close], s0[close])
+    elif collar > 0 and np.any(min_interface_distance(f, pts) < collar):
+        raise ProximityError(
+            "field point within the interface collar; use the trace "
+            "formulas or near=True for an approach study"
+        )
+    return close, feet, dist
+
+
+def _block_bounds(nodes) -> list:
+    """Bounds of the blocks of points with the given node counts: runs of
+    consecutive points holding at most ``_EVAL_BLOCK`` (point, node)
+    entries, or two points where those exceed it; [0, 0] for no points."""
+    ends = np.concatenate([[0], np.cumsum(nodes)])
+    bounds = [0]
+    while bounds[-1] < len(nodes) or len(bounds) == 1:
+        start = bounds[-1]
+        stop = int(np.searchsorted(ends, ends[start] + _EVAL_BLOCK, side="right")) - 1
+        bounds.append(min(max(stop, start + 2), len(nodes)))
+    return bounds
+
+
+def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=False):
+    """The rows and ``_PointLayers`` of each block of the points, in input
+    order, after one collar search over all of them (see ``_block_bounds``).
+    A far point holds max(N, 256) nodes, a near point those of its panel
+    rule.  An empty point set is one empty block.
+
+    The trapezoid tables of every block are written into one working set,
+    sized for the most far points of a block: fresh tables per block would
+    fault their pages in anew.  So a block's evaluator is valid only until
+    the next block is drawn."""
+    close, feet, dist = _collar_search(f, pts, collar, near)
+    m = _trapezoid_nodes(f)
+    nodes = np.full(len(pts), m)
+    # counts only: a block builds its own near nodes, so they never span all points
+    nodes[close] = [len(_near_nodes(d, f.grid.spacing)[1]) for d in dist]
+    bounds = _block_bounds(nodes)
+    # the near points before each bound index the feet; only these O(blocks)
+    # counts outlive the bookkeeping over the points
+    near_bounds = np.concatenate([[0], np.cumsum(close)])[bounds]
+    del nodes
+    size = m * int(np.max(np.diff(bounds) - np.diff(near_bounds)))
+    work = {name: np.empty(size, dtype) for name, dtype in
+            (("u", complex), ("r2", float), ("cot", complex), ("pair", complex))}
+    for start, stop, a, b in zip(bounds[:-1], bounds[1:], near_bounds[:-1], near_bounds[1:]):
+        yield slice(start, stop), _PointLayers(f, pts[start:stop], close[start:stop],
+                                               feet[a:b], dist[a:b], work)
+
+
+def _blocked(f: InterfaceProfile, points, evaluate, *, collar=None, near=False) -> list:
+    """The arrays over the points that ``evaluate(composites)`` returns for
+    the ``_PointLayers`` of a block, each assembled over the blocks of
+    ``_point_blocks``.  Each block's evaluator is dropped before the next
+    block is drawn."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    outs = []
+    for rows, layers in _point_blocks(f, pts, collar=collar, near=near):
+        parts = evaluate(layers.composites)
+        del layers
+        outs = outs or [np.empty((len(pts),) + np.shape(p)[1:]) for p in parts]
+        for out, part in zip(outs, parts):
+            out[rows] = part
+    return outs
 
 
 def eval_Z(index: int, f: InterfaceProfile, density, points, *,
            collar: float | None = None, near: bool = False):
     """Layer integrals at off-interface points by the periodic trapezoid rule
-    on max(N, 256) nodes.
+    on max(N, 256) nodes, in blocks of points (see ``_point_blocks``).
 
     Points closer to the interface than the collar raise ProximityError
     unless ``near=True``, which switches those points to a composite
@@ -287,7 +371,7 @@ def eval_Z(index: int, f: InterfaceProfile, density, points, *,
     geometrically (ratio 4) away from the foot of the normal, the smallest
     panel as wide as the distance to the interface.
     """
-    (vals,) = _PointLayers(f, points, collar=collar, near=near).composites(index, density)
+    (vals,) = _blocked(f, points, lambda B: B(index, density), collar=collar, near=near)
     return vals if np.asarray(points).ndim > 1 else float(vals[0])
 
 
@@ -334,24 +418,25 @@ def _bulk_gradient(B, G, mu):
 
 
 def _bulk_flow(f, G, params, pts, *, collar):
-    """Velocity (P, 2) and pressure (P,) from one evaluator over the points."""
-    B = _PointLayers(f, pts, collar=collar).composites
-    return _bulk_velocity(B, G, params.mu), _bulk_pressure(B, G)
+    """Velocity (P, 2) and pressure (P,) from one evaluator per block."""
+    return _blocked(f, pts, lambda B: (_bulk_velocity(B, G, params.mu), _bulk_pressure(B, G)),
+                    collar=collar)
 
 
 def velocity_field(f: InterfaceProfile, params: PhysParams, points, *,
                    collar: float | None = None, near: bool = False) -> np.ndarray:
     """Velocity at off-interface points, shape (P, 2)."""
-    out = _bulk_velocity(_PointLayers(f, points, collar=collar, near=near).composites,
-                         forcing_G(f, params), params.mu)
+    G = forcing_G(f, params)
+    (out,) = _blocked(f, points, lambda B: (_bulk_velocity(B, G, params.mu),),
+                      collar=collar, near=near)
     return out if np.asarray(points).ndim > 1 else out[0]
 
 
 def pressure_field(f: InterfaceProfile, params: PhysParams, points, *,
                    collar: float | None = None, near: bool = False):
     """Pressure at off-interface points."""
-    q = _bulk_pressure(_PointLayers(f, points, collar=collar, near=near).composites,
-                       forcing_G(f, params))
+    G = forcing_G(f, params)
+    (q,) = _blocked(f, points, lambda B: (_bulk_pressure(B, G),), collar=collar, near=near)
     return q if np.asarray(points).ndim > 1 else float(q[0])
 
 
@@ -374,8 +459,9 @@ def velocity_gradient_field(f: InterfaceProfile, params: PhysParams, points, *,
                             collar: float | None = None, near: bool = False) -> np.ndarray:
     """Velocity gradient (entry [i, j] = d_j v_i) at off-interface points,
     shape (P, 2, 2); see ``_bulk_gradient``."""
-    out = _bulk_gradient(_PointLayers(f, points, collar=collar, near=near).composites,
-                         forcing_G(f, params), params.mu)
+    G = forcing_G(f, params)
+    (out,) = _blocked(f, points, lambda B: (_bulk_gradient(B, G, params.mu),),
+                      collar=collar, near=near)
     return out if np.asarray(points).ndim > 1 else out[0]
 
 
@@ -479,7 +565,8 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
 
     Off-interface values come from the graded Gauss-Legendre near rule (see
     ``eval_Z``) along the normal, at approach distances eps_factors * grid
-    spacing; all approach points go through one evaluator.
+    spacing; all approach points go through one collar search and one
+    evaluator per block.
     """
     grid = f.grid
     n = grid.n_points
@@ -499,9 +586,13 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
     pts = base[:, None, :] + (eps_values[:, None, None, None] * sides[:, None]) * nu[:, None, :]
 
     # the pressure -(Z1[g1] + Z2[g2])/2 and the velocity gradient share
-    # kernels 1..4 with the density; the evaluator keeps every product
-    B = _PointLayers(f, pts.reshape(-1, 2), near=True).composites
-    z = {idx: B(idx, dens, G.g1, G.g2)[0] for idx in (1, 2, 3, 4)}
+    # kernels 1..4 with the density; a block's evaluator keeps every product
+    def evaluate(B):
+        z = [B(idx, dens, G.g1, G.g2)[0] for idx in (1, 2, 3, 4)]
+        return (*z, _bulk_pressure(B, G), _bulk_gradient(B, G, params.mu))
+
+    *z, q, grads = _blocked(f, pts.reshape(-1, 2), evaluate, near=True)
+    z = dict(zip((1, 2, 3, 4), z))
 
     z_res = {}
     for idx, vals in z.items():
@@ -511,13 +602,13 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
 
     # pressure jump [q] = -(G . nu)/omega via two-sided approach
     g_dot_nu = G.g1 * geo.normal[0] + G.g2 * geo.normal[1]
-    q = _bulk_pressure(B, G).reshape(pts.shape[:-1])
+    q = q.reshape(pts.shape[:-1])
     want = -(g_dot_nu / geo.omega)[probes]
     q_res = np.max(np.abs((q[..., 0] - q[..., 1]) - want), axis=1)
 
     # stress jumps at the smallest eps: the viscous part against the
     # tangential forcing, the full traction against the curvature forcing
-    grads = _bulk_gradient(B, G, params.mu).reshape(pts.shape[:-1] + (2, 2))[-1]
+    grads = grads.reshape(pts.shape[:-1] + (2, 2))[-1]
     dgrad = grads[:, 0] - grads[:, 1]
     visc = params.mu * np.einsum("pij,pj->pi", dgrad + dgrad.transpose(0, 2, 1), nu)
     g_dot_tau = G.g1 * geo.tangent[0] + G.g2 * geo.tangent[1]

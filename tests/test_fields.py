@@ -300,9 +300,9 @@ class TestLayerIntegrals:
         seen = []
         original = fields._near_rule
 
-        def spy(f_, pts):
+        def spy(f_, pts, *feet):
             seen.append(np.array(pts))
-            return original(f_, pts)
+            return original(f_, pts, *feet)
 
         monkeypatch.setattr(fields, "_near_rule", spy)
         mixed = eval_Z(1, f, dens, np.vstack([far[:2], close, far[2:]]), near=True)
@@ -341,29 +341,36 @@ class TestLayerIntegrals:
         velocity_gradient_field(f, params, np.vstack([far, close]), near=True)
         assert sorted(table_products) == [1, 1, 1, 1, 3, 3, 3, 3]
 
-    def test_trapezoid_tables_peak_bounded(self, setup):
-        # the tables over (point, node) are r2 (8 bytes an entry), D and the
-        # pair slot (16 each) and the phases u (16): no table of r1 is held
-        # while they are allocated, and no build adds a full table
-        grid, f, params = setup
-        x1, x2 = np.meshgrid(np.linspace(0.0, 6.0, 40), np.linspace(1.0, 3.0, 25))
-        pts = np.stack([x1.ravel(), x2.ravel()], axis=-1)
+    def test_trapezoid_tables_peak_bounded(self):
+        # a block's tables over (point, node) are r2 (8 bytes an entry), D and
+        # the pair slot (16 each) and the phases u (16): no table of r1 is
+        # held while they are allocated, no build adds a full table, and the
+        # blocks of a call take turns in one working set of that size.  On
+        # top of it numpy's iterator buffers the broadcast outer products
+        # (two operands of 8192 complex entries), so far above one block the
+        # peak is one block's for any number of points; what grows with
+        # them is the output, 8 bytes a point
+        grid = PeriodicGrid(256)
+        f = InterfaceProfile(grid, 0.2 * np.cos(grid.nodes) + 0.1 * np.sin(2 * grid.nodes))
         dens = np.cos(grid.nodes)
-        entries = len(pts) * max(grid.n_points, 256)
-        fields._PointLayers(f, pts).composites(0, dens)   # numpy's first-use allocations
-        tracemalloc.start()
-        try:
-            B = fields._PointLayers(f, pts).composites
-            for index in range(7):
-                B(index, dens)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 60 * entries
+        rng = np.random.default_rng(3)
+        peaks = []
+        for count in (1000, 1000, 8000):
+            pts = np.column_stack([rng.uniform(0.0, 6.0, count), rng.uniform(1.0, 3.0, count)])
+            tracemalloc.start()
+            try:
+                for index in range(7):
+                    eval_Z(index, f, dens, pts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        peaks = peaks[1:]       # the first run takes numpy's first-use allocations
+        assert max(peaks) <= 56 * fields._EVAL_BLOCK + 2 * 8192 * 16 + 2**17
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_near_points_scanned_once_for_all_kernels(self, setup, monkeypatch):
-        # seven (index, density) pairs of the gradient share one search for
-        # the feet of the near points
+        # seven (index, density) pairs of the gradient share one search, which
+        # is both the collar check and the start of the near points' feet
         grid, f, params = setup
         far = np.array([[0.3, 2.0], [4.0, -1.1]])
         close = np.array([[0.0, f.values[0] + 0.5 * default_collar(f)],
@@ -378,9 +385,7 @@ class TestLayerIntegrals:
 
         monkeypatch.setattr(fields, "_closest_samples", spy)
         grad = velocity_gradient_field(f, params, pts, near=True)
-        near_scans = [p for p in scans if np.array_equal(p, close)]
-        assert len(near_scans) == 1
-        assert len(scans) == 2 and np.array_equal(scans[0], pts)   # the collar check
+        assert len(scans) == 1 and np.array_equal(scans[0], pts)
         assert np.array_equal(grad[[0, 3]], velocity_gradient_field(f, params, far))
 
     def test_min_distance(self, setup):
@@ -400,6 +405,110 @@ class TestLayerIntegrals:
             d1, s1 = fields._closest_samples(f, pts[i:i + 1])
             assert d1[0] == dist[i] and s1[0] == nearest[i]
         assert np.array_equal(min_interface_distance(f, pts), dist)
+
+
+class TestPointBlocks:
+    """The evaluators under a block budget of three far points' entries,
+    against one block per call: each output to 1e-14 relative, and bitwise
+    from one rerun to the next."""
+
+    BUDGET = 3 * 256    # the trapezoid rule takes 256 nodes at N = 128
+
+    @pytest.fixture
+    def points(self, setup):
+        """16 far points, and 13 points with every third one in the collar,
+        above and below the interface in turn."""
+        grid, f, params = setup
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.0, 2.0 * np.pi, 16)
+        side = np.where(np.arange(16) % 2, 1.0, -1.0)
+        far = np.column_stack([x, f.eval_at(x) + side * rng.uniform(1.0, 2.0, 16)])
+        mixed = far[:13].copy()
+        mixed[1::3, 1] = f.eval_at(mixed[1::3, 0]) + 0.4 * default_collar(f) * side[1:13:3]
+        return far, mixed
+
+    OUTPUTS = {
+        "sample_flow": lambda f, params, far, mixed: np.array(
+            [s.velocity + (s.pressure,) for s in sample_flow(f, params, far)]),
+        "velocity_field": lambda f, params, far, mixed: velocity_field(f, params, mixed,
+                                                                       near=True),
+        "velocity_gradient_field": lambda f, params, far, mixed: velocity_gradient_field(
+            f, params, mixed, near=True),
+        "eval_Z": lambda f, params, far, mixed: np.array(
+            [eval_Z(index, f, np.cos(f.grid.nodes), mixed, near=True) for index in range(7)]),
+    }
+
+    def test_budget_splits_points(self, setup, points, monkeypatch):
+        # runs of at most three far points; a near point holds hundreds of
+        # nodes, so its block takes two points; the tail holds the rest
+        grid, f, params = setup
+        far, mixed = points
+        monkeypatch.setattr(fields, "_EVAL_BLOCK", self.BUDGET)
+        rows = [r for r, _ in fields._point_blocks(f, far)]
+        assert [(r.start, r.stop) for r in rows] == [(0, 3), (3, 6), (6, 9), (9, 12),
+                                                     (12, 15), (15, 16)]
+        rows = [r for r, _ in fields._point_blocks(f, mixed, near=True)]
+        assert len(rows) >= 5 and 1 <= rows[-1].stop - rows[-1].start <= 2
+        assert [r.stop for r in rows[:-1]] == [r.start for r in rows[1:]]
+        assert rows[0].start == 0 and rows[-1].stop == len(mixed)
+
+    @pytest.mark.parametrize("name", OUTPUTS)
+    def test_blocks_match_one_block(self, name, setup, points, monkeypatch):
+        grid, f, params = setup
+        output = self.OUTPUTS[name]
+        want = output(f, params, *points)
+        monkeypatch.setattr(fields, "_EVAL_BLOCK", self.BUDGET)
+        got = output(f, params, *points)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(got, output(f, params, *points))
+
+    def test_jump_checks_match_one_block(self, setup, monkeypatch):
+        # every approach point is near: the panel sums of a point do not
+        # depend on the block it falls in
+        grid, f, params = setup
+
+        def report():
+            rep = interface_jump_checks(f, params, probe_count=4,
+                                        eps_factors=(1e-2, 1e-3, 1e-4))
+            return [*rep.z_residuals.values(), rep.pressure_residuals,
+                    rep.stress_tangential_residual, rep.stress_normal_residual]
+
+        want = report()
+        monkeypatch.setattr(fields, "_EVAL_BLOCK", self.BUDGET)
+        got = report()
+        for a, b, c in zip(got, want, report()):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    def test_empty_point_sets(self, setup, monkeypatch):
+        grid, f, params = setup
+        monkeypatch.setattr(fields, "_EVAL_BLOCK", self.BUDGET)
+        none = np.empty((0, 2))
+        assert velocity_field(f, params, none, near=True).shape == (0, 2)
+        assert pressure_field(f, params, none).shape == (0,)
+        assert velocity_gradient_field(f, params, none).shape == (0, 2, 2)
+        assert eval_Z(3, f, np.cos(grid.nodes), none, near=True).shape == (0,)
+        assert sample_flow(f, params, none) == []
+
+    def test_collar_point_in_last_block_refused_before_any_table(self, setup, points,
+                                                                 monkeypatch):
+        grid, f, params = setup
+        from stokes2p import operators
+
+        far, _ = points
+        pts = np.vstack([far, [[0.0, f.values[0] + 0.5 * default_collar(f)]]])
+        monkeypatch.setattr(fields, "_EVAL_BLOCK", self.BUDGET)
+        rows = [r for r, _ in fields._point_blocks(f, pts, near=True)]
+        assert len(rows) == 6 and rows[-1] == slice(15, 17)
+        built = []
+        init = operators._LayerTables.__init__
+        monkeypatch.setattr(operators._LayerTables, "__init__",
+                            lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+        for evaluate in (lambda: sample_flow(f, params, pts),
+                         lambda: velocity_gradient_field(f, params, pts),
+                         lambda: eval_Z(0, f, np.cos(grid.nodes), pts)):
+            with pytest.raises(ProximityError):
+                evaluate()
+        assert built == []
 
 
 def scan_samples(f):
@@ -601,7 +710,7 @@ class TestNearRule:
         dens = InterfaceProfile(grid, np.cos(grid.nodes) + 0.3 * np.sin(2 * grid.nodes))
         pts = np.vstack([approach_points(f, foot, factor * grid.spacing)
                          for foot, factor in ((0.4, 1e-1), (2.0, 1e-4), (5.1, 1e-7))])
-        feet, dist = fields._interface_feet(f, pts)
+        feet, dist = fields._interface_feet(f, pts, *fields._closest_samples(f, pts))
         for index in range(7):
             got = eval_Z(index, f, dens, pts, near=True)
             for p, foot, d, g in zip(pts, feet, dist, got):
@@ -621,16 +730,16 @@ class TestNearRule:
         f = self.profile(grid, lambda s: 0.1 * np.cos(s) + 0.05 * np.sin(2 * s))
         pts = np.vstack([approach_points(f, 0.4, 1e-3 * grid.spacing)[:1],
                          approach_points(f, 2.0, 1e-1 * grid.spacing)])
-        dist = fields._interface_feet(f, pts)[1]
+        dist = fields._interface_feet(f, pts, *fields._closest_samples(f, pts))[1]
         nodes = sum(len(fields._near_nodes(d, grid.spacing)[1]) for d in dist)
         sizes = []
         eval_at = InterfaceProfile.eval_at
         monkeypatch.setattr(InterfaceProfile, "eval_at",
                             lambda self, s: sizes.append(np.size(s)) or eval_at(self, s))
         a, b = np.cos(grid.nodes), np.sin(3 * grid.nodes)
-        B = fields._PointLayers(f, pts, near=True).composites
+        [(_, layers)] = fields._point_blocks(f, pts, near=True)
         for index in range(7):
-            B(index, a, b, a.copy())
+            layers.composites(index, a, b, a.copy())
         assert set(sizes) == {len(pts), nodes}
         assert sizes.count(nodes) == 3
 
@@ -667,7 +776,7 @@ class TestNearRule:
         p = np.array([[trough + 1e-6, f_fn(trough) + (1.0 - 1e-4) * radius],
                       [trough + 1e-6, f_fn(trough) + (1.0 + 1e-3) * radius]])
         dist, sample = fields._closest_samples(f, p)
-        feet, refined = fields._interface_feet(f, p)
+        feet, refined = fields._interface_feet(f, p, dist, sample)
         assert np.allclose(sample, trough, rtol=0.0, atol=1e-12)
         assert np.array_equal(feet, sample) and np.array_equal(refined, dist)
         for index in (1, 2):
@@ -683,7 +792,7 @@ class TestNearRule:
         pts = np.column_stack([rng.uniform(-1.0, 7.0, 200),
                                f.eval_at(s) + rng.uniform(-1.0, 1.0, 200) * default_collar(f)])
         dist, sample = fields._closest_samples(f, pts)
-        feet, refined = fields._interface_feet(f, pts)
+        feet, refined = fields._interface_feet(f, pts, dist, sample)
         assert np.all(refined <= dist)
         assert np.all((refined < dist) | (feet == sample))
 
@@ -911,7 +1020,7 @@ class TestJumpReport:
         assert builds_per_table(kernel_builds) == [[3], [3]]
 
     def test_stress_check_shares_the_jump_evaluator(self, kernel_builds, monkeypatch):
-        # one collar check and one feet search, one (3, 4) table per rule
+        # one search for the collar check and the feet, one (3, 4) table per rule
         grid = PeriodicGrid(32)
         f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes))
         scans = []
@@ -925,7 +1034,7 @@ class TestJumpReport:
         interface_jump_checks(f, PhysParams.from_theta(1.0, 1.0, 0.5), probe_count=2,
                               eps_factors=(1e-2, 1e-3))
         assert builds_per_table(kernel_builds) == [[3], [3]]
-        assert len(scans) == 2
+        assert len(scans) == 1
 
     def test_report_converges(self):
         grid = PeriodicGrid(64)

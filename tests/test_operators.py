@@ -513,7 +513,7 @@ def layer_evaluator(kind, f):
     if near:
         collar = fields.default_collar(f)
         pts += [[0.0, f.values[0] + 0.5 * collar], [2.5, f.eval_at(2.5) - 0.2 * collar]]
-    layers = fields._PointLayers(f, np.array(pts), near=near)
+    [(_, layers)] = fields._point_blocks(f, np.array(pts), near=near)
     return lambda index, density: layers.composites(index, density)[0]
 
 
