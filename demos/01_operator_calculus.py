@@ -33,7 +33,7 @@ quad_version = eval_B(OperatorSpec(0, 0), phi)
 mult_version = hilbert_transform(phi)
 print(f"   quadrature vs multiplier: {np.max(np.abs(quad_version - mult_version)):.2e}")
 print(f"   cos -> sin:               "
-      f"{np.max(np.abs(hilbert_transform(np.cos(3 * xi), grid) - np.sin(3 * xi))):.2e}")
+      f"{np.max(np.abs(hilbert_transform(np.cos(3 * xi)) - np.sin(3 * xi))):.2e}")
 
 print()
 print("=" * 70)

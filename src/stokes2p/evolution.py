@@ -105,11 +105,13 @@ def _direct_velocity(B, g1, g2):
     """4 mu times the layer velocity of the forcing (g1, g2): composites 0, 5
     and 6.  ``B(index, *densities)`` is one composite (on the interface) or
     layer integral (off it) per density; calls come grouped by index, so
-    the log table is built once and 5 and 6 share each product of r2 D."""
+    the log table is built once and 5 and 6 share each product of r2 D.
+    Composite 0's log kernel is ln(sin^2(s/2) + ...), the Stokeslet's has a
+    4 in it: ln 4 times the mean of g2 puts it back (g1 is mean-free)."""
     b0_1, b0_2 = B(0, g1, g2)
     b5_1, b5_2 = B(5, g1, g2)
     b6_1, b6_2 = B(6, g1, g2)
-    return b0_1 + b6_1 - b5_2, b0_2 - b6_2 - b5_1
+    return b0_1 + b6_1 - b5_2, b0_2 - b6_2 - b5_1 + LN4 * np.mean(g2)
 
 
 def _parts_velocity(B, F1, F2, fp):
@@ -139,8 +141,7 @@ def eval_Psi(f: InterfaceProfile, params: PhysParams) -> np.ndarray:
     t1, t2 = _direct_velocity(B, fv * fp, -fv)
     sigma, theta, mu = params.sigma, params.theta, params.mu
     return (sigma / (4.0 * mu)) * (fp * s1 - s2) \
-        + (theta / (4.0 * mu)) * (fp * t1 - t2) \
-        + (theta * LN4 / (4.0 * mu)) * f.mean
+        + (theta / (4.0 * mu)) * (fp * t1 - t2)
 
 
 def linear_multiplier(grid: PeriodicGrid, params: PhysParams) -> np.ndarray:

@@ -36,7 +36,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .core import (_EVAL_BLOCK, InterfaceProfile, PhysParams, _uniform_samples,
                    geometry_quantities, spectral_derivative)
-from .evolution import (LN4, _direct_velocity, _far_field_constants, _parts_velocity,
+from .evolution import (_direct_velocity, _far_field_constants, _parts_velocity,
                         forcing_G, phi_of)
 from .operators import DiagonalOps, _LayerSums, _LayerTables
 
@@ -394,8 +394,7 @@ def side_of(f: InterfaceProfile, points) -> np.ndarray:
 
 def _bulk_velocity(B, G, mu):
     t1, t2 = _direct_velocity(B, G.g1, G.g2)
-    mu4 = 4.0 * mu
-    return np.stack([t1 / mu4, t2 / mu4 + float(np.mean(G.g2)) * LN4 / mu4], axis=-1)
+    return np.stack([t1, t2], axis=-1) / (4.0 * mu)
 
 
 def _bulk_pressure(B, G):
@@ -442,13 +441,8 @@ def pressure_field(f: InterfaceProfile, params: PhysParams, points, *,
 
 def sample_flow(f: InterfaceProfile, params: PhysParams, points, *,
                 collar: float | None = None) -> list[FieldSample]:
-    return _sample_flow(f, params, forcing_G(f, params), points, collar=collar)
-
-
-def _sample_flow(f, params, G, points, *, collar) -> list[FieldSample]:
-    """``sample_flow`` with the forcing G of (f, params) given."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    v, q = _bulk_flow(f, G, params, pts, collar=collar)
+    v, q = _bulk_flow(f, forcing_G(f, params), params, pts, collar=collar)
     sides = side_of(f, pts)
     (x1, x2), (v1, v2) = pts.T.tolist(), v.T.tolist()
     return [FieldSample((a, b), s, (c, d), e)

@@ -19,6 +19,9 @@ The three satisfy, kernel by kernel,
     B[n,m,0,q] = A[n,m,ell=1,q] + C[n+q,m]
 
 and the difference family obeys C[n,m] + C[n+2,m] = C[n,m-1] for m >= 1.
+Each kernel of the three families is one slot product (``_slot_kernel``):
+the numerator quotients over the denominator factors 1 + quotient**2, each
+built once per difference table and multiplied in the order of the slots.
 
 The six named composites 1..6 that enter the interface velocity are the
 on-interface traces of the layer integrals Z_1..Z_6: each is one contraction
@@ -133,9 +136,9 @@ class KernelWorkspace:
     Builds, per argument function d, the sampling table d(xi_i - s_j) and the
     difference table d(xi_i) - d(xi_i - s_j), both of shape (N, M).  Tables
     are built afresh on every call, so an input changed in place is never
-    served from a stale copy.  A kernel build reads each difference table
-    through a ``_SlotFactors`` memo of its quotients that lives for that
-    build only.
+    served from a stale copy.  A kernel build (``_slot_kernel``) makes each
+    quotient of a difference table once, in a memo that lives for that build
+    only.
     """
 
     def __init__(self, grid: PeriodicGrid, rule: str = "midpoint", m_quad: int | None = None):
@@ -266,71 +269,52 @@ def _quotient(ws, kind, delta):
     return q
 
 
-class _SlotFactors:
-    """The slot factors of one kernel build: ``factor(kind, delta)`` is a
-    quotient of ``_quotient`` or, for "tanh2" and "diff2", 1 + quotient**2,
-    the denominator factor.  Each is built once per difference table, keyed
-    by the table's identity (the caller holds its tables for the build), and
-    read by every slot that table fills; the memo goes with the build.  (A
-    closure that called itself would be a reference cycle, holding the
-    tables until the cycle collector ran.)"""
+def _slot_kernel(ws, numerator, denominator):
+    """The product of the ``numerator`` slot factors over that of 1 + q**2
+    for the ``denominator`` slots, in a fresh table.  A slot (kind, delta)
+    is the ``_quotient`` q of that kind over a difference table.  Each q and
+    each 1 + q**2 is built once per table, keyed by the table's identity
+    (the caller holds its tables for the build), and read by every slot that
+    table fills; the memo goes with the build.  Each product runs in slot
+    order from a copy of its first factor, so the kernel has the bits of the
+    slot-by-slot product."""
+    memo = {}
 
-    def __init__(self, ws):
-        self.ws, self._memo = ws, {}
-
-    def __call__(self, kind, delta):
+    def factor(kind, delta, squared):
         key = kind, id(delta)
-        out = self._memo.get(key)
-        if out is None:
-            if kind in ("tanh2", "diff2"):
-                out = np.square(self(kind[:-1], delta))
-                out += 1.0
-            else:
-                out = _quotient(self.ws, kind, delta)
-            self._memo[key] = out
+        if key not in memo:
+            memo[key] = _quotient(ws, kind, delta)
+        if squared:
+            q, key = memo[key], key + ("1 + q**2",)
+            if key not in memo:
+                memo[key] = np.square(q)
+                memo[key] += 1.0
+        return memo[key]
+
+    def product(slots, squared):
+        if not slots:
+            return np.ones((ws.grid.n_points, len(ws.nodes)))
+        out = factor(*slots[0], squared).copy()
+        for kind, delta in slots[1:]:
+            out *= factor(kind, delta, squared)
         return out
 
+    K = product(numerator, False)
+    if denominator:
+        K /= product(denominator, True)
+    return K
 
-def _product(tables):
-    """The product of the tables in their order, in a fresh table; None for
-    no tables (an empty product, 1)."""
-    out = None
-    for t in tables:
-        if out is None:
-            out = t.copy()
-        else:
-            out *= t
-    return out
-
-
-def _ratio(ws, num, den):
-    """num / den as a fresh (N, M) table, either product possibly None (1);
-    written into num or den, which ``_product`` made."""
-    if num is None:
-        if den is None:
-            return np.ones((ws.grid.n_points, len(ws.nodes)))
-        return np.divide(1.0, den, out=den)
-    if den is not None:
-        num /= den
-    return num
-
-
-# The builders multiply the slot factors in the order of the slots, into a
-# copy of the first, so each kernel has the bits of the slot-by-slot product.
 
 def _tangent_kernel(ws, deltas_a, deltas_b, deltas_c, p):
-    factor = _SlotFactors(ws)
-    num = _product([factor("tanh", d) for d in deltas_b] + [factor("half", d) for d in deltas_c])
-    K = _ratio(ws, num, _product([factor("tanh2", d) for d in deltas_a]))
+    K = _slot_kernel(ws, [("tanh", d) for d in deltas_b] + [("half", d) for d in deltas_c],
+                     [("tanh", d) for d in deltas_a])
     K /= 2.0 * np.pi
     K *= ws.tan_half ** (p - 1)
     return K
 
 
 def _difference_kernel(ws, deltas_a, deltas_b):
-    factor = _SlotFactors(ws)
-    K = _ratio(ws, _product([factor("diff", d) for d in deltas_b]),
-               _product([factor("diff2", d) for d in deltas_a]))
+    K = _slot_kernel(ws, [("diff", d) for d in deltas_b], [("diff", d) for d in deltas_a])
     K /= np.pi * ws.nodes
     return K
 
@@ -349,7 +333,7 @@ def _apply(spec: OperatorSpec, density, rule, m_quad, build) -> np.ndarray:
     """Contract the kernel build(ws, deltas_a, deltas_b, deltas_c) with the
     density.  Each distinct argument profile gets one difference table,
     shared by every slot it fills, and the build makes each of its
-    quotients once (``_SlotFactors``)."""
+    quotients once (``_slot_kernel``)."""
     grid = _resolve_grid(spec, density)
     ws = KernelWorkspace(grid, rule, m_quad)
     profiles = dict.fromkeys(spec.args_a + spec.args_b + spec.args_c)
@@ -396,19 +380,17 @@ def eval_A(spec: OperatorSpec, ell: int, density, *, rule: str = "midpoint",
 # Fourier multiplier operators
 # ---------------------------------------------------------------------------
 
-def hilbert_transform(density, grid: PeriodicGrid | None = None) -> np.ndarray:
+def hilbert_transform(density) -> np.ndarray:
     """Periodic Hilbert transform via its multiplier -i*sign(k); mean to zero.
 
-    The Nyquist mode is zeroed as well: its transform samples to zero on the
+    The density is a profile or its nodal values, which fix the grid.  The
+    Nyquist mode is zeroed as well: its transform samples to zero on the
     collocation grid.
     """
     if isinstance(density, InterfaceProfile):
-        grid = density.grid
-        values = density.values
-    else:
-        values = np.asarray(density, dtype=float)
-        if grid is None:
-            grid = PeriodicGrid(len(values))
+        density = density.values
+    values = np.asarray(density, dtype=float)
+    grid = PeriodicGrid(len(values))
     n = grid.n_points
     c = np.fft.fft(values)
     mult = -1j * np.sign(grid.wavenumbers)

@@ -73,9 +73,9 @@ def check_operator_identities(n_points=256, fault=None):
     ]
 
 
-def check_conservation(n_points=128, seed=0, n_profiles=5):
+def check_conservation(seed=0, n_profiles=5):
     """Mean-free velocity, constant equilibria, vertical-shift invariance."""
-    grid = PeriodicGrid(n_points)
+    grid = PeriodicGrid(128)
     rng = np.random.default_rng(seed)
     params = PhysParams.from_theta(mu=1.0, sigma=1.0, theta=2.0)
     worst_mean, worst_shift, worst_g1 = 0.0, 0.0, 0.0
@@ -88,7 +88,7 @@ def check_conservation(n_points=128, seed=0, n_profiles=5):
             eval_Psi(shifted, params) - psi))))
         worst_g1 = max(worst_g1, abs(float(np.mean(forcing_G(f, params).g1))))
     worst_const = float(np.max(np.abs(eval_Psi(
-        InterfaceProfile(grid, np.full(n_points, 0.7)), params))))
+        InterfaceProfile(grid, np.full(grid.n_points, 0.7)), params))))
     return [
         ("conservation/psi-mean-free", worst_mean < 1e-10, f"max {worst_mean:.3e} (tol 1e-10)"),
         ("conservation/constants-are-equilibria", worst_const < 1e-10,
@@ -115,9 +115,9 @@ def check_spectrum(n_points=256, k_max=16):
     return results
 
 
-def check_far_field_constants(n_points=128):
+def check_far_field_constants():
     """Two independent formulas for the far-field offsets must agree."""
-    grid = PeriodicGrid(n_points)
+    grid = PeriodicGrid(128)
     f = InterfaceProfile(grid, 0.2 * np.cos(grid.nodes) + 0.1 * np.sin(2 * grid.nodes))
     params = PhysParams.from_theta(mu=1.0, sigma=1.0, theta=1.5)
     c = far_field_constants(f, params)
@@ -125,9 +125,9 @@ def check_far_field_constants(n_points=128):
              f"spread {c.spread:.3e} (tol 1e-10)")]
 
 
-def check_trace_equivalence(n_points=128):
+def check_trace_equivalence():
     """Direct and integrated-by-parts interface velocity traces must agree."""
-    grid = PeriodicGrid(n_points)
+    grid = PeriodicGrid(128)
     f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes))
     worst = 0.0
     for theta in (0.0, 1.0):
@@ -138,9 +138,9 @@ def check_trace_equivalence(n_points=128):
     return [("trace/variant-equivalence", worst < 1e-8, f"max {worst:.3e} (tol 1e-8)")]
 
 
-def check_jump_relations(n_points=64, quick=True):
+def check_jump_relations(quick=True):
     """One-sided layer limits vs trace composites plus jump terms."""
-    grid = PeriodicGrid(n_points)
+    grid = PeriodicGrid(64)
     f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes))
     params = PhysParams.from_theta(mu=1.0, sigma=1.0, theta=0.5)
     eps_factors = (1e-2, 1e-3) if quick else (1e-2, 1e-3, 1e-4)
@@ -161,8 +161,8 @@ def check_jump_relations(n_points=64, quick=True):
     ]
 
 
-def check_far_field_limits(n_points=128):
-    grid = PeriodicGrid(n_points)
+def check_far_field_limits():
+    grid = PeriodicGrid(128)
     f = InterfaceProfile(grid, 0.2 * np.cos(grid.nodes) + 0.1 * np.sin(2 * grid.nodes))
     params = PhysParams.from_theta(mu=1.0, sigma=1.0, theta=1.5)
     res = far_field_residuals(f, params)
@@ -175,7 +175,7 @@ def run_checks(level="quick", seed=0, fault=None):
     quick = level == "quick"
     results = []
     results += check_operator_identities(n_points=128 if quick else 256, fault=fault)
-    results += check_conservation(n_points=128, seed=seed, n_profiles=3 if quick else 10)
+    results += check_conservation(seed=seed, n_profiles=3 if quick else 10)
     results += check_spectrum(n_points=128 if quick else 256, k_max=8 if quick else 32)
     results += check_far_field_constants()
     results += check_trace_equivalence()

@@ -284,6 +284,29 @@ class TestField:
             [c.c1, c.c2, c.c1_alt, c.c2_alt]
         assert sidecar["far_field"] == far_field_residuals(f, params)
 
+    def test_rows_written_from_columns(self, tmp_path):
+        # the rows come from the flow's columns, not from one FieldSample per
+        # point (about 420 bytes each): the peak grows by far less per point
+        import tracemalloc
+
+        run_dir = tmp_path / "run"
+        assert run_cli("simulate", "--n", "32", "--init", "cos:1:0.2",
+                       "--t-end", "0.02", "--out-dir", str(run_dir)) == 0
+        out = tmp_path / "f.csv"
+        peaks = []
+        for nx1 in (40, 120):
+            tracemalloc.start()
+            try:
+                assert run_cli("field", "--snapshot", str(run_dir / "snapshots.jsonl"),
+                               "--x2-min", "2.5", "--x2-max", "4", "--nx2", "50",
+                               "--nx1", str(nx1), "--out", str(out)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        with open(out) as fh:
+            assert sum(1 for _ in fh) == 1 + 120 * 50         # no point in the collar
+        assert (peaks[1] - peaks[0]) / (80 * 50) < 120
+
     @pytest.mark.parametrize("flag,count", [("--nx1", "-1"), ("--nx1", "0"), ("--nx2", "-1")])
     def test_bad_point_count_exit_one(self, tmp_path, capsys, flag, count):
         run_dir = tmp_path / "run"

@@ -867,6 +867,21 @@ class TestTraces:
         trace_velocity(f, PhysParams.from_theta(1.0, 1.0, 1.0), variant)
         assert sorted(built) == kernels
 
+    def test_one_sided_velocity_limits_match_the_trace(self):
+        # the velocity is continuous across the interface, also for a profile
+        # off the mean level: the log part of the trace carries the mean
+        grid = PeriodicGrid(64)
+        f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes) + 0.05 * np.sin(2 * grid.nodes) + 0.3)
+        params = PhysParams.from_theta(1.0, 1.0, 1.0)
+        trace = trace_velocity(f, params, "direct-g")
+        fp = f.deriv_values
+        for i in (5, 21):
+            nu = np.array([-fp[i], 1.0]) / np.sqrt(1 + fp[i] ** 2)
+            base = np.array([grid.nodes[i], f.values[i]])
+            sides = velocity_field(f, params, np.array([base + 1e-6 * nu, base - 1e-6 * nu]),
+                                   near=True)
+            assert np.max(np.abs(sides - trace[:, i])) < 1e-6
+
     def test_variants_zero_on_flat(self):
         grid = PeriodicGrid(64)
         zero = InterfaceProfile.zero(grid)

@@ -1,6 +1,7 @@
 """Property tests of the evolution operator Psi on random band-limited
-profiles: mean-freeness, vertical-shift invariance, x-translation
-equivariance, reflection symmetry and oddness under f -> -f."""
+profiles: mean-freeness, vertical-shift invariance, agreement with the
+direct velocity trace, x-translation equivariance, reflection symmetry and
+oddness under f -> -f."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from stokes2p import InterfaceProfile, PeriodicGrid, PhysParams, eval_Psi  # noqa: E402
+from stokes2p.fields import trace_velocity  # noqa: E402
 
 
 @st.composite
@@ -52,6 +54,23 @@ class TestPsiProperties:
         psi = eval_Psi(f, params)
         shifted = eval_Psi(InterfaceProfile(f.grid, f.values + shift), params)
         assert np.max(np.abs(shifted - psi)) < 1e-9 * _scale(psi)
+
+    @settings(max_examples=15, deadline=None)
+    @given(psi_inputs(), st.floats(-2.0, 2.0))
+    def test_direct_trace_assembles_psi(self, case, shift):
+        # Psi codes buoyancy directly and surface tension by parts, so its
+        # buoyancy part Psi(theta) - Psi(0) is -f' v1 + v2 on the same part
+        # of the direct trace (to the truncation error of f f' against
+        # (f^2/2)'): the log part of that trace carries the profile's mean.
+        # The trace does not see a vertical shift either.
+        f, params = case
+        calm = PhysParams.from_theta(params.mu, params.sigma, 0.0)
+        psi = eval_Psi(f, params) - eval_Psi(f, calm)
+        trace = trace_velocity(f, params, "direct-g")
+        v1, v2 = trace - trace_velocity(f, calm, "direct-g")
+        assert np.max(np.abs(-f.deriv_values * v1 + v2 - psi)) < 1e-9 * _scale(trace)
+        shifted = trace_velocity(InterfaceProfile(f.grid, f.values + shift), params, "direct-g")
+        assert np.max(np.abs(shifted - trace)) < 1e-9 * _scale(trace)
 
     @settings(max_examples=15, deadline=None)
     @given(psi_inputs(), st.integers(1, 127))
