@@ -38,6 +38,9 @@ EXIT_USAGE = 1
 EXIT_BLOWUP = 2
 EXIT_VERIFY = 3
 
+# rows of the field CSV converted to Python objects at a time
+_CSV_ROWS = 1024
+
 
 def parse_init(text: str, grid: PeriodicGrid) -> np.ndarray:
     """Initial profile grammar: comma-separated cos:k:amp, sin:k:amp, const:c."""
@@ -227,16 +230,20 @@ def cmd_field(args) -> int:
     skipped = int(np.sum(~keep))
     # one forcing serves the samples, the constants and the far-field check;
     # the kept points are outside the collar already: no second search.  The
-    # rows are written from columns of Python floats, whose str is their repr
+    # rows are written from columns of Python floats, whose str is their
+    # repr, _CSV_ROWS rows at a time
     G = forcing_G(f, params)
     kept = pts[keep]
     v, q = _bulk_flow(f, G, params, kept, collar=0.0)
-    (p1, p2), (v1, v2) = kept.T.tolist(), v.T.tolist()
+    sides = side_of(f, kept)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x1", "x2", "side", "v1", "v2", "q"])
-        writer.writerows(zip(p1, p2, side_of(f, kept).tolist(), v1, v2, q.tolist()))
+        for start in range(0, len(kept), _CSV_ROWS):
+            rows = slice(start, start + _CSV_ROWS)
+            (p1, p2), (v1, v2) = kept[rows].T.tolist(), v[rows].T.tolist()
+            writer.writerows(zip(p1, p2, sides[rows].tolist(), v1, v2, q[rows].tolist()))
 
     constants = _far_field_constants(f, params, G)
     sidecar = {

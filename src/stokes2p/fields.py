@@ -10,12 +10,17 @@ it, with the same memos of samples and products and the same call form
 ``composites(index, *densities)``, so the bulk velocity and the velocity
 traces read the same layer-velocity coding of ``evolution``.
 
-Every evaluator runs one distance search over all of its points, which
-sorts them by the interface collar and starts the Newton feet of the near
-ones, and then builds its layer tables block by block (``_blocked``): each
-run of consecutive points holding at most ``core._EVAL_BLOCK`` (point, node)
-entries gets its own ``_PointLayers``, and the blocks take turns in one
-working set, so memory is bounded by one block for any number of points.
+Every evaluator first sorts its points by height.  Those that clear the
+interface strip [min f, max f] by the collar (``_strip_sides``) are outside
+it for certain; there every layer kernel is a geometric series, so they
+take the trapezoid rule's sums as exact series (``layer_series``), with no
+distance search and no table over (point, node).  The others go through
+one distance search (with ``near=True``, all points do), which sorts them
+by the interface collar and starts the Newton feet of the near ones.  The
+evaluator then works block by block (``_blocked``): each run of consecutive
+points holding at most ``core._EVAL_BLOCK`` (point, node) entries gets its
+own ``_PointLayers``, and the blocks take turns in one working set, so
+memory is bounded by one block for any number of points.
 
 The search is box-pruned over max(8N, 1024) uniform samples of f and
 returns what a dense scan over all of them would, in memory bounded by a
@@ -38,6 +43,7 @@ from .core import (_EVAL_BLOCK, InterfaceProfile, PhysParams, _uniform_samples,
                    geometry_quantities, spectral_derivative)
 from .evolution import (_direct_velocity, _far_field_constants, _parts_velocity,
                         forcing_G, phi_of)
+from .layer_series import _Series
 from .operators import DiagonalOps, _LayerSums, _LayerTables
 
 SIDE_PLUS = "plus"
@@ -233,19 +239,20 @@ def _trapezoid_nodes(f: InterfaceProfile) -> int:
 
 def _trapezoid_rule(f: InterfaceProfile, pts: np.ndarray, work: dict):
     """The periodic trapezoid rule on max(N, 256) nodes at points away from
-    the interface: a density sampler, the layer tables over (point, node)
-    and the contraction of a table with the samples.  The nodes are uniform,
-    so f and the densities are sampled by ``_uniform_samples``: their nodal
-    values from N = 256 up.  The tables u, r2, D and the pair slot are
-    written into the flat buffers of ``work`` (see ``_point_blocks``)."""
+    the interface: a density sampler and the product of the layer tables
+    over (point, node) with the samples.  The nodes are uniform, so f and
+    the densities are sampled by ``_uniform_samples``: their nodal values
+    from N = 256 up.  The tables u, r2, D and the pair slot are written into
+    the flat buffers of ``work`` (see ``_point_blocks``)."""
     m = _trapezoid_nodes(f)
     s = 2.0 * np.pi * np.arange(m) / m
     tables = {name: buf[:len(pts) * m].reshape(len(pts), m) for name, buf in work.items()}
     # u = e^{i r1/2} as an outer product of phases: no table of r1
     u = np.multiply.outer(np.exp(0.5j * pts[:, 0]), np.exp(-0.5j * s), out=tables["u"])
     r2 = np.subtract.outer(pts[:, 1], _uniform_samples(f, m), out=tables["r2"])
+    layer = _LayerTables(u, r2, tables)
     return ((lambda values: _uniform_samples(InterfaceProfile(f.grid, values), m)),
-            _LayerTables(u, r2, tables), (lambda K, v: K @ v / m))
+            (lambda index, v: layer.part(index)[0] @ v / m))
 
 
 def _near_rule(f: InterfaceProfile, pts: np.ndarray, feet, dist):
@@ -262,40 +269,59 @@ def _near_rule(f: InterfaceProfile, pts: np.ndarray, feet, dist):
     r1 = (np.repeat(pts[:, 0], counts) - foot) - offset
     r2 = np.repeat(pts[:, 1], counts) - f.eval_at(s)
     starts = np.cumsum([0] + counts[:-1])
+    layer = _LayerTables.at(r1, r2)
     return ((lambda values: w * InterfaceProfile(f.grid, values).eval_at(s)),
-            _LayerTables.at(r1, r2), lambda K, v: np.add.reduceat(K * v, starts) / (2.0 * np.pi))
+            (lambda index, v: np.add.reduceat(layer.part(index)[0] * v, starts) / (2.0 * np.pi)))
 
 
 class _PointLayers(_LayerSums):
     """The sums of ``_LayerSums`` at one block of off-interface points, one
-    array over the points per density: the points outside the collar take
-    ``_trapezoid_rule`` on the working set ``work``, those inside it
-    (``close``) ``_near_rule`` from their feet (parameter, distance)."""
+    array over the points per density: the points clear of the interface
+    strip (``side`` +1 or -1) take the rules of ``series``, those inside the
+    collar (``close``) ``_near_rule`` from their feet (parameter, distance),
+    and the others ``_trapezoid_rule`` on the working set ``work``."""
 
-    def __init__(self, f: InterfaceProfile, pts: np.ndarray, close, feet, dist, work):
+    def __init__(self, f: InterfaceProfile, pts: np.ndarray, close, side, feet, dist, work,
+                 series: _Series):
         rules = []
-        if not np.all(close):
-            rules.append((~close, *_trapezoid_rule(f, pts[~close], work)))
+        table = ~close & (side == 0)
+        if np.any(table):
+            rules.append((table, *_trapezoid_rule(f, pts[table], work)))
         if np.any(close):
             rules.append((close, *_near_rule(f, pts[close], feet, dist)))
-        super().__init__(f.grid, len(pts), rules)
+        super().__init__(f.grid, len(pts), rules + series.rules(pts, side))
 
 
-def _collar_search(f: InterfaceProfile, pts: np.ndarray, collar, near):
+def _strip_sides(f: InterfaceProfile, pts: np.ndarray, collar) -> np.ndarray:
+    """+1 at the points above the interface strip, -1 at those below it and
+    0 at the others.  A point above or below clears, in x2, by at least the
+    larger of the collar and the default collar, both the max(8N, 1024)
+    samples of the distance search and the nodes of the trapezoid rule: so
+    it is outside the collar, as the search would find."""
+    heights = np.concatenate([_uniform_samples(f, max(8 * f.grid.n_points, 1024)),
+                              _uniform_samples(f, _trapezoid_nodes(f))])
+    gap = max(collar, default_collar(f))
+    side = np.zeros(len(pts), np.int8)
+    side[pts[:, 1] - np.max(heights) >= gap] = 1
+    side[np.min(heights) - pts[:, 1] >= gap] = -1
+    return side
+
+
+def _collar_search(f: InterfaceProfile, pts: np.ndarray, collar, near, clear):
     """One distance search over the points: the mask of those inside the
     collar and their feet (parameter, distance), which start from the
     search's nearest samples.  Points inside raise ProximityError unless
-    ``near=True``, so without it the distances alone are needed.  A collar
-    <= 0 admits every point without the search, for points already
-    filtered."""
+    ``near=True``, so without it the distances alone are needed, and only
+    at the points not ``clear`` of the strip.  A collar <= 0 admits every
+    point without the search, for points already filtered."""
     close, feet, dist = np.zeros(len(pts), bool), np.empty(0), np.empty(0)
-    collar = default_collar(f) if collar is None else collar
     if collar > 0 and near:
         d, s0 = _closest_samples(f, pts)
         close = d < collar
         if np.any(close):
             feet, dist = _interface_feet(f, pts[close], d[close], s0[close])
-    elif collar > 0 and np.any(min_interface_distance(f, pts) < collar):
+    elif collar > 0 and not np.all(clear) and np.any(
+            min_interface_distance(f, pts[~clear]) < collar):
         raise ProximityError(
             "field point within the interface collar; use the trace "
             "formulas or near=True for an approach study"
@@ -318,30 +344,37 @@ def _block_bounds(nodes) -> list:
 
 def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=False):
     """The rows and ``_PointLayers`` of each block of the points, in input
-    order, after one collar search over all of them (see ``_block_bounds``).
-    A far point holds max(N, 256) nodes, a near point those of its panel
-    rule.  An empty point set is one empty block.
+    order, after one collar search (see ``_collar_search`` and
+    ``_block_bounds``).  A far point holds max(N, 256) nodes, whichever rule
+    it takes, and a near point those of its panel rule.  An empty point set
+    is one empty block.
 
     The trapezoid tables of every block are written into one working set,
-    sized for the most far points of a block: fresh tables per block would
-    fault their pages in anew.  So a block's evaluator is valid only until
-    the next block is drawn."""
-    close, feet, dist = _collar_search(f, pts, collar, near)
+    sized for the most trapezoid points of a block, and the series powers
+    into one buffer: fresh tables per block would fault their pages in
+    anew.  So a block's evaluator is valid only until the next block is
+    drawn."""
+    collar = default_collar(f) if collar is None else collar
+    side = _strip_sides(f, pts, collar)
+    close, feet, dist = _collar_search(f, pts, collar, near, side != 0)
     m = _trapezoid_nodes(f)
     nodes = np.full(len(pts), m)
     # counts only: a block builds its own near nodes, so they never span all points
     nodes[close] = [len(_near_nodes(d, f.grid.spacing)[1]) for d in dist]
     bounds = _block_bounds(nodes)
-    # the near points before each bound index the feet; only these O(blocks)
-    # counts outlive the bookkeeping over the points
+    # the near and series points before each bound (the near ones index the
+    # feet); only these O(blocks) counts outlive the bookkeeping over the points
     near_bounds = np.concatenate([[0], np.cumsum(close)])[bounds]
+    series_bounds = np.concatenate([[0], np.cumsum(side != 0)])[bounds]
     del nodes
-    size = m * int(np.max(np.diff(bounds) - np.diff(near_bounds)))
+    size = m * int(np.max(np.diff(bounds) - np.diff(near_bounds) - np.diff(series_bounds)))
     work = {name: np.empty(size, dtype) for name, dtype in
             (("u", complex), ("r2", float), ("cot", complex), ("pair", complex))}
+    series = _Series(f, m, default_collar(f), side, int(np.max(np.diff(series_bounds))))
     for start, stop, a, b in zip(bounds[:-1], bounds[1:], near_bounds[:-1], near_bounds[1:]):
         yield slice(start, stop), _PointLayers(f, pts[start:stop], close[start:stop],
-                                               feet[a:b], dist[a:b], work)
+                                               side[start:stop], feet[a:b], dist[a:b],
+                                               work, series)
 
 
 def _blocked(f: InterfaceProfile, points, evaluate, *, collar=None, near=False) -> list:
@@ -363,7 +396,10 @@ def _blocked(f: InterfaceProfile, points, evaluate, *, collar=None, near=False) 
 def eval_Z(index: int, f: InterfaceProfile, density, points, *,
            collar: float | None = None, near: bool = False):
     """Layer integrals at off-interface points by the periodic trapezoid rule
-    on max(N, 256) nodes, in blocks of points (see ``_point_blocks``).
+    on max(N, 256) nodes, in blocks of points (see ``_point_blocks``).  At
+    points clear of the interface strip by the collar the rule's sums are
+    taken as exact series (see ``layer_series``), which agree with its
+    tables to roundoff.
 
     Points closer to the interface than the collar raise ProximityError
     unless ``near=True``, which switches those points to a composite

@@ -588,12 +588,13 @@ class _LayerTables:
 
 class _LayerSums:
     """Layer integrals Z_index[density] by a list of rules.  A rule is
-    (share, sample, tables, contract): the outputs it fills, its density
-    sampler, its ``_LayerTables`` and its weighted sum contract(table,
-    samples).  One memo samples each density once, keyed by its values (so
-    one changed in place is sampled afresh); one takes each product once per
-    (lead of ``_PARTS``, density): both parts of a complex table come from
-    one product."""
+    (share, sample, product): the outputs it fills, its density sampler and
+    product(index, samples), the weighted sum over its nodes of the table of
+    the lead of ``_PARTS[index]`` (for a table rule, ``part(index)`` of its
+    ``_LayerTables``) against the samples.  One memo samples each density
+    once, keyed by its values (so one changed in place is sampled afresh);
+    one takes each product once per (lead, density): both parts of a
+    complex table come from one product."""
 
     def __init__(self, grid: PeriodicGrid, n_out: int, rules):
         self.grid, self.n_out, self._rules = grid, n_out, rules
@@ -604,7 +605,7 @@ class _LayerSums:
         key = values.tobytes()
         samples = self._samples.get(key)
         if samples is None:
-            samples = self._samples[key] = [sample(values) for _, sample, _, _ in self._rules]
+            samples = self._samples[key] = [sample(values) for _, sample, _ in self._rules]
         return key, samples
 
     def _sum(self, index: int, key: bytes, samples) -> np.ndarray:
@@ -614,8 +615,7 @@ class _LayerSums:
         products = self._products.get((lead, key))
         if products is None:
             products = self._products[lead, key] = [
-                contract(tables.part(index)[0], v)
-                for (_, _, tables, contract), v in zip(self._rules, samples)]
+                product(index, v) for (_, _, product), v in zip(self._rules, samples)]
         z = np.empty(self.n_out)
         for (share, *_), p in zip(self._rules, products):
             z[share] = take(p) * factor
@@ -659,8 +659,8 @@ class DiagonalOps(_LayerSums):
         layer = _LayerTables(_circulant(u), r2, tables,
                              log_shift=_circulant(np.log(u.imag ** 2)))
         scale = f.grid.spacing / TWO_PI
-        super().__init__(f.grid, n, [(slice(None), _half_samples, layer,
-                                      lambda K, v: (K @ v[0]) * scale)])
+        super().__init__(f.grid, n, [(slice(None), _half_samples,
+                                      lambda index, v: (layer.part(index)[0] @ v[0]) * scale)])
 
     def kernel(self, n: int, m: int, p: int, q: int) -> np.ndarray:
         """The diagonal tangent-family kernel of f, the one ``eval_B`` builds."""

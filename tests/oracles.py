@@ -2,13 +2,14 @@
 slot-by-slot kernel assembly of the generic operator families and of the
 Fréchet maps (each term an ``eval_B_loop`` member with the directions in
 extra difference slots), the named composites' expansions into
-tangent-family members, a real-variable coding of the layer kernels and the
-dense nearest-sample scan."""
+tangent-family members, a real-variable coding of the layer kernels, the
+dense nearest-sample scan and the dense trapezoid rule off the interface."""
 
 import numpy as np
 
 from stokes2p import InterfaceProfile, OperatorSpec
-from stokes2p.operators import KernelWorkspace, _density_values, _resolve_grid
+from stokes2p.core import _uniform_samples
+from stokes2p.operators import KernelWorkspace, _LayerTables, _density_values, _resolve_grid
 
 
 def band_limited(grid, seed, modes=None, amplitude=0.5):
@@ -176,3 +177,21 @@ def dense_closest_samples(s, fs, pts, block=128):
         dist[start:start + len(chunk)] = np.sqrt(d2[np.arange(len(chunk)), j])
         nearest[start:start + len(chunk)] = s[j]
     return dist, nearest
+
+
+def trapezoid_layers(f, pts):
+    """Reference far rule: B(index, *densities) -> [Z_index of each density]
+    at the points, by the periodic trapezoid rule on max(N, 256) uniform
+    nodes over one dense (point, node) table of ``_LayerTables.at``.  Each
+    call builds its own table, so the (points, nodes) tables stay few."""
+    m = max(f.grid.n_points, 256)
+    s = 2.0 * np.pi * np.arange(m) / m
+    r1 = np.subtract.outer(pts[:, 0], s)
+    r2 = np.subtract.outer(pts[:, 1], _uniform_samples(f, m))
+
+    def B(index, *densities):
+        table, take, factor = _LayerTables.at(r1, r2).part(index)
+        return [factor * take(table @ _uniform_samples(InterfaceProfile(f.grid, d), m) / m)
+                for d in densities]
+
+    return B

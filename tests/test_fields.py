@@ -118,6 +118,11 @@ def builds_per_table(built):
     return [sorted(i for table, i in built if table is t) for t in tables]
 
 
+# points inside the strip of the setup profile (|f| <= 0.26) and outside its
+# collar (0.49): the ones that take the trapezoid rule, which builds tables
+STRIP_POINTS = np.array([[3.3, 0.7], [0.3, -0.7], [3.6, 0.72]])
+
+
 class TestStokeslet:
     def test_symmetry_of_tensor(self):
         rng = np.random.default_rng(0)
@@ -309,31 +314,37 @@ class TestLayerIntegrals:
         assert len(seen) == 1 and np.array_equal(seen[0], close)
         assert np.array_equal(mixed[[0, 1, 3]], eval_Z(1, f, dens, far, near=True))
 
+    def test_strip_points_take_the_trapezoid_rule(self, setup):
+        grid, f, params = setup
+        collar = default_collar(f)
+        assert np.all(fields._strip_sides(f, STRIP_POINTS, collar) == 0)
+        assert np.all(min_interface_distance(f, STRIP_POINTS) >= collar)
+
     def test_sample_flow_builds_each_kernel_once(self, setup, kernel_builds):
         grid, f, params = setup
         # Z1 and Z2 of the pressure are the parts of D
-        sample_flow(f, params, np.array([[0.3, 2.0], [1.0, -2.5], [4.0, 1.1]]))
+        sample_flow(f, params, STRIP_POINTS)
         assert builds_per_table(kernel_builds) == [[0, 5]]
 
     def test_gradient_builds_each_kernel_once_per_rule(self, setup, kernel_builds):
         # far and near points: one trapezoid table and one flat panel table
         grid, f, params = setup
-        pts = np.array([[0.3, 2.0], [0.0, f.values[0] + 0.5 * default_collar(f)],
-                        [2.5, f.eval_at(2.5) - 0.2 * default_collar(f)], [4.0, -1.1]])
+        pts = np.array([STRIP_POINTS[0], [0.0, f.values[0] + 0.5 * default_collar(f)],
+                        [2.5, f.eval_at(2.5) - 0.2 * default_collar(f)], STRIP_POINTS[1]])
         velocity_gradient_field(f, params, pts, near=True)
         assert builds_per_table(kernel_builds) == [[3], [3]]
 
     def test_sample_flow_takes_each_product_once(self, setup, table_products):
         # Z5 and Z6 of the velocity are the parts of one product per density
         grid, f, params = setup
-        sample_flow(f, params, np.array([[0.3, 2.0], [1.0, -2.5], [4.0, 1.1]]))
+        sample_flow(f, params, STRIP_POINTS)
         assert sorted(table_products) == [0, 0, 1, 2, 5, 5]
 
     def test_gradient_takes_each_product_once_per_rule(self, setup, table_products):
         # Z1/Z2 and Z3/Z4 share their products; far and near points take
         # theirs on their own tables
         grid, f, params = setup
-        far = np.array([[0.3, 2.0], [4.0, -1.1]])
+        far = STRIP_POINTS[:2]
         velocity_gradient_field(f, params, far)
         assert sorted(table_products) == [1, 1, 3, 3]
         table_products.clear()
@@ -989,7 +1000,7 @@ class TestBulkFields:
 
     def test_sample_flow_scans_distance_once(self, setup, monkeypatch):
         grid, f, params = setup
-        pts = np.array([[0.5, 1.5], [0.5, -1.5], [2.0, 2.5]])
+        pts = STRIP_POINTS
         calls = []
         original = fields.min_interface_distance
 
