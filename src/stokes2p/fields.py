@@ -12,9 +12,11 @@ traces read the same layer-velocity coding of ``evolution``.
 
 Every evaluator first sorts its points by height.  Those that clear the
 interface strip [min f, max f] by the collar (``_strip_sides``) are outside
-it for certain; there every layer kernel is a geometric series, so they
-take the trapezoid rule's sums as exact series (``layer_series``), with no
-distance search and no table over (point, node).  The others go through
+it for certain and need no distance search.  There every layer kernel is a
+geometric series, so where one side holds more such points than the series
+has terms (K + 1, about 0.67 N), they take the trapezoid rule's sums as
+exact series (``layer_series``), with no table over (point, node); fewer
+take the tables, which then cost less.  The points not clear go through
 one distance search (with ``near=True``, all points do), which sorts them
 by the interface collar and starts the Newton feet of the near ones.  The
 evaluator then works block by block (``_blocked``): each run of consecutive
@@ -43,7 +45,7 @@ from .core import (_EVAL_BLOCK, InterfaceProfile, PhysParams, _uniform_samples,
                    geometry_quantities, spectral_derivative)
 from .evolution import (_direct_velocity, _far_field_constants, _parts_velocity,
                         forcing_G, phi_of)
-from .layer_series import _Series
+from .layer_series import _Series, _terms
 from .operators import DiagonalOps, _LayerSums, _LayerTables
 
 SIDE_PLUS = "plus"
@@ -282,14 +284,16 @@ class _PointLayers(_LayerSums):
     and the others ``_trapezoid_rule`` on the working set ``work``."""
 
     def __init__(self, f: InterfaceProfile, pts: np.ndarray, close, side, feet, dist, work,
-                 series: _Series):
+                 series: _Series | None):
         rules = []
         table = ~close & (side == 0)
         if np.any(table):
             rules.append((table, *_trapezoid_rule(f, pts[table], work)))
         if np.any(close):
             rules.append((close, *_near_rule(f, pts[close], feet, dist)))
-        super().__init__(f.grid, len(pts), rules + series.rules(pts, side))
+        if series is not None:
+            rules += series.rules(pts, side)
+        super().__init__(f.grid, len(pts), rules)
 
 
 def _strip_sides(f: InterfaceProfile, pts: np.ndarray, collar) -> np.ndarray:
@@ -345,9 +349,10 @@ def _block_bounds(nodes) -> list:
 def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=False):
     """The rows and ``_PointLayers`` of each block of the points, in input
     order, after one collar search (see ``_collar_search`` and
-    ``_block_bounds``).  A far point holds max(N, 256) nodes, whichever rule
-    it takes, and a near point those of its panel rule.  An empty point set
-    is one empty block.
+    ``_block_bounds``).  The points clear of the strip on a side take the
+    series rule if they outnumber its terms.  A far point holds max(N, 256)
+    nodes, whichever rule it takes, and a near point those of its panel
+    rule.  An empty point set is one empty block.
 
     The trapezoid tables of every block are written into one working set,
     sized for the most trapezoid points of a block, and the series powers
@@ -355,9 +360,19 @@ def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=Fal
     anew.  So a block's evaluator is valid only until the next block is
     drawn."""
     collar = default_collar(f) if collar is None else collar
-    side = _strip_sides(f, pts, collar)
+    m, k = _trapezoid_nodes(f), _terms(default_collar(f))
+    # the sides spare the search its points clear of the strip (with a
+    # collar > 0 and near=False) and route a side of more than K + 1 points
+    # to the series; with neither to do, every side is 0
+    side = np.zeros(len(pts), np.int8)
+    if (collar > 0 and not near) or len(pts) > len(k):
+        side = _strip_sides(f, pts, collar)
     close, feet, dist = _collar_search(f, pts, collar, near, side != 0)
-    m = _trapezoid_nodes(f)
+    # a side's coefficients take (K + 1) m entries a density, the trapezoid
+    # rule m a point: the series serves a side whose points outnumber its terms
+    for sg in (1, -1):
+        if np.count_nonzero(side == sg) <= len(k):
+            side[side == sg] = 0
     nodes = np.full(len(pts), m)
     # counts only: a block builds its own near nodes, so they never span all points
     nodes[close] = [len(_near_nodes(d, f.grid.spacing)[1]) for d in dist]
@@ -370,7 +385,9 @@ def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=Fal
     size = m * int(np.max(np.diff(bounds) - np.diff(near_bounds) - np.diff(series_bounds)))
     work = {name: np.empty(size, dtype) for name, dtype in
             (("u", complex), ("r2", float), ("cot", complex), ("pair", complex))}
-    series = _Series(f, m, default_collar(f), side, int(np.max(np.diff(series_bounds))))
+    series = None
+    if np.any(side):
+        series = _Series(f, m, k, side, int(np.max(np.diff(series_bounds))))
     for start, stop, a, b in zip(bounds[:-1], bounds[1:], near_bounds[:-1], near_bounds[1:]):
         yield slice(start, stop), _PointLayers(f, pts[start:stop], close[start:stop],
                                                side[start:stop], feet[a:b], dist[a:b],
@@ -397,9 +414,10 @@ def eval_Z(index: int, f: InterfaceProfile, density, points, *,
            collar: float | None = None, near: bool = False):
     """Layer integrals at off-interface points by the periodic trapezoid rule
     on max(N, 256) nodes, in blocks of points (see ``_point_blocks``).  At
-    points clear of the interface strip by the collar the rule's sums are
-    taken as exact series (see ``layer_series``), which agree with its
-    tables to roundoff.
+    points clear of the interface strip by the collar, where a side holds
+    more of them than the series has terms, the rule's sums are taken as
+    exact series (see ``layer_series``), which agree with its tables to
+    roundoff.
 
     Points closer to the interface than the collar raise ProximityError
     unless ``near=True``, which switches those points to a composite

@@ -17,12 +17,12 @@ are those of the trapezoid rule, summed in another order.
 
 The coefficients of (v, f v) are built once per density and side for all
 point blocks of a call, in slabs of at most ``_EVAL_BLOCK`` (term, node)
-entries, whose rows z^(k0 + r) = z^k0 z^r take z^k0 from one ``exp`` and
-z^r from ``_powers``.  A block's powers W^k come from ``_powers`` too,
-into one buffer that all blocks share.  K, the number of terms, follows
-from the least gap that a point of the rule may have, never from the points
-themselves.  ``fields`` routes the points and takes these rules beside its
-tables.
+entries: the first holds z^r from ``_powers``, and each next one is the
+last times z^h, h its height.  A block's powers W^k come from ``_powers``
+too, into one buffer that all blocks share.  K, the number of terms
+(``_terms``), follows from the least gap that a point of the rule may
+have, never from the points themselves.  ``fields`` routes the points and
+takes these rules beside its tables.
 """
 
 from __future__ import annotations
@@ -37,11 +37,17 @@ from .operators import _PARTS
 _DECAY = 42.0
 
 
+def _terms(gap: float) -> np.ndarray:
+    """The powers k = 0 .. K of the series at points that clear the strip by
+    at least ``gap``."""
+    return np.arange(np.ceil(_DECAY / gap) + 1)
+
+
 def _powers(w, out) -> None:
     """w^k for k = 0, 1, ... into the rows of out, by doubling: w^(n + k) =
     w^n w^k, so each is a product of at most log2(k) + 1 factors."""
     out[0] = 1.0
-    out[1] = w
+    out[1:2] = w            # no row if out has one
     done = 1                # out[:done + 1] hold w^0 .. w^done
     while done + 1 < len(out):
         stop = min(2 * done + 1, len(out))
@@ -51,26 +57,18 @@ def _powers(w, out) -> None:
 
 class _Series:
     """The series rule of the points of one call that clear the strip by
-    at least ``gap`` (see the module docstring), on the m nodes of the
-    trapezoid rule; ``side`` is +1 at the points above it, -1 at those
-    below and 0 at the others."""
+    at least the gap of its terms k (``_terms``; see the module docstring),
+    on the m nodes of the trapezoid rule; ``side`` is +1 at the points above
+    it, -1 at those below and 0 at the others."""
 
-    def __init__(self, f: InterfaceProfile, m: int, gap: float, side, block_points: int):
-        self.m, self.grid, self.fs = m, f.grid, _uniform_samples(f, m)
-        self.k = np.arange(np.ceil(_DECAY / gap) + 1)
+    def __init__(self, f: InterfaceProfile, m: int, k: np.ndarray, side, block_points: int):
+        self.m, self.grid, self.fs, self.k = m, f.grid, _uniform_samples(f, m), k
+        self.s = 2.0 * np.pi * np.arange(m) / m
         self.sides = [sg for sg in (1.0, -1.0) if np.any(side == sg)]
         self.h0 = {1.0: np.max(self.fs), -1.0: np.min(self.fs)}
-        self._phase = np.exp(2j * np.pi * np.arange(m) / m)
-        # slabs of equal height, two rows or more; none without points
-        slabs = -(-len(self.k) // max(2, _EVAL_BLOCK // m))
-        self._slab = np.empty((-(-len(self.k) // slabs) if self.sides else 0, m), complex)
-        self._block = np.empty(block_points * len(self.k), complex)
+        self._slab = np.empty((max(1, min(len(k), _EVAL_BLOCK // m)), m), complex)
+        self._block = np.empty(block_points * len(k), complex)
         self._coefficients = {}
-
-    def _node_powers(self, sg, k: int):
-        """z_j^k at the nodes, from one ``exp`` and a root of unity."""
-        turns = (int(sg) * k * np.arange(self.m)) % self.m
-        return np.exp(k * sg * (self.fs - self.h0[sg])) * self._phase[turns]
 
     def coefficients(self, values) -> dict:
         """Side -> the coefficients of the density's values (``_build``),
@@ -87,13 +85,16 @@ class _Series:
         RSS), and complex products of real vectors do not take BLAS."""
         v = _uniform_samples(InterfaceProfile(self.grid, values), self.m) / self.m
         weighted = v.astype(complex), (self.fs * v).astype(complex)
-        coefficients = {}
+        coefficients, slab = {}, self._slab
         for sg in self.sides:
             c = coefficients[sg] = np.empty((2, len(self.k)), complex)
-            for start in range(0, len(self.k), len(self._slab)):
-                rows = self._slab[:len(self.k) - start]
-                _powers(self._node_powers(sg, 1), rows)
-                rows *= self._node_powers(sg, start)
+            z = np.exp(sg * (1j * self.s + self.fs - self.h0[sg]))
+            _powers(z, slab)
+            step = slab[-1] * z
+            for start in range(0, len(self.k), len(slab)):
+                if start:
+                    slab *= step
+                rows = slab[:len(self.k) - start]
                 for out, w in zip(c, weighted):
                     out[start:start + len(rows)] = rows @ w
         return coefficients

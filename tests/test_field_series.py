@@ -13,9 +13,9 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from stokes2p import (InterfaceProfile, PeriodicGrid, PhysParams, ProximityError,  # noqa: E402
-                      eval_Z, pressure_field, sample_flow, velocity_field,
-                      velocity_gradient_field)
-from stokes2p import fields  # noqa: E402
+                      eval_Z, far_field_residuals, pressure_field, sample_flow,
+                      velocity_field, velocity_gradient_field)
+from stokes2p import fields, layer_series  # noqa: E402
 from stokes2p.evolution import forcing_G  # noqa: E402
 from stokes2p.operators import _PARTS  # noqa: E402
 from oracles import band_limited, trapezoid_layers  # noqa: E402
@@ -44,6 +44,12 @@ def threshold_heights(f):
     return above, below
 
 
+def n_terms(f):
+    """K + 1, the terms of the series: a side takes it when it holds more
+    points than that."""
+    return len(layer_series._terms(fields.default_collar(f)))
+
+
 def profile(n, seed, amplitude, nyquist):
     """A random profile on N = n whose spectrum reaches the Nyquist mode."""
     grid = PeriodicGrid(n)
@@ -53,16 +59,18 @@ def profile(n, seed, amplitude, nyquist):
 
 @st.composite
 def series_inputs(draw):
-    """A profile with a Nyquist mode, a density with one, and points above
-    and below the strip: two at the threshold, the others up to 40 collars
-    and one far beyond."""
+    """A profile with a Nyquist mode, a density with one, and K + 2 points
+    above the strip and as many below it, so that the series serves both
+    sides: two at the threshold, two 800 collars past it and the others up
+    to 40 collars past it."""
     n = draw(st.sampled_from([32, 64, 200, 256, 512]))
     seed = draw(st.integers(0, 2**16))
     f = profile(n, seed, draw(st.floats(0.05, 1.0)), draw(st.floats(-0.3, 0.3)))
     density = profile(n, seed + 1, 1.0, 0.2).values + draw(st.floats(-1.0, 1.0))
     rng = np.random.default_rng(seed)
     above, below = threshold_heights(f)
-    gaps = fields.default_collar(f) * np.concatenate([[0.0], rng.uniform(0.0, 40.0, 3), [800.0]])
+    gaps = fields.default_collar(f) * np.concatenate(
+        [[0.0], rng.uniform(0.0, 40.0, n_terms(f)), [800.0]])
     x2 = np.concatenate([above + gaps, below - gaps])
     return f, density, np.column_stack([rng.uniform(-1.0, 7.5, len(x2)), x2])
 
@@ -98,14 +106,17 @@ class TestAgainstTheTrapezoidRule:
     @pytest.mark.parametrize("n", [32, 200, 512])
     def test_either_side_of_the_threshold(self, n):
         # the last heights that take the series, and the first that take
-        # the trapezoid rule, one bit closer to the strip
+        # the trapezoid rule, one bit closer to the strip; K + 1 more points
+        # on each side, 1 to 40 collars past it, let the series serve both
         f = profile(n, n, 0.4, 0.2)
         density = profile(n, n + 1, 1.0, 0.2).values
         above, below = threshold_heights(f)
-        x2 = np.array([above, below, np.nextafter(above, 0.0), np.nextafter(below, 0.0)])
-        pts = np.column_stack([[0.4, 2.1, 3.7, 5.9], x2])
         collar = fields.default_collar(f)
-        assert list(fields._strip_sides(f, pts, collar)) == [1.0, -1.0, 0.0, 0.0]
+        gaps = collar * np.random.default_rng(n).uniform(1.0, 40.0, n_terms(f))
+        x2 = np.concatenate([[above, below, np.nextafter(above, 0.0), np.nextafter(below, 0.0)],
+                             above + gaps, below - gaps])
+        pts = np.column_stack([np.linspace(0.4, 5.9, len(x2)), x2])
+        assert list(fields._strip_sides(f, pts[:4], collar)) == [1.0, -1.0, 0.0, 0.0]
         assert np.all(fields.min_interface_distance(f, pts) >= collar)
         B = trapezoid_layers(f, pts)
         for index in range(7):
@@ -159,22 +170,22 @@ def series_calls(monkeypatch):
 class TestSeriesWork:
     @pytest.fixture
     def far(self):
-        """A profile and 40 points clear of its strip, above and below it in
-        turn."""
-        grid = PeriodicGrid(128)
+        """A profile with K + 1 = 44 terms and 120 points clear of its strip,
+        above and below it in turn."""
+        grid = PeriodicGrid(64)
         f = InterfaceProfile(grid, 0.2 * np.cos(grid.nodes) + 0.1 * np.sin(2 * grid.nodes))
         rng = np.random.default_rng(11)
-        side = np.where(np.arange(40) % 2, 1.0, -1.0)
-        return f, np.column_stack([rng.uniform(0.0, 6.0, 40), side * rng.uniform(1.0, 3.0, 40)])
+        side = np.where(np.arange(120) % 2, 1.0, -1.0)
+        return f, np.column_stack([rng.uniform(0.0, 6.0, 120), side * rng.uniform(1.5, 4.0, 120)])
 
     def test_coefficients_built_once_per_density_per_call(self, far, series_calls,
                                                           monkeypatch):
-        # five blocks of eight points; no layer table is built at all
+        # five blocks of 24 points; no layer table is built at all
         from stokes2p import operators
 
         f, pts = far
         builds, products = series_calls
-        monkeypatch.setattr(fields, "_EVAL_BLOCK", 8 * 256)
+        monkeypatch.setattr(fields, "_EVAL_BLOCK", 24 * 256)
         assert len(list(fields._point_blocks(f, pts))) == 5
         G = forcing_G(f, PARAMS)
         monkeypatch.setattr(operators._LayerTables, "__init__",
@@ -188,7 +199,7 @@ class TestSeriesWork:
         # and g2, on both sides of each of five blocks
         f, pts = far
         builds, products = series_calls
-        monkeypatch.setattr(fields, "_EVAL_BLOCK", 8 * 256)
+        monkeypatch.setattr(fields, "_EVAL_BLOCK", 24 * 256)
         sample_flow(f, PARAMS, pts)
         assert len(products) == len(set(products)) == 5 * 2 * 3 * 2
         for block, sg in {(block, sg) for block, sg, _, _ in products}:
@@ -207,6 +218,52 @@ class TestSeriesWork:
         f, pts = far
         monkeypatch.setattr(fields, "_closest_samples", lambda *args: pytest.fail("searched"))
         sample_flow(f, PARAMS, pts)
+
+    @pytest.mark.parametrize("options", [{"near": True}, {"collar": 0.0}])
+    def test_series_without_a_partial_search(self, far, series_calls, options):
+        # the sides are found when the search takes every point or none
+        f, pts = far
+        builds, products = series_calls
+        eval_Z(1, f, np.cos(f.grid.nodes), pts, **options)
+        assert len(builds) == 1
+
+    def test_a_side_of_k_plus_one_points_takes_the_tables(self, far, series_calls):
+        # its coefficients would cost (K + 1) m entries a density, its table
+        # m a point: one more point above the strip, and that side alone
+        # takes the series
+        f, pts = far
+        builds, products = series_calls
+        above, below = pts[pts[:, 1] > 0], pts[pts[:, 1] < 0]
+        k1 = n_terms(f)
+        sample_flow(f, PARAMS, np.concatenate([above[:k1], below[:k1]]))
+        assert builds == [] and products == []
+        sample_flow(f, PARAMS, np.concatenate([above[:k1 + 1], below[:k1]]))
+        assert len(builds) == 2 and {sg for _, sg, _, _ in products} == {1.0}
+
+    def test_far_field_probes_take_the_tables_without_a_search(self, far, series_calls,
+                                                               monkeypatch):
+        # 16 probes against K + 1 = 44 terms, at any N: no coefficients
+        f, pts = far
+        builds, products = series_calls
+        monkeypatch.setattr(fields, "_closest_samples", lambda *args: pytest.fail("searched"))
+        monkeypatch.setattr(fields, "min_interface_distance",
+                            lambda *args: pytest.fail("searched"))
+        far_field_residuals(f, PARAMS)
+        assert builds == []
+
+    @pytest.mark.parametrize("rows", [1, 2, "one left"])
+    def test_slabs_of_any_height(self, far, monkeypatch, rows):
+        # the coefficients in slabs of one row each, of two, and of 43 with
+        # one row left for the last: each slab continues the last one's powers
+        f, pts = far
+        k1 = n_terms(f)
+        rows = next(h for h in range(2, k1) if k1 % h == 1) if rows == "one left" else rows
+        monkeypatch.setattr(layer_series, "_EVAL_BLOCK", rows * 256)
+        density = profile(64, 5, 1.0, 0.2).values
+        B = trapezoid_layers(f, pts)
+        for index in range(7):
+            assert_matches_oracle(eval_Z(index, f, density, pts), B(index, density)[0], pts,
+                                  np.max(np.abs(density)))
 
     def test_peak_bounded(self):
         # the (terms, nodes) coefficients are built in slabs: unslabbed, they

@@ -1013,6 +1013,13 @@ class TestBulkFields:
         assert len(calls) == 1
         assert np.array_equal([s.velocity for s in samples], velocity_field(f, params, pts))
         assert np.array_equal([s.pressure for s in samples], pressure_field(f, params, pts))
+        # points clear of the strip are outside the collar without a search
+        far = np.array([[0.5, 1.5], [0.5, -1.5], [2.0, 2.5]])
+        calls.clear()
+        samples = sample_flow(f, params, far)
+        assert len(calls) == 0
+        assert np.array_equal([s.velocity for s in samples], velocity_field(f, params, far))
+        assert np.array_equal([s.pressure for s in samples], pressure_field(f, params, far))
 
     def test_far_field_residuals_build_forcing_once(self, setup, monkeypatch):
         grid, f, params = setup
