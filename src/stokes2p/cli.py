@@ -28,8 +28,7 @@ from .evolution import (
     integrate,
     snapshot_record,
 )
-from .fields import (_bulk_flow, _far_field_residuals, default_collar, min_interface_distance,
-                     side_of)
+from .fields import _bulk_flow, _collar_search, _far_field_residuals, default_collar, side_of
 from .evolution import _far_field_constants, forcing_G
 from .verify import run_checks
 
@@ -226,12 +225,12 @@ def cmd_field(args) -> int:
     x2 = np.linspace(args.x2_min, args.x2_max, args.nx2)
     pts = np.stack(np.meshgrid(x1, x2), axis=-1).reshape(-1, 2)    # x2 outer, x1 inner
     collar = default_collar(f)
-    keep = min_interface_distance(f, pts) >= collar
+    keep = ~_collar_search(f, pts, collar, False)[1]
     skipped = int(np.sum(~keep))
-    # one forcing serves the samples, the constants and the far-field check;
-    # the kept points are outside the collar already: no second search.  The
-    # rows are written from columns of Python floats, whose str is their
-    # repr, _CSV_ROWS rows at a time
+    # one routing pass: the kept points need no second search.  One forcing
+    # serves the samples, the constants and the far-field check.  The rows
+    # are written from columns of Python floats, whose str is their repr,
+    # _CSV_ROWS rows at a time
     G = forcing_G(f, params)
     kept = pts[keep]
     v, q = _bulk_flow(f, G, params, kept, collar=0.0)

@@ -10,28 +10,26 @@ it, with the same memos of samples and products and the same call form
 ``composites(index, *densities)``, so the bulk velocity and the velocity
 traces read the same layer-velocity coding of ``evolution``.
 
-Every evaluator first sorts its points by height.  Those that clear the
-interface strip [min f, max f] by the collar (``_strip_sides``) are outside
-it for certain and need no distance search.  There every layer kernel is a
-geometric series, so where one side holds more such points than the series
-has terms (K + 1, about 0.67 N), they take the trapezoid rule's sums as
-exact series (``layer_series``), with no table over (point, node); fewer
-take the tables, which then cost less.  The points not clear go through
-one distance search (with ``near=True``, all points do), which sorts them
-by the interface collar and starts the Newton feet of the near ones.  The
+Every evaluator first routes its points in one pass (``_collar_search``)
+over max(8N, 1024) uniform samples of f.  The points that clear the
+interface strip [min f, max f] by the collar are outside it for certain.
+There every layer kernel is a geometric series, so where one side holds
+more such points than the series has terms (K + 1, about 0.67 N), they take
+the trapezoid rule's sums as exact series (``layer_series``), with no table
+over (point, node); fewer take the tables, which then cost less.  Only the
+others go through the distance search on those samples, which finds the
+points inside the collar and starts the Newton feet of the near ones.  The
 evaluator then works block by block (``_blocked``): each run of consecutive
 points holding at most ``core._EVAL_BLOCK`` (point, node) entries gets its
 own ``_PointLayers``, and the blocks take turns in one working set, so
 memory is bounded by one block for any number of points.
 
-The search is box-pruned over max(8N, 1024) uniform samples of f and
-returns what a dense scan over all of them would, in memory bounded by a
-chunk of points.  Off-grid values come from ``core``: uniform ones (the
-search's, and the trapezoid rule's) from ``_uniform_samples``, one
-zero-padded inverse FFT; the others (the near rule's nodes, the Newton feet,
-``side_of``) from ``eval_at``, whose memory is bounded by a block of its
-phase matrix, so the near rule samples f and each density by one call over
-the nodes of all the points of a block.
+Off-grid values come from ``core``: uniform ones (the search's, and the
+trapezoid rule's) from ``_uniform_samples``, one zero-padded inverse FFT;
+the others (the near rule's nodes, the Newton feet, ``side_of``) from
+``eval_at``, whose memory is bounded by a block of its phase matrix, so the
+near rule samples f and each density by one call over the nodes of all the
+points of a block.
 """
 
 from __future__ import annotations
@@ -102,9 +100,9 @@ def _period_offset(x, s):
     return d
 
 
-def _closest_samples(f: InterfaceProfile, pts: np.ndarray):
-    """The interface sample nearest each point (horizontal period folded in)
-    among max(8N, 1024) uniform samples of f: its distance and its parameter.
+def _closest_samples(fs: np.ndarray, pts: np.ndarray):
+    """The sample nearest each point (horizontal period folded in) among the
+    uniform samples fs of ``_search_samples``: its distance and parameter.
 
     A box-pruned search that returns bitwise what the dense scan over all
     samples returns.  The samples are grouped in boxes of ``_BOX``, each with
@@ -115,11 +113,10 @@ def _closest_samples(f: InterfaceProfile, pts: np.ndarray):
     ends, so by monotone rounding it never exceeds the scan's value at a
     sample of the box; it is scaled by (1 - 1e-12) besides.  Ties go to the
     lower sample index, as ``argmin``'s do.  Points are searched in chunks of
-    ``_SCAN_BLOCK``, so memory stays bounded for any number of points.
+    ``_SCAN_BLOCK``; a point's result does not depend on the others.
     """
-    m = max(8 * f.grid.n_points, 1024)
+    m = len(fs)
     s = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-    fs = _uniform_samples(f, m)
     # the last box is padded with copies of the last sample, which lose its
     # ties to it
     n_box = -(-m // _BOX)
@@ -169,11 +166,16 @@ def _closest_samples(f: InterfaceProfile, pts: np.ndarray):
     return dist, nearest
 
 
+def _search_samples(f: InterfaceProfile) -> np.ndarray:
+    """The max(8N, 1024) uniform samples of f that the distance search reads."""
+    return _uniform_samples(f, max(8 * f.grid.n_points, 1024))
+
+
 def min_interface_distance(f: InterfaceProfile, points) -> np.ndarray:
     """Distance from each point to the interface graph (horizontal period
     folded in), approximated by its nearest uniform sample (see
     ``_closest_samples``)."""
-    return _closest_samples(f, np.atleast_2d(np.asarray(points, dtype=float)))[0]
+    return _closest_samples(_search_samples(f), np.atleast_2d(np.asarray(points, float)))[0]
 
 
 def default_collar(f: InterfaceProfile) -> float:
@@ -296,41 +298,34 @@ class _PointLayers(_LayerSums):
         super().__init__(f.grid, len(pts), rules)
 
 
-def _strip_sides(f: InterfaceProfile, pts: np.ndarray, collar) -> np.ndarray:
-    """+1 at the points above the interface strip, -1 at those below it and
-    0 at the others.  A point above or below clears, in x2, by at least the
-    larger of the collar and the default collar, both the max(8N, 1024)
-    samples of the distance search and the nodes of the trapezoid rule: so
-    it is outside the collar, as the search would find."""
-    heights = np.concatenate([_uniform_samples(f, max(8 * f.grid.n_points, 1024)),
-                              _uniform_samples(f, _trapezoid_nodes(f))])
+def _collar_search(f: InterfaceProfile, pts: np.ndarray, collar, near):
+    """The routing pass: the strip side of each point (+1 above, -1 below,
+    0 inside), the mask of those inside the collar and, with ``near=True``,
+    their feet (parameter, distance).  A point above or below clears, in
+    x2, by at least the larger of the collar and the default collar, both
+    the search samples and the trapezoid nodes: so it is outside the
+    collar, as the search would find, and only the others are searched.  A
+    collar <= 0 admits every point without a search, and the sides then
+    serve the series alone: they are not found where no side can outnumber
+    its K + 1 terms.  Points not finite raise ValueError."""
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("field points must be finite")
+    side, close = np.zeros(len(pts), np.int8), np.zeros(len(pts), bool)
+    feet, dist = np.empty(0), np.empty(0)
+    if collar <= 0 and len(pts) <= len(_terms(default_collar(f))):
+        return side, close, feet, dist
+    fs = _search_samples(f)
+    heights = np.concatenate([fs, _uniform_samples(f, _trapezoid_nodes(f))])
     gap = max(collar, default_collar(f))
-    side = np.zeros(len(pts), np.int8)
     side[pts[:, 1] - np.max(heights) >= gap] = 1
     side[np.min(heights) - pts[:, 1] >= gap] = -1
-    return side
-
-
-def _collar_search(f: InterfaceProfile, pts: np.ndarray, collar, near, clear):
-    """One distance search over the points: the mask of those inside the
-    collar and their feet (parameter, distance), which start from the
-    search's nearest samples.  Points inside raise ProximityError unless
-    ``near=True``, so without it the distances alone are needed, and only
-    at the points not ``clear`` of the strip.  A collar <= 0 admits every
-    point without the search, for points already filtered."""
-    close, feet, dist = np.zeros(len(pts), bool), np.empty(0), np.empty(0)
-    if collar > 0 and near:
-        d, s0 = _closest_samples(f, pts)
-        close = d < collar
-        if np.any(close):
-            feet, dist = _interface_feet(f, pts[close], d[close], s0[close])
-    elif collar > 0 and not np.all(clear) and np.any(
-            min_interface_distance(f, pts[~clear]) < collar):
-        raise ProximityError(
-            "field point within the interface collar; use the trace "
-            "formulas or near=True for an approach study"
-        )
-    return close, feet, dist
+    rest = side == 0
+    if collar > 0 and np.any(rest):
+        d, s0 = _closest_samples(fs, pts[rest])
+        close[rest] = inside = d < collar
+        if near and np.any(inside):
+            feet, dist = _interface_feet(f, pts[close], d[inside], s0[inside])
+    return side, close, feet, dist
 
 
 def _block_bounds(nodes) -> list:
@@ -348,7 +343,7 @@ def _block_bounds(nodes) -> list:
 
 def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=False):
     """The rows and ``_PointLayers`` of each block of the points, in input
-    order, after one collar search (see ``_collar_search`` and
+    order, after one routing pass (see ``_collar_search`` and
     ``_block_bounds``).  The points clear of the strip on a side take the
     series rule if they outnumber its terms.  A far point holds max(N, 256)
     nodes, whichever rule it takes, and a near point those of its panel
@@ -361,13 +356,10 @@ def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=Fal
     drawn."""
     collar = default_collar(f) if collar is None else collar
     m, k = _trapezoid_nodes(f), _terms(default_collar(f))
-    # the sides spare the search its points clear of the strip (with a
-    # collar > 0 and near=False) and route a side of more than K + 1 points
-    # to the series; with neither to do, every side is 0
-    side = np.zeros(len(pts), np.int8)
-    if (collar > 0 and not near) or len(pts) > len(k):
-        side = _strip_sides(f, pts, collar)
-    close, feet, dist = _collar_search(f, pts, collar, near, side != 0)
+    side, close, feet, dist = _collar_search(f, pts, collar, near)
+    if np.any(close) and not near:
+        raise ProximityError("field point within the interface collar; use the trace "
+                             "formulas or near=True for an approach study")
     # a side's coefficients take (K + 1) m entries a density, the trapezoid
     # rule m a point: the series serves a side whose points outnumber its terms
     for sg in (1, -1):
@@ -443,6 +435,8 @@ class FieldSample:
 
 def side_of(f: InterfaceProfile, points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("field points must be finite")
     return np.where(pts[:, 1] > f.eval_at(pts[:, 0]), SIDE_PLUS, SIDE_MINUS)
 
 
@@ -616,6 +610,10 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
     spacing; all approach points go through one collar search and one
     evaluator per block.
     """
+    eps_factors = np.asarray(eps_factors, dtype=float)
+    if probe_count < 1 or eps_factors.ndim != 1 or not len(eps_factors) \
+            or not np.all((0.0 < eps_factors) & (eps_factors < np.inf)):
+        raise ValueError("need probe_count >= 1 and finite eps_factors > 0, at least one")
     grid = f.grid
     n = grid.n_points
     geo = geometry_quantities(f)
@@ -626,7 +624,7 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
     traces = {idx: ops.composite(idx, dens) for idx in (1, 2, 3, 4)}
 
     probes = np.arange(0, n, max(1, n // probe_count))[:probe_count]
-    eps_values = np.asarray(eps_factors, dtype=float) * grid.spacing
+    eps_values = eps_factors * grid.spacing
     sides = np.array([1.0, -1.0])
     base = np.stack([grid.nodes[probes], f.values[probes]], axis=-1)
     nu = geo.normal[:, probes].T
@@ -684,6 +682,8 @@ def far_field_residuals(f: InterfaceProfile, params: PhysParams, *,
 
 def _far_field_residuals(f, params, G, height: float = 20.0) -> dict:
     """``far_field_residuals`` with the forcing G of (f, params) given."""
+    if not 0.0 < height < np.inf:
+        raise ValueError(f"far-field height must be finite and positive, got {height}")
     c = _far_field_constants(f, params, G)
     x1 = 2.0 * np.pi * (np.arange(8) + 0.37) / 8
     signs = np.array([1.0, -1.0])

@@ -212,7 +212,10 @@ class TestField:
         assert abs(sidecar["c1"] - sidecar["c1_alt"]) < 1e-10
 
     def test_window_searched_once(self, tmp_path, monkeypatch):
-        # the collar filter's search serves sample_flow too
+        # one routing pass serves the collar filter and sample_flow: its one
+        # search takes the rows x2 = -1.5, 0 and 1.5, which clear neither side
+        # of the strip (|f| <= 0.2 and the collar is 1.96 at N = 32), and not
+        # the rows x2 = -3 and 3 or the far-field probes at |x2| = 20
         from stokes2p import fields
 
         run_dir = tmp_path / "run"
@@ -221,17 +224,68 @@ class TestField:
         searched = []
         original = fields._closest_samples
 
-        def spy(f, pts):
+        def spy(fs, pts):
             searched.append(np.array(pts))
-            return original(f, pts)
+            return original(fs, pts)
 
         monkeypatch.setattr(fields, "_closest_samples", spy)
         assert run_cli("field", "--snapshot", str(run_dir / "snapshots.jsonl"),
                        "--x2-min", "-3", "--x2-max", "3", "--nx2", "5", "--nx1", "5",
                        "--out", str(tmp_path / "f.csv")) == 0
-        # the far-field check searches its own probes at |x2| = 20
-        window = [p for p in searched if np.all(np.abs(p[:, 1]) <= 3.0)]
-        assert len(window) == 1 and len(window[0]) == 25
+        x1 = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)
+        strip_rows = np.array([[a, b] for b in (-1.5, 0.0, 1.5) for a in x1])
+        assert len(searched) == 1 and np.array_equal(searched[0], strip_rows)
+
+    @pytest.mark.parametrize("n", [200, 256])
+    def test_window_of_clear_strip_and_collar_points(self, tmp_path, monkeypatch, n):
+        # the points skipped are those the search puts inside the collar, and
+        # the points searched those that clear neither side of the strip,
+        # whose heights span the search samples and the trapezoid nodes (at
+        # N = 200 the 256 nodes are not among the 1600 samples)
+        from stokes2p import fields
+        from stokes2p.cli import _params_from_args
+        from stokes2p.core import InterfaceProfile
+        from stokes2p.fields import default_collar, min_interface_distance, sample_flow
+
+        grid = PeriodicGrid(n)
+        values = (0.3 * np.cos(grid.nodes) + 0.05 * np.sin(7 * grid.nodes)
+                  + 0.02 * np.cos(n // 2 * grid.nodes))
+        f = InterfaceProfile(grid, values)
+        snapshot = tmp_path / "snapshots.jsonl"
+        snapshot.write_text(json.dumps({"t": 0.0, "values": values.tolist()}) + "\n")
+        searched = []
+        original = fields._closest_samples
+
+        def spy(fs, pts):
+            searched.append(np.array(pts))
+            return original(fs, pts)
+
+        monkeypatch.setattr(fields, "_closest_samples", spy)
+        out = tmp_path / "f.csv"
+        argv = ["field", "--snapshot", str(snapshot), "--x2-min", "-1.5", "--x2-max", "1.5",
+                "--nx2", "13", "--nx1", "12", "--out", str(out)]
+        assert run_cli(*argv) == 0
+        monkeypatch.undo()
+
+        x1 = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        pts = np.array([[a, b] for b in np.linspace(-1.5, 1.5, 13) for a in x1])
+        collar = default_collar(f)
+        heights = np.concatenate([fields._uniform_samples(f, max(8 * n, 1024)),
+                                  fields._uniform_samples(f, max(n, 256))])
+        clear = ((pts[:, 1] - np.max(heights) >= collar)
+                 | (np.min(heights) - pts[:, 1] >= collar))
+        assert len(searched) == 1 and np.array_equal(searched[0], pts[~clear])
+        keep = min_interface_distance(f, pts) >= collar
+        # clear points, strip points outside the collar and collar points
+        assert 0 < np.count_nonzero(clear) < np.count_nonzero(keep) < len(pts)
+        sidecar = json.loads(out.with_suffix(".sidecar.json").read_text())
+        assert sidecar["skipped_points"] == np.count_nonzero(~keep)
+        params = _params_from_args(build_parser().parse_args(argv))
+        want = [[repr(s.point[0]), repr(s.point[1]), s.side, repr(s.velocity[0]),
+                 repr(s.velocity[1]), repr(s.pressure)]
+                for s in sample_flow(f, params, pts[keep], collar=0.0)]
+        with open(out) as fh:
+            assert list(csv.reader(fh))[1:] == want
 
     def test_forcing_built_once(self, tmp_path, monkeypatch):
         # one forcing serves the samples, the far-field constants and the

@@ -317,7 +317,8 @@ class TestLayerIntegrals:
     def test_strip_points_take_the_trapezoid_rule(self, setup):
         grid, f, params = setup
         collar = default_collar(f)
-        assert np.all(fields._strip_sides(f, STRIP_POINTS, collar) == 0)
+        side, close, feet, dist = fields._collar_search(f, STRIP_POINTS, collar, False)
+        assert np.all(side == 0) and not np.any(close)
         assert np.all(min_interface_distance(f, STRIP_POINTS) >= collar)
 
     def test_sample_flow_builds_each_kernel_once(self, setup, kernel_builds):
@@ -381,23 +382,24 @@ class TestLayerIntegrals:
 
     def test_near_points_scanned_once_for_all_kernels(self, setup, monkeypatch):
         # seven (index, density) pairs of the gradient share one search, which
-        # is both the collar check and the start of the near points' feet
+        # is both the collar check and the start of the near points' feet; it
+        # takes the points inside the strip, near or not, and none clear of it
         grid, f, params = setup
-        far = np.array([[0.3, 2.0], [4.0, -1.1]])
+        far = np.array([[0.3, 2.0], [4.0, -1.1], STRIP_POINTS[0]])
         close = np.array([[0.0, f.values[0] + 0.5 * default_collar(f)],
                           [2.5, f.eval_at(2.5) - 0.2 * default_collar(f)]])
         pts = np.vstack([far[:1], close, far[1:]])
         scans = []
         original = fields._closest_samples
 
-        def spy(f_, p):
+        def spy(fs, p):
             scans.append(np.array(p))
-            return original(f_, p)
+            return original(fs, p)
 
         monkeypatch.setattr(fields, "_closest_samples", spy)
         grad = velocity_gradient_field(f, params, pts, near=True)
-        assert len(scans) == 1 and np.array_equal(scans[0], pts)
-        assert np.array_equal(grad[[0, 3]], velocity_gradient_field(f, params, far))
+        assert len(scans) == 1 and np.array_equal(scans[0], pts[[1, 2, 4]])
+        assert np.array_equal(grad[[0, 3, 4]], velocity_gradient_field(f, params, far))
 
     def test_min_distance(self, setup):
         grid, f, params = setup
@@ -411,9 +413,9 @@ class TestLayerIntegrals:
         rng = np.random.default_rng(4)
         n = 2 * fields._SCAN_BLOCK + 7
         pts = np.column_stack([rng.uniform(-1.0, 7.0, n), rng.uniform(-2.0, 2.0, n)])
-        dist, nearest = fields._closest_samples(f, pts)
+        dist, nearest = closest_samples(f, pts)
         for i in (0, fields._SCAN_BLOCK - 1, fields._SCAN_BLOCK, n - 1):
-            d1, s1 = fields._closest_samples(f, pts[i:i + 1])
+            d1, s1 = closest_samples(f, pts[i:i + 1])
             assert d1[0] == dist[i] and s1[0] == nearest[i]
         assert np.array_equal(min_interface_distance(f, pts), dist)
 
@@ -522,6 +524,11 @@ class TestPointBlocks:
         assert built == []
 
 
+def closest_samples(f, pts):
+    """The box-pruned search at the points over the samples of f it scans."""
+    return fields._closest_samples(fields._search_samples(f), pts)
+
+
 def scan_samples(f):
     """The samples of f that the distance search scans."""
     m = max(8 * f.grid.n_points, 1024)
@@ -540,7 +547,7 @@ class TestDistanceSearch:
 
     @staticmethod
     def assert_matches_dense_scan(f, pts):
-        dist, nearest = fields._closest_samples(f, pts)
+        dist, nearest = closest_samples(f, pts)
         want_dist, want_nearest = dense_closest_samples(*scan_samples(f), pts)
         assert np.array_equal(dist, want_dist) and np.array_equal(nearest, want_nearest)
 
@@ -588,7 +595,7 @@ class TestDistanceSearch:
     def test_empty_and_single_point(self):
         grid = PeriodicGrid(64)
         f = with_nyquist(grid, 5)
-        dist, nearest = fields._closest_samples(f, np.empty((0, 2)))
+        dist, nearest = closest_samples(f, np.empty((0, 2)))
         assert dist.shape == nearest.shape == (0,)
         assert min_interface_distance(f, np.empty((0, 2))).shape == (0,)
         self.assert_matches_dense_scan(f, np.array([[1.0, 0.3]]))
@@ -721,7 +728,7 @@ class TestNearRule:
         dens = InterfaceProfile(grid, np.cos(grid.nodes) + 0.3 * np.sin(2 * grid.nodes))
         pts = np.vstack([approach_points(f, foot, factor * grid.spacing)
                          for foot, factor in ((0.4, 1e-1), (2.0, 1e-4), (5.1, 1e-7))])
-        feet, dist = fields._interface_feet(f, pts, *fields._closest_samples(f, pts))
+        feet, dist = fields._interface_feet(f, pts, *closest_samples(f, pts))
         for index in range(7):
             got = eval_Z(index, f, dens, pts, near=True)
             for p, foot, d, g in zip(pts, feet, dist, got):
@@ -741,7 +748,7 @@ class TestNearRule:
         f = self.profile(grid, lambda s: 0.1 * np.cos(s) + 0.05 * np.sin(2 * s))
         pts = np.vstack([approach_points(f, 0.4, 1e-3 * grid.spacing)[:1],
                          approach_points(f, 2.0, 1e-1 * grid.spacing)])
-        dist = fields._interface_feet(f, pts, *fields._closest_samples(f, pts))[1]
+        dist = fields._interface_feet(f, pts, *closest_samples(f, pts))[1]
         nodes = sum(len(fields._near_nodes(d, grid.spacing)[1]) for d in dist)
         sizes = []
         eval_at = InterfaceProfile.eval_at
@@ -786,7 +793,7 @@ class TestNearRule:
         trough, radius = np.pi / 8, 1.0 / (0.3 * 64)
         p = np.array([[trough + 1e-6, f_fn(trough) + (1.0 - 1e-4) * radius],
                       [trough + 1e-6, f_fn(trough) + (1.0 + 1e-3) * radius]])
-        dist, sample = fields._closest_samples(f, p)
+        dist, sample = closest_samples(f, p)
         feet, refined = fields._interface_feet(f, p, dist, sample)
         assert np.allclose(sample, trough, rtol=0.0, atol=1e-12)
         assert np.array_equal(feet, sample) and np.array_equal(refined, dist)
@@ -802,7 +809,7 @@ class TestNearRule:
         s = rng.uniform(0.0, 2.0 * np.pi, 200)
         pts = np.column_stack([rng.uniform(-1.0, 7.0, 200),
                                f.eval_at(s) + rng.uniform(-1.0, 1.0, 200) * default_collar(f)])
-        dist, sample = fields._closest_samples(f, pts)
+        dist, sample = closest_samples(f, pts)
         feet, refined = fields._interface_feet(f, pts, dist, sample)
         assert np.all(refined <= dist)
         assert np.all((refined < dist) | (feet == sample))
@@ -1002,15 +1009,15 @@ class TestBulkFields:
         grid, f, params = setup
         pts = STRIP_POINTS
         calls = []
-        original = fields.min_interface_distance
+        original = fields._closest_samples
 
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def spy(fs, p):
+            calls.append(np.array(p))
+            return original(fs, p)
 
-        monkeypatch.setattr(fields, "min_interface_distance", spy)
+        monkeypatch.setattr(fields, "_closest_samples", spy)
         samples = sample_flow(f, params, pts)
-        assert len(calls) == 1
+        assert len(calls) == 1 and np.array_equal(calls[0], pts)
         assert np.array_equal([s.velocity for s in samples], velocity_field(f, params, pts))
         assert np.array_equal([s.pressure for s in samples], pressure_field(f, params, pts))
         # points clear of the strip are outside the collar without a search
@@ -1040,6 +1047,66 @@ class TestBulkFields:
         samples = sample_flow(f, params, np.array([[0.5, 1.5], [0.5, -1.5]]))
         assert samples[0].side == "plus"
         assert samples[1].side == "minus"
+
+    @pytest.mark.parametrize("near", [False, True])
+    def test_one_set_of_search_samples_per_call(self, setup, monkeypatch, near):
+        # the strip test and the search read the same max(8N, 1024) samples
+        grid, f, params = setup
+        pts = np.vstack([[[0.3, 2.0], [4.0, -1.1]], STRIP_POINTS])
+        if near:
+            pts = np.vstack([pts, [[0.0, f.values[0] + 0.5 * default_collar(f)]]])
+        sizes, scans = [], []
+        uniform, search = fields._uniform_samples, fields._closest_samples
+        monkeypatch.setattr(fields, "_uniform_samples",
+                            lambda g, m: sizes.append(m) or uniform(g, m))
+        monkeypatch.setattr(fields, "_closest_samples",
+                            lambda fs, p: scans.append(len(p)) or search(fs, p))
+        velocity_field(f, params, pts, near=near)
+        assert sizes.count(max(8 * grid.n_points, 1024)) == 1
+        assert scans == [len(pts) - 2]
+
+    @pytest.mark.parametrize("options", [{}, {"near": True}, {"collar": 0.0}])
+    @pytest.mark.parametrize("bad", [[np.nan, 2.0], [0.1, np.inf], [0.1, -np.inf],
+                                     [np.inf, 1.0], [np.nan, np.nan]])
+    def test_points_not_finite_rejected(self, options, bad):
+        # not a NaN flow, and not a side: ValueError before any evaluation,
+        # whether or not the point would be searched
+        grid = PeriodicGrid(64)
+        f = InterfaceProfile(grid, 0.2 * np.cos(grid.nodes))
+        params = PhysParams.from_theta(mu=1.0, sigma=1.0, theta=1.5)
+        pts = np.array([[0.5, 2.0], bad])
+        collar = {k: v for k, v in options.items() if k == "collar"}
+        calls = [lambda: eval_Z(1, f, np.cos(grid.nodes), pts, **options),
+                 lambda: velocity_field(f, params, pts, **options),
+                 lambda: velocity_field(f, params, bad, **options),
+                 lambda: pressure_field(f, params, pts, **options),
+                 lambda: velocity_gradient_field(f, params, pts, **options),
+                 lambda: sample_flow(f, params, pts, **collar),
+                 lambda: fields.side_of(f, pts)]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite") as caught:
+                call()
+            assert caught.type is ValueError     # not ProximityError
+
+    @pytest.mark.parametrize("height", [-20.0, 0.0, np.nan, np.inf, -np.inf])
+    def test_far_field_height_finite_and_positive(self, setup, height):
+        # at -20 the "plus" and "minus" probes would swap sides
+        grid, f, params = setup
+        with pytest.raises(ValueError, match="height"):
+            far_field_residuals(f, params, height=height)
+
+    @pytest.mark.parametrize("options", [
+        {"probe_count": 0}, {"probe_count": -2}, {"eps_factors": ()},
+        {"eps_factors": (1e-2, 0.0)}, {"eps_factors": (1e-2, -1e-3)},
+        {"eps_factors": (np.nan,)}, {"eps_factors": (1e-2, np.inf)}])
+    def test_jump_checks_reject_bad_probes(self, setup, options, capfd):
+        # a ValueError, not ZeroDivisionError, IndexError or LinAlgError
+        # with LAPACK's complaint on stderr
+        grid, f, params = setup
+        with pytest.raises(ValueError, match="probe_count") as caught:
+            interface_jump_checks(f, params, **options)
+        assert caught.type is ValueError
+        assert capfd.readouterr().err == ""
 
 
 @pytest.mark.slow
