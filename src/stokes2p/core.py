@@ -15,11 +15,14 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 # entries per block of off-grid work: the phase matrix (targets x active modes)
-# of eval_at, and the layer tables (points x nodes) of fields._point_blocks,
-# 56 bytes an entry there.  For eval_at, 2^14 took a verify bench round 10k
-# page faults, against 0.2k here (glibc's mmap threshold stayed below the
-# 256 KiB tables at N = 128); 2^16 added 0.5 MB to its peak RSS.  For the
-# fields bench, 2^16 raised the peak RSS from 43.3-43.5 to 45.1-45.5 MB
+# of eval_at, the layer tables (points x nodes) of fields._point_blocks, 56
+# bytes an entry there, and the row blocks of the on-interface tables of
+# operators._sweep, 40 bytes an entry (one block for N <= 180, 64 rows at
+# N = 512).  For eval_at, 2^14 took a verify bench round 10k page faults,
+# against 0.2k here (glibc's mmap threshold stayed below the 256 KiB tables
+# at N = 128); 2^16 added 0.5 MB to its peak RSS.  For the fields bench,
+# 2^16 raised the peak RSS from 43.3-43.5 to 45.1-45.5 MB.  The row blocks
+# took the spectrum bench's peak RSS from 50.0-50.7 to 41.3-41.7 MB
 _EVAL_BLOCK = 1 << 15
 
 

@@ -20,7 +20,7 @@ from .core import (
     PhysParams,
     spectral_derivative,
 )
-from .operators import DiagonalOps
+from .operators import _swept
 
 LN4 = np.log(4.0)
 
@@ -134,11 +134,11 @@ def eval_Psi(f: InterfaceProfile, params: PhysParams) -> np.ndarray:
     Constants are equilibria: the buoyancy mean term cancels the mean of the
     logarithmic operator exactly, and the result is mean-free.
     """
-    B = DiagonalOps(f).composites
     fv = f.values
     fp = f.deriv_values
-    s1, s2 = _parts_velocity(B, *phi_of(f), fp)
-    t1, t2 = _direct_velocity(B, fv * fp, -fv)
+    phi, g1, g2 = phi_of(f), fv * fp, -fv
+    (s1, s2), (t1, t2) = _swept(f, lambda B: (_parts_velocity(B, *phi, fp),
+                                              _direct_velocity(B, g1, g2)))
     sigma, theta, mu = params.sigma, params.theta, params.mu
     return (sigma / (4.0 * mu)) * (fp * s1 - s2) \
         + (theta / (4.0 * mu)) * (fp * t1 - t2)

@@ -44,7 +44,7 @@ from .core import (_EVAL_BLOCK, InterfaceProfile, PhysParams, _uniform_samples,
 from .evolution import (_direct_velocity, _far_field_constants, _parts_velocity,
                         forcing_G, phi_of)
 from .layer_series import _Series, _terms
-from .operators import DiagonalOps, _LayerSums, _LayerTables
+from .operators import _LayerSums, _LayerTables, _swept
 
 SIDE_PLUS = "plus"
 SIDE_MINUS = "minus"
@@ -171,11 +171,19 @@ def _search_samples(f: InterfaceProfile) -> np.ndarray:
     return _uniform_samples(f, max(8 * f.grid.n_points, 1024))
 
 
+def _field_points(points) -> np.ndarray:
+    """The points as a (P, 2) float array; points not finite raise ValueError."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("field points must be finite")
+    return pts
+
+
 def min_interface_distance(f: InterfaceProfile, points) -> np.ndarray:
     """Distance from each point to the interface graph (horizontal period
     folded in), approximated by its nearest uniform sample (see
-    ``_closest_samples``)."""
-    return _closest_samples(_search_samples(f), np.atleast_2d(np.asarray(points, float)))[0]
+    ``_closest_samples``).  Points not finite raise ValueError."""
+    return _closest_samples(_search_samples(f), _field_points(points))[0]
 
 
 def default_collar(f: InterfaceProfile) -> float:
@@ -308,8 +316,7 @@ def _collar_search(f: InterfaceProfile, pts: np.ndarray, collar, near):
     collar <= 0 admits every point without a search, and the sides then
     serve the series alone: they are not found where no side can outnumber
     its K + 1 terms.  Points not finite raise ValueError."""
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("field points must be finite")
+    pts = _field_points(pts)
     side, close = np.zeros(len(pts), np.int8), np.zeros(len(pts), bool)
     feet, dist = np.empty(0), np.empty(0)
     if collar <= 0 and len(pts) <= len(_terms(default_collar(f))):
@@ -434,9 +441,7 @@ class FieldSample:
 
 
 def side_of(f: InterfaceProfile, points) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("field points must be finite")
+    pts = _field_points(points)
     return np.where(pts[:, 1] > f.eval_at(pts[:, 0]), SIDE_PLUS, SIDE_MINUS)
 
 
@@ -554,10 +559,9 @@ def trace_velocity(f: InterfaceProfile, params: PhysParams,
     in the continuum; ``parts-z`` requires a mean-free profile so its
     vertical antiderivative is periodic.
     """
-    B = DiagonalOps(f).composites
     if variant == "direct-g":
         G = forcing_G(f, params)
-        return np.vstack(_direct_velocity(B, G.g1, G.g2)) / (4.0 * params.mu)
+        return np.vstack(_swept(f, lambda B: _direct_velocity(B, G.g1, G.g2))) / (4.0 * params.mu)
     if variant == "parts-z":
         if abs(f.mean) > 1e-12 * (np.max(np.abs(f.values)) + 1e-300):
             raise ValueError(
@@ -568,7 +572,8 @@ def trace_velocity(f: InterfaceProfile, params: PhysParams,
         sigma, theta = params.sigma, params.theta
         F1 = -sigma * phi1 - theta * f.values**2 / 2.0
         F2 = -sigma * phi2 + theta * antiderivative(f.values)
-        return np.vstack(_parts_velocity(B, F1, F2, f.deriv_values)) / (4.0 * params.mu)
+        return np.vstack(_swept(f, lambda B: _parts_velocity(B, F1, F2, f.deriv_values))) \
+            / (4.0 * params.mu)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -620,8 +625,8 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
     G = forcing_G(f, params)
     dens = np.cos(grid.nodes) + 0.3 * np.sin(2.0 * grid.nodes)
     jumps = z_jump_coefficients(f)
-    ops = DiagonalOps(f)
-    traces = {idx: ops.composite(idx, dens) for idx in (1, 2, 3, 4)}
+    traces = dict(zip((1, 2, 3, 4),
+                      _swept(f, lambda B: [B(idx, dens)[0] for idx in (1, 2, 3, 4)])))
 
     probes = np.arange(0, n, max(1, n // probe_count))[:probe_count]
     eps_values = eps_factors * grid.spacing

@@ -30,10 +30,13 @@ the real and imaginary parts of three complex tables, D = cot((r1 - i r2)/2),
 r2 D and (r2/2)(1 + D^2) (``_LayerTables``), the same coding the bulk fields
 use off the interface.  Their expansions as signed sums of tangent-family
 members are kept only as a test oracle.  Composite 0 is the logarithmic
-operator ``eval_B0``.  ``DiagonalOps`` builds D at r = (s, delta f) once per
-profile, into a pooled set of plain (N, N) arrays, and applies each
-composite as a part of the product of its table with a density's half-grid
+operator ``eval_B0``.  ``DiagonalOps`` applies each composite as a part of
+the product of its table at r = (s, delta f) with a density's half-grid
 samples: the ``_LayerSums`` that ``fields`` uses, one rule per point set.
+The products come from sweeps (``_sweep``) over row blocks of the tables
+of at most ``core._EVAL_BLOCK`` entries, built in turn on one pooled
+working set; ``_swept`` runs an evaluation once to list the products it
+takes, so that one sweep builds each table of each block once for all.
 
 The Fréchet derivatives ``frechet_B`` and ``frechet_B0`` are signed sums of
 tangent-family members of the base profile whose extra difference slots
@@ -55,14 +58,13 @@ when the nodes are the half grid.
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import InterfaceProfile, PeriodicGrid, TWO_PI, _half_samples
+from .core import _EVAL_BLOCK, InterfaceProfile, PeriodicGrid, TWO_PI, _half_samples
 
 __all__ = [
     "OperatorSpec",
@@ -429,26 +431,36 @@ def eval_B0(f: InterfaceProfile, density) -> np.ndarray:
 _SET_NAMES = {"r2": np.float64, "cot": np.complex128, "pair": np.complex128}
 
 
-def _cache_aligned(n: int, dtype) -> np.ndarray:
-    """An (n, n) heap table that starts on a 64-byte cache line.  glibc puts
-    a large block 16 bytes past a page boundary, and on such tables the
-    layer-table builds at N = 512 took about a quarter longer."""
-    size = n * n * np.dtype(dtype).itemsize
+def _cache_aligned(shape, dtype) -> np.ndarray:
+    """A heap table that starts on a 64-byte cache line.  glibc puts a large
+    block 16 bytes past a page boundary, and on such tables the layer-table
+    builds at N = 512 took about a quarter longer."""
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
     block = np.empty(size + 64, np.uint8)
     start = -block.ctypes.data % 64
-    return block[start:start + size].view(dtype).reshape(n, n)
+    return block[start:start + size].view(dtype).reshape(shape)
+
+
+def _row_blocks(n: int) -> int:
+    """How many row blocks the on-interface tables at N take: near-equal
+    ones of at most ``_EVAL_BLOCK`` entries where two rows fit, and of at
+    least two rows (a one-row product takes numpy's dot path, not gemv)."""
+    return -(-n // max(2, min(n, _EVAL_BLOCK // n)))
 
 
 class _TablePool:
-    """Working sets of (N, N) layer tables, leased to ``DiagonalOps``.
+    """Working sets of layer-table row blocks, leased by ``DiagonalOps``'s
+    sweep.
 
-    A set is a dict of the tables of ``_SET_NAMES``, five float64 tables'
-    worth, overwritten in place by each ``_LayerTables`` built on it.  A lease
-    takes the idle set if it was made for the same N and allocates a new one
+    A set for N is a dict of the tables of ``_SET_NAMES``, each as many rows
+    of N as the largest block of ``_row_blocks(N)`` (all N rows up to
+    N = 180, 64 at N = 512): five float64 tables' worth, overwritten in
+    place by each ``_LayerTables`` built on it.  A lease takes the idle set
+    if it was made for the same N and rows and allocates a new one
     otherwise; a released set becomes the idle one.  So at most one idle set
     is kept, for the most recent N, and a set is never held by two live
     leases: a second concurrent lease allocates its own.  Without the pool,
-    fresh tables cost a warm ``eval_Psi`` 609 and 1539 page faults and
+    fresh (N, N) tables cost a warm ``eval_Psi`` 609 and 1539 page faults and
     1.4-1.6x the time at N = 256 and 512.
     """
 
@@ -457,11 +469,12 @@ class _TablePool:
         self._idle_n, self._idle = None, None
 
     def lease(self, n: int) -> dict:
+        rows = -(-n // _row_blocks(n))
         with self._lock:
-            tables = self._idle if self._idle_n == n else None
+            tables = self._idle if self._idle_n == n and len(self._idle["r2"]) == rows else None
             self._idle_n, self._idle = None, None
         if tables is None:
-            tables = {name: _cache_aligned(n, dtype) for name, dtype in _SET_NAMES.items()}
+            tables = {name: _cache_aligned((rows, n), dtype) for name, dtype in _SET_NAMES.items()}
         return tables
 
     def release(self, n: int, tables: dict) -> None:
@@ -502,12 +515,12 @@ class _LayerTables:
     w -> 0, and e^{-|r2|} <= 1 never overflows, so the kernels are finite
     however far r is from the interface.  The constructor takes the phase
     table u itself, in the shape of r2, which is the tables' shape: on the
-    interface ``DiagonalOps`` passes a circulant view of u at the quadrature
-    nodes, so that r1 is exactly the node; off it, u is an outer product of
-    phases or a broadcast table.
+    interface ``_sweep`` passes rows of a circulant view of u at the
+    quadrature nodes, so that r1 is exactly the node; off it, u is an outer
+    product of phases or a broadcast table.
 
     Every table is written in place: r2 is the caller's, and D and the one
-    ``pair`` slot go into ``tables`` (a working set of ``_TABLE_POOL``) or,
+    ``pair`` slot go into ``tables`` (rows of a ``_TABLE_POOL`` set) or,
     without it, into fresh arrays.  ``part`` builds the other tables into
     the slot when first asked for, each overwriting the last; this object
     alone tracks which one the slot holds.  Held as a complex table,
@@ -609,9 +622,7 @@ class _LayerSums:
         return key, samples
 
     def _sum(self, index: int, key: bytes, samples) -> np.ndarray:
-        if index not in range(7):
-            raise ValueError(f"Z index must be 0..6, got {index}")
-        lead, take, factor = _PARTS[index]
+        lead, take, factor = _part(index)
         products = self._products.get((lead, key))
         if products is None:
             products = self._products[lead, key] = [
@@ -628,39 +639,90 @@ class _LayerSums:
         return [self.composite(index, d) for d in densities]
 
 
+def _part(index: int):
+    if index not in range(7):
+        raise ValueError(f"Z index must be 0..6, got {index}")
+    return _PARTS[index]
+
+
 # ---------------------------------------------------------------------------
 # diagonal fast path and the named composites
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=32)
+def _trace_phases(n: int):
+    """Circulant views of u = e^{i s_j/2} and of the log shift ln(sin^2(s_j/2))
+    at the midpoint nodes: column m, row i holds node j = (i - m - 1 + N/2)
+    mod N, the node that pairs half-grid sample m with xi_i."""
+    u = np.exp(0.5j * _midpoint_rule(n)[0])
+    return _circulant(u), _circulant(np.log(u.imag ** 2))
+
+
+def _sweep(f: InterfaceProfile, plan) -> list:
+    """The products of ``plan``, a list of (index, half-grid samples) grouped
+    by the lead of the index, with the on-interface tables of f, each times
+    the weight h/(2 pi): one sweep over the row blocks of ``_row_blocks``.
+    Each block builds r2 and D on a working set leased from ``_TABLE_POOL``
+    and takes the products of the plan in its order, so that the pair slot
+    holds the log, (3, 4) and (5, 6) tables in turn.  Each is one gemv of a
+    table block against its samples: no product depends on the others."""
+    if not plan:
+        return []
+    n = f.grid.n_points
+    out = [np.empty(n, float if _PARTS[index][0] == 0 else complex) for index, _ in plan]
+    half = _half_samples(f.values)[0]
+    u, log_shift = _trace_phases(n)
+    blocks = _row_blocks(n)
+    bounds = [i * n // blocks for i in range(blocks + 1)]
+    tables = _TABLE_POOL.lease(n)
+    try:
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            block = {name: t[:b - a] for name, t in tables.items()}
+            # circulant coordinates: the difference table is the outer
+            # difference f(xi_i) - f_half[m]
+            r2 = np.subtract.outer(f.values[a:b], half, out=block["r2"])
+            layer = _LayerTables(u[a:b], r2, block, log_shift=log_shift[a:b])
+            for (index, v), p in zip(plan, out):
+                p[a:b] = layer.part(index)[0] @ v
+    finally:
+        _TABLE_POOL.release(n, tables)
+    scale = f.grid.spacing / TWO_PI
+    for p in out:
+        p *= scale
+    return out
+
 
 class DiagonalOps(_LayerSums):
     """The layer sums on the interface of one profile f.
 
     ``composite`` applies the named composites 0..6, the layer sums of the
     half-grid midpoint rule at r = (s, delta f); composite 0 is the
-    logarithmic operator ``eval_B0``.  The constructor builds D into a
-    working set leased from ``_TABLE_POOL`` and returned when this object is
-    freed, so a new instance at the same N reuses its memory.  Its one rule
-    covers every output and folds the weight h/(2 pi) into its contraction;
-    the part factors 1, 1/2 and 1/4 are powers of two, so the order of the
-    two scalings does not change a bit.
+    logarithmic operator ``eval_B0``.  Every product is taken by a sweep of
+    the tables (``_sweep``), which leases its working set for that sweep
+    only: ``sweep`` takes all the products of a list of requests in one,
+    and a composite whose product no sweep took yet runs one for it alone.
+    Its one rule covers every output and folds the weight h/(2 pi) into its
+    contraction; the part factors 1, 1/2 and 1/4 are powers of two, so the
+    order of the two scalings does not change a bit.
     """
 
     def __init__(self, f: InterfaceProfile):
-        # circulant coordinates: column m holds the half-grid sample m, which
-        # row i pairs with the quadrature node s_j, j = (i - m - 1 + N/2) mod N;
-        # the difference table is the outer difference f(xi_i) - f_half[m]
-        # and u = e^{i s_j/2} and the log shift are strided views of N-vectors
-        n = f.grid.n_points
         self.f = f
-        tables = _TABLE_POOL.lease(n)
-        weakref.finalize(self, _TABLE_POOL.release, n, tables)
-        r2 = np.subtract.outer(f.values, _half_samples(f.values)[0], out=tables["r2"])
-        u = np.exp(0.5j * _midpoint_rule(n)[0])
-        layer = _LayerTables(_circulant(u), r2, tables,
-                             log_shift=_circulant(np.log(u.imag ** 2)))
-        scale = f.grid.spacing / TWO_PI
-        super().__init__(f.grid, n, [(slice(None), _half_samples,
-                                      lambda index, v: (layer.part(index)[0] @ v[0]) * scale)])
+        super().__init__(f.grid, f.grid.n_points, [
+            (slice(None), _half_samples, lambda index, v: _sweep(f, [(index, v[0])])[0])])
+
+    def sweep(self, requests) -> None:
+        """Take the products of the (index, density) ``requests`` that no
+        sweep took yet, all in one."""
+        plan = {}
+        for index, density in requests:
+            key, samples = self._sampled(density)
+            lead_key = _part(index)[0], key
+            if lead_key not in self._products:
+                plan.setdefault(lead_key, (index, samples[0][0]))
+        keys = sorted(plan, key=lambda lead_key: lead_key[0])
+        for lead_key, p in zip(keys, _sweep(self.f, [plan[k] for k in keys])):
+            self._products[lead_key] = [p]
 
     def kernel(self, n: int, m: int, p: int, q: int) -> np.ndarray:
         """The diagonal tangent-family kernel of f, the one ``eval_B`` builds."""
@@ -677,6 +739,25 @@ class DiagonalOps(_LayerSums):
         if index == 0:
             return np.fft.ifft(_log_sin_multiplier(self.grid.n_points) * samples[0][1]).real + out
         return out
+
+
+def _swept(f: InterfaceProfile, evaluate):
+    """What ``evaluate(composites)`` returns on the interface of f, with all
+    its products taken in one sweep: a first run against a recorder that
+    returns a zero per density lists its (index, density) requests,
+    ``DiagonalOps.sweep`` takes them, and the second run reads them.  So
+    ``evaluate`` must choose its densities without reading the values it
+    gets back."""
+    requests = []
+
+    def record(index, *densities):
+        requests.extend((index, d) for d in densities)
+        return [0.0] * len(densities)
+
+    evaluate(record)
+    ops = DiagonalOps(f)
+    ops.sweep(requests)
+    return evaluate(ops.composites)
 
 
 # ---------------------------------------------------------------------------

@@ -226,16 +226,26 @@ class TestPsiAgainstCompositeTerms:
 
     def test_each_product_taken_once(self, monkeypatch):
         # the 14 terms take 11 table products: Z4 on a and Z6 on both
-        # forcings are the other parts of products already taken
+        # forcings are the other parts of products already taken.  The sweep
+        # takes each once per row block of the tables: one block at N = 32,
+        # and three where a block holds at most 11 rows
         from stokes2p import operators
 
         taken = []
         part = operators._LayerTables.part
         monkeypatch.setattr(operators._LayerTables, "part",
-                            lambda self, index: taken.append(index) or part(self, index))
+                            lambda self, index: taken.append((self, index)) or part(self, index))
         grid = PeriodicGrid(32)
-        eval_Psi(random_profile(grid, 6), PhysParams.from_theta(1.0, 1.0, 1.0))
-        assert sorted(taken) == [0, 0, 1, 1, 2, 3, 3, 3, 4, 5, 5]
+        f, params = random_profile(grid, 6), PhysParams.from_theta(1.0, 1.0, 1.0)
+        for budget, blocks in ((operators._EVAL_BLOCK, 1), (11 * 32, 3)):
+            monkeypatch.setattr(operators, "_EVAL_BLOCK", budget)
+            taken.clear()
+            eval_Psi(f, params)
+            layers = list(dict.fromkeys(layer for layer, _ in taken))
+            assert len(layers) == blocks
+            for layer in layers:
+                indices = sorted(i for t, i in taken if t is layer)
+                assert indices == [0, 0, 1, 1, 2, 3, 3, 3, 4, 5, 5]
 
     def test_warm_call_allocates_no_table(self):
         # the (N, N) layer tables of a warm call live in the working set the

@@ -872,18 +872,25 @@ class TestTraces:
                              [("direct-g", [0, 5]), ("parts-z", [3])])
     def test_each_kernel_built_once(self, variant, kernels, monkeypatch):
         # the direct trace reads composites 0, 5 and 6, the by-parts trace
-        # composites 1..4; each helper groups its terms by index, so (3, 4)
-        # and (5, 6) share a table, and 1 and 2 read D
+        # composites 1..4; (3, 4) and (5, 6) share a table, and 1 and 2 read
+        # D.  The sweep builds each table once per row block: one block at
+        # N = 32, and three where a block holds at most 11 rows
         from stokes2p import operators
 
         built = []
         build = operators._LayerTables._build
         monkeypatch.setattr(operators._LayerTables, "_build",
-                            lambda self, lead: built.append(lead) or build(self, lead))
+                            lambda self, lead: built.append((self, lead)) or build(self, lead))
         grid = PeriodicGrid(32)
         f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes) + 0.05 * np.sin(2 * grid.nodes))
-        trace_velocity(f, PhysParams.from_theta(1.0, 1.0, 1.0), variant)
-        assert sorted(built) == kernels
+        for budget, blocks in ((operators._EVAL_BLOCK, 1), (11 * 32, 3)):
+            monkeypatch.setattr(operators, "_EVAL_BLOCK", budget)
+            built.clear()
+            trace_velocity(f, PhysParams.from_theta(1.0, 1.0, 1.0), variant)
+            layers = list(dict.fromkeys(layer for layer, _ in built))
+            assert len(layers) == blocks
+            for layer in layers:
+                assert sorted(lead for t, lead in built if t is layer) == kernels
 
     def test_one_sided_velocity_limits_match_the_trace(self):
         # the velocity is continuous across the interface, also for a profile
@@ -1087,6 +1094,16 @@ class TestBulkFields:
             with pytest.raises(ValueError, match="finite") as caught:
                 call()
             assert caught.type is ValueError     # not ProximityError
+
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0], [0.1, np.inf], [-np.inf, 0.0]])
+    def test_distance_of_points_not_finite_rejected(self, bad):
+        # not an infinite distance, which reads as far from the interface
+        grid = PeriodicGrid(64)
+        f = InterfaceProfile(grid, 0.2 * np.cos(grid.nodes))
+        for pts in (bad, [[0.5, 2.0], bad]):
+            with pytest.raises(ValueError, match="finite"):
+                fields.min_interface_distance(f, pts)
+        assert np.isfinite(fields.min_interface_distance(f, [0.5, 2.0])).all()
 
     @pytest.mark.parametrize("height", [-20.0, 0.0, np.nan, np.inf, -np.inf])
     def test_far_field_height_finite_and_positive(self, setup, height):

@@ -9,10 +9,12 @@ from stokes2p import (
     KernelWorkspace,
     OperatorSpec,
     PeriodicGrid,
+    PhysParams,
     eval_A,
     eval_B,
     eval_B0,
     eval_C,
+    eval_Psi,
     frechet_B,
     frechet_B0,
     hilbert_transform,
@@ -692,6 +694,116 @@ class TestComposites:
         f = InterfaceProfile(grid, fn(grid.nodes))
         got = DiagonalOps(f).composite(idx, phi(grid.nodes))[::16]
         assert np.max(np.abs(got - want)) < 1e-8
+
+
+class TestRowBlocks:
+    """The on-interface tables are built and contracted in row blocks of at
+    most ``_EVAL_BLOCK`` entries; no value may depend on the split beyond
+    roundoff, and none on the run."""
+
+    PARAMS = PhysParams.from_theta(0.8, 1.3, 1.7)
+
+    @staticmethod
+    def _case(n):
+        grid = PeriodicGrid(n)
+        f = InterfaceProfile(grid, band_limited(grid, 90 + n, modes=16, amplitude=0.3) + 0.1)
+        return f, band_limited(grid, 91 + n, modes=16)
+
+    def _outputs(self, f, phi):
+        return [eval_Psi(f, self.PARAMS)] + [DiagonalOps(f).composite(idx, phi)
+                                             for idx in range(7)]
+
+    @pytest.mark.parametrize("n", [200, 512])
+    @pytest.mark.parametrize("rows", [2, 7, 33, None])
+    def test_split_agrees_with_one_block(self, n, rows, monkeypatch):
+        # 200 rows split in 100, 29 (of 6 or 7), 7 or 2 blocks; 512 in 256,
+        # 74, 16 or 8.  None keeps the default budget
+        f, phi = self._case(n)
+        monkeypatch.setattr(operators, "_EVAL_BLOCK", n * n)
+        assert operators._row_blocks(n) == 1
+        want = self._outputs(f, phi)
+        monkeypatch.undo()
+        if rows is not None:
+            monkeypatch.setattr(operators, "_EVAL_BLOCK", rows * n)
+        assert operators._row_blocks(n) == -(-n // (rows or operators._EVAL_BLOCK // n))
+        got = self._outputs(f, phi)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w))
+        assert all(np.array_equal(a, b) for a, b in zip(self._outputs(f, phi), got))
+
+    def test_warm_psi_holds_no_square_table(self):
+        # the idle set is one (rows, N) block set, rows * N <= _EVAL_BLOCK,
+        # and a warm call allocates less than one (N, N) float64 table
+        import tracemalloc
+
+        n = 512
+        f, _ = self._case(n)
+        eval_Psi(f, self.PARAMS)
+        pool = operators._TABLE_POOL
+        assert pool._idle_n == n and 64 * n <= operators._EVAL_BLOCK
+        assert all(t.shape == (64, n) for t in pool._idle.values())
+        tracemalloc.start()
+        try:
+            eval_Psi(f, self.PARAMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
+
+    def test_kernel_leaves_the_pool_alone(self):
+        # a member kernel reads no layer table, so it leases none: the idle
+        # set stays the one made at N = 64
+        small, other = PeriodicGrid(64), PeriodicGrid(96)
+        DiagonalOps(InterfaceProfile(small, 0.2 * np.cos(small.nodes))).composite(
+            1, np.sin(small.nodes))
+        pool = operators._TABLE_POOL
+        idle = pool._idle
+        assert pool._idle_n == 64
+        DiagonalOps(InterfaceProfile(other, 0.2 * np.cos(other.nodes))).kernel(1, 1, 0, 0)
+        assert pool._idle_n == 64 and pool._idle is idle
+
+    def test_one_sweep_per_evaluation(self, monkeypatch):
+        # Psi, both traces and the traces of the jump checks each take all
+        # their products in one sweep; a composite no sweep took runs its own
+        from stokes2p import fields
+
+        sweeps = []
+        sweep = operators._sweep
+        monkeypatch.setattr(operators, "_sweep",
+                            lambda f, plan: sweeps.append(len(plan)) or sweep(f, plan))
+        f, phi = self._case(64)
+        eval_Psi(f, self.PARAMS)
+        assert sweeps == [11]
+        for variant, products in (("direct-g", 4), ("parts-z", 7)):
+            sweeps.clear()
+            fields.trace_velocity(InterfaceProfile(f.grid, f.values - f.mean), self.PARAMS,
+                                  variant)
+            assert sweeps == [products]
+        sweeps.clear()
+        fields.interface_jump_checks(f, self.PARAMS, probe_count=1, eps_factors=(1e-2,))
+        assert sweeps == [2]
+        sweeps.clear()
+        ops = DiagonalOps(f)
+        ops.composite(3, phi), ops.composite(4, phi), eval_B0(f, phi)
+        assert sweeps == [1, 1]
+
+    def test_ops_freed_without_the_cycle_collector(self):
+        # no rule holds the object itself, so its samples and products go
+        # with the last reference
+        import gc
+        import weakref
+
+        f, phi = self._case(64)
+        gc.disable()
+        try:
+            ops = DiagonalOps(f)
+            ops.composite(0, phi)
+            ops.sweep([(5, phi), (1, phi)])
+            ref = weakref.ref(ops)
+            del ops
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def _kernel_points(kind, count=4000):

@@ -35,3 +35,21 @@ def test_failing_hypothesis_example_is_reported(tmp_path):
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
     assert "Falsifying example" in run.stdout
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    # bench/tracer.py names what it wraps by module and attribute path; a
+    # refactor that moves one must fail here, not in a benchmark run
+    import importlib
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)     # its dataclasses look it up
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module, path, _, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"{tracer.PACKAGE}.{module}")
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, path)
