@@ -63,8 +63,8 @@ def stokeslet_eval(x1, x2):
     """Periodic Stokeslet (U, P): U symmetric 2x2, P the pressure vector.
 
     Assembled from the layer kernels, U = [[Z0 + Z6, -Z5], [-Z5, Z0 - Z6]]/(8 pi)
-    and P = -(Z1, Z2)/(4 pi): Z0, and the parts of D = Z1 + i Z2 and
-    r2 D = Z5 + i Z6.  Read from D = cot((x1 - i x2)/2), they admit every
+    and P = -(Z1, Z2)/(4 pi): Z0, and the planes of D = (Z1, Z2) and
+    r2 D = (Z5, Z6).  Read from D = cot((x1 - i x2)/2), they admit every
     point off the source lattice (2*pi*Z, 0), x1 = pi and any height
     included.  Points within a few ulps of the lattice are source points
     (sin(pi k) rounds to 1e-16, not 0).
@@ -75,12 +75,13 @@ def stokeslet_eval(x1, x2):
         raise ValueError("Stokeslet evaluated at a source point")
     with np.errstate(divide="ignore", invalid="ignore"):
         tables = _LayerTables.at(x1, x2)
-    if not np.all(np.isfinite(tables.cot)):
+    d = tables.part(1)[0]
+    if not np.all(np.isfinite(d)):
         raise ValueError("Stokeslet evaluated at a source point")
     z0 = tables.part(0)[0].copy()       # the next table overwrites it
-    d, r2d = tables.cot, tables.part(5)[0]
-    U = np.array([[z0 + r2d.imag, -r2d.real], [-r2d.real, z0 - r2d.imag]]) / (8.0 * np.pi)
-    return U, -np.array([d.real, d.imag]) / (4.0 * np.pi)
+    r2d = tables.part(5)[0]
+    U = np.array([[z0 + r2d[1], -r2d[0]], [-r2d[0], z0 - r2d[1]]]) / (8.0 * np.pi)
+    return U, -d / (4.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +255,24 @@ def _trapezoid_rule(f: InterfaceProfile, pts: np.ndarray, work: dict):
     the interface: a density sampler and the product of the layer tables
     over (point, node) with the samples.  The nodes are uniform, so f and
     the densities are sampled by ``_uniform_samples``: their nodal values
-    from N = 256 up.  The tables u, r2, D and the pair slot are written into
-    the flat buffers of ``work`` (see ``_point_blocks``)."""
+    from N = 256 up.  The tables u, r2 and the four planes of
+    ``_LayerTables`` are written into the flat buffers of ``work`` (see
+    ``_point_blocks``)."""
     m = _trapezoid_nodes(f)
     s = 2.0 * np.pi * np.arange(m) / m
-    tables = {name: buf[:len(pts) * m].reshape(len(pts), m) for name, buf in work.items()}
-    # u = e^{i r1/2} as an outer product of phases: no table of r1
-    u = np.multiply.outer(np.exp(0.5j * pts[:, 0]), np.exp(-0.5j * s), out=tables["u"])
-    r2 = np.subtract.outer(pts[:, 1], _uniform_samples(f, m), out=tables["r2"])
-    layer = _LayerTables(u, r2, tables)
+    shape = (len(pts), m)
+    u = work["u"][:len(pts) * m].reshape(shape)
+    planes = work["planes"][:4 * len(pts) * m].reshape((4,) + shape)
+    # 2 e^{i r1/2} as an outer product of phases, no table of r1: the
+    # product of its parts is 4 sin(r1/2) cos(r1/2), the square of its
+    # imaginary part 4 sin^2(r1/2), each written over the part it replaces
+    np.multiply.outer(2.0 * np.exp(0.5j * pts[:, 0]), np.exp(-0.5j * s), out=u)
+    sc, ss = u.real, u.imag
+    np.multiply(sc, ss, out=sc)
+    np.square(ss, out=ss)
+    r2 = np.subtract.outer(pts[:, 1], _uniform_samples(f, m),
+                           out=work["r2"][:len(pts) * m].reshape(shape))
+    layer = _LayerTables(sc, ss, r2, planes)
     return ((lambda values: _uniform_samples(InterfaceProfile(f.grid, values), m)),
             (lambda index, v: layer.part(index)[0] @ v / m))
 
@@ -283,7 +293,8 @@ def _near_rule(f: InterfaceProfile, pts: np.ndarray, feet, dist):
     starts = np.cumsum([0] + counts[:-1])
     layer = _LayerTables.at(r1, r2)
     return ((lambda values: w * InterfaceProfile(f.grid, values).eval_at(s)),
-            (lambda index, v: np.add.reduceat(layer.part(index)[0] * v, starts) / (2.0 * np.pi)))
+            (lambda index, v: np.add.reduceat(layer.part(index)[0] * v, starts, axis=-1)
+             / (2.0 * np.pi)))
 
 
 class _PointLayers(_LayerSums):
@@ -306,7 +317,7 @@ class _PointLayers(_LayerSums):
         super().__init__(f.grid, len(pts), rules)
 
 
-def _collar_search(f: InterfaceProfile, pts: np.ndarray, collar, near):
+def _collar_search(f: InterfaceProfile, pts: np.ndarray, collar, near, samples=None):
     """The routing pass: the strip side of each point (+1 above, -1 below,
     0 inside), the mask of those inside the collar and, with ``near=True``,
     their feet (parameter, distance).  A point above or below clears, in
@@ -315,13 +326,14 @@ def _collar_search(f: InterfaceProfile, pts: np.ndarray, collar, near):
     collar, as the search would find, and only the others are searched.  A
     collar <= 0 admits every point without a search, and the sides then
     serve the series alone: they are not found where no side can outnumber
-    its K + 1 terms.  Points not finite raise ValueError."""
+    its K + 1 terms.  ``samples`` are f's ``_search_samples`` if the caller
+    has them.  Points not finite raise ValueError."""
     pts = _field_points(pts)
     side, close = np.zeros(len(pts), np.int8), np.zeros(len(pts), bool)
     feet, dist = np.empty(0), np.empty(0)
     if collar <= 0 and len(pts) <= len(_terms(default_collar(f))):
         return side, close, feet, dist
-    fs = _search_samples(f)
+    fs = _search_samples(f) if samples is None else samples
     heights = np.concatenate([fs, _uniform_samples(f, _trapezoid_nodes(f))])
     gap = max(collar, default_collar(f))
     side[pts[:, 1] - np.max(heights) >= gap] = 1
@@ -348,7 +360,8 @@ def _block_bounds(nodes) -> list:
     return bounds
 
 
-def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=False):
+def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=False,
+                  samples=None):
     """The rows and ``_PointLayers`` of each block of the points, in input
     order, after one routing pass (see ``_collar_search`` and
     ``_block_bounds``).  The points clear of the strip on a side take the
@@ -363,7 +376,7 @@ def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=Fal
     drawn."""
     collar = default_collar(f) if collar is None else collar
     m, k = _trapezoid_nodes(f), _terms(default_collar(f))
-    side, close, feet, dist = _collar_search(f, pts, collar, near)
+    side, close, feet, dist = _collar_search(f, pts, collar, near, samples)
     if np.any(close) and not near:
         raise ProximityError("field point within the interface collar; use the trace "
                              "formulas or near=True for an approach study")
@@ -382,8 +395,7 @@ def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=Fal
     series_bounds = np.concatenate([[0], np.cumsum(side != 0)])[bounds]
     del nodes
     size = m * int(np.max(np.diff(bounds) - np.diff(near_bounds) - np.diff(series_bounds)))
-    work = {name: np.empty(size, dtype) for name, dtype in
-            (("u", complex), ("r2", float), ("cot", complex), ("pair", complex))}
+    work = {"u": np.empty(size, complex), "r2": np.empty(size), "planes": np.empty(4 * size)}
     series = None
     if np.any(side):
         series = _Series(f, m, k, side, int(np.max(np.diff(series_bounds))))
@@ -393,14 +405,15 @@ def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=Fal
                                                work, series)
 
 
-def _blocked(f: InterfaceProfile, points, evaluate, *, collar=None, near=False) -> list:
+def _blocked(f: InterfaceProfile, points, evaluate, *, collar=None, near=False,
+             samples=None) -> list:
     """The arrays over the points that ``evaluate(composites)`` returns for
     the ``_PointLayers`` of a block, each assembled over the blocks of
     ``_point_blocks``.  Each block's evaluator is dropped before the next
     block is drawn."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     outs = []
-    for rows, layers in _point_blocks(f, pts, collar=collar, near=near):
+    for rows, layers in _point_blocks(f, pts, collar=collar, near=near, samples=samples):
         parts = evaluate(layers.composites)
         del layers
         outs = outs or [np.empty((len(pts),) + np.shape(p)[1:]) for p in parts]
@@ -469,10 +482,10 @@ def _bulk_gradient(B, G, mu):
     return np.stack([d1v1, d2v1, d1v2, -d1v1], axis=-1).reshape(-1, 2, 2)
 
 
-def _bulk_flow(f, G, params, pts, *, collar):
+def _bulk_flow(f, G, params, pts, *, collar, samples=None):
     """Velocity (P, 2) and pressure (P,) from one evaluator per block."""
     return _blocked(f, pts, lambda B: (_bulk_velocity(B, G, params.mu), _bulk_pressure(B, G)),
-                    collar=collar)
+                    collar=collar, samples=samples)
 
 
 def velocity_field(f: InterfaceProfile, params: PhysParams, points, *,
@@ -559,9 +572,23 @@ def trace_velocity(f: InterfaceProfile, params: PhysParams,
     in the continuum; ``parts-z`` requires a mean-free profile so its
     vertical antiderivative is periodic.
     """
+    return _trace_velocities(f, params, (variant,))[0]
+
+
+def _trace_velocities(f: InterfaceProfile, params: PhysParams, variants) -> list:
+    """``trace_velocity`` of f for each of the variants, all their products
+    taken in one sweep of the tables of f."""
+    codings = [_trace_coding(f, params, variant) for variant in variants]
+    return [np.vstack(parts) / (4.0 * params.mu)
+            for parts in _swept(f, lambda B: [coding(B) for coding in codings])]
+
+
+def _trace_coding(f: InterfaceProfile, params: PhysParams, variant: str):
+    """evaluate(B) of one variant of ``trace_velocity``: its two components,
+    times 4 mu, from the composites B."""
     if variant == "direct-g":
         G = forcing_G(f, params)
-        return np.vstack(_swept(f, lambda B: _direct_velocity(B, G.g1, G.g2))) / (4.0 * params.mu)
+        return lambda B: _direct_velocity(B, G.g1, G.g2)
     if variant == "parts-z":
         if abs(f.mean) > 1e-12 * (np.max(np.abs(f.values)) + 1e-300):
             raise ValueError(
@@ -572,8 +599,7 @@ def trace_velocity(f: InterfaceProfile, params: PhysParams,
         sigma, theta = params.sigma, params.theta
         F1 = -sigma * phi1 - theta * f.values**2 / 2.0
         F2 = -sigma * phi2 + theta * antiderivative(f.values)
-        return np.vstack(_swept(f, lambda B: _parts_velocity(B, F1, F2, f.deriv_values))) \
-            / (4.0 * params.mu)
+        return lambda B: _parts_velocity(B, F1, F2, f.deriv_values)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -685,15 +711,16 @@ def far_field_residuals(f: InterfaceProfile, params: PhysParams, *,
     return _far_field_residuals(f, params, forcing_G(f, params), height)
 
 
-def _far_field_residuals(f, params, G, height: float = 20.0) -> dict:
-    """``far_field_residuals`` with the forcing G of (f, params) given."""
+def _far_field_residuals(f, params, G, height: float = 20.0, samples=None) -> dict:
+    """``far_field_residuals`` with the forcing G of (f, params) given, and
+    f's ``_search_samples`` if the caller has them."""
     if not 0.0 < height < np.inf:
         raise ValueError(f"far-field height must be finite and positive, got {height}")
     c = _far_field_constants(f, params, G)
     x1 = 2.0 * np.pi * (np.arange(8) + 0.37) / 8
     signs = np.array([1.0, -1.0])
     pts = np.stack(np.broadcast_arrays(x1, signs[:, None] * height), axis=-1).reshape(-1, 2)
-    v, q = _bulk_flow(f, G, params, pts, collar=None)
+    v, q = _bulk_flow(f, G, params, pts, collar=None, samples=samples)
     out = {}
     for sign, name, v_side, q_side in zip(signs, ("plus", "minus"), v.reshape(2, 8, 2),
                                           q.reshape(2, 8)):

@@ -118,23 +118,28 @@ class _Series:
 
     def _product(self, powers, x2, sg):
         """product(index, c) of a rule: the sum of the table of the lead of
-        ``index`` at its points, from a density's coefficients c."""
+        ``index`` at its points, from a density's coefficients c; for a
+        pair of planes, the rows of its real and imaginary parts."""
         k = self.k
         inverse_k = np.concatenate([[0.0], 1.0 / k[1:]])
 
         def d(c):       # the sum of D
             return sg * 1j * (2.0 * (powers @ c) - c[0])
 
-        def product(index, c):
+        def pair(index, c):
             lead = _PARTS[index][0]
-            if lead == 0:
-                c0 = c[:, 0].real
-                return (sg * (x2 * c0[0] - c0[1]) - LN4 * c0[0]
-                        - 2.0 * (powers @ (c[0] * inverse_k)).real)
             if lead == 1:
                 return d(c[0])
             if lead == 3:
                 return -4.0 * (x2 * (powers @ (k * c[0])) - powers @ (k * c[1]))
             return x2 * d(c[0]) - d(c[1])
+
+        def product(index, c):
+            if _PARTS[index][0] == 0:
+                c0 = c[:, 0].real
+                return (sg * (x2 * c0[0] - c0[1]) - LN4 * c0[0]
+                        - 2.0 * (powers @ (c[0] * inverse_k)).real)
+            # the rows of its real and imaginary parts, as a view
+            return pair(index, c).view(np.float64).reshape(-1, 2).T
 
         return product

@@ -27,9 +27,10 @@ The six named composites 1..6 that enter the interface velocity are the
 on-interface traces of the layer integrals Z_1..Z_6: each is one contraction
 against the closed-form layer kernel at r = (s, delta f).  The kernels are
 the real and imaginary parts of three complex tables, D = cot((r1 - i r2)/2),
-r2 D and (r2/2)(1 + D^2) (``_LayerTables``), the same coding the bulk fields
-use off the interface.  Their expansions as signed sums of tangent-family
-members are kept only as a test oracle.  Composite 0 is the logarithmic
+r2 D and (r2/2)(1 + D^2), each held as two float64 planes and built in real
+arithmetic (``_LayerTables``), the same coding the bulk fields use off the
+interface.  Their expansions as signed sums of tangent-family members are
+kept only as a test oracle.  Composite 0 is the logarithmic
 operator ``eval_B0``.  ``DiagonalOps`` applies each composite as a part of
 the product of its table at r = (s, delta f) with a density's half-grid
 samples: the ``_LayerSums`` that ``fields`` uses, one rule per point set.
@@ -60,6 +61,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -417,8 +419,8 @@ def eval_B0(f: InterfaceProfile, density) -> np.ndarray:
 
     The log kernel Z0 = ln(sin^2(s/2) + sinh^2(delta f/2)) is written as
     ln(sin^2(s/2)) (applied spectrally) plus the remainder Z0 - ln(sin^2(s/2)),
-    which is bounded and handled by the half-grid midpoint rule; Z0 is built
-    from the table D of the other composites.
+    which is bounded and handled by the half-grid midpoint rule; it is built
+    with the planes of D of the other composites (``_LayerTables``).
     """
     return DiagonalOps(f).composite(0, density)
 
@@ -427,8 +429,8 @@ def eval_B0(f: InterfaceProfile, density) -> np.ndarray:
 # the layer kernels Z_0 .. Z_6
 # ---------------------------------------------------------------------------
 
-# the tables of a working set and their dtypes
-_SET_NAMES = {"r2": np.float64, "cot": np.complex128, "pair": np.complex128}
+# the float64 planes of a working set: the four of ``_LayerTables``, then r2
+_SET_PLANES = 5
 
 
 def _cache_aligned(shape, dtype) -> np.ndarray:
@@ -452,147 +454,182 @@ class _TablePool:
     """Working sets of layer-table row blocks, leased by ``DiagonalOps``'s
     sweep.
 
-    A set for N is a dict of the tables of ``_SET_NAMES``, each as many rows
-    of N as the largest block of ``_row_blocks(N)`` (all N rows up to
-    N = 180, 64 at N = 512): five float64 tables' worth, overwritten in
-    place by each ``_LayerTables`` built on it.  A lease takes the idle set
-    if it was made for the same N and rows and allocates a new one
-    otherwise; a released set becomes the idle one.  So at most one idle set
-    is kept, for the most recent N, and a set is never held by two live
-    leases: a second concurrent lease allocates its own.  Without the pool,
-    fresh (N, N) tables cost a warm ``eval_Psi`` 609 and 1539 page faults and
-    1.4-1.6x the time at N = 256 and 512.
+    A set for N is one (``_SET_PLANES``, rows, N) float64 stack, rows the
+    largest block of ``_row_blocks(N)`` (all N rows up to N = 180, 64 at
+    N = 512): 40 bytes an entry, overwritten in place by each
+    ``_LayerTables`` built on it.  A lease takes the idle set if it was made
+    for the same N and rows and allocates a new one otherwise; a released
+    set becomes the idle one.  So at most one idle set is kept, for the most
+    recent N, and a set is never held by two live leases: a second
+    concurrent lease allocates its own.  Without the pool, fresh (N, N)
+    tables cost a warm ``eval_Psi`` 609 and 1539 page faults and 1.4-1.6x
+    the time at N = 256 and 512.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._idle_n, self._idle = None, None
 
-    def lease(self, n: int) -> dict:
+    def lease(self, n: int) -> np.ndarray:
         rows = -(-n // _row_blocks(n))
         with self._lock:
-            tables = self._idle if self._idle_n == n and len(self._idle["r2"]) == rows else None
+            stack = self._idle if self._idle_n == n and self._idle.shape[1] == rows else None
             self._idle_n, self._idle = None, None
-        if tables is None:
-            tables = {name: _cache_aligned((rows, n), dtype) for name, dtype in _SET_NAMES.items()}
-        return tables
+        if stack is None:
+            stack = _cache_aligned((_SET_PLANES, rows, n), np.float64)
+        return stack
 
-    def release(self, n: int, tables: dict) -> None:
+    def release(self, n: int, stack: np.ndarray) -> None:
         with self._lock:
-            self._idle_n, self._idle = n, tables
+            self._idle_n, self._idle = n, stack
 
 
 _TABLE_POOL = _TablePool()
 
 
+_first, _second = itemgetter(0), itemgetter(1)
+
 # index -> (lead, take, factor): Z_index = factor * take(the table of lead).
-# D (lead 1) is built with the tables; the log table (lead 0), r2 (1 + D^2)
-# (lead 3) and r2 D (lead 5) go into the pair slot
-_PARTS = ((0, np.real, 1.0), (1, np.real, 1.0), (1, np.imag, 1.0), (3, np.real, 0.5),
-          (3, np.imag, 0.25), (5, np.real, 1.0), (5, np.imag, 1.0))
+# The log table (lead 0) is one plane, taken whole; D (lead 1), r2 (1 + D^2)
+# (lead 3) and r2 D (lead 5) are pairs of planes, whose products with a
+# density are pairs of rows, taken apart by ``_first`` and ``_second``
+_PARTS = ((0, np.asarray, 1.0), (1, _first, 1.0), (1, _second, 1.0), (3, _first, 0.5),
+          (3, _second, 0.25), (5, _first, 1.0), (5, _second, 1.0))
+
+# lead -> the planes of ``_LayerTables`` that hold its table
+_LEAD_PLANES = {0: slice(2, 3), 1: slice(0, 2), 3: slice(2, 4), 5: slice(2, 4)}
+
+
+def _sines(r1):
+    """The tables 4 sin(r1/2) cos(r1/2) = 2 sin(r1) and 4 sin^2(r1/2) that
+    ``_LayerTables`` takes for r1."""
+    half = np.sin(0.5 * r1)
+    return 2.0 * np.sin(r1), 4.0 * (half * half)
 
 
 class _LayerTables:
-    """The complex table D = cot((r1 - i r2)/2) = Z1 + i Z2 and the layer
-    kernels Z_0..Z_6 read from it.
+    """The layer kernels Z_0..Z_6 at r = (r1, r2), built in real arithmetic
+    on four float64 planes.
 
-    Each kernel but Z0 is a part of one of three complex tables,
+    Each kernel but Z0 is a plane of one of three pairs of planes, the real
+    and imaginary parts of the complex tables
 
-        D = Z1 + i Z2      r2 D = Z5 + i Z6      (r2/2)(1 + D^2) = Z3 + 2i Z4,
+        D = cot((r1 - i r2)/2) = (Z1, Z2)    r2 D = (Z5, Z6)
+        r2 (1 + D^2) = (r2 (1 + Z1^2 - Z2^2), 2 r2 Z1 Z2) = (2 Z3, 4 Z4),
 
-    and Z0 = |r2| - ln(Z1^2 + (1 + |Z2|)^2) is real; all are finite wherever
-    r is off the lattice (2*pi*Z, 0).  In real variables s1, c1 = sin(r1/2),
-    cos(r1/2), s2, c2 = sinh(r2/2), cosh(r2/2) and S = s1^2 + s2^2 they are
-    the periodic vortex-sheet kernels Z0 = ln S, Z1 = s1 c1/S, Z2 = s2 c2/S.
-    Off the interface they are the layer integrands of the bulk fields; at
+    and Z0 is real; all are finite wherever r is off the lattice
+    (2*pi*Z, 0).  In real variables s1, c1 = sin(r1/2), cos(r1/2), s2, c2 =
+    sinh(r2/2), cosh(r2/2) and S = s1^2 + s2^2 they are the periodic
+    vortex-sheet kernels Z0 = ln S, Z1 = s1 c1/S, Z2 = s2 c2/S.  Off the
+    interface they are the layer integrands of the bulk fields; at
     r = (s, delta f) they are, over 2*pi, the kernels of the trace
     composites 1..6.
 
-    D is built as C = cot(w/2), w = r1 + i|r2|, with its imaginary part then
-    given the sign of r2 (one ``copysign``).  C = i + 2i/Q with Q = e^{iw} - 1
-    = u (u t + 2i s1), u = e^{i r1/2} and t = expm1(-|r2|), so the inner
-    factor is c1 t + i s1 (t + 2).  Each factor keeps its relative digits as
-    w -> 0, and e^{-|r2|} <= 1 never overflows, so the kernels are finite
-    however far r is from the interface.  The constructor takes the phase
-    table u itself, in the shape of r2, which is the tables' shape: on the
-    interface ``_sweep`` passes rows of a circulant view of u at the
-    quadrature nodes, so that r1 is exactly the node; off it, u is an outer
-    product of phases or a broadcast table.
+    They are built from t = expm1(-|r2|) and a = e^{-|r2|} <= 1, neither of
+    which overflows however far r is from the interface:
 
-    Every table is written in place: r2 is the caller's, and D and the one
-    ``pair`` slot go into ``tables`` (rows of a ``_TABLE_POOL`` set) or,
-    without it, into fresh arrays.  ``part`` builds the other tables into
-    the slot when first asked for, each overwriting the last; this object
-    alone tracks which one the slot holds.  Held as a complex table,
-    (r2/2)(1 + D^2) is r2 (1 + D^2), and the factors of ``_PARTS`` take its
-    halves.  While the slot holds no complex table its bytes are two
-    contiguous real tables: the constructor's expm1 scratch, then the log
-    table and its scratch.  A ``log_shift`` table is subtracted from the log
-    table: the trace passes ln(sin^2(r1/2)), leaving the bounded remainder of
-    Z0 that it adds to the spectrally applied log.
+        q = 4 a s1^2        den = q + t^2 = 4 a S
+        Z1 = 4 (1 + t) s1 c1 / den        Z2 = sign(r2) (-t (t + 2)) / den
+        Z0 = |r2| - ln(4 / den).
+
+    den is a sum of two non-negative terms, so nothing cancels, and one
+    reciprocal of it serves both parts of D.  a enters q from ``np.exp`` and
+    Z1 as 1 + t: q needs its relative digits (see ``remainder``), Z1 only an
+    absolute epsilon.  The constructor takes the tables sc = 4 s1 c1 and
+    ss = 4 s1^2 (``_sines``) in the shape of r2, or views that broadcast to
+    it: on the interface ``_sweep`` passes rows of circulant views of them
+    at the quadrature nodes, so that r1 is exactly the node; off it they
+    come from an outer product of phases or from r1 itself (``at``).  With
+    ``remainder``, part 0 is Z0 - ln s1^2 = log1p(t^2/q) instead: the
+    bounded remainder that the trace adds to the spectrally applied log,
+    with no |r2| to cancel against a log as r2 -> 0 (accurate while a is a
+    normal number, |r2| < 708).
+
+    Every table is written in place: r2 is the caller's, and the four
+    ``planes`` are rows of a ``_TABLE_POOL`` set or, without it, a fresh
+    stack.  So the working set is 40 bytes an entry on the interface, with
+    r2, and 56 in the trapezoid rule of ``fields``, whose complex phases
+    become sc and ss in place.  Planes 0 and 1 hold D.  Planes 2 and 3 first hold the
+    constructor's t^2/q (with ``remainder``) and 1/den, from which ``part``
+    builds the log table into plane 2, and then the pair r2 (1 + D^2) or
+    r2 D, each built when first asked for and overwriting the last; this
+    object alone tracks which one they hold.  The factors of ``_PARTS``
+    take the halves of r2 (1 + D^2).
     """
 
-    def __init__(self, u, r2, tables: dict | None = None, log_shift=None):
-        self.r2, self.log_shift = r2, log_shift
-        shape = np.shape(r2)
-        if tables is None:
-            tables = {name: np.empty(shape, complex) for name in ("pair", "cot")}
-        self._pair = tables["pair"]
-        # reshape(-1) first: a 0-d complex array has no float view
-        reals = self._pair.reshape(-1).view(np.float64).reshape((2,) + shape)
-        self._log, self._scratch = reals[0, ...], reals[1, ...]
+    def __init__(self, sc, ss, r2, planes=None, remainder: bool = False):
+        self.r2, self._sines, self._remainder = r2, (sc, ss), remainder
+        self._planes = np.empty((4,) + np.shape(r2)) if planes is None else planes
+        # views of the single planes, also of a 0-d table's
+        self._views = tuple(self._planes[i, ...] for i in range(4))
         self._held = None
-        t = np.abs(r2, out=self._scratch)
-        np.negative(t, out=t)
-        np.expm1(t, out=t)
-        c = self.cot = tables["cot"]
-        np.multiply(u.real, t, out=c.real)
-        t += 2.0
-        np.multiply(u.imag, t, out=c.imag)
-        c *= u                                          # Q
-        np.divide(2j, c, out=c)
-        c += 1j
-        np.copysign(c.imag, r2, out=c.imag)             # D
+        self._tabulate()
 
     @classmethod
     def at(cls, r1, r2):
         r1, r2 = np.broadcast_arrays(np.asarray(r1, dtype=float), np.asarray(r2, dtype=float))
-        u = np.multiply(r1, 0.5j, out=np.empty(r1.shape, complex))
-        np.exp(u, out=u)
-        return cls(u, r2)
+        return cls(*_sines(r1), r2)
+
+    def _tabulate(self) -> None:
+        """D into planes 0 and 1, 1/den into plane 3 and, with
+        ``remainder``, t^2/q into plane 2."""
+        sc, ss = self._sines
+        r2 = self.r2
+        t, z2, ratio, rden = self._views
+        np.abs(r2, out=t)
+        np.negative(t, out=t)
+        np.exp(t, out=z2)                       # a
+        np.expm1(t, out=t)
+        z2 *= ss                                # q
+        np.square(t, out=ratio)
+        np.add(ratio, z2, out=rden)             # den
+        if self._remainder:
+            ratio /= z2
+        np.reciprocal(rden, out=rden)
+        np.add(t, 2.0, out=z2)
+        z2 *= t
+        z2 *= rden
+        np.copysign(z2, r2, out=z2)             # Z2
+        t += 1.0
+        t *= rden                               # normal before a subnormal sc
+        t *= sc                                 # Z1
 
     def part(self, index: int):
         """Z_index as (table, take, factor): Z_index = factor * take(table),
-        where take is ``np.real`` or ``np.imag``; so a product of the table
-        with real samples, taken apart, gives the integral."""
+        where take is ``np.asarray`` for the log plane and ``_first`` or
+        ``_second`` for a pair of planes; so a product of the table with
+        real samples, taken apart, gives the integral."""
         lead, take, factor = _PARTS[index]
-        if lead == 1:
-            return self.cot, take, factor
-        if self._held != lead:
-            self._held = None                   # the slot is rewritten in place
+        if lead != 1 and self._held != lead:
+            if lead == 0 and self._held is not None:
+                self._tabulate()                # a pair took the log's scratch
+            self._held = None                   # the planes are rewritten in place
             self._build(lead)
             self._held = lead
-        return (self._log if lead == 0 else self._pair), take, factor
+        return (self._views[2] if lead == 0 else self._planes[_LEAD_PLANES[lead]]), take, factor
 
     def _build(self, lead: int) -> None:
-        """Write the table of ``lead`` into the pair slot."""
-        d, p, r2 = self.cot, self._pair, self.r2
+        """Write the table of ``lead`` into planes 2 and 3."""
+        z1, z2, p, scratch = self._views
+        r2 = self.r2
         if lead == 5:
-            np.multiply(d, r2, out=p)
+            np.multiply(z1, r2, out=p)
+            np.multiply(z2, r2, out=scratch)
         elif lead == 3:
-            np.square(d, out=p)
+            np.subtract(z1, z2, out=p)
+            np.add(z1, z2, out=scratch)
+            p *= scratch
             p += 1.0
             p *= r2
+            np.multiply(z1, z2, out=scratch)
+            scratch *= r2
+            scratch += scratch
+        elif self._remainder:
+            np.log1p(p, out=p)
         else:
-            z, scratch = self._log, self._scratch
-            np.abs(d.imag, out=z)
-            z += 1.0
-            np.square(z, out=z)
-            z += np.square(d.real, out=scratch)
-            np.log(z, out=z)
-            np.subtract(np.abs(r2, out=scratch), z, out=z)
-            if self.log_shift is not None:
-                z -= self.log_shift
+            np.multiply(scratch, 4.0, out=p)
+            np.log(p, out=p)
+            np.subtract(np.abs(r2, out=scratch), p, out=p)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +641,11 @@ class _LayerSums:
     (share, sample, product): the outputs it fills, its density sampler and
     product(index, samples), the weighted sum over its nodes of the table of
     the lead of ``_PARTS[index]`` (for a table rule, ``part(index)`` of its
-    ``_LayerTables``) against the samples.  One memo samples each density
+    ``_LayerTables``) against the samples: one array over the points, or
+    for a pair of planes two rows of them.  One memo samples each density
     once, keyed by its values (so one changed in place is sampled afresh);
-    one takes each product once per (lead, density): both parts of a
-    complex table come from one product."""
+    one takes each product once per (lead, density): both planes of a pair
+    come from one product."""
 
     def __init__(self, grid: PeriodicGrid, n_out: int, rules):
         self.grid, self.n_out, self._rules = grid, n_out, rules
@@ -651,41 +689,55 @@ def _part(index: int):
 
 @lru_cache(maxsize=32)
 def _trace_phases(n: int):
-    """Circulant views of u = e^{i s_j/2} and of the log shift ln(sin^2(s_j/2))
-    at the midpoint nodes: column m, row i holds node j = (i - m - 1 + N/2)
-    mod N, the node that pairs half-grid sample m with xi_i."""
-    u = np.exp(0.5j * _midpoint_rule(n)[0])
-    return _circulant(u), _circulant(np.log(u.imag ** 2))
+    """Circulant views of the ``_sines`` of the midpoint nodes, 4 sin(s_j/2)
+    cos(s_j/2) and 4 sin^2(s_j/2): column m, row i holds node j = (i - m -
+    1 + N/2) mod N, the node that pairs half-grid sample m with xi_i."""
+    return tuple(_circulant(table) for table in _sines(_midpoint_rule(n)[0]))
 
 
 def _sweep(f: InterfaceProfile, plan) -> list:
     """The products of ``plan``, a list of (index, half-grid samples) grouped
     by the lead of the index, with the on-interface tables of f, each times
     the weight h/(2 pi): one sweep over the row blocks of ``_row_blocks``.
-    Each block builds r2 and D on a working set leased from ``_TABLE_POOL``
-    and takes the products of the plan in its order, so that the pair slot
-    holds the log, (3, 4) and (5, 6) tables in turn.  Each is one gemv of a
-    table block against its samples: no product depends on the others."""
+    Each block builds r2 and D on the first rows of a stack leased from
+    ``_TABLE_POOL``, r2 its last plane, and takes the products of the plan
+    in its order, so that planes 2 and 3 hold the log, (3, 4) and (5, 6)
+    tables in turn.  Each is one gemv of a block's table, a pair's planes
+    stacked, against the samples: the product of a pair is a (2, N) array,
+    and no product depends on the others.
+
+    A gemv runs over the first multiple of four rows of the stack from the
+    table's first (``_LEAD_PLANES``), at most three rows of the planes that
+    follow it.  BLAS sums a row in one order within whole groups of four
+    rows and in another for the last rows of a matrix; with whole groups a
+    row's bits do not depend on how the rows are split into blocks."""
     if not plan:
         return []
     n = f.grid.n_points
-    out = [np.empty(n, float if _PARTS[index][0] == 0 else complex) for index, _ in plan]
+    out = [np.empty((n,) if _PARTS[index][0] == 0 else (2, n)) for index, _ in plan]
     half = _half_samples(f.values)[0]
-    u, log_shift = _trace_phases(n)
+    sc, ss = _trace_phases(n)
     blocks = _row_blocks(n)
     bounds = [i * n // blocks for i in range(blocks + 1)]
-    tables = _TABLE_POOL.lease(n)
+    stack = _TABLE_POOL.lease(n)
     try:
         for a, b in zip(bounds[:-1], bounds[1:]):
-            block = {name: t[:b - a] for name, t in tables.items()}
+            # the block's planes, contiguous: a pair of them takes one gemv
+            flat = stack.reshape(-1)[:_SET_PLANES * (b - a) * n]
+            planes = flat.reshape(-1, b - a, n)
             # circulant coordinates: the difference table is the outer
             # difference f(xi_i) - f_half[m]
-            r2 = np.subtract.outer(f.values[a:b], half, out=block["r2"])
-            layer = _LayerTables(u[a:b], r2, block, log_shift=log_shift[a:b])
+            r2 = np.subtract.outer(f.values[a:b], half, out=planes[4])
+            layer = _LayerTables(sc[a:b], ss[a:b], r2, planes[:4], remainder=True)
             for (index, v), p in zip(plan, out):
-                p[a:b] = layer.part(index)[0] @ v
+                layer.part(index)
+                held = _LEAD_PLANES[_PARTS[index][0]]
+                rows = (held.stop - held.start) * (b - a)
+                start = held.start * (b - a) * n
+                table = flat[start:start + -(-rows // 4) * 4 * n].reshape(-1, n)
+                p[..., a:b] = (table @ v)[:rows].reshape(-1, b - a)
     finally:
-        _TABLE_POOL.release(n, tables)
+        _TABLE_POOL.release(n, stack)
     scale = f.grid.spacing / TWO_PI
     for p in out:
         p *= scale

@@ -236,6 +236,25 @@ class TestField:
         strip_rows = np.array([[a, b] for b in (-1.5, 0.0, 1.5) for a in x1])
         assert len(searched) == 1 and np.array_equal(searched[0], strip_rows)
 
+    def test_one_set_of_search_samples(self, tmp_path, monkeypatch):
+        # the routing of the window, the sides of its kept points (which
+        # outnumber the series terms) and the far-field probes read one set
+        # of max(8N, 1024) search samples
+        from stokes2p import fields
+
+        n = 256
+        nodes = 2.0 * np.pi * np.arange(n) / n
+        values = 0.2 * np.cos(nodes) + 0.05 * np.sin(3 * nodes)
+        snapshot = tmp_path / "snap.json"
+        snapshot.write_text(json.dumps({"t": 0.0, "values": values.tolist()}) + "\n")
+        sizes = []
+        uniform = fields._uniform_samples
+        monkeypatch.setattr(fields, "_uniform_samples",
+                            lambda f, m: sizes.append(m) or uniform(f, m))
+        assert run_cli("field", "--snapshot", str(snapshot), "--x2-min", "-2", "--x2-max", "2",
+                       "--nx1", "64", "--nx2", "64", "--out", str(tmp_path / "f.csv")) == 0
+        assert sizes.count(2048) == 1
+
     @pytest.mark.parametrize("n", [200, 256])
     def test_window_of_clear_strip_and_collar_points(self, tmp_path, monkeypatch, n):
         # the points skipped are those the search puts inside the collar, and
@@ -404,6 +423,26 @@ class TestVerify:
         assert code == 3
         assert "FAIL operator-identity/B=A+C" in captured.out
         assert "reproduce with" in captured.err
+
+    def test_trace_check_sweeps_once_per_profile(self, monkeypatch):
+        # both codings of the trace take their 4 + 7 products in one sweep
+        # of the tables for each theta, and read what each alone reads
+        from stokes2p import operators, verify
+        from stokes2p.core import InterfaceProfile, PeriodicGrid, PhysParams
+        from stokes2p.fields import _trace_velocities, trace_velocity
+
+        sweeps = []
+        sweep = operators._sweep
+        monkeypatch.setattr(operators, "_sweep",
+                            lambda f, plan: sweeps.append(len(plan)) or sweep(f, plan))
+        [(_, ok, _)] = verify.check_trace_equivalence()
+        assert ok and sweeps == [11, 11]
+        grid = PeriodicGrid(64)
+        f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes) - 0.05 * np.sin(2 * grid.nodes))
+        params = PhysParams.from_theta(mu=1.0, sigma=1.0, theta=1.0)
+        variants = ("direct-g", "parts-z")
+        for got, variant in zip(_trace_velocities(f, params, variants), variants):
+            assert np.array_equal(got, trace_velocity(f, params, variant))
 
     def test_identity_check_evaluates_each_c_member_once(self, monkeypatch):
         # B = A + C and the C recursion share their C members: 26 distinct

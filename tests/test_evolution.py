@@ -258,7 +258,7 @@ class TestPsiAgainstCompositeTerms:
         grid = PeriodicGrid(n)
         f, params = random_profile(grid, 8), PhysParams.from_theta(1.0, 1.0, 1.0)
         eval_Psi(f, params)
-        idle = dict(operators._TABLE_POOL._idle)
+        idle = operators._TABLE_POOL._idle
         tracemalloc.start()
         try:
             eval_Psi(f, params)
@@ -266,7 +266,7 @@ class TestPsiAgainstCompositeTerms:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n
-        assert all(operators._TABLE_POOL._idle[k] is t for k, t in idle.items())
+        assert operators._TABLE_POOL._idle is idle
 
 
 class TestKinematicAssembly:

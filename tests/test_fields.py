@@ -354,11 +354,11 @@ class TestLayerIntegrals:
         assert sorted(table_products) == [1, 1, 1, 1, 3, 3, 3, 3]
 
     def test_trapezoid_tables_peak_bounded(self):
-        # a block's tables over (point, node) are r2 (8 bytes an entry), D and
-        # the pair slot (16 each) and the phases u (16): no table of r1 is
-        # held while they are allocated, no build adds a full table, and the
-        # blocks of a call take turns in one working set of that size.  On
-        # top of it numpy's iterator buffers the broadcast outer products
+        # a block's tables over (point, node) are r2 (8 bytes an entry), the
+        # four planes of D and the pair (32) and the phases u (16): no table
+        # of r1 is held while they are allocated, no build adds a full table,
+        # and the blocks of a call take turns in one working set of that
+        # size.  On top of it numpy's iterator buffers the broadcast outer products
         # (two operands of 8192 complex entries), so far above one block the
         # peak is one block's for any number of points; what grows with
         # them is the output, 8 bytes a point

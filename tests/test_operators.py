@@ -595,26 +595,24 @@ class TestComposites:
                 DiagonalOps(f).composite(idx, np.sin(grid.nodes))
         pool = operators._TABLE_POOL
         assert pool._idle_n == 64
-        assert sorted(pool._idle) == sorted(operators._SET_NAMES)
-        assert all(t.shape == (64, 64) for t in pool._idle.values())
+        assert pool._idle.shape == (operators._SET_PLANES, 64, 64)
         # a lease takes the idle set; a second concurrent lease maps its own
         idle = pool._idle
         first, second = pool.lease(64), pool.lease(64)
         assert first is idle
-        assert sorted(second) == sorted(idle)
-        assert all(second[k] is not idle[k] for k in idle)
+        assert second.shape == idle.shape and not np.shares_memory(second, idle)
         pool.release(64, first)
 
     def test_working_set_holds_five_real_tables(self):
-        # r2, D and the pair slot: 40 bytes per entry, as many as the real
-        # tables they replaced
+        # the planes of D, the two of the log and pair tables and r2: 40
+        # bytes per entry, as many as the real tables they replaced
         from stokes2p import operators
 
-        tables = operators._TABLE_POOL.lease(48)
+        stack = operators._TABLE_POOL.lease(48)
         try:
-            assert sum(t.nbytes for t in tables.values()) == 40 * 48 * 48
+            assert stack.nbytes == 40 * 48 * 48 and stack.dtype == np.float64
         finally:
-            operators._TABLE_POOL.release(48, tables)
+            operators._TABLE_POOL.release(48, stack)
 
     def test_concurrent_ops_stress(self):
         # more threads than cores, switching often, each building composites
@@ -732,8 +730,9 @@ class TestRowBlocks:
         assert all(np.array_equal(a, b) for a, b in zip(self._outputs(f, phi), got))
 
     def test_warm_psi_holds_no_square_table(self):
-        # the idle set is one (rows, N) block set, rows * N <= _EVAL_BLOCK,
-        # and a warm call allocates less than one (N, N) float64 table
+        # the idle set is one stack of (rows, N) planes, rows * N <=
+        # _EVAL_BLOCK, and a warm call allocates less than one (N, N)
+        # float64 table
         import tracemalloc
 
         n = 512
@@ -741,7 +740,7 @@ class TestRowBlocks:
         eval_Psi(f, self.PARAMS)
         pool = operators._TABLE_POOL
         assert pool._idle_n == n and 64 * n <= operators._EVAL_BLOCK
-        assert all(t.shape == (64, n) for t in pool._idle.values())
+        assert pool._idle.shape == (operators._SET_PLANES, 64, n)
         tracemalloc.start()
         try:
             eval_Psi(f, self.PARAMS)
@@ -823,7 +822,7 @@ def _kernel_points(kind, count=4000):
 class TestLayerKernels:
     @pytest.mark.parametrize("kind", ["random", "near_lattice", "tall"])
     def test_match_real_coding(self, kind):
-        from stokes2p.operators import _LayerTables
+        from stokes2p.operators import _LayerTables, _sines
 
         r1, r2 = _kernel_points(kind)
         want = layer_kernels_real(r1, r2)
@@ -834,8 +833,7 @@ class TestLayerKernels:
             return factor * take(table)
 
         tables = _LayerTables.at(r1, r2)
-        u = np.exp(0.5j * r1)
-        split = _LayerTables(u, r2, log_shift=np.log(u.imag ** 2))
+        split = _LayerTables(*_sines(r1), r2, remainder=True)
         got = [read(tables, i) for i in range(7)] + [read(split, 0)]
         for i, (g, w) in enumerate(zip(got, want)):
             scale = np.maximum(1.0, np.abs(w))
@@ -843,8 +841,8 @@ class TestLayerKernels:
                 # Z3 = (r2/2)(1 + Z1^2 - Z2^2) is a difference of terms of
                 # this size.  Near a lattice point with |r1 - 2 pi k| ~ |r2|
                 # neither coding resolves it better (both are off a 50-digit
-                # value by up to 7e-12 there), and for |r2| >> 1 the complex
-                # form knows 1 - Z2^2 to an absolute epsilon only
+                # value by up to 7e-12 there), and for |r2| >> 1 the planes
+                # know 1 - Z2^2 to an absolute epsilon only
                 scale = np.maximum(scale, np.abs(r2) * (1.0 + want[1] ** 2 + want[2] ** 2) / 2.0)
             assert np.max(np.abs(g - w) / scale) <= 1e-13, i
 
