@@ -500,6 +500,11 @@ _PARTS = ((0, np.asarray, 1.0), (1, _first, 1.0), (1, _second, 1.0), (3, _first,
 _LEAD_PLANES = {0: slice(2, 3), 1: slice(0, 2), 3: slice(2, 4), 5: slice(2, 4)}
 
 
+# the |r2| past which the trace's remainder takes e^{-|r2|} at this floor:
+# e^{-600} 4 sin^2(r1/2) is a normal number for any N below 10^5
+_EXP_FLOOR = 600.0
+
+
 def _sines(r1):
     """The tables 4 sin(r1/2) cos(r1/2) = 2 sin(r1) and 4 sin^2(r1/2) that
     ``_LayerTables`` takes for r1."""
@@ -542,19 +547,21 @@ class _LayerTables:
     come from an outer product of phases or from r1 itself (``at``).  With
     ``remainder``, part 0 is Z0 - ln s1^2 = log1p(t^2/q) instead: the
     bounded remainder that the trace adds to the spectrally applied log,
-    with no |r2| to cancel against a log as r2 -> 0 (accurate while a is a
-    normal number, |r2| < 708).
+    with no |r2| to cancel against a log as r2 -> 0.  Past |r2| =
+    ``_EXP_FLOOR``, where e^{-|r2|} would underflow, q takes a at the floor
+    and the remainder adds |r2| - _EXP_FLOOR back: t^2/q is then so large
+    that its log1p is its log.
 
     Every table is written in place: r2 is the caller's, and the four
     ``planes`` are rows of a ``_TABLE_POOL`` set or, without it, a fresh
     stack.  So the working set is 40 bytes an entry on the interface, with
     r2, and 56 in the trapezoid rule of ``fields``, whose complex phases
-    become sc and ss in place.  Planes 0 and 1 hold D.  Planes 2 and 3 first hold the
-    constructor's t^2/q (with ``remainder``) and 1/den, from which ``part``
-    builds the log table into plane 2, and then the pair r2 (1 + D^2) or
-    r2 D, each built when first asked for and overwriting the last; this
-    object alone tracks which one they hold.  The factors of ``_PARTS``
-    take the halves of r2 (1 + D^2).
+    become sc and ss in place.  Planes 0 and 1 hold D.  Planes 2 and 3
+    first hold the constructor's t^2/q (with ``remainder``) and 1/den, from
+    which ``part`` builds the log table into plane 2, and then the pair
+    r2 (1 + D^2) or r2 D, each built when first asked for and overwriting
+    the last; this object alone tracks which one they hold.  The factors of
+    ``_PARTS`` take the halves of r2 (1 + D^2).
     """
 
     def __init__(self, sc, ss, r2, planes=None, remainder: bool = False):
@@ -578,6 +585,9 @@ class _LayerTables:
         t, z2, ratio, rden = self._views
         np.abs(r2, out=t)
         np.negative(t, out=t)
+        self._clamped = self._remainder and t.min() < -_EXP_FLOOR
+        if self._clamped:
+            np.maximum(t, -_EXP_FLOOR, out=t)   # expm1 is -1 either way
         np.exp(t, out=z2)                       # a
         np.expm1(t, out=t)
         z2 *= ss                                # q
@@ -626,6 +636,8 @@ class _LayerTables:
             scratch += scratch
         elif self._remainder:
             np.log1p(p, out=p)
+            if self._clamped:                   # log1p(t^2/q) = ln(t^2/q) there
+                p += np.maximum(np.abs(r2) - _EXP_FLOOR, 0.0)
         else:
             np.multiply(scratch, 4.0, out=p)
             np.log(p, out=p)

@@ -11,11 +11,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from stokes2p import InterfaceProfile, PeriodicGrid, operators  # noqa: E402
+from stokes2p import InterfaceProfile, PeriodicGrid, PhysParams, eval_Psi, operators  # noqa: E402
 from stokes2p.core import _half_samples  # noqa: E402
 from stokes2p.fields import stokeslet_eval  # noqa: E402
 
 EPS = np.finfo(float).eps
+
+
+def reference_remainder(r1: float, r2: float) -> float:
+    """The trace's log remainder Z0 - ln sin^2(r1/2) = log1p(sinh^2(r2/2) /
+    sin^2(r1/2)) to 50 digits."""
+    with mpmath.workdps(50):
+        r1, r2 = mpmath.mpf(r1), mpmath.mpf(r2)
+        return float(mpmath.log1p(mpmath.sinh(r2 / 2) ** 2 / mpmath.sin(r1 / 2) ** 2))
 
 
 def reference_kernels(r1: float, r2: float) -> list:
@@ -57,12 +65,19 @@ class TestTraceLogRemainder:
             (column,) = operators._sweep(f, [(0, unit)])
             column /= grid.spacing / (2.0 * np.pi)
             for i in range(64):
-                r1, r2 = nodes[(i - m - 1 + n // 2) % n], f.values[i] - half[m]
-                with mpmath.workdps(50):
-                    want = float(mpmath.log1p(mpmath.sinh(mpmath.mpf(r2) / 2) ** 2
-                                              / mpmath.sin(mpmath.mpf(r1) / 2) ** 2))
+                want = reference_remainder(nodes[(i - m - 1 + n // 2) % n],
+                                           f.values[i] - half[m])
                 worst = max(worst, abs(column[i] - want) / want)
         assert worst <= 1e-14
+
+    def test_tall_profile_stays_finite(self):
+        # |delta f| reaches 800, where e^{-|r2|} underflows: the remainder
+        # takes it at a floor and adds the rest back
+        grid = PeriodicGrid(64)
+        f = InterfaceProfile(grid, 400.0 * np.cos(grid.nodes))
+        psi = eval_Psi(f, PhysParams.from_theta(1.0, 1.0, 1.0))
+        assert np.all(np.isfinite(psi))
+        assert abs(np.mean(psi)) <= 1e-12 * np.max(np.abs(psi))
 
 
 # r1: anywhere, a few ulps from 0 (subnormal and normal) or at +/-pi
@@ -83,7 +98,9 @@ class TestKernelsAgainstReference:
     difference of terms of that size.  Z2 has all its digits besides:
     within 8 ulps of itself.  So has Z1 where |r2| <= 1; it is carried as
     4 (1 + t) s1 c1/den, so it has an absolute epsilon where e^{-|r2|} is
-    small.  The worst seen in 6000 draws was 2.6 ulps."""
+    small.  Where |r1| >= 1e-6, the trace's log remainder is within 8 ulps
+    of itself, up to |r2| = 800.  The worst seen in 6000 draws was 2.6
+    ulps for the kernels and 2.9 for the remainder."""
 
     ULPS = 8
 
@@ -108,6 +125,12 @@ class TestKernelsAgainstReference:
         assert abs(got[2] - want[2]) <= self.ULPS * EPS * abs(want[2])
         if abs(r2) <= 1.0 and abs(want[1]) >= np.finfo(float).tiny:
             assert abs(got[1] - want[1]) <= self.ULPS * EPS * abs(want[1])
+        if abs(r1) >= 1e-6:
+            # the trace's remainder, past the floor of e^{-|r2|} too
+            r1a, r2a = np.asarray(r1), np.asarray(r2)
+            trace = operators._LayerTables(*operators._sines(r1a), r2a, remainder=True)
+            rem = reference_remainder(r1, r2)
+            assert abs(float(trace.part(0)[0]) - rem) <= self.ULPS * EPS * rem
 
     @pytest.mark.parametrize("remainder", [False, True])
     def test_log_after_a_pair_is_rebuilt(self, remainder):
