@@ -742,10 +742,10 @@ def _sweep(f: InterfaceProfile, plan) -> list:
             r2 = np.subtract.outer(f.values[a:b], half, out=planes[4])
             layer = _LayerTables(sc[a:b], ss[a:b], r2, planes[:4], remainder=True)
             for (index, v), p in zip(plan, out):
-                layer.part(index)
-                held = _LEAD_PLANES[_PARTS[index][0]]
-                rows = (held.stop - held.start) * (b - a)
-                start = held.start * (b - a) * n
+                layer.part(index)                   # builds the lead's table
+                lead_planes = _LEAD_PLANES[_PARTS[index][0]]
+                rows = (lead_planes.stop - lead_planes.start) * (b - a)
+                start = lead_planes.start * (b - a) * n
                 table = flat[start:start + -(-rows // 4) * 4 * n].reshape(-1, n)
                 p[..., a:b] = (table @ v)[:rows].reshape(-1, b - a)
     finally:
