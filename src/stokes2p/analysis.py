@@ -78,8 +78,12 @@ def numeric_jacobian_at_zero(params: PhysParams, grid: PeriodicGrid, k_max: int,
     mode (or in the mean) is reported as leakage.  The probes run one after
     another, k = 1..k_max.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     if k_max > grid.n_points // 4:
         raise ValueError("k_max must be at most N/4 to stay well resolved")
+    if probe not in ("cos", "sin"):
+        raise ValueError(f"probe must be 'cos' or 'sin', got {probe!r}")
 
     phase, col = (np.cos, 0) if probe == "cos" else (np.sin, 1)
     modes = []
@@ -127,7 +131,9 @@ def _amplitudes(snapshots, kind):
     if kind == "l2":
         amps = np.array([s["l2"] for s in snapshots])
     else:
-        _, k = kind
+        k, n = kind[1], len(snapshots[0]["values"])
+        if not 1 <= k <= n // 2:
+            raise ValueError(f"kind {kind!r}: the mode must be in 1..{n // 2} at N = {n}")
         amps = np.array([
             np.abs(np.fft.fft(np.asarray(s["values"])))[k] * 2.0 / len(s["values"])
             for s in snapshots
@@ -142,8 +148,12 @@ def decay_rate_fit(snapshots, *, kind="l2",
     Keeps only snapshots whose amplitude lies inside ``amp_window`` (linear
     regime, above roundoff), then the last half of those.  Returns the decay
     rate (positive for decay) and the fit residual; a non-monotone or
-    underpopulated tail is flagged unreliable.
+    underpopulated tail is flagged unreliable.  ``kind`` is "l2" or
+    ("mode", k), k in 1..N/2; another raises ValueError.
     """
+    if kind != "l2" and not (isinstance(kind, tuple) and len(kind) == 2 and kind[0] == "mode"
+                             and isinstance(kind[1], (int, np.integer))):
+        raise ValueError(f"kind must be 'l2' or ('mode', k), got {kind!r}")
     if len(snapshots) < 10:
         return RateFit(None, None, 0, False, "need at least 10 snapshots")
     times, amps = _amplitudes(snapshots, kind)

@@ -28,8 +28,7 @@ from .evolution import (
     integrate,
     snapshot_record,
 )
-from .fields import (_bulk_flow, _collar_search, _far_field_residuals, _search_samples,
-                     default_collar, side_of)
+from .fields import _bulk_flow, _collar_search, _far_field_residuals, default_collar, side_of
 from .evolution import _far_field_constants, forcing_G
 from .verify import run_checks
 
@@ -226,18 +225,15 @@ def cmd_field(args) -> int:
     x2 = np.linspace(args.x2_min, args.x2_max, args.nx2)
     pts = np.stack(np.meshgrid(x1, x2), axis=-1).reshape(-1, 2)    # x2 outer, x1 inner
     collar = default_collar(f)
-    # one set of search samples serves the routing of the window, the sides
-    # of the kept points and the far-field probes
-    samples = _search_samples(f)
-    keep = ~_collar_search(f, pts, collar, False, samples)[1]
+    keep = ~_collar_search(f, pts, collar, False)[1]
     skipped = int(np.sum(~keep))
-    # one routing pass: the kept points need no second search.  One forcing
-    # serves the samples, the constants and the far-field check.  The rows
-    # are written from columns of Python floats, whose str is their repr,
-    # _CSV_ROWS rows at a time
+    # one routing pass: the kept points need no second search, and f keeps
+    # its search samples.  One forcing serves the samples, the constants and
+    # the far-field check.  The rows are written from columns of Python
+    # floats, whose str is their repr, _CSV_ROWS rows at a time
     G = forcing_G(f, params)
     kept = pts[keep]
-    v, q = _bulk_flow(f, G, params, kept, collar=0.0, samples=samples)
+    v, q = _bulk_flow(f, G, params, kept, collar=0.0)
     sides = side_of(f, kept)
 
     with open(args.out, "w", newline="") as fh:
@@ -255,7 +251,7 @@ def cmd_field(args) -> int:
         "c1_alt": constants.c1_alt, "c2_alt": constants.c2_alt,
         "collar": collar,
         "skipped_points": skipped,
-        "far_field": _far_field_residuals(f, params, G, samples=samples),
+        "far_field": _far_field_residuals(f, params, G),
     }
     sidecar_path = Path(args.out).with_suffix(".sidecar.json")
     sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n")

@@ -3,7 +3,8 @@
 Everything lives on the circle of circumference 2*pi, discretized by N
 equispaced collocation nodes (N even).  Grid functions are identified with
 their trigonometric interpolant, so differentiation, shifting and
-off-node evaluation are all exact for band-limited data.
+off-node evaluation are all exact for band-limited data.  ``_samples``
+takes a stack of them to the half grid or to uniform targets by FFT.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class PeriodicGrid:
 class InterfaceProfile:
     """Real nodal samples of a 2*pi-periodic function on a PeriodicGrid.
 
-    Treated as an immutable snapshot; Fourier coefficients and the spectral
-    derivative are computed lazily and cached.
+    Treated as an immutable snapshot; Fourier coefficients, the spectral
+    derivative and uniform samples are computed lazily and cached.
     """
 
     def __init__(self, grid: PeriodicGrid, values):
@@ -68,6 +69,7 @@ class InterfaceProfile:
         self.grid = grid
         self.values = values.copy()
         self.values.flags.writeable = False
+        self._uniform = {}
 
     @classmethod
     def zero(cls, grid: PeriodicGrid) -> "InterfaceProfile":
@@ -81,6 +83,15 @@ class InterfaceProfile:
     @cached_property
     def deriv_values(self) -> np.ndarray:
         return spectral_derivative(self)
+
+    def uniform_samples(self, m: int) -> np.ndarray:
+        """The interpolant at the m >= N targets 2 pi j / m, kept read-only per m."""
+        if m not in self._uniform:
+            if m < self.grid.n_points:
+                raise ValueError(f"need m >= N = {self.grid.n_points} targets, got {m}")
+            self._uniform[m] = _samples(self.values, m)[0]
+            self._uniform[m].flags.writeable = False
+        return self._uniform[m]
 
     @property
     def mean(self) -> float:
@@ -108,21 +119,6 @@ class InterfaceProfile:
 
     def __repr__(self):
         return f"InterfaceProfile(N={self.grid.n_points}, mean={self.mean:.3e})"
-
-
-def _uniform_samples(profile: InterfaceProfile, m: int) -> np.ndarray:
-    """The trigonometric interpolant at the m >= N uniform targets 2 pi j / m:
-    the nodal values for m = N, otherwise one zero-padded inverse FFT, with
-    the Nyquist coefficient split in half between modes +N/2 and -N/2 (N is
-    always even) as ``InterfaceProfile.eval_at`` reads it."""
-    n = profile.grid.n_points
-    if m == n:
-        return profile.values
-    c, h = profile.coeffs, n // 2
-    padded = np.zeros(m, dtype=complex)
-    padded[:h], padded[m - h + 1:] = c[:h], c[h + 1:]
-    padded[h] = padded[m - h] = c[h] / 2.0
-    return np.fft.ifft(padded, norm="forward").real
 
 
 def to_spectral(profile: InterfaceProfile) -> np.ndarray:
@@ -158,16 +154,28 @@ def _half_shift(n: int) -> np.ndarray:
     return shift
 
 
-def _half_samples(values: np.ndarray):
-    """Samples of the interpolant at the half grid (m + 1/2) h, and the FFT
-    of the values they came from."""
+def _samples(values, m: int | None = None):
+    """Samples of the rows of a (k, N) stack (or an N-vector) at the half grid
+    if m is None, else at the m >= N targets 2 pi j / m, each row with the
+    bits it has alone, and the rows' FFTs (None for m = N: the values
+    themselves).  The Nyquist coefficient is split between modes +N/2 and
+    -N/2 (N is even), as ``InterfaceProfile.eval_at`` reads it."""
+    n = values.shape[-1]
+    if m == n:
+        return values, None
     coeffs = np.fft.fft(values)
-    return np.fft.ifft(coeffs * _half_shift(len(values))).real, coeffs
+    if m is None:
+        return np.fft.ifft(coeffs * _half_shift(n)).real, coeffs
+    c, h = coeffs / n, n // 2
+    padded = np.zeros(values.shape[:-1] + (m,), dtype=complex)
+    padded[..., :h], padded[..., m - h + 1:] = c[..., :h], c[..., h + 1:]
+    padded[..., h] = padded[..., m - h] = c[..., h] / 2.0
+    return np.fft.ifft(padded, norm="forward").real, coeffs
 
 
 def half_shift_samples(profile: InterfaceProfile) -> np.ndarray:
     """Values of the interpolant on the half-spacing companion grid."""
-    return _half_samples(profile.values)[0]
+    return _samples(profile.values)[0]
 
 
 @dataclass(frozen=True)

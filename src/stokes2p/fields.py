@@ -24,12 +24,12 @@ points holding at most ``core._EVAL_BLOCK`` (point, node) entries gets its
 own ``_PointLayers``, and the blocks take turns in one working set, so
 memory is bounded by one block for any number of points.
 
-Off-grid values come from ``core``: uniform ones (the search's, and the
-trapezoid rule's) from ``_uniform_samples``, one zero-padded inverse FFT;
-the others (the near rule's nodes, the Newton feet, ``side_of``) from
-``eval_at``, whose memory is bounded by a block of its phase matrix, so the
-near rule samples f and each density by one call over the nodes of all the
-points of a block.
+Off-grid values come from ``core``: uniform ones from ``_samples``, f's
+kept on the profile and a block's new densities as one stack; the others
+(the near rule's nodes, the Newton feet, ``side_of``) from ``eval_at``,
+whose memory is bounded by a block of its phase matrix, so the near rule
+samples f and each density by one call over the nodes of all the points of
+a block.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import (_EVAL_BLOCK, InterfaceProfile, PhysParams, _uniform_samples,
-                   geometry_quantities, spectral_derivative)
+from .core import (_EVAL_BLOCK, InterfaceProfile, PhysParams, _samples, geometry_quantities,
+                   spectral_derivative)
 from .evolution import (_direct_velocity, _far_field_constants, _parts_velocity,
                         forcing_G, phi_of)
 from .layer_series import _Series, _terms
@@ -169,7 +169,7 @@ def _closest_samples(fs: np.ndarray, pts: np.ndarray):
 
 def _search_samples(f: InterfaceProfile) -> np.ndarray:
     """The max(8N, 1024) uniform samples of f that the distance search reads."""
-    return _uniform_samples(f, max(8 * f.grid.n_points, 1024))
+    return f.uniform_samples(max(8 * f.grid.n_points, 1024))
 
 
 def _field_points(points) -> np.ndarray:
@@ -253,11 +253,11 @@ def _trapezoid_nodes(f: InterfaceProfile) -> int:
 def _trapezoid_rule(f: InterfaceProfile, pts: np.ndarray, work: dict):
     """The periodic trapezoid rule on max(N, 256) nodes at points away from
     the interface: a density sampler and the product of the layer tables
-    over (point, node) with the samples.  The nodes are uniform, so f and
-    the densities are sampled by ``_uniform_samples``: their nodal values
-    from N = 256 up.  The tables u, r2 and the four planes of
-    ``_LayerTables`` are written into the flat buffers of ``work`` (see
-    ``_point_blocks``)."""
+    over (point, node) with the samples.  The nodes are uniform: f's samples
+    are the ones it keeps, a stack of densities is sampled by ``_samples``,
+    their nodal values from N = 256 up.  The tables u, r2 and the four
+    planes of ``_LayerTables`` are written into the flat buffers of ``work``
+    (see ``_point_blocks``)."""
     m = _trapezoid_nodes(f)
     s = 2.0 * np.pi * np.arange(m) / m
     shape = (len(pts), m)
@@ -270,10 +270,10 @@ def _trapezoid_rule(f: InterfaceProfile, pts: np.ndarray, work: dict):
     sc, ss = u.real, u.imag
     np.multiply(sc, ss, out=sc)
     np.square(ss, out=ss)
-    r2 = np.subtract.outer(pts[:, 1], _uniform_samples(f, m),
+    r2 = np.subtract.outer(pts[:, 1], f.uniform_samples(m),
                            out=work["r2"][:len(pts) * m].reshape(shape))
     layer = _LayerTables(sc, ss, r2, planes)
-    return ((lambda values: _uniform_samples(InterfaceProfile(f.grid, values), m)),
+    return ((lambda stack: _samples(stack, m)[0]),
             (lambda index, v: layer.part(index)[0] @ v / m))
 
 
@@ -281,7 +281,7 @@ def _near_rule(f: InterfaceProfile, pts: np.ndarray, feet, dist):
     """The graded panel rule at points near the interface, from their feet
     (parameter, distance), in the form of ``_trapezoid_rule``.  The nodes
     of all points form one flat set, each point's sum one segment of it, on
-    which f and each density are sampled by one ``eval_at``."""
+    which f and each density of a stack are sampled by one ``eval_at``."""
     rules = [_near_nodes(d, f.grid.spacing) for d in dist]
     counts = [len(w) for _, w in rules]
     offset, w = (np.concatenate(parts) for parts in zip(*rules))
@@ -292,7 +292,7 @@ def _near_rule(f: InterfaceProfile, pts: np.ndarray, feet, dist):
     r2 = np.repeat(pts[:, 1], counts) - f.eval_at(s)
     starts = np.cumsum([0] + counts[:-1])
     layer = _LayerTables.at(r1, r2)
-    return ((lambda values: w * InterfaceProfile(f.grid, values).eval_at(s)),
+    return ((lambda stack: [w * InterfaceProfile(f.grid, v).eval_at(s) for v in stack]),
             (lambda index, v: np.add.reduceat(layer.part(index)[0] * v, starts, axis=-1)
              / (2.0 * np.pi)))
 
@@ -317,7 +317,7 @@ class _PointLayers(_LayerSums):
         super().__init__(f.grid, len(pts), rules)
 
 
-def _collar_search(f: InterfaceProfile, pts: np.ndarray, collar, near, samples=None):
+def _collar_search(f: InterfaceProfile, pts: np.ndarray, collar, near):
     """The routing pass: the strip side of each point (+1 above, -1 below,
     0 inside), the mask of those inside the collar and, with ``near=True``,
     their feet (parameter, distance).  A point above or below clears, in
@@ -326,15 +326,14 @@ def _collar_search(f: InterfaceProfile, pts: np.ndarray, collar, near, samples=N
     collar, as the search would find, and only the others are searched.  A
     collar <= 0 admits every point without a search, and the sides then
     serve the series alone: they are not found where no side can outnumber
-    its K + 1 terms.  ``samples`` are f's ``_search_samples`` if the caller
-    has them.  Points not finite raise ValueError."""
+    its K + 1 terms.  Points not finite raise ValueError."""
     pts = _field_points(pts)
     side, close = np.zeros(len(pts), np.int8), np.zeros(len(pts), bool)
     feet, dist = np.empty(0), np.empty(0)
     if collar <= 0 and len(pts) <= len(_terms(default_collar(f))):
         return side, close, feet, dist
-    fs = _search_samples(f) if samples is None else samples
-    heights = np.concatenate([fs, _uniform_samples(f, _trapezoid_nodes(f))])
+    fs = _search_samples(f)
+    heights = np.concatenate([fs, f.uniform_samples(_trapezoid_nodes(f))])
     gap = max(collar, default_collar(f))
     side[pts[:, 1] - np.max(heights) >= gap] = 1
     side[np.min(heights) - pts[:, 1] >= gap] = -1
@@ -360,8 +359,7 @@ def _block_bounds(nodes) -> list:
     return bounds
 
 
-def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=False,
-                  samples=None):
+def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=False):
     """The rows and ``_PointLayers`` of each block of the points, in input
     order, after one routing pass (see ``_collar_search`` and
     ``_block_bounds``).  The points clear of the strip on a side take the
@@ -376,7 +374,7 @@ def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=Fal
     drawn."""
     collar = default_collar(f) if collar is None else collar
     m, k = _trapezoid_nodes(f), _terms(default_collar(f))
-    side, close, feet, dist = _collar_search(f, pts, collar, near, samples)
+    side, close, feet, dist = _collar_search(f, pts, collar, near)
     if np.any(close) and not near:
         raise ProximityError("field point within the interface collar; use the trace "
                              "formulas or near=True for an approach study")
@@ -405,15 +403,14 @@ def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=Fal
                                                work, series)
 
 
-def _blocked(f: InterfaceProfile, points, evaluate, *, collar=None, near=False,
-             samples=None) -> list:
+def _blocked(f: InterfaceProfile, points, evaluate, *, collar=None, near=False) -> list:
     """The arrays over the points that ``evaluate(composites)`` returns for
     the ``_PointLayers`` of a block, each assembled over the blocks of
     ``_point_blocks``.  Each block's evaluator is dropped before the next
     block is drawn."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     outs = []
-    for rows, layers in _point_blocks(f, pts, collar=collar, near=near, samples=samples):
+    for rows, layers in _point_blocks(f, pts, collar=collar, near=near):
         parts = evaluate(layers.composites)
         del layers
         outs = outs or [np.empty((len(pts),) + np.shape(p)[1:]) for p in parts]
@@ -482,10 +479,10 @@ def _bulk_gradient(B, G, mu):
     return np.stack([d1v1, d2v1, d1v2, -d1v1], axis=-1).reshape(-1, 2, 2)
 
 
-def _bulk_flow(f, G, params, pts, *, collar, samples=None):
+def _bulk_flow(f, G, params, pts, *, collar):
     """Velocity (P, 2) and pressure (P,) from one evaluator per block."""
     return _blocked(f, pts, lambda B: (_bulk_velocity(B, G, params.mu), _bulk_pressure(B, G)),
-                    collar=collar, samples=samples)
+                    collar=collar)
 
 
 def velocity_field(f: InterfaceProfile, params: PhysParams, points, *,
@@ -711,16 +708,15 @@ def far_field_residuals(f: InterfaceProfile, params: PhysParams, *,
     return _far_field_residuals(f, params, forcing_G(f, params), height)
 
 
-def _far_field_residuals(f, params, G, height: float = 20.0, samples=None) -> dict:
-    """``far_field_residuals`` with the forcing G of (f, params) given, and
-    f's ``_search_samples`` if the caller has them."""
+def _far_field_residuals(f, params, G, height: float = 20.0) -> dict:
+    """``far_field_residuals`` with the forcing G of (f, params) given."""
     if not 0.0 < height < np.inf:
         raise ValueError(f"far-field height must be finite and positive, got {height}")
     c = _far_field_constants(f, params, G)
     x1 = 2.0 * np.pi * (np.arange(8) + 0.37) / 8
     signs = np.array([1.0, -1.0])
     pts = np.stack(np.broadcast_arrays(x1, signs[:, None] * height), axis=-1).reshape(-1, 2)
-    v, q = _bulk_flow(f, G, params, pts, collar=None, samples=samples)
+    v, q = _bulk_flow(f, G, params, pts, collar=None)
     out = {}
     for sign, name, v_side, q_side in zip(signs, ("plus", "minus"), v.reshape(2, 8, 2),
                                           q.reshape(2, 8)):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _EVAL_BLOCK, InterfaceProfile, _uniform_samples
+from .core import _EVAL_BLOCK, InterfaceProfile, _samples
 from .evolution import LN4
 from .operators import _PARTS
 
@@ -62,7 +62,7 @@ class _Series:
     it, -1 at those below and 0 at the others."""
 
     def __init__(self, f: InterfaceProfile, m: int, k: np.ndarray, side, block_points: int):
-        self.m, self.grid, self.fs, self.k = m, f.grid, _uniform_samples(f, m), k
+        self.m, self.fs, self.k = m, f.uniform_samples(m), k
         self.s = 2.0 * np.pi * np.arange(m) / m
         self.sides = [sg for sg in (1.0, -1.0) if np.any(side == sg)]
         self.h0 = {1.0: np.max(self.fs), -1.0: np.min(self.fs)}
@@ -83,7 +83,7 @@ class _Series:
         (2, K + 1) array, slab by slab.  By matrix-vector products only: a
         matrix product has BLAS fault in larger buffers (about 0.4 MB more
         RSS), and complex products of real vectors do not take BLAS."""
-        v = _uniform_samples(InterfaceProfile(self.grid, values), self.m) / self.m
+        v = _samples(values, self.m)[0] / self.m
         weighted = v.astype(complex), (self.fs * v).astype(complex)
         coefficients, slab = {}, self._slab
         for sg in self.sides:
@@ -112,7 +112,7 @@ class _Series:
             powers = powers.reshape(n_terms, len(x2))
             used += len(x2)
             _powers(np.exp(-sg * (1j * x1 + (x2 - self.h0[sg]))), powers)
-            rules.append((share, lambda values, sg=sg: self.coefficients(values)[sg],
+            rules.append((share, lambda stack, sg=sg: [self.coefficients(v)[sg] for v in stack],
                           self._product(powers.T, x2, sg)))
         return rules
 

@@ -52,8 +52,8 @@ spectrally.  The 1/s kernels are not periodic, so the midpoint rule is only
 second order for them; a symmetrized Gauss-Legendre rule is available
 (``rule="gauss"``) when converged values rather than shared-node identities
 are wanted.  Densities and arguments are sampled at xi_i - s_j by FFT phase
-shifts, with a circulant fast path (a strided view of the half-grid samples)
-when the nodes are the half grid.
+shifts, with a circulant fast path (a strided view of the half-grid samples
+of ``core._samples``, a call's densities as one stack) on the half grid.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from operator import itemgetter
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import _EVAL_BLOCK, InterfaceProfile, PeriodicGrid, TWO_PI, _half_samples
+from .core import _EVAL_BLOCK, InterfaceProfile, PeriodicGrid, TWO_PI, _samples
 
 __all__ = [
     "OperatorSpec",
@@ -168,7 +168,7 @@ class KernelWorkspace:
         values = np.asarray(values, dtype=float)
         n = self.grid.n_points
         if self._circulant:
-            return _circulant(_half_samples(values)[0])
+            return _circulant(_samples(values)[0])
         c = np.fft.fft(values) / n
         phase = np.exp(-1j * np.outer(self.grid.wavenumbers, self.nodes))
         return np.fft.ifft(c[:, None] * phase * n, axis=0).real
@@ -650,7 +650,8 @@ class _LayerTables:
 
 class _LayerSums:
     """Layer integrals Z_index[density] by a list of rules.  A rule is
-    (share, sample, product): the outputs it fills, its density sampler and
+    (share, sample, product): the outputs it fills, its sampler of a (k, N)
+    stack of densities (a list of the samples of each row) and
     product(index, samples), the weighted sum over its nodes of the table of
     the lead of ``_PARTS[index]`` (for a table rule, ``part(index)`` of its
     ``_LayerTables``) against the samples: one array over the points, or
@@ -663,30 +664,29 @@ class _LayerSums:
         self.grid, self.n_out, self._rules = grid, n_out, rules
         self._samples, self._products = {}, {}
 
-    def _sampled(self, density):
-        values = _density_values(density, self.grid)
-        key = values.tobytes()
-        samples = self._samples.get(key)
-        if samples is None:
-            samples = self._samples[key] = [sample(values) for _, sample, _ in self._rules]
-        return key, samples
+    def _sampled(self, densities) -> list:
+        """The densities' memo keys; the new ones are sampled as one stack."""
+        keys = [_density_values(d, self.grid).tobytes() for d in densities]
+        fresh = [key for key in dict.fromkeys(keys) if key not in self._samples]
+        if fresh:
+            stack = np.frombuffer(b"".join(fresh)).reshape(len(fresh), -1)
+            samples = [sample(stack) for _, sample, _ in self._rules]
+            self._samples.update((key, [s[row] for s in samples]) for row, key in enumerate(fresh))
+        return keys
 
-    def _sum(self, index: int, key: bytes, samples) -> np.ndarray:
+    def _sum(self, index: int, key: bytes) -> np.ndarray:
         lead, take, factor = _part(index)
         products = self._products.get((lead, key))
         if products is None:
             products = self._products[lead, key] = [
-                product(index, v) for (_, _, product), v in zip(self._rules, samples)]
+                product(index, v) for (_, _, product), v in zip(self._rules, self._samples[key])]
         z = np.empty(self.n_out)
         for (share, *_), p in zip(self._rules, products):
             z[share] = take(p) * factor
         return z
 
-    def composite(self, index: int, density) -> np.ndarray:
-        return self._sum(index, *self._sampled(density))
-
     def composites(self, index: int, *densities) -> list:
-        return [self.composite(index, d) for d in densities]
+        return [self._sum(index, key) for key in self._sampled(densities)]
 
 
 def _part(index: int):
@@ -727,7 +727,7 @@ def _sweep(f: InterfaceProfile, plan) -> list:
         return []
     n = f.grid.n_points
     out = [np.empty((n,) if _PARTS[index][0] == 0 else (2, n)) for index, _ in plan]
-    half = _half_samples(f.values)[0]
+    half = _samples(f.values)[0]
     sc, ss = _trace_phases(n)
     blocks = _row_blocks(n)
     bounds = [i * n // blocks for i in range(blocks + 1)]
@@ -773,17 +773,17 @@ class DiagonalOps(_LayerSums):
     def __init__(self, f: InterfaceProfile):
         self.f = f
         super().__init__(f.grid, f.grid.n_points, [
-            (slice(None), _half_samples, lambda index, v: _sweep(f, [(index, v[0])])[0])])
+            (slice(None), lambda stack: list(zip(*_samples(stack))),
+             lambda index, v: _sweep(f, [(index, v[0])])[0])])
 
     def sweep(self, requests) -> None:
         """Take the products of the (index, density) ``requests`` that no
-        sweep took yet, all in one."""
+        sweep took yet, all in one, their densities sampled as one stack."""
         plan = {}
-        for index, density in requests:
-            key, samples = self._sampled(density)
+        for (index, _), key in zip(requests, self._sampled([d for _, d in requests])):
             lead_key = _part(index)[0], key
             if lead_key not in self._products:
-                plan.setdefault(lead_key, (index, samples[0][0]))
+                plan.setdefault(lead_key, (index, self._samples[key][0][0]))
         keys = sorted(plan, key=lambda lead_key: lead_key[0])
         for lead_key, p in zip(keys, _sweep(self.f, [plan[k] for k in keys])):
             self._products[lead_key] = [p]
@@ -795,13 +795,18 @@ class DiagonalOps(_LayerSums):
         df = ws.delta(self.f.values)
         return _tangent_kernel(ws, [df] * m, [df] * n, [df] * q, p)
 
+    def composites(self, index: int, *densities) -> list:
+        """One ``composite`` per density; one no ``sweep`` took is sampled alone."""
+        return [self.composite(index, d) for d in densities]
+
     def composite(self, index: int, density) -> np.ndarray:
         """Composite ``index`` of a density: a part of its table's product with
         the half-grid samples; index 0 adds the spectral log part."""
-        key, samples = self._sampled(density)
-        out = self._sum(index, key, samples)
+        (key,) = self._sampled([density])
+        out = self._sum(index, key)
         if index == 0:
-            return np.fft.ifft(_log_sin_multiplier(self.grid.n_points) * samples[0][1]).real + out
+            coeffs = self._samples[key][0][1]
+            return np.fft.ifft(_log_sin_multiplier(self.grid.n_points) * coeffs).real + out
         return out
 
 

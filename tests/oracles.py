@@ -8,7 +8,7 @@ dense nearest-sample scan and the dense trapezoid rule off the interface."""
 import numpy as np
 
 from stokes2p import InterfaceProfile, OperatorSpec
-from stokes2p.core import _uniform_samples
+from stokes2p.core import _samples
 from stokes2p.operators import KernelWorkspace, _LayerTables, _density_values, _resolve_grid
 
 
@@ -187,11 +187,11 @@ def trapezoid_layers(f, pts):
     m = max(f.grid.n_points, 256)
     s = 2.0 * np.pi * np.arange(m) / m
     r1 = np.subtract.outer(pts[:, 0], s)
-    r2 = np.subtract.outer(pts[:, 1], _uniform_samples(f, m))
+    r2 = np.subtract.outer(pts[:, 1], _samples(f.values, m)[0])
 
     def B(index, *densities):
         table, take, factor = _LayerTables.at(r1, r2).part(index)
-        return [factor * take(table @ _uniform_samples(InterfaceProfile(f.grid, d), m) / m)
+        return [factor * take(table @ _samples(np.asarray(d, dtype=float), m)[0] / m)
                 for d in densities]
 
     return B

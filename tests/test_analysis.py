@@ -75,14 +75,28 @@ class TestNumericJacobian:
         with pytest.raises(ValueError):
             numeric_jacobian_at_zero(PhysParams.from_theta(1.0, 1.0, 0.0), grid, 20)
 
+    @pytest.mark.parametrize("k_max", [0, -3])
+    def test_k_max_below_one_rejected(self, k_max):
+        # not a report with no modes and leakage 0.0
+        grid = PeriodicGrid(64)
+        with pytest.raises(ValueError, match="k_max"):
+            numeric_jacobian_at_zero(PhysParams.from_theta(1.0, 1.0, 0.0), grid, k_max)
 
-def synthetic_snapshots(rate, n=200, t_end=8.0, a0=1e-5, noise=0.0, seed=0):
+    @pytest.mark.parametrize("probe", ["tan", "COS", "", None])
+    def test_unknown_probe_rejected(self, probe):
+        # not the sine probe run in its place
+        grid = PeriodicGrid(64)
+        with pytest.raises(ValueError, match="probe"):
+            numeric_jacobian_at_zero(PhysParams.from_theta(1.0, 1.0, 0.0), grid, 2, probe=probe)
+
+
+def synthetic_snapshots(rate, n=200, t_end=8.0, a0=1e-5, noise=0.0, seed=0, points=16):
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, t_end, n)
     recs = []
     for t in times:
         amp = a0 * np.exp(-rate * t) * (1.0 + noise * rng.normal())
-        values = amp * np.cos(2 * np.pi * np.arange(16) / 16)
+        values = amp * np.cos(2 * np.pi * np.arange(points) / points)
         recs.append({"t": float(t), "mean": 0.0, "linf": abs(amp),
                      "l2": abs(amp) / np.sqrt(2), "values": list(values)})
     return recs
@@ -117,3 +131,21 @@ class TestRateFit:
     def test_noisy_tail_flagged(self):
         fit = decay_rate_fit(synthetic_snapshots(0.25, noise=0.3, seed=1))
         assert not fit.reliable
+
+    @pytest.mark.parametrize("kind", ["l1", "L2", ("mode",), ("mode", 1, 2), ("amp", 1),
+                                      ("mode", 1.0), ("mode", "1")])
+    def test_unknown_kind_rejected(self, kind):
+        # a ValueError naming the kind, not numpy's IndexError
+        with pytest.raises(ValueError, match="kind"):
+            decay_rate_fit(synthetic_snapshots(0.25, points=32), kind=kind)
+
+    @pytest.mark.parametrize("k", [0, -1, 17, 99])
+    def test_mode_out_of_range_rejected(self, k):
+        # modes 1..N/2 exist at N = 32
+        with pytest.raises(ValueError, match=r"\('mode', %d\)" % k):
+            decay_rate_fit(synthetic_snapshots(0.25, points=32), kind=("mode", k))
+
+    def test_nyquist_mode_accepted(self):
+        # mode N/2 exists; the snapshots hold none of it, so no fit
+        fit = decay_rate_fit(synthetic_snapshots(0.25, points=32), kind=("mode", 16))
+        assert fit.rate is None and not fit.reliable

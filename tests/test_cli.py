@@ -240,7 +240,7 @@ class TestField:
         # the routing of the window, the sides of its kept points (which
         # outnumber the series terms) and the far-field probes read one set
         # of max(8N, 1024) search samples
-        from stokes2p import fields
+        from stokes2p import core
 
         n = 256
         nodes = 2.0 * np.pi * np.arange(n) / n
@@ -248,9 +248,8 @@ class TestField:
         snapshot = tmp_path / "snap.json"
         snapshot.write_text(json.dumps({"t": 0.0, "values": values.tolist()}) + "\n")
         sizes = []
-        uniform = fields._uniform_samples
-        monkeypatch.setattr(fields, "_uniform_samples",
-                            lambda f, m: sizes.append(m) or uniform(f, m))
+        sample = core._samples
+        monkeypatch.setattr(core, "_samples", lambda v, m=None: sizes.append(m) or sample(v, m))
         assert run_cli("field", "--snapshot", str(snapshot), "--x2-min", "-2", "--x2-max", "2",
                        "--nx1", "64", "--nx2", "64", "--out", str(tmp_path / "f.csv")) == 0
         assert sizes.count(2048) == 1
@@ -289,8 +288,8 @@ class TestField:
         x1 = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
         pts = np.array([[a, b] for b in np.linspace(-1.5, 1.5, 13) for a in x1])
         collar = default_collar(f)
-        heights = np.concatenate([fields._uniform_samples(f, max(8 * n, 1024)),
-                                  fields._uniform_samples(f, max(n, 256))])
+        heights = np.concatenate([f.uniform_samples(max(8 * n, 1024)),
+                                  f.uniform_samples(max(n, 256))])
         clear = ((pts[:, 1] - np.max(heights) >= collar)
                  | (np.min(heights) - pts[:, 1] >= collar))
         assert len(searched) == 1 and np.array_equal(searched[0], pts[~clear])
@@ -403,6 +402,15 @@ class TestField:
     def test_missing_snapshot(self, tmp_path):
         assert run_cli("field", "--snapshot", str(tmp_path / "nope.jsonl"),
                        "--out", str(tmp_path / "f.csv")) == 1
+
+    @pytest.mark.parametrize("text", ["", "\n\n  \n"])
+    def test_empty_snapshot_file(self, tmp_path, capsys, text):
+        snapshot = tmp_path / "empty.jsonl"
+        snapshot.write_text(text)
+        out = tmp_path / "f.csv"
+        assert run_cli("field", "--snapshot", str(snapshot), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: no snapshots in")
+        assert not out.exists()
 
 
 class TestVerify:

@@ -16,6 +16,7 @@ from stokes2p import (
     spectral_derivative,
     to_spectral,
 )
+from stokes2p.core import _samples
 
 
 def random_profile(grid, seed, amplitude=0.3, modes=None):
@@ -143,6 +144,83 @@ class TestHalfShift:
         once = InterfaceProfile(g, half_shift_samples(f))
         twice = half_shift_samples(once)
         assert np.max(np.abs(twice - np.roll(f.values, -1))) < 1e-12
+
+
+class TestProfile:
+    @pytest.mark.parametrize("shape", [(15,), (17,), (2, 16), (), (16, 1)])
+    def test_values_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="does not match grid size 16"):
+            InterfaceProfile(PeriodicGrid(16), np.zeros(shape))
+
+
+def with_nyquist(grid, seed, rows=1):
+    """Random values whose spectra reach the Nyquist mode, (rows, N)."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(rows, grid.n_points)) + np.cos(grid.n_points // 2 * grid.nodes)
+
+
+def one_profile_samples(values, m):
+    """The interpolant of one row of values at m uniform targets, or at the
+    half grid for m None, coded from the profile's own coefficients: one
+    zero-padded inverse FFT that splits the Nyquist coefficient, or the
+    half-spacing shift multiplier."""
+    f = InterfaceProfile(PeriodicGrid(len(values)), values)
+    n, c = len(values), f.coeffs
+    if m is None:
+        shift = np.exp(1j * f.grid.wavenumbers * (f.grid.spacing / 2))
+        return np.fft.ifft(np.fft.fft(f.values) * shift).real
+    if m == n:
+        return f.values
+    padded, h = np.zeros(m, dtype=complex), n // 2
+    padded[:h], padded[m - h + 1:] = c[:h], c[h + 1:]
+    padded[h] = padded[m - h] = c[h] / 2.0
+    return np.fft.ifft(padded, norm="forward").real
+
+
+class TestSamples:
+    @pytest.mark.parametrize("n", [8, 64, 200])
+    @pytest.mark.parametrize("factor", [None, 1, 2, 8])
+    def test_stack_rows_match_single_rows_bitwise(self, n, factor):
+        # a stack of densities is sampled as one FFT along its rows, and
+        # each row keeps the bits it has alone
+        grid = PeriodicGrid(n)
+        m = None if factor is None else factor * n
+        stack = with_nyquist(grid, n, rows=11)
+        samples, coeffs = _samples(stack, m)
+        assert samples.shape == (11, n if m is None else m)
+        if m == n:      # the values themselves, no FFT taken
+            assert samples is stack and coeffs is None
+            coeffs = [None] * len(stack)
+        for row, got, c in zip(stack, samples, coeffs):
+            alone, alone_c = _samples(row, m)
+            assert np.array_equal(got, alone) and np.array_equal(got, one_profile_samples(row, m))
+            if c is not None:
+                assert np.array_equal(c, alone_c) and np.array_equal(c, np.fft.fft(row))
+
+    @pytest.mark.parametrize("n", [8, 64, 200])
+    @pytest.mark.parametrize("factor", [1, 2, 8])
+    def test_kept_uniform_samples_are_fresh_ones(self, n, factor):
+        grid = PeriodicGrid(n)
+        f = InterfaceProfile(grid, with_nyquist(grid, n)[0])
+        kept = f.uniform_samples(factor * n)
+        assert np.array_equal(kept, _samples(f.values.copy(), factor * n)[0])
+        assert f.uniform_samples(factor * n) is kept
+        # read-only, as the values they came from
+        assert not kept.flags.writeable and not f.values.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0] = 0.0
+
+    @pytest.mark.parametrize("m", [32, 63, 0])
+    def test_fewer_targets_than_nodes_rejected(self, m):
+        # a padded spectrum needs m >= N; fewer would alias silently
+        f = InterfaceProfile(PeriodicGrid(64), np.cos(PeriodicGrid(64).nodes))
+        with pytest.raises(ValueError, match="m >= N = 64"):
+            f.uniform_samples(m)
+
+    def test_half_shift_samples_are_the_half_grid_samples(self):
+        grid = PeriodicGrid(64)
+        f = InterfaceProfile(grid, with_nyquist(grid, 3)[0])
+        assert np.array_equal(half_shift_samples(f), _samples(f.values)[0])
 
 
 def full_spectrum(grid, seed):

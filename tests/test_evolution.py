@@ -175,6 +175,22 @@ class TestPsi:
         rolled = eval_Psi(InterfaceProfile(g, np.roll(f.values, shift)), params)
         assert np.max(np.abs(rolled - np.roll(eval_Psi(f, params), shift))) < 1e-12
 
+    def test_repeat_call_takes_six_ffts(self, monkeypatch):
+        # the densities of a call are sampled on the half grid as one stack
+        # (an FFT and its inverse), f itself once more by the sweep, and the
+        # log part of composite 0 takes one inverse FFT for each of g1, g2
+        g = PeriodicGrid(128)
+        params = PhysParams.from_theta(1.3, 0.7, 1.5)
+        f = random_profile(g, 2)
+        want = eval_Psi(f, params)
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn"):
+            original = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        assert np.array_equal(eval_Psi(f, params), want)
+        assert len(calls) <= 6, calls
+
 
 def psi_from_composite_terms(f, params):
     """Psi assembled term by term from its 14 composite applications: the
@@ -494,6 +510,20 @@ class TestStepping:
         assert set(rec) == {"t", "mean", "linf", "l2", "values"}
         assert len(rec["values"]) == 32
         assert rec["linf"] >= rec["l2"] > 0
+
+    def test_final_snapshot_off_the_stride(self):
+        # 10 steps at stride 3: records after steps 3, 6 and 9, then the
+        # final state at t_end
+        g = PeriodicGrid(32)
+        params = PhysParams.from_theta(1.0, 1.0, 0.0)
+        records = []
+        final = integrate(EvolutionState(0.0, InterfaceProfile(g, 1e-4 * np.cos(g.nodes)), params),
+                          StepperConfig(dt=0.01, t_end=0.1, snapshot_stride=3),
+                          sink=records.append)
+        assert final.step_count == 10
+        assert [r["t"] for r in records[:3]] == pytest.approx([0.03, 0.06, 0.09])
+        assert len(records) == 4 and records[-1]["t"] == final.time == pytest.approx(0.1)
+        assert records[-1]["values"] == final.profile.values.tolist()
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):

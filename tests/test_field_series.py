@@ -26,8 +26,8 @@ PARAMS = PhysParams.from_theta(mu=1.3, sigma=0.7, theta=1.5)
 def strip_range(f):
     """The lowest and highest of the samples of f that the routing reads:
     the distance search's and the trapezoid rule's."""
-    heights = np.concatenate([fields._uniform_samples(f, max(8 * f.grid.n_points, 1024)),
-                              fields._uniform_samples(f, max(f.grid.n_points, 256))])
+    heights = np.concatenate([f.uniform_samples(max(8 * f.grid.n_points, 1024)),
+                              f.uniform_samples(max(f.grid.n_points, 256))])
     return np.min(heights), np.max(heights)
 
 

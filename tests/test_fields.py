@@ -21,7 +21,7 @@ from stokes2p import (
     velocity_field,
     velocity_gradient_field,
 )
-from stokes2p import evolution, fields
+from stokes2p import core, evolution, fields
 from stokes2p.operators import _LayerTables
 from stokes2p.fields import (
     antiderivative,
@@ -532,7 +532,7 @@ def closest_samples(f, pts):
 def scan_samples(f):
     """The samples of f that the distance search scans."""
     m = max(8 * f.grid.n_points, 1024)
-    return np.linspace(0.0, 2.0 * np.pi, m, endpoint=False), fields._uniform_samples(f, m)
+    return np.linspace(0.0, 2.0 * np.pi, m, endpoint=False), f.uniform_samples(m)
 
 
 def with_nyquist(grid, seed):
@@ -607,7 +607,7 @@ class TestDistanceSearch:
         grid = PeriodicGrid(n)
         f = InterfaceProfile(grid, band_limited(grid, n, modes=16)
                              + 0.01 * np.cos(grid.n_points // 2 * grid.nodes))
-        got = fields._uniform_samples(f, m)
+        got = f.uniform_samples(m)
         assert np.max(np.abs(got - f.eval_at(2.0 * np.pi * np.arange(m) / m))) <= 1e-14
 
     @pytest.mark.parametrize("n, m", [(200, 1600), (200, 256)])
@@ -621,7 +621,7 @@ class TestDistanceSearch:
         c[1:-1] *= 2.0
         k = np.arange(n // 2 + 1)
         phase = np.exp(2j * np.pi * (np.outer(np.arange(m), k) % m) / m)
-        assert np.max(np.abs(fields._uniform_samples(f, m) - (phase @ c).real)) <= 1e-14
+        assert np.max(np.abs(f.uniform_samples(m) - (phase @ c).real)) <= 1e-14
 
     def test_single_point_search_memory(self):
         # a full spectrum at N = 1024: a dense (8N x N) phase matrix would
@@ -816,6 +816,14 @@ class TestNearRule:
 
 
 class TestTraces:
+    @pytest.mark.parametrize("variant", ["direct", "parts-g", "", "DIRECT-G"])
+    def test_unknown_variant_rejected(self, variant):
+        grid = PeriodicGrid(32)
+        f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes))
+        params = PhysParams.from_theta(mu=1.0, sigma=1.0, theta=1.5)
+        with pytest.raises(ValueError, match="unknown variant"):
+            trace_velocity(f, params, variant)
+
     def test_one_sided_limits_converge(self):
         # approach along the normal: Z_n tends to trace +/- jump at first order
         grid = PeriodicGrid(64)
@@ -1057,20 +1065,25 @@ class TestBulkFields:
 
     @pytest.mark.parametrize("near", [False, True])
     def test_one_set_of_search_samples_per_call(self, setup, monkeypatch, near):
-        # the strip test and the search read the same max(8N, 1024) samples
+        # the strip test and the search read the same max(8N, 1024) samples,
+        # which a fresh profile takes once and keeps
         grid, f, params = setup
+        f = InterfaceProfile(grid, f.values)
         pts = np.vstack([[[0.3, 2.0], [4.0, -1.1]], STRIP_POINTS])
         if near:
             pts = np.vstack([pts, [[0.0, f.values[0] + 0.5 * default_collar(f)]]])
         sizes, scans = [], []
-        uniform, search = fields._uniform_samples, fields._closest_samples
-        monkeypatch.setattr(fields, "_uniform_samples",
-                            lambda g, m: sizes.append(m) or uniform(g, m))
+        sample, search = core._samples, fields._closest_samples
+        monkeypatch.setattr(core, "_samples",
+                            lambda v, m=None: sizes.append(m) or sample(v, m))
         monkeypatch.setattr(fields, "_closest_samples",
                             lambda fs, p: scans.append(len(p)) or search(fs, p))
         velocity_field(f, params, pts, near=near)
         assert sizes.count(max(8 * grid.n_points, 1024)) == 1
         assert scans == [len(pts) - 2]
+        # a second call on the profile reads the samples it kept
+        pressure_field(f, params, pts, near=near)
+        assert sizes.count(max(8 * grid.n_points, 1024)) == 1
 
     @pytest.mark.parametrize("options", [{}, {"near": True}, {"collar": 0.0}])
     @pytest.mark.parametrize("bad", [[np.nan, 2.0], [0.1, np.inf], [0.1, -np.inf],

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from stokes2p import InterfaceProfile, PeriodicGrid, PhysParams, eval_Psi, operators  # noqa: E402
-from stokes2p.core import _half_samples  # noqa: E402
+from stokes2p.core import _samples  # noqa: E402
 from stokes2p.fields import stokeslet_eval  # noqa: E402
 
 EPS = np.finfo(float).eps
@@ -56,7 +56,7 @@ class TestTraceLogRemainder:
         grid = PeriodicGrid(n)
         f = InterfaceProfile(grid, amplitude * (np.cos(grid.nodes)
                                                 + 0.5 * np.sin(2 * grid.nodes)))
-        half = _half_samples(f.values)[0]
+        half = _samples(f.values)[0]
         nodes = operators._midpoint_rule(n)[0]
         worst = 0.0
         for m in (0, 1, 37, 255, 256, 400, 511):

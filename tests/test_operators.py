@@ -137,6 +137,14 @@ class TestFamilyB:
         with pytest.raises(ValueError):
             OperatorSpec.diagonal(0, 1, 2, 0, f_profile)   # p > n+q+1
 
+    @pytest.mark.parametrize("counts", [((), (), ()), (("f", "f"), ("f",), ()),
+                                        (("f",), (), ("f",))])
+    def test_argument_counts_must_match(self, f_profile, counts):
+        # (n, m, q) = (1, 1, 0) wants one profile in args_a and args_b, none in args_c
+        args = [tuple(f_profile for _ in slot) for slot in counts]
+        with pytest.raises(ValueError, match="argument counts"):
+            OperatorSpec(1, 1, 0, 0, *args)
+
     def test_mixed_grid_arguments_rejected(self, f_profile):
         other = InterfaceProfile(PeriodicGrid(64), np.zeros(64))
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """The project's pytest configuration, as a separate pytest run applies it."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,3 +54,19 @@ def test_tracer_targets_resolve(monkeypatch):
         for part in path.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (module, path)
+
+
+def test_skipped_imports_are_test_dependencies():
+    # a module that a test skips without is one that `pip install .[test]`
+    # installs, or the skip goes unnoticed on a fresh install
+    tomllib = pytest.importorskip("tomllib")
+    extra = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"][
+        "optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in extra}
+    skipped = {name.split(".")[0].lower()
+               for path in (ROOT / "tests").glob("*.py")
+               for name in re.findall(r"importorskip\(\s*[\"']([\w.]+)[\"']", path.read_text())}
+    skipped -= set(sys.stdlib_module_names)
+    assert {"hypothesis", "mpmath"} <= skipped
+    assert skipped <= declared, skipped - declared
