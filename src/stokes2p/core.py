@@ -3,8 +3,10 @@
 Everything lives on the circle of circumference 2*pi, discretized by N
 equispaced collocation nodes (N even).  Grid functions are identified with
 their trigonometric interpolant, so differentiation, shifting and
-off-node evaluation are all exact for band-limited data.  ``_samples``
-takes a stack of them to the half grid or to uniform targets by FFT.
+off-node evaluation are all exact for band-limited data.  A profile takes
+its FFT once, for its coefficients, derivatives and half-grid samples;
+``_samples`` takes a stack of grid functions to the half grid or to
+uniform targets by FFT.
 """
 
 from __future__ import annotations
@@ -76,9 +78,18 @@ class InterfaceProfile:
         return cls(grid, np.zeros(grid.n_points))
 
     @cached_property
+    def fft(self) -> np.ndarray:
+        """The unnormalised FFT sum_i values_i exp(-i k xi_i), FFT order, read-only:
+        the one forward FFT of the profile, which ``coeffs``, the spectral
+        derivatives and the half-grid samples all read."""
+        c = np.fft.fft(self.values)
+        c.flags.writeable = False
+        return c
+
+    @cached_property
     def coeffs(self) -> np.ndarray:
         """Fourier coefficients c_k = (1/N) sum_i values_i exp(-i k xi_i), FFT order."""
-        return np.fft.fft(self.values) / self.grid.n_points
+        return self.fft / self.grid.n_points
 
     @cached_property
     def deriv_values(self) -> np.ndarray:
@@ -141,7 +152,7 @@ def spectral_derivative(profile: InterfaceProfile, order: int = 1) -> np.ndarray
     k = grid.wavenumbers.copy()
     if order % 2 == 1:
         k[grid.n_points // 2] = 0.0
-    dcoeffs = (1j * k) ** order * np.fft.fft(profile.values)
+    dcoeffs = (1j * k) ** order * profile.fft
     return np.fft.ifft(dcoeffs).real
 
 
@@ -174,8 +185,9 @@ def _samples(values, m: int | None = None):
 
 
 def half_shift_samples(profile: InterfaceProfile) -> np.ndarray:
-    """Values of the interpolant on the half-spacing companion grid."""
-    return _samples(profile.values)[0]
+    """Values of the interpolant on the half-spacing companion grid: those of
+    ``_samples``, from the profile's own FFT."""
+    return np.fft.ifft(profile.fft * _half_shift(profile.grid.n_points)).real
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ and the bulk flow of ``fields`` all read these two.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -144,13 +145,16 @@ def eval_Psi(f: InterfaceProfile, params: PhysParams) -> np.ndarray:
         + (theta / (4.0 * mu)) * (fp * t1 - t2)
 
 
+@lru_cache(maxsize=32)
 def linear_multiplier(grid: PeriodicGrid, params: PhysParams) -> np.ndarray:
     """Flat-state linearization as a Fourier multiplier:
-    lambda_k = -(sigma k^2 + theta) / (4 mu |k|), lambda_0 = 0."""
+    lambda_k = -(sigma k^2 + theta) / (4 mu |k|), lambda_0 = 0.  Computed
+    once per (N, params) and returned read-only."""
     k = np.abs(grid.wavenumbers)
     lam = np.zeros(grid.n_points)
     nz = k > 0
     lam[nz] = -(params.sigma * k[nz] ** 2 + params.theta) / (4.0 * params.mu * k[nz])
+    lam.flags.writeable = False
     return lam
 
 
@@ -158,18 +162,29 @@ def linear_multiplier(grid: PeriodicGrid, params: PhysParams) -> np.ndarray:
 # time stepping
 # ---------------------------------------------------------------------------
 
-def _exp_euler(psi, values, dt, lam, k1):
-    """Exponential Euler: the flat-state part L (multiplier lam) is taken
-    exactly, the remainder N = Psi - L frozen over the step:
-    f_new^ = e^{dt lam} f^ + dt phi1(dt lam) (k1 - L f)^, with
-    phi1(z) = (e^z - 1)/z and phi1(0) = 1."""
-    z = dt * lam
+@lru_cache(maxsize=32)
+def _exp_factors(dt: float, lam: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """e^{dt lam} and dt phi1(dt lam) for the multiplier with these bytes,
+    phi1(z) = (e^z - 1)/z and phi1(0) = 1: computed once per (dt, lam),
+    read-only."""
+    z = dt * np.frombuffer(lam)
     phi1 = np.ones_like(z)
     nz = z != 0.0
     phi1[nz] = np.expm1(z[nz]) / z[nz]
-    f_hat = np.fft.fft(values)
-    n_hat = np.fft.fft(k1) - lam * f_hat
-    return np.fft.ifft(np.exp(z) * f_hat + dt * phi1 * n_hat).real
+    factors = np.exp(z), dt * phi1
+    for a in factors:
+        a.flags.writeable = False
+    return factors
+
+
+def _exp_euler(psi, values, dt, lam, k1):
+    """Exponential Euler: the flat-state part L (multiplier lam) is taken
+    exactly, the remainder N = Psi - L frozen over the step:
+    f_new^ = e^{dt lam} f^ + dt phi1(dt lam) (k1 - L f)^ (``_exp_factors``).
+    f and k1 take one FFT as a stack."""
+    growth, phi1_dt = _exp_factors(dt, np.asarray(lam, dtype=float).tobytes())
+    f_hat, k1_hat = np.fft.fft(np.array([values, k1]))
+    return np.fft.ifft(growth * f_hat + phi1_dt * (k1_hat - lam * f_hat)).real
 
 
 def _rk4(psi, values, dt, lam, k1):
@@ -287,7 +302,7 @@ def snapshot_record(state: EvolutionState) -> dict:
         "mean": float(np.mean(v)),
         "linf": float(np.max(np.abs(v))),
         "l2": float(np.sqrt(np.mean(v * v))),
-        "values": [float(x) for x in v],
+        "values": v.tolist(),
     }
 
 

@@ -36,8 +36,11 @@ the product of its table at r = (s, delta f) with a density's half-grid
 samples: the ``_LayerSums`` that ``fields`` uses, one rule per point set.
 The products come from sweeps (``_sweep``) over row blocks of the tables
 of at most ``core._EVAL_BLOCK`` entries, built in turn on one pooled
-working set; ``_swept`` runs an evaluation once to list the products it
-takes, so that one sweep builds each table of each block once for all.
+working set; each block reads each table once, in one GEMM against all the
+densities that table takes.  ``_swept`` runs an evaluation once to record
+its requests, samples their densities with f as one FFT stack, takes all
+their products in one sweep and hands the composites back by position
+when the evaluation runs again.
 
 The Fréchet derivatives ``frechet_B`` and ``frechet_B0`` are signed sums of
 tangent-family members of the base profile whose extra difference slots
@@ -59,6 +62,7 @@ of ``core._samples``, a call's densities as one stack) on the half grid.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -66,7 +70,8 @@ from operator import itemgetter
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import _EVAL_BLOCK, InterfaceProfile, PeriodicGrid, TWO_PI, _samples
+from .core import (_EVAL_BLOCK, InterfaceProfile, PeriodicGrid, TWO_PI, _samples,
+                   half_shift_samples)
 
 __all__ = [
     "OperatorSpec",
@@ -707,52 +712,64 @@ def _trace_phases(n: int):
     return tuple(_circulant(table) for table in _sines(_midpoint_rule(n)[0]))
 
 
-def _sweep(f: InterfaceProfile, plan) -> list:
-    """The products of ``plan``, a list of (index, half-grid samples) grouped
-    by the lead of the index, with the on-interface tables of f, each times
-    the weight h/(2 pi): one sweep over the row blocks of ``_row_blocks``.
-    Each block builds r2 and D on the first rows of a stack leased from
-    ``_TABLE_POOL``, r2 its last plane, and takes the products of the plan
-    in its order, so that planes 2 and 3 hold the log, (3, 4) and (5, 6)
-    tables in turn.  Each is one gemv of a block's table, a pair's planes
-    stacked, against the samples: the product of a pair is a (2, N) array,
-    and no product depends on the others.
+# the most rows of a table that one GEMM takes, a multiple of four.  On more
+# rows OpenBLAS takes another kernel, whose sums round differently, so that
+# a row's bits would depend on the size of its block
+_GEMM_ROWS = 64
 
-    A gemv runs over the first multiple of four rows of the stack from the
-    table's first (``_LEAD_PLANES``), at most three rows of the planes that
-    follow it.  BLAS sums a row in one order within whole groups of four
-    rows and in another for the last rows of a matrix; with whole groups a
-    row's bits do not depend on how the rows are split into blocks."""
+
+def _sweep(f: InterfaceProfile, half: np.ndarray, plan: dict) -> dict:
+    """The products of the on-interface tables of f with half-grid samples,
+    each times the weight h/(2 pi): ``plan`` maps a lead of ``_PARTS`` to a
+    (k, N) stack of the samples of its densities, and the result maps it to
+    their products, (k, N) for the log table and (k, 2, N) for a pair of
+    planes, entry j that of row j.  ``half`` is f's own half-grid samples.
+
+    One sweep over the row blocks of ``_row_blocks``: each block builds r2
+    and D on the first rows of a stack leased from ``_TABLE_POOL``, r2 its
+    last plane, and takes the leads in their order, so that planes 2 and 3
+    hold the log, (3, 4) and (5, 6) tables in turn.  A lead's table, a
+    pair's planes stacked, is read once per block: one GEMM against all of
+    its densities, in chunks of ``_GEMM_ROWS`` rows.  A chunk runs over
+    whole groups of four rows, the last one into at most three rows of the
+    planes that follow the table (``_LEAD_PLANES``).  BLAS sums a row in one
+    order within whole groups of four rows and in another for the last rows
+    of a matrix; with whole groups of a fixed chunk height a row's bits do
+    not depend on how the rows are split into blocks."""
     if not plan:
-        return []
+        return {}
     n = f.grid.n_points
-    out = [np.empty((n,) if _PARTS[index][0] == 0 else (2, n)) for index, _ in plan]
-    half = _samples(f.values)[0]
-    sc, ss = _trace_phases(n)
+    out = {lead: np.empty((len(v), n) if lead == 0 else (len(v), 2, n)) for lead, v in plan.items()}
     blocks = _row_blocks(n)
     bounds = [i * n // blocks for i in range(blocks + 1)]
+    # a lead's products over a block: at most two planes of its rows, in
+    # whole groups of four
+    height = 2 * -(-n // blocks)
+    chunk = {lead: np.empty((-(-height // 4) * 4, len(v))) for lead, v in plan.items()}
+    scale = f.grid.spacing / TWO_PI
+    sc, ss = _trace_phases(n)
     stack = _TABLE_POOL.lease(n)
     try:
         for a, b in zip(bounds[:-1], bounds[1:]):
-            # the block's planes, contiguous: a pair of them takes one gemv
+            # the block's planes, contiguous: a pair of them is one table
             flat = stack.reshape(-1)[:_SET_PLANES * (b - a) * n]
             planes = flat.reshape(-1, b - a, n)
             # circulant coordinates: the difference table is the outer
             # difference f(xi_i) - f_half[m]
             r2 = np.subtract.outer(f.values[a:b], half, out=planes[4])
             layer = _LayerTables(sc[a:b], ss[a:b], r2, planes[:4], remainder=True)
-            for (index, v), p in zip(plan, out):
-                layer.part(index)                   # builds the lead's table
-                lead_planes = _LEAD_PLANES[_PARTS[index][0]]
+            for lead, p in out.items():
+                layer.part(lead)                    # builds the lead's table
+                lead_planes = _LEAD_PLANES[lead]
                 rows = (lead_planes.stop - lead_planes.start) * (b - a)
-                start = lead_planes.start * (b - a) * n
-                table = flat[start:start + -(-rows // 4) * 4 * n].reshape(-1, n)
-                p[..., a:b] = (table @ v)[:rows].reshape(-1, b - a)
+                table = flat[lead_planes.start * (b - a) * n:].reshape(-1, n)
+                for c in range(0, rows, _GEMM_ROWS):
+                    h = min(_GEMM_ROWS, -(-(rows - c) // 4) * 4)
+                    np.matmul(table[c:c + h], plan[lead].T, out=chunk[lead][c:c + h])
+                block = p[..., a:b]
+                np.multiply(chunk[lead][:rows].T.reshape(block.shape), scale, out=block)
     finally:
         _TABLE_POOL.release(n, stack)
-    scale = f.grid.spacing / TWO_PI
-    for p in out:
-        p *= scale
     return out
 
 
@@ -763,30 +780,54 @@ class DiagonalOps(_LayerSums):
     half-grid midpoint rule at r = (s, delta f); composite 0 is the
     logarithmic operator ``eval_B0``.  Every product is taken by a sweep of
     the tables (``_sweep``), which leases its working set for that sweep
-    only: ``sweep`` takes all the products of a list of requests in one,
-    and a composite whose product no sweep took yet runs one for it alone.
-    Its one rule covers every output and folds the weight h/(2 pi) into its
-    contraction; the part factors 1, 1/2 and 1/4 are powers of two, so the
-    order of the two scalings does not change a bit.
+    only.  Stand-alone, a composite whose product no sweep took yet runs one
+    for it alone, its density keyed by its values.  ``sweep`` instead takes
+    a whole list of requests at once and queues their composites, which
+    ``composite`` then hands back in that order with no lookup.  The rule
+    covers every output and folds the weight h/(2 pi) into its contraction;
+    the part factors 1, 1/2 and 1/4 are powers of two, so the order of the
+    two scalings does not change a bit.
     """
 
     def __init__(self, f: InterfaceProfile):
         self.f = f
+        self._queue = None
+        half = []       # f's half-grid samples, taken by the first product
+
+        def product(index, v):
+            if not half:
+                half.append(half_shift_samples(f))
+            lead = _PARTS[index][0]
+            return _sweep(f, half[0], {lead: v[0][None]})[lead][0]
+
         super().__init__(f.grid, f.grid.n_points, [
-            (slice(None), lambda stack: list(zip(*_samples(stack))),
-             lambda index, v: _sweep(f, [(index, v[0])])[0])])
+            (slice(None), lambda stack: list(zip(*_samples(stack))), product)])
 
     def sweep(self, requests) -> None:
-        """Take the products of the (index, density) ``requests`` that no
-        sweep took yet, all in one, their densities sampled as one stack."""
-        plan = {}
-        for (index, _), key in zip(requests, self._sampled([d for _, d in requests])):
-            lead_key = _part(index)[0], key
-            if lead_key not in self._products:
-                plan.setdefault(lead_key, (index, self._samples[key][0][0]))
-        keys = sorted(plan, key=lambda lead_key: lead_key[0])
-        for lead_key, p in zip(keys, _sweep(self.f, [plan[k] for k in keys])):
-            self._products[lead_key] = [p]
+        """Take every product of the (index, density) ``requests`` in one
+        sweep and queue their composites in request order.  A density is
+        told apart by its identity (``requests`` holds each one, so no
+        identity is reused).  The densities and f are sampled as one stack;
+        each (lead, density) takes one product, and composite 0's log parts
+        take one inverse FFT."""
+        rows, columns, logs, slots = {}, {}, {}, []
+        for index, d in requests:
+            lead = _part(index)[0]
+            row = rows.setdefault(id(d), (len(rows), d))[0]
+            column = columns.setdefault(lead, {}).setdefault(row, len(columns[lead]))
+            slots.append((index, lead, column, logs.setdefault(row, len(logs))
+                          if index == 0 else None))
+        half, coeffs = _samples(np.array([_density_values(d, self.grid) for _, d in rows.values()]
+                                         + [self.f.values]))
+        products = _sweep(self.f, half[-1], {lead: half[list(columns[lead])]
+                                            for lead in sorted(columns)})
+        if logs:
+            logs = np.fft.ifft(_log_sin_multiplier(self.grid.n_points) * coeffs[list(logs)]).real
+        self._queue = deque()
+        for index, lead, column, log in slots:
+            _, take, factor = _PARTS[index]
+            z = take(products[lead][column]) * factor
+            self._queue.append((index, z if log is None else logs[log] + z))
 
     def kernel(self, n: int, m: int, p: int, q: int) -> np.ndarray:
         """The diagonal tangent-family kernel of f, the one ``eval_B`` builds."""
@@ -796,12 +837,18 @@ class DiagonalOps(_LayerSums):
         return _tangent_kernel(ws, [df] * m, [df] * n, [df] * q, p)
 
     def composites(self, index: int, *densities) -> list:
-        """One ``composite`` per density; one no ``sweep`` took is sampled alone."""
+        """One ``composite`` per density."""
         return [self.composite(index, d) for d in densities]
 
     def composite(self, index: int, density) -> np.ndarray:
         """Composite ``index`` of a density: a part of its table's product with
-        the half-grid samples; index 0 adds the spectral log part."""
+        the half-grid samples; index 0 adds the spectral log part.  After a
+        ``sweep``, the next queued composite, which must be of this index."""
+        if self._queue is not None:
+            if not self._queue or self._queue[0][0] != index:
+                raise ValueError(f"composite {index} asked for where the sweep queued "
+                                 f"{self._queue[0][0] if self._queue else 'none'}")
+            return self._queue.popleft()[1]
         (key,) = self._sampled([density])
         out = self._sum(index, key)
         if index == 0:
@@ -813,10 +860,11 @@ class DiagonalOps(_LayerSums):
 def _swept(f: InterfaceProfile, evaluate):
     """What ``evaluate(composites)`` returns on the interface of f, with all
     its products taken in one sweep: a first run against a recorder that
-    returns a zero per density lists its (index, density) requests,
-    ``DiagonalOps.sweep`` takes them, and the second run reads them.  So
-    ``evaluate`` must choose its densities without reading the values it
-    gets back."""
+    returns a zero per density lists its (index, density) requests and holds
+    the densities, ``DiagonalOps.sweep`` takes them, and the second run gets
+    their composites back by position.  So ``evaluate`` must ask for the
+    same densities in the same order in both runs, without reading the
+    values it gets back; a second run whose indices differ raises."""
     requests = []
 
     def record(index, *densities):
@@ -826,7 +874,10 @@ def _swept(f: InterfaceProfile, evaluate):
     evaluate(record)
     ops = DiagonalOps(f)
     ops.sweep(requests)
-    return evaluate(ops.composites)
+    out = evaluate(ops.composites)
+    if ops._queue:
+        raise ValueError(f"the evaluation left {len(ops._queue)} recorded composites unread")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import numeric_jacobian_at_zero
-from .core import InterfaceProfile, PeriodicGrid, PhysParams
+from .core import InterfaceProfile, PeriodicGrid, PhysParams, geometry_quantities
 from .evolution import eval_Psi, forcing_G, far_field_constants
 from .fields import _trace_velocities, far_field_residuals, interface_jump_checks
 from .operators import (
@@ -74,15 +74,19 @@ def check_operator_identities(n_points=256, fault=None):
 
 
 def check_conservation(seed=0, n_profiles=5):
-    """Mean-free velocity, constant equilibria, vertical-shift invariance."""
+    """Mean-free velocity, constant equilibria, vertical-shift invariance and
+    energy dissipation: with g = theta (f - mean f) - sigma kappa, the energy
+    changes at the rate <g, Psi(f)>, which is negative off equilibria."""
     grid = PeriodicGrid(128)
     rng = np.random.default_rng(seed)
     params = PhysParams.from_theta(mu=1.0, sigma=1.0, theta=2.0)
-    worst_mean, worst_shift, worst_g1 = 0.0, 0.0, 0.0
+    worst_mean, worst_shift, worst_g1, worst_cos = 0.0, 0.0, 0.0, -1.0
     for _ in range(n_profiles):
         f = _random_profile(grid, rng)
         psi = eval_Psi(f, params)
         worst_mean = max(worst_mean, abs(float(np.mean(psi))))
+        g = params.theta * (f.values - f.mean) - params.sigma * geometry_quantities(f).curvature
+        worst_cos = max(worst_cos, float(np.dot(g, psi) / (np.linalg.norm(g) * np.linalg.norm(psi))))
         shifted = InterfaceProfile(grid, f.values + 0.4)
         worst_shift = max(worst_shift, float(np.max(np.abs(
             eval_Psi(shifted, params) - psi))))
@@ -96,6 +100,8 @@ def check_conservation(seed=0, n_profiles=5):
         ("conservation/vertical-shift-invariance", worst_shift < 1e-9,
          f"max {worst_shift:.3e} (tol 1e-9)"),
         ("conservation/forcing-mean-free", worst_g1 < 1e-12, f"max {worst_g1:.3e} (tol 1e-12)"),
+        ("conservation/energy-dissipation", worst_cos < 0.0,
+         f"largest cosine of g and Psi {worst_cos:.3f} (must be < 0)"),
     ]
 
 

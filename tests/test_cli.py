@@ -432,6 +432,21 @@ class TestVerify:
         assert "FAIL operator-identity/B=A+C" in captured.out
         assert "reproduce with" in captured.err
 
+    def test_energy_check_fails_on_a_flipped_psi(self, monkeypatch):
+        # the energy check reads the Psi values the conservation checks take:
+        # with their sign flipped the energy would grow, and it fails
+        from stokes2p import verify
+
+        def energy():
+            return {name: (ok, detail) for name, ok, detail in verify.check_conservation(
+                n_profiles=2)}["conservation/energy-dissipation"]
+
+        assert energy()[0]
+        psi = verify.eval_Psi
+        monkeypatch.setattr(verify, "eval_Psi", lambda f, params: -psi(f, params))
+        ok, detail = energy()
+        assert not ok and "largest cosine of g and Psi 0." in detail
+
     def test_trace_check_sweeps_once_per_profile(self, monkeypatch):
         # both codings of the trace take their 4 + 7 products in one sweep
         # of the tables for each theta, and read what each alone reads
@@ -441,8 +456,8 @@ class TestVerify:
 
         sweeps = []
         sweep = operators._sweep
-        monkeypatch.setattr(operators, "_sweep",
-                            lambda f, plan: sweeps.append(len(plan)) or sweep(f, plan))
+        monkeypatch.setattr(operators, "_sweep", lambda f, half, plan: sweeps.append(
+            sum(len(v) for v in plan.values())) or sweep(f, half, plan))
         [(_, ok, _)] = verify.check_trace_equivalence()
         assert ok and sweeps == [11, 11]
         grid = PeriodicGrid(64)

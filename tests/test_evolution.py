@@ -175,21 +175,40 @@ class TestPsi:
         rolled = eval_Psi(InterfaceProfile(g, np.roll(f.values, shift)), params)
         assert np.max(np.abs(rolled - np.roll(eval_Psi(f, params), shift))) < 1e-12
 
-    def test_repeat_call_takes_six_ffts(self, monkeypatch):
-        # the densities of a call are sampled on the half grid as one stack
-        # (an FFT and its inverse), f itself once more by the sweep, and the
-        # log part of composite 0 takes one inverse FFT for each of g1, g2
+    def test_fresh_and_repeat_calls_take_five_and_three_ffts(self, monkeypatch):
+        # f's one FFT serves its derivative; the densities and f are sampled
+        # on the half grid as one stack (an FFT and its inverse), and the log
+        # parts of composite 0 take one inverse FFT for g1 and g2.  A repeat
+        # call on the same profile reads f's derivative again
         g = PeriodicGrid(128)
         params = PhysParams.from_theta(1.3, 0.7, 1.5)
-        f = random_profile(g, 2)
-        want = eval_Psi(f, params)
+        want = eval_Psi(random_profile(g, 2), params)
         calls = []
         for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn"):
             original = getattr(np.fft, name)
             monkeypatch.setattr(np.fft, name, lambda *a, _f=original, _n=name, **k:
                                 calls.append(_n) or _f(*a, **k))
+        f = random_profile(g, 2)
         assert np.array_equal(eval_Psi(f, params), want)
-        assert len(calls) <= 6, calls
+        assert len(calls) <= 5, calls
+        calls.clear()
+        assert np.array_equal(eval_Psi(f, params), want)
+        assert len(calls) <= 3, calls
+
+    def test_composites_replayed_without_lookup(self, monkeypatch):
+        # the 14 composites come back in call order from the one sweep: none
+        # is keyed or sampled again
+        from stokes2p import operators
+
+        sampled, composites = [], []
+        monkeypatch.setattr(operators._LayerSums, "_sampled",
+                            lambda self, densities: sampled.append(densities))
+        composite = operators.DiagonalOps.composite
+        monkeypatch.setattr(operators.DiagonalOps, "composite", lambda self, index, d:
+                            composites.append(index) or composite(self, index, d))
+        eval_Psi(random_profile(PeriodicGrid(64), 4), PhysParams.from_theta(1.0, 1.0, 1.0))
+        assert sampled == []
+        assert composites == [1, 1, 2, 3, 3, 3, 4, 4, 0, 0, 5, 5, 6, 6]
 
 
 def psi_from_composite_terms(f, params):
@@ -242,26 +261,32 @@ class TestPsiAgainstCompositeTerms:
 
     def test_each_product_taken_once(self, monkeypatch):
         # the 14 terms take 11 table products: Z4 on a and Z6 on both
-        # forcings are the other parts of products already taken.  The sweep
-        # takes each once per row block of the tables: one block at N = 32,
-        # and three where a block holds at most 11 rows
+        # forcings are the other parts of products already taken.  The plan
+        # of the sweep groups them by lead: two densities against the log
+        # table, three against D, four against r2 (1 + D^2) and two against
+        # r2 D.  Each row block builds each lead's table once, for one
+        # product of all its densities: one block at N = 32, and three where
+        # a block holds at most 11 rows
         from stokes2p import operators
 
-        taken = []
+        taken, plans = [], []
         part = operators._LayerTables.part
         monkeypatch.setattr(operators._LayerTables, "part",
                             lambda self, index: taken.append((self, index)) or part(self, index))
+        sweep = operators._sweep
+        monkeypatch.setattr(operators, "_sweep", lambda f, half, plan: plans.append(
+            {lead: len(v) for lead, v in plan.items()}) or sweep(f, half, plan))
         grid = PeriodicGrid(32)
         f, params = random_profile(grid, 6), PhysParams.from_theta(1.0, 1.0, 1.0)
         for budget, blocks in ((operators._EVAL_BLOCK, 1), (11 * 32, 3)):
             monkeypatch.setattr(operators, "_EVAL_BLOCK", budget)
-            taken.clear()
+            taken.clear(), plans.clear()
             eval_Psi(f, params)
+            assert plans == [{0: 2, 1: 3, 3: 4, 5: 2}]
             layers = list(dict.fromkeys(layer for layer, _ in taken))
             assert len(layers) == blocks
             for layer in layers:
-                indices = sorted(i for t, i in taken if t is layer)
-                assert indices == [0, 0, 1, 1, 2, 3, 3, 3, 4, 5, 5]
+                assert [i for t, i in taken if t is layer] == [0, 1, 3, 5]
 
     def test_warm_call_allocates_no_table(self):
         # the (N, N) layer tables of a warm call live in the working set the
@@ -313,6 +338,35 @@ class TestLinearMultiplier:
         assert abs(lam[1] - (-(1.0 + 3.0) / (4 * 2.0))) < 1e-14
         assert abs(lam[2] - (-(4.0 + 3.0) / (8 * 2.0))) < 1e-14
         assert abs(lam[-1] - lam[1]) < 1e-14
+
+
+class TestStepFactors:
+    """The flat-state factors of a step are computed once per (N, params, dt)."""
+
+    def test_cached_factors_are_the_fresh_ones(self):
+        g = PeriodicGrid(64)
+        params, dt = PhysParams.from_theta(1.3, 0.7, -0.5), 1.0 / 32
+        k = np.abs(g.wavenumbers)
+        lam = np.zeros(g.n_points)
+        lam[1:] = -(params.sigma * k[1:] ** 2 + params.theta) / (4.0 * params.mu * k[1:])
+        z = dt * lam
+        phi1 = np.ones_like(z)
+        phi1[1:] = np.expm1(z[1:]) / z[1:]
+        for _ in range(2):
+            cached = linear_multiplier(g, params)
+            growth, phi1_dt = evolution._exp_factors(dt, cached.tobytes())
+            assert np.array_equal(cached, lam)
+            assert np.array_equal(growth, np.exp(z)) and np.array_equal(phi1_dt, dt * phi1)
+        assert linear_multiplier(PeriodicGrid(64), params) is cached
+        assert evolution._exp_factors(dt, lam.tobytes())[0] is growth
+
+    def test_cached_factors_are_read_only(self):
+        g = PeriodicGrid(32)
+        lam = linear_multiplier(g, PhysParams.from_theta(1.0, 1.0, 0.5))
+        for a in (lam, *evolution._exp_factors(0.25, lam.tobytes())):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[1] = 0.0
 
 
 class TestStepping:

@@ -59,11 +59,10 @@ class TestTraceLogRemainder:
         half = _samples(f.values)[0]
         nodes = operators._midpoint_rule(n)[0]
         worst = 0.0
-        for m in (0, 1, 37, 255, 256, 400, 511):
-            unit = np.zeros(n)
-            unit[m] = 1.0
-            (column,) = operators._sweep(f, [(0, unit)])
-            column /= grid.spacing / (2.0 * np.pi)
+        columns = (0, 1, 37, 255, 256, 400, 511)
+        units = np.eye(n)[list(columns)]
+        products = operators._sweep(f, half, {0: units})[0] / (grid.spacing / (2.0 * np.pi))
+        for m, column in zip(columns, products):
             for i in range(64):
                 want = reference_remainder(nodes[(i - m - 1 + n // 2) % n],
                                            f.values[i] - half[m])

@@ -704,8 +704,8 @@ class TestComposites:
 
 class TestRowBlocks:
     """The on-interface tables are built and contracted in row blocks of at
-    most ``_EVAL_BLOCK`` entries; no value may depend on the split beyond
-    roundoff, and none on the run."""
+    most ``_EVAL_BLOCK`` entries; no value may depend on the split or on the
+    run, to the bit."""
 
     PARAMS = PhysParams.from_theta(0.8, 1.3, 1.7)
 
@@ -735,7 +735,29 @@ class TestRowBlocks:
         got = self._outputs(f, phi)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w))
+            assert np.array_equal(g, w)
         assert all(np.array_equal(a, b) for a, b in zip(self._outputs(f, phi), got))
+
+    @pytest.mark.parametrize("n", [32, 200, 512, 1024])
+    def test_products_match_one_density_each(self, n, monkeypatch):
+        # Psi's sweep takes each lead's products as one GEMM against all of
+        # its densities; a one-density plan is a gemv, which sums each row
+        # in another order: the two differ by roundoff of the size of a sum
+        # of N terms in random order, sqrt(N) u for the unit roundoff u
+        # (1.8e-15 of 3.6e-15 at N = 1024)
+        f, _ = self._case(n)
+        sweeps = []
+        sweep = operators._sweep
+        monkeypatch.setattr(operators, "_sweep", lambda f, half, plan: sweeps.append(
+            (half, plan, sweep(f, half, plan))) or sweeps[-1][-1])
+        eval_Psi(f, self.PARAMS)
+        ((half, plan, out),) = sweeps
+        assert {lead: len(v) for lead, v in plan.items()} == {0: 2, 1: 3, 3: 4, 5: 2}
+        for lead, stack in plan.items():
+            for j, v in enumerate(stack):
+                one = sweep(f, half, {lead: v[None]})[lead][0]
+                bound = np.sqrt(n) * np.finfo(float).eps / 2 * np.max(np.abs(one))
+                assert np.max(np.abs(out[lead][j] - one)) <= bound
 
     def test_warm_psi_holds_no_square_table(self):
         # the idle set is one stack of (rows, N) planes, rows * N <=
@@ -776,8 +798,8 @@ class TestRowBlocks:
 
         sweeps = []
         sweep = operators._sweep
-        monkeypatch.setattr(operators, "_sweep",
-                            lambda f, plan: sweeps.append(len(plan)) or sweep(f, plan))
+        monkeypatch.setattr(operators, "_sweep", lambda f, half, plan: sweeps.append(
+            sum(len(v) for v in plan.values())) or sweep(f, half, plan))
         f, phi = self._case(64)
         eval_Psi(f, self.PARAMS)
         assert sweeps == [11]
@@ -811,6 +833,47 @@ class TestRowBlocks:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestSwept:
+    """``_swept`` runs an evaluation once to record its requests and once to
+    hand their composites back by position."""
+
+    @staticmethod
+    def _case():
+        grid = PeriodicGrid(64)
+        f = InterfaceProfile(grid, band_limited(grid, 5, modes=8, amplitude=0.3))
+        return f, band_limited(grid, 6, modes=8), band_limited(grid, 7, modes=8)
+
+    def test_replay_is_the_stand_alone_composites(self):
+        f, phi, psi = self._case()
+        got = operators._swept(f, lambda B: B(3, phi, psi) + B(0, psi) + B(4, phi))
+        ops = DiagonalOps(f)
+        want = [ops.composite(3, phi), ops.composite(3, psi), ops.composite(0, psi),
+                ops.composite(4, phi)]
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("change", ["index", "extra", "missing"])
+    def test_changed_requests_raise(self, change):
+        # a replay that asks for other indices, or more or fewer composites,
+        # than the recording run fails instead of reading another's value
+        f, phi, psi = self._case()
+        runs, received = [], []
+
+        def evaluate(B):
+            runs.append(B)
+            replay = len(runs) == 2
+            received.extend(B(2 if replay and change == "index" else 1, phi))
+            if not (replay and change == "missing"):
+                received.extend(B(5, psi))
+            if replay and change == "extra":
+                received.extend(B(5, phi))
+            return received
+
+        with pytest.raises(ValueError):
+            operators._swept(f, evaluate)
+        assert len(received) == {"index": 2, "extra": 4, "missing": 3}[change]
 
 
 def _kernel_points(kind, count=4000):

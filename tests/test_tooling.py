@@ -1,5 +1,6 @@
 """The project's pytest configuration, as a separate pytest run applies it."""
 
+import ast
 import re
 import subprocess
 import sys
@@ -70,3 +71,21 @@ def test_skipped_imports_are_test_dependencies():
     skipped -= set(sys.stdlib_module_names)
     assert {"hypothesis", "mpmath"} <= skipped
     assert skipped <= declared, skipped - declared
+
+
+def test_runtime_needs_only_numpy():
+    # numpy is the one runtime dependency: every import of the package,
+    # also one inside a function, is of the standard library, numpy or the
+    # package itself, and pyproject.toml declares numpy alone
+    tomllib = pytest.importorskip("tomllib")
+    roots = set()
+    for path in (ROOT / "src" / "stokes2p").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                roots |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots.add(node.module.split(".")[0])
+    assert "numpy" in roots
+    assert roots - set(sys.stdlib_module_names) <= {"numpy", "stokes2p"}, roots
+    dependencies = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in dependencies] == ["numpy"]
