@@ -4,9 +4,10 @@ The flow induced by the interface forcing is a single-layer potential
 against the horizontally periodic Stokeslet.  Everything reduces to seven
 scalar layer integrals Z_0 .. Z_6 with kernels smooth off the interface;
 their one-sided interface limits reproduce the singular trace composites
-plus explicit local jump terms.  Off the interface ``_PointLayers`` gives
-them as the sums of ``operators._LayerSums`` that ``DiagonalOps`` takes on
-it, with the same memos of samples and products and the same call form
+plus explicit local jump terms.  Off the interface they are asked for as
+on it (``operators._Plan``): an evaluation is recorded once a call, its
+densities sampled once a call for the far rules, and each block of points
+hands the sums back by position (``operators._Replay``) in the call form
 ``composites(index, *densities)``, so the bulk velocity and the velocity
 traces read the same layer-velocity coding of ``evolution``.
 
@@ -21,13 +22,13 @@ others go through the distance search on those samples, which finds the
 points inside the collar and starts the Newton feet of the near ones.  The
 evaluator then works block by block (``_blocked``): each run of consecutive
 points holding at most ``core._EVAL_BLOCK`` (point, node) entries gets its
-own ``_PointLayers``, and the blocks take turns in one working set, so
-memory is bounded by one block for any number of points.
+own rules (``_point_blocks``), and the blocks take turns in one working
+set, so memory is bounded by one block for any number of points.
 
 Off-grid values come from ``core``: uniform ones from ``_samples``, f's
-kept on the profile and a block's new densities as one stack; the others
-(the near rule's nodes, the Newton feet, ``side_of``) from ``eval_at``,
-whose memory is bounded by a block of its phase matrix, so the near rule
+kept on the profile and a call's densities as one stack; the others (the
+near rule's nodes, the Newton feet, ``side_of``) from ``eval_at``, whose
+memory is bounded by a block of its phase matrix, so the near rule
 samples f and each density by one call over the nodes of all the points of
 a block.
 """
@@ -44,7 +45,7 @@ from .core import (_EVAL_BLOCK, InterfaceProfile, PhysParams, _samples, geometry
 from .evolution import (_direct_velocity, _far_field_constants, _parts_velocity,
                         forcing_G, phi_of)
 from .layer_series import _Series, _terms
-from .operators import _LayerSums, _LayerTables, _swept
+from .operators import _PARTS, _LayerTables, _Plan, _recorded, _Replay, _swept
 
 SIDE_PLUS = "plus"
 SIDE_MINUS = "minus"
@@ -252,12 +253,12 @@ def _trapezoid_nodes(f: InterfaceProfile) -> int:
 
 def _trapezoid_rule(f: InterfaceProfile, pts: np.ndarray, work: dict):
     """The periodic trapezoid rule on max(N, 256) nodes at points away from
-    the interface: a density sampler and the product of the layer tables
-    over (point, node) with the samples.  The nodes are uniform: f's samples
-    are the ones it keeps, a stack of densities is sampled by ``_samples``,
-    their nodal values from N = 256 up.  The tables u, r2 and the four
-    planes of ``_LayerTables`` are written into the flat buffers of ``work``
-    (see ``_point_blocks``)."""
+    the interface: product(lead, v), the sum of the table of a lead of
+    ``_PARTS`` over (point, node) against a density's samples v.  The nodes
+    are uniform: f's samples are the ones it keeps, and ``_point_blocks``
+    samples the densities by ``_samples``, their nodal values from N = 256
+    up.  The tables u, r2 and the four planes of ``_LayerTables`` are
+    written into the flat buffers of ``work``."""
     m = _trapezoid_nodes(f)
     s = 2.0 * np.pi * np.arange(m) / m
     shape = (len(pts), m)
@@ -273,15 +274,15 @@ def _trapezoid_rule(f: InterfaceProfile, pts: np.ndarray, work: dict):
     r2 = np.subtract.outer(pts[:, 1], f.uniform_samples(m),
                            out=work["r2"][:len(pts) * m].reshape(shape))
     layer = _LayerTables(sc, ss, r2, planes)
-    return ((lambda stack: _samples(stack, m)[0]),
-            (lambda index, v: layer.part(index)[0] @ v / m))
+    return lambda lead, v: layer.part(lead)[0] @ v / m
 
 
-def _near_rule(f: InterfaceProfile, pts: np.ndarray, feet, dist):
+def _near_rule(f: InterfaceProfile, pts: np.ndarray, feet, dist, stack):
     """The graded panel rule at points near the interface, from their feet
-    (parameter, distance), in the form of ``_trapezoid_rule``.  The nodes
-    of all points form one flat set, each point's sum one segment of it, on
-    which f and each density of a stack are sampled by one ``eval_at``."""
+    (parameter, distance): the weighted samples of each density of the
+    stack and the product of ``_trapezoid_rule``.  The nodes of all points
+    form one flat set, each point's sum one segment of it, on which f and
+    each density are sampled by one ``eval_at``."""
     rules = [_near_nodes(d, f.grid.spacing) for d in dist]
     counts = [len(w) for _, w in rules]
     offset, w = (np.concatenate(parts) for parts in zip(*rules))
@@ -292,29 +293,9 @@ def _near_rule(f: InterfaceProfile, pts: np.ndarray, feet, dist):
     r2 = np.repeat(pts[:, 1], counts) - f.eval_at(s)
     starts = np.cumsum([0] + counts[:-1])
     layer = _LayerTables.at(r1, r2)
-    return ((lambda stack: [w * InterfaceProfile(f.grid, v).eval_at(s) for v in stack]),
-            (lambda index, v: np.add.reduceat(layer.part(index)[0] * v, starts, axis=-1)
-             / (2.0 * np.pi)))
-
-
-class _PointLayers(_LayerSums):
-    """The sums of ``_LayerSums`` at one block of off-interface points, one
-    array over the points per density: the points clear of the interface
-    strip (``side`` +1 or -1) take the rules of ``series``, those inside the
-    collar (``close``) ``_near_rule`` from their feet (parameter, distance),
-    and the others ``_trapezoid_rule`` on the working set ``work``."""
-
-    def __init__(self, f: InterfaceProfile, pts: np.ndarray, close, side, feet, dist, work,
-                 series: _Series | None):
-        rules = []
-        table = ~close & (side == 0)
-        if np.any(table):
-            rules.append((table, *_trapezoid_rule(f, pts[table], work)))
-        if np.any(close):
-            rules.append((close, *_near_rule(f, pts[close], feet, dist)))
-        if series is not None:
-            rules += series.rules(pts, side)
-        super().__init__(f.grid, len(pts), rules)
+    return ([w * InterfaceProfile(f.grid, v).eval_at(s) for v in stack],
+            lambda lead, v: np.add.reduceat(layer.part(lead)[0] * v, starts, axis=-1)
+            / (2.0 * np.pi))
 
 
 def _collar_search(f: InterfaceProfile, pts: np.ndarray, collar, near):
@@ -359,19 +340,25 @@ def _block_bounds(nodes) -> list:
     return bounds
 
 
-def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=False):
-    """The rows and ``_PointLayers`` of each block of the points, in input
-    order, after one routing pass (see ``_collar_search`` and
-    ``_block_bounds``).  The points clear of the strip on a side take the
-    series rule if they outnumber its terms.  A far point holds max(N, 256)
-    nodes, whichever rule it takes, and a near point those of its panel
-    rule.  An empty point set is one empty block.
+def _point_blocks(f: InterfaceProfile, pts: np.ndarray, stack, *, collar=None, near=False):
+    """The rows and rules of each block of the points, in input order,
+    after one routing pass (see ``_collar_search`` and ``_block_bounds``).
+    A rule is (share, samples, product): the rows of the block it fills,
+    the samples of each density of the (k, N) ``stack`` and product(lead,
+    samples[row]), the sum of a lead's table at its points.  The points
+    clear of the strip on a side take the series rule (``_Series``) if
+    they outnumber its terms, those inside the collar ``_near_rule`` from
+    their feet and the others ``_trapezoid_rule``.  A far point holds
+    max(N, 256) nodes, whichever rule it takes, and a near point those of
+    its panel rule.  An empty point set is one empty block.
 
-    The trapezoid tables of every block are written into one working set,
-    sized for the most trapezoid points of a block, and the series powers
-    into one buffer: fresh tables per block would fault their pages in
-    anew.  So a block's evaluator is valid only until the next block is
-    drawn."""
+    The stack is sampled once a call for the trapezoid rule and the series
+    coefficients built once a call; the near rule samples it at each
+    block's nodes.  The trapezoid tables of every block are written into
+    one working set, sized for the most trapezoid points of a block, and
+    the series powers into one buffer: fresh tables per block would fault
+    their pages in anew.  So a block's rules are valid only until the next
+    block is drawn."""
     collar = default_collar(f) if collar is None else collar
     m, k = _trapezoid_nodes(f), _terms(default_collar(f))
     side, close, feet, dist = _collar_search(f, pts, collar, near)
@@ -394,25 +381,48 @@ def _point_blocks(f: InterfaceProfile, pts: np.ndarray, *, collar=None, near=Fal
     del nodes
     size = m * int(np.max(np.diff(bounds) - np.diff(near_bounds) - np.diff(series_bounds)))
     work = {"u": np.empty(size, complex), "r2": np.empty(size), "planes": np.empty(4 * size)}
+    table = ~close & (side == 0)
+    samples = _samples(stack, m)[0] if np.any(table) else None
     series = None
     if np.any(side):
-        series = _Series(f, m, k, side, int(np.max(np.diff(series_bounds))))
+        series = _Series(f, m, k, side, int(np.max(np.diff(series_bounds))), stack)
     for start, stop, a, b in zip(bounds[:-1], bounds[1:], near_bounds[:-1], near_bounds[1:]):
-        yield slice(start, stop), _PointLayers(f, pts[start:stop], close[start:stop],
-                                               side[start:stop], feet[a:b], dist[a:b],
-                                               work, series)
+        rows = slice(start, stop)
+        rules = []
+        if np.any(table[rows]):
+            rules.append((table[rows], samples, _trapezoid_rule(f, pts[rows][table[rows]], work)))
+        if np.any(close[rows]):
+            rules.append((close[rows], *_near_rule(f, pts[rows][close[rows]], feet[a:b],
+                                                   dist[a:b], stack)))
+        if series is not None:
+            rules += series.rules(pts[rows], side[rows])
+        yield rows, rules
 
 
 def _blocked(f: InterfaceProfile, points, evaluate, *, collar=None, near=False) -> list:
-    """The arrays over the points that ``evaluate(composites)`` returns for
-    the ``_PointLayers`` of a block, each assembled over the blocks of
-    ``_point_blocks``.  Each block's evaluator is dropped before the next
-    block is drawn."""
+    """The arrays over the points that ``evaluate(composites)`` returns,
+    each assembled over the blocks of ``_point_blocks``.  Its requests are
+    recorded and planned once a call (``operators._Plan``); each block
+    takes one product per rule, lead and row of the plan and replays
+    ``evaluate`` on the sums by position (``operators._Replay``).  A
+    block's rules and products are dropped before the next block is
+    drawn."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    plan = _Plan(_recorded(evaluate))
     outs = []
-    for rows, layers in _point_blocks(f, pts, collar=collar, near=near):
-        parts = evaluate(layers.composites)
-        del layers
+    for rows, rules in _point_blocks(f, pts, plan.stack(f.grid), collar=collar, near=near):
+        products = [(share, {lead: [product(lead, samples[row]) for row in lead_rows]
+                             for lead, lead_rows in plan.leads.items()})
+                    for share, samples, product in rules]
+        sums = []
+        for index, lead, column in plan.slots:
+            _, take, factor = _PARTS[index]
+            z = np.empty(rows.stop - rows.start)
+            for share, p in products:
+                z[share] = take(p[lead][column]) * factor
+            sums.append((index, z))
+        del rules, products
+        parts = _Replay(sums).replay(evaluate)
         outs = outs or [np.empty((len(pts),) + np.shape(p)[1:]) for p in parts]
         for out, part in zip(outs, parts):
             out[rows] = part
@@ -480,7 +490,7 @@ def _bulk_gradient(B, G, mu):
 
 
 def _bulk_flow(f, G, params, pts, *, collar):
-    """Velocity (P, 2) and pressure (P,) from one evaluator per block."""
+    """Velocity (P, 2) and pressure (P,) from one evaluation (``_blocked``)."""
     return _blocked(f, pts, lambda B: (_bulk_velocity(B, G, params.mu), _bulk_pressure(B, G)),
                     collar=collar)
 
@@ -636,7 +646,7 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
     Off-interface values come from the graded Gauss-Legendre near rule (see
     ``eval_Z``) along the normal, at approach distances eps_factors * grid
     spacing; all approach points go through one collar search and one
-    evaluator per block.
+    evaluation (``_blocked``).
     """
     eps_factors = np.asarray(eps_factors, dtype=float)
     if probe_count < 1 or eps_factors.ndim != 1 or not len(eps_factors) \
@@ -660,7 +670,7 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
     pts = base[:, None, :] + (eps_values[:, None, None, None] * sides[:, None]) * nu[:, None, :]
 
     # the pressure -(Z1[g1] + Z2[g2])/2 and the velocity gradient share
-    # kernels 1..4 with the density; a block's evaluator keeps every product
+    # kernels 1..4 with the density; a block takes one product per table and density
     def evaluate(B):
         z = [B(idx, dens, G.g1, G.g2)[0] for idx in (1, 2, 3, 4)]
         return (*z, _bulk_pressure(B, G), _bulk_gradient(B, G, params.mu))
@@ -704,7 +714,7 @@ def far_field_residuals(f: InterfaceProfile, params: PhysParams, *,
                         height: float = 20.0) -> dict:
     """Residuals of the velocity and pressure limits at x2 = +/- height,
     against the offsets +/-(c1_alt, c2_alt) of ``far_field_constants``;
-    eight probes per height, both heights from one evaluator."""
+    eight probes per height, both heights from one evaluation."""
     return _far_field_residuals(f, params, forcing_G(f, params), height)
 
 

@@ -16,13 +16,15 @@ sums of v less those of f v.  No factor exceeds 1 in modulus.  The sums
 are those of the trapezoid rule, summed in another order.
 
 The coefficients of (v, f v) are built once per density and side for all
-point blocks of a call, in slabs of at most ``_EVAL_BLOCK`` (term, node)
+point blocks of a call, from the call's stack of densities when its
+``_Series`` is made, in slabs of at most ``_EVAL_BLOCK`` (term, node)
 entries: the first holds z^r from ``_powers``, and each next one is the
 last times z^h, h its height.  A block's powers W^k come from ``_powers``
 too, into one buffer that all blocks share.  K, the number of terms
 (``_terms``), follows from the least gap that a point of the rule may
 have, never from the points themselves.  ``fields`` routes the points and
-takes these rules beside its tables.
+takes these rules beside its tables, a density's coefficients on a side
+standing for its samples.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 
 from .core import _EVAL_BLOCK, InterfaceProfile, _samples
 from .evolution import LN4
-from .operators import _PARTS
 
 # at the least gap, the terms past the last are below e^-_DECAY of the first
 _DECAY = 42.0
@@ -59,24 +60,18 @@ class _Series:
     """The series rule of the points of one call that clear the strip by
     at least the gap of its terms k (``_terms``; see the module docstring),
     on the m nodes of the trapezoid rule; ``side`` is +1 at the points above
-    it, -1 at those below and 0 at the others."""
+    it, -1 at those below and 0 at the others, and ``stack`` holds the
+    call's densities, whose coefficients are built here."""
 
-    def __init__(self, f: InterfaceProfile, m: int, k: np.ndarray, side, block_points: int):
+    def __init__(self, f: InterfaceProfile, m: int, k: np.ndarray, side, block_points: int,
+                 stack):
         self.m, self.fs, self.k = m, f.uniform_samples(m), k
         self.s = 2.0 * np.pi * np.arange(m) / m
         self.sides = [sg for sg in (1.0, -1.0) if np.any(side == sg)]
         self.h0 = {1.0: np.max(self.fs), -1.0: np.min(self.fs)}
         self._slab = np.empty((max(1, min(len(k), _EVAL_BLOCK // m)), m), complex)
         self._block = np.empty(block_points * len(k), complex)
-        self._coefficients = {}
-
-    def coefficients(self, values) -> dict:
-        """Side -> the coefficients of the density's values (``_build``),
-        built once a call."""
-        key = values.tobytes()
-        if key not in self._coefficients:
-            self._coefficients[key] = self._build(values)
-        return self._coefficients[key]
+        self._coefficients = [self._build(values) for values in stack]
 
     def _build(self, values) -> dict:
         """Side -> the coefficients c_k of v and of f v, the rows of a
@@ -100,8 +95,9 @@ class _Series:
         return coefficients
 
     def rules(self, pts: np.ndarray, side) -> list:
-        """The rules (share, sample, product) of a block's points, one per
-        side that holds some."""
+        """The rules (share, samples, product) of a block's points, one per
+        side that holds some: the samples of a density are its coefficients
+        on that side."""
         rules, used, n_terms = [], 0, len(self.k)
         for sg in self.sides:
             share = side == sg
@@ -112,13 +108,13 @@ class _Series:
             powers = powers.reshape(n_terms, len(x2))
             used += len(x2)
             _powers(np.exp(-sg * (1j * x1 + (x2 - self.h0[sg]))), powers)
-            rules.append((share, lambda stack, sg=sg: [self.coefficients(v)[sg] for v in stack],
+            rules.append((share, [c[sg] for c in self._coefficients],
                           self._product(powers.T, x2, sg)))
         return rules
 
     def _product(self, powers, x2, sg):
-        """product(index, c) of a rule: the sum of the table of the lead of
-        ``index`` at its points, from a density's coefficients c; for a
+        """product(lead, c) of a rule: the sum of the table of a lead of
+        ``_PARTS`` at its points, from a density's coefficients c; for a
         pair of planes, the rows of its real and imaginary parts."""
         k = self.k
         inverse_k = np.concatenate([[0.0], 1.0 / k[1:]])
@@ -126,20 +122,19 @@ class _Series:
         def d(c):       # the sum of D
             return sg * 1j * (2.0 * (powers @ c) - c[0])
 
-        def pair(index, c):
-            lead = _PARTS[index][0]
+        def pair(lead, c):
             if lead == 1:
                 return d(c[0])
             if lead == 3:
                 return -4.0 * (x2 * (powers @ (k * c[0])) - powers @ (k * c[1]))
             return x2 * d(c[0]) - d(c[1])
 
-        def product(index, c):
-            if _PARTS[index][0] == 0:
+        def product(lead, c):
+            if lead == 0:
                 c0 = c[:, 0].real
                 return (sg * (x2 * c0[0] - c0[1]) - LN4 * c0[0]
                         - 2.0 * (powers @ (c[0] * inverse_k)).real)
             # the rows of its real and imaginary parts, as a view
-            return pair(index, c).view(np.float64).reshape(-1, 2).T
+            return pair(lead, c).view(np.float64).reshape(-1, 2).T
 
         return product

@@ -31,16 +31,21 @@ r2 D and (r2/2)(1 + D^2), each held as two float64 planes and built in real
 arithmetic (``_LayerTables``), the same coding the bulk fields use off the
 interface.  Their expansions as signed sums of tangent-family members are
 kept only as a test oracle.  Composite 0 is the logarithmic
-operator ``eval_B0``.  ``DiagonalOps`` applies each composite as a part of
-the product of its table at r = (s, delta f) with a density's half-grid
-samples: the ``_LayerSums`` that ``fields`` uses, one rule per point set.
-The products come from sweeps (``_sweep``) over row blocks of the tables
-of at most ``core._EVAL_BLOCK`` entries, built in turn on one pooled
-working set; each block reads each table once, in one GEMM against all the
-densities that table takes.  ``_swept`` runs an evaluation once to record
-its requests, samples their densities with f as one FFT stack, takes all
-their products in one sweep and hands the composites back by position
-when the evaluation runs again.
+operator ``eval_B0``.
+
+Every layer sum, on the interface and off it (``fields``), is asked for
+one way.  An evaluation runs once against a recorder (``_recorded``); its
+requests are planned (``_Plan``: the distinct densities, by identity, as
+one stack, the rows that each table takes and one slot per request); the
+sums are taken; and the evaluation runs again against a positional queue
+of them (``_Replay``), which raises if it asks for other ones.
+``DiagonalOps`` takes them on the interface, each composite a part of the
+product of its table at r = (s, delta f) with a density's half-grid
+samples, sampled with f as one FFT stack.  The products come from sweeps
+(``_sweep``) over row blocks of the tables of at most ``core._EVAL_BLOCK``
+entries, built in turn on one pooled working set; each block reads each
+table once, in one GEMM against all the densities that table takes.
+``_swept`` takes all the products of an evaluation in one sweep.
 
 The Fréchet derivatives ``frechet_B`` and ``frechet_B0`` are signed sums of
 tangent-family members of the base profile whose extra difference slots
@@ -70,8 +75,7 @@ from operator import itemgetter
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import (_EVAL_BLOCK, InterfaceProfile, PeriodicGrid, TWO_PI, _samples,
-                   half_shift_samples)
+from .core import _EVAL_BLOCK, InterfaceProfile, PeriodicGrid, TWO_PI, _samples
 
 __all__ = [
     "OperatorSpec",
@@ -650,54 +654,76 @@ class _LayerTables:
 
 
 # ---------------------------------------------------------------------------
-# layer sums on and off the interface
+# layer sums on and off the interface: record, plan, replay
 # ---------------------------------------------------------------------------
 
-class _LayerSums:
-    """Layer integrals Z_index[density] by a list of rules.  A rule is
-    (share, sample, product): the outputs it fills, its sampler of a (k, N)
-    stack of densities (a list of the samples of each row) and
-    product(index, samples), the weighted sum over its nodes of the table of
-    the lead of ``_PARTS[index]`` (for a table rule, ``part(index)`` of its
-    ``_LayerTables``) against the samples: one array over the points, or
-    for a pair of planes two rows of them.  One memo samples each density
-    once, keyed by its values (so one changed in place is sampled afresh);
-    one takes each product once per (lead, density): both planes of a pair
-    come from one product."""
+def _recorded(evaluate) -> list:
+    """The (index, density) requests of ``evaluate(composites)``, listed by
+    one run against a recorder that returns a zero per density."""
+    requests = []
 
-    def __init__(self, grid: PeriodicGrid, n_out: int, rules):
-        self.grid, self.n_out, self._rules = grid, n_out, rules
-        self._samples, self._products = {}, {}
+    def record(index, *densities):
+        requests.extend((index, d) for d in densities)
+        return [0.0] * len(densities)
 
-    def _sampled(self, densities) -> list:
-        """The densities' memo keys; the new ones are sampled as one stack."""
-        keys = [_density_values(d, self.grid).tobytes() for d in densities]
-        fresh = [key for key in dict.fromkeys(keys) if key not in self._samples]
-        if fresh:
-            stack = np.frombuffer(b"".join(fresh)).reshape(len(fresh), -1)
-            samples = [sample(stack) for _, sample, _ in self._rules]
-            self._samples.update((key, [s[row] for s in samples]) for row, key in enumerate(fresh))
-        return keys
+    evaluate(record)
+    return requests
 
-    def _sum(self, index: int, key: bytes) -> np.ndarray:
-        lead, take, factor = _part(index)
-        products = self._products.get((lead, key))
-        if products is None:
-            products = self._products[lead, key] = [
-                product(index, v) for (_, _, product), v in zip(self._rules, self._samples[key])]
-        z = np.empty(self.n_out)
-        for (share, *_), p in zip(self._rules, products):
-            z[share] = take(p) * factor
-        return z
+
+class _Plan:
+    """A list of (index, density) requests, planned: ``densities`` are the
+    distinct ones, told apart by identity (the plan holds each, so no
+    identity is reused), ``leads`` maps each lead of ``_PARTS``, in order,
+    to the rows of ``densities`` that its table takes, and ``slots`` holds
+    one (index, lead, column) per request, column the place of its row
+    among the lead's.  Lead 0 is index 0's alone, so the rows of the log
+    parts are those of lead 0."""
+
+    def __init__(self, requests):
+        rows, leads, self.slots = {}, {}, []
+        for index, d in requests:
+            if index not in range(7):
+                raise ValueError(f"Z index must be 0..6, got {index}")
+            lead = _PARTS[index][0]
+            row = rows.setdefault(id(d), (len(rows), d))[0]
+            column = leads.setdefault(lead, {}).setdefault(row, len(leads[lead]))
+            self.slots.append((index, lead, column))
+        self.densities = [d for _, d in rows.values()]
+        self.leads = {lead: list(leads[lead]) for lead in sorted(leads)}
+
+    def stack(self, grid: PeriodicGrid, *rows) -> np.ndarray:
+        """The densities' values as one (k, N) stack, then the given rows."""
+        return np.array([_density_values(d, grid) for d in self.densities]
+                        + list(rows)).reshape(-1, grid.n_points)
+
+
+class _Replay:
+    """A positional queue of layer sums: ``composite`` hands back the next
+    queued (index, value), which must be of the index asked for, and
+    ``replay`` runs ``evaluate(composites)`` on it, which must read the
+    queue to its end.  So a replay that asks for another index, or for one
+    sum more or one fewer than the recording run, raises instead of reading
+    another request's value."""
+
+    def __init__(self, values=None):
+        self._queue = None if values is None else deque(values)
 
     def composites(self, index: int, *densities) -> list:
-        return [self._sum(index, key) for key in self._sampled(densities)]
+        """One ``composite`` per density."""
+        return [self.composite(index, d) for d in densities]
 
+    def composite(self, index: int, density) -> np.ndarray:
+        queue = self._queue
+        if not queue or queue[0][0] != index:
+            raise ValueError(f"composite {index} asked for where the plan queued "
+                             f"{queue[0][0] if queue else 'none'}")
+        return queue.popleft()[1]
 
-def _part(index: int):
-    if index not in range(7):
-        raise ValueError(f"Z index must be 0..6, got {index}")
-    return _PARTS[index]
+    def replay(self, evaluate):
+        out = evaluate(self.composites)
+        if self._queue:
+            raise ValueError(f"the evaluation left {len(self._queue)} recorded composites unread")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -773,61 +799,46 @@ def _sweep(f: InterfaceProfile, half: np.ndarray, plan: dict) -> dict:
     return out
 
 
-class DiagonalOps(_LayerSums):
+class DiagonalOps(_Replay):
     """The layer sums on the interface of one profile f.
 
     ``composite`` applies the named composites 0..6, the layer sums of the
     half-grid midpoint rule at r = (s, delta f); composite 0 is the
-    logarithmic operator ``eval_B0``.  Every product is taken by a sweep of
-    the tables (``_sweep``), which leases its working set for that sweep
-    only.  Stand-alone, a composite whose product no sweep took yet runs one
-    for it alone, its density keyed by its values.  ``sweep`` instead takes
-    a whole list of requests at once and queues their composites, which
-    ``composite`` then hands back in that order with no lookup.  The rule
-    covers every output and folds the weight h/(2 pi) into its contraction;
-    the part factors 1, 1/2 and 1/4 are powers of two, so the order of the
-    two scalings does not change a bit.
+    logarithmic operator ``eval_B0``.  ``sweep`` takes the products of a
+    list of requests in one sweep of the tables (``_sweep``), which leases
+    its working set for that sweep only, and queues their composites, which
+    ``composite`` then hands back in that order with no lookup.
+    Stand-alone, with nothing queued, a composite is the sweep of its one
+    request.  The rule covers every output and folds the weight h/(2 pi)
+    into its contraction; the part factors 1, 1/2 and 1/4 are powers of
+    two, so the order of the two scalings does not change a bit.
     """
 
     def __init__(self, f: InterfaceProfile):
-        self.f = f
-        self._queue = None
-        half = []       # f's half-grid samples, taken by the first product
-
-        def product(index, v):
-            if not half:
-                half.append(half_shift_samples(f))
-            lead = _PARTS[index][0]
-            return _sweep(f, half[0], {lead: v[0][None]})[lead][0]
-
-        super().__init__(f.grid, f.grid.n_points, [
-            (slice(None), lambda stack: list(zip(*_samples(stack))), product)])
+        super().__init__()
+        self.f, self.grid = f, f.grid
 
     def sweep(self, requests) -> None:
         """Take every product of the (index, density) ``requests`` in one
-        sweep and queue their composites in request order.  A density is
-        told apart by its identity (``requests`` holds each one, so no
-        identity is reused).  The densities and f are sampled as one stack;
-        each (lead, density) takes one product, and composite 0's log parts
-        take one inverse FFT."""
-        rows, columns, logs, slots = {}, {}, {}, []
-        for index, d in requests:
-            lead = _part(index)[0]
-            row = rows.setdefault(id(d), (len(rows), d))[0]
-            column = columns.setdefault(lead, {}).setdefault(row, len(columns[lead]))
-            slots.append((index, lead, column, logs.setdefault(row, len(logs))
-                          if index == 0 else None))
-        half, coeffs = _samples(np.array([_density_values(d, self.grid) for _, d in rows.values()]
-                                         + [self.f.values]))
-        products = _sweep(self.f, half[-1], {lead: half[list(columns[lead])]
-                                            for lead in sorted(columns)})
-        if logs:
-            logs = np.fft.ifft(_log_sin_multiplier(self.grid.n_points) * coeffs[list(logs)]).real
-        self._queue = deque()
-        for index, lead, column, log in slots:
+        sweep and queue their composites in request order (``_Plan``).  The
+        densities and f are sampled as one stack; each (lead, density)
+        takes one product, and composite 0's log parts take one inverse
+        FFT."""
+        self._queue = deque(self._sums(_Plan(requests)))
+
+    def _sums(self, plan: _Plan) -> list:
+        """(index, composite) per slot of the plan."""
+        half, coeffs = _samples(plan.stack(self.grid, self.f.values))
+        products = _sweep(self.f, half[-1], {lead: half[rows] for lead, rows in plan.leads.items()})
+        if 0 in plan.leads:
+            logs = np.fft.ifft(_log_sin_multiplier(self.grid.n_points)
+                               * coeffs[plan.leads[0]]).real
+        sums = []
+        for index, lead, column in plan.slots:
             _, take, factor = _PARTS[index]
             z = take(products[lead][column]) * factor
-            self._queue.append((index, z if log is None else logs[log] + z))
+            sums.append((index, logs[column] + z if index == 0 else z))
+        return sums
 
     def kernel(self, n: int, m: int, p: int, q: int) -> np.ndarray:
         """The diagonal tangent-family kernel of f, the one ``eval_B`` builds."""
@@ -836,48 +847,25 @@ class DiagonalOps(_LayerSums):
         df = ws.delta(self.f.values)
         return _tangent_kernel(ws, [df] * m, [df] * n, [df] * q, p)
 
-    def composites(self, index: int, *densities) -> list:
-        """One ``composite`` per density."""
-        return [self.composite(index, d) for d in densities]
-
     def composite(self, index: int, density) -> np.ndarray:
         """Composite ``index`` of a density: a part of its table's product with
         the half-grid samples; index 0 adds the spectral log part.  After a
         ``sweep``, the next queued composite, which must be of this index."""
-        if self._queue is not None:
-            if not self._queue or self._queue[0][0] != index:
-                raise ValueError(f"composite {index} asked for where the sweep queued "
-                                 f"{self._queue[0][0] if self._queue else 'none'}")
-            return self._queue.popleft()[1]
-        (key,) = self._sampled([density])
-        out = self._sum(index, key)
-        if index == 0:
-            coeffs = self._samples[key][0][1]
-            return np.fft.ifft(_log_sin_multiplier(self.grid.n_points) * coeffs).real + out
-        return out
+        if self._queue is None:
+            return self._sums(_Plan([(index, density)]))[0][1]
+        return _Replay.composite(self, index, density)
 
 
 def _swept(f: InterfaceProfile, evaluate):
     """What ``evaluate(composites)`` returns on the interface of f, with all
-    its products taken in one sweep: a first run against a recorder that
-    returns a zero per density lists its (index, density) requests and holds
-    the densities, ``DiagonalOps.sweep`` takes them, and the second run gets
-    their composites back by position.  So ``evaluate`` must ask for the
-    same densities in the same order in both runs, without reading the
-    values it gets back; a second run whose indices differ raises."""
-    requests = []
-
-    def record(index, *densities):
-        requests.extend((index, d) for d in densities)
-        return [0.0] * len(densities)
-
-    evaluate(record)
+    its products taken in one sweep: a first run lists its requests
+    (``_recorded``), ``DiagonalOps.sweep`` takes them, and the second run
+    gets their composites back by position (``_Replay``).  So ``evaluate``
+    must ask for the same indices in the same order in both runs, without
+    reading the values it gets back."""
     ops = DiagonalOps(f)
-    ops.sweep(requests)
-    out = evaluate(ops.composites)
-    if ops._queue:
-        raise ValueError(f"the evaluation left {len(ops._queue)} recorded composites unread")
-    return out
+    ops.sweep(_recorded(evaluate))
+    return ops.replay(evaluate)
 
 
 # ---------------------------------------------------------------------------

@@ -196,18 +196,19 @@ class TestPsi:
         assert len(calls) <= 3, calls
 
     def test_composites_replayed_without_lookup(self, monkeypatch):
-        # the 14 composites come back in call order from the one sweep: none
-        # is keyed or sampled again
+        # the 14 composites come back in call order from the one sweep: the
+        # 7 distinct densities and f are sampled once, as one stack
         from stokes2p import operators
 
         sampled, composites = [], []
-        monkeypatch.setattr(operators._LayerSums, "_sampled",
-                            lambda self, densities: sampled.append(densities))
+        samples = operators._samples
+        monkeypatch.setattr(operators, "_samples", lambda values, m=None:
+                            sampled.append(np.shape(values)) or samples(values, m))
         composite = operators.DiagonalOps.composite
         monkeypatch.setattr(operators.DiagonalOps, "composite", lambda self, index, d:
                             composites.append(index) or composite(self, index, d))
         eval_Psi(random_profile(PeriodicGrid(64), 4), PhysParams.from_theta(1.0, 1.0, 1.0))
-        assert sampled == []
+        assert sampled == [(8, 64)]
         assert composites == [1, 1, 2, 3, 3, 3, 4, 4, 0, 0, 5, 5, 6, 6]
 
 

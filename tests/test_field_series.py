@@ -17,7 +17,6 @@ from stokes2p import (InterfaceProfile, PeriodicGrid, PhysParams, ProximityError
                       velocity_field, velocity_gradient_field)
 from stokes2p import fields, layer_series  # noqa: E402
 from stokes2p.evolution import forcing_G  # noqa: E402
-from stokes2p.operators import _PARTS  # noqa: E402
 from oracles import band_limited, trapezoid_layers  # noqa: E402
 
 PARAMS = PhysParams.from_theta(mu=1.3, sigma=0.7, theta=1.5)
@@ -147,7 +146,8 @@ class TestAgainstTheTrapezoidRule:
 @pytest.fixture
 def series_calls(monkeypatch):
     """The coefficient builds (density values) and the products (block,
-    side, lead, coefficient id) of the series rule while the test runs."""
+    side, lead, coefficient id) of the series rule while the test runs: a
+    rule is (share, samples, product), product(lead, coefficients)."""
     builds, products = [], []
     build, rules = fields._Series._build, fields._Series.rules
     monkeypatch.setattr(fields._Series, "_build",
@@ -157,11 +157,10 @@ def series_calls(monkeypatch):
         block = object()
 
         def counted(sg, product):
-            return lambda index, c: (products.append(
-                (block, sg, _PARTS[index][0], id(c))) or product(index, c))
+            return lambda lead, c: products.append((block, sg, lead, id(c))) or product(lead, c)
 
-        return [(share, sample, counted(side[share][0], product))
-                for share, sample, product in rules(self, pts, side)]
+        return [(share, samples, counted(side[share][0], product))
+                for share, samples, product in rules(self, pts, side)]
 
     monkeypatch.setattr(fields._Series, "rules", spy)
     return builds, products
@@ -186,7 +185,7 @@ class TestSeriesWork:
         f, pts = far
         builds, products = series_calls
         monkeypatch.setattr(fields, "_EVAL_BLOCK", 24 * 256)
-        assert len(list(fields._point_blocks(f, pts))) == 5
+        assert len(list(fields._point_blocks(f, pts, np.empty((0, f.grid.n_points))))) == 5
         G = forcing_G(f, PARAMS)
         monkeypatch.setattr(operators._LayerTables, "__init__",
                             lambda *args, **kw: pytest.fail("a layer table was built"))

@@ -101,14 +101,14 @@ def kernel_builds(monkeypatch):
 
 @pytest.fixture
 def table_products(monkeypatch):
-    """The index of each product of a table with a density's samples taken
+    """The lead of each product of a table with a density's samples taken
     while the test runs: each product reads its table's part once."""
     from stokes2p import operators
 
     taken = []
     part = operators._LayerTables.part
     monkeypatch.setattr(operators._LayerTables, "part",
-                        lambda self, index: taken.append(index) or part(self, index))
+                        lambda self, lead: taken.append(lead) or part(self, lead))
     return taken
 
 
@@ -336,10 +336,11 @@ class TestLayerIntegrals:
         assert builds_per_table(kernel_builds) == [[3], [3]]
 
     def test_sample_flow_takes_each_product_once(self, setup, table_products):
-        # Z5 and Z6 of the velocity are the parts of one product per density
+        # Z5 and Z6 of the velocity are the parts of one product per
+        # density, and Z1 and Z2 of the pressure read lead 1 for g1 and g2
         grid, f, params = setup
         sample_flow(f, params, STRIP_POINTS)
-        assert sorted(table_products) == [0, 0, 1, 2, 5, 5]
+        assert sorted(table_products) == [0, 0, 1, 1, 5, 5]
 
     def test_gradient_takes_each_product_once_per_rule(self, setup, table_products):
         # Z1/Z2 and Z3/Z4 share their products; far and near points take
@@ -457,10 +458,11 @@ class TestPointBlocks:
         grid, f, params = setup
         far, mixed = points
         monkeypatch.setattr(fields, "_EVAL_BLOCK", self.BUDGET)
-        rows = [r for r, _ in fields._point_blocks(f, far)]
+        stack = np.cos(grid.nodes)[None]
+        rows = [r for r, _ in fields._point_blocks(f, far, stack)]
         assert [(r.start, r.stop) for r in rows] == [(0, 3), (3, 6), (6, 9), (9, 12),
                                                      (12, 15), (15, 16)]
-        rows = [r for r, _ in fields._point_blocks(f, mixed, near=True)]
+        rows = [r for r, _ in fields._point_blocks(f, mixed, stack, near=True)]
         assert len(rows) >= 5 and 1 <= rows[-1].stop - rows[-1].start <= 2
         assert [r.stop for r in rows[:-1]] == [r.start for r in rows[1:]]
         assert rows[0].start == 0 and rows[-1].stop == len(mixed)
@@ -510,7 +512,7 @@ class TestPointBlocks:
         far, _ = points
         pts = np.vstack([far, [[0.0, f.values[0] + 0.5 * default_collar(f)]]])
         monkeypatch.setattr(fields, "_EVAL_BLOCK", self.BUDGET)
-        rows = [r for r, _ in fields._point_blocks(f, pts, near=True)]
+        rows = [r for r, _ in fields._point_blocks(f, pts, np.cos(grid.nodes)[None], near=True)]
         assert len(rows) == 6 and rows[-1] == slice(15, 17)
         built = []
         init = operators._LayerTables.__init__
@@ -742,8 +744,9 @@ class TestNearRule:
                 assert abs(g - want) <= 64 * np.finfo(float).eps * np.sum(np.abs(terms))
 
     def test_one_sample_of_f_and_of_each_density(self, monkeypatch):
-        # f for r2 and each distinct density, each over the flat node set of
-        # all points; the feet search samples only at the points themselves
+        # f for r2 and each distinct density (told apart by identity), each
+        # over the flat node set of all points; the feet search samples only
+        # at the points themselves
         grid = self.GRID
         f = self.profile(grid, lambda s: 0.1 * np.cos(s) + 0.05 * np.sin(2 * s))
         pts = np.vstack([approach_points(f, 0.4, 1e-3 * grid.spacing)[:1],
@@ -755,9 +758,8 @@ class TestNearRule:
         monkeypatch.setattr(InterfaceProfile, "eval_at",
                             lambda self, s: sizes.append(np.size(s)) or eval_at(self, s))
         a, b = np.cos(grid.nodes), np.sin(3 * grid.nodes)
-        [(_, layers)] = fields._point_blocks(f, pts, near=True)
-        for index in range(7):
-            layers.composites(index, a, b, a.copy())
+        fields._blocked(f, pts, lambda B: [z for index in range(7) for z in B(index, a, b, a)],
+                        near=True)
         assert set(sizes) == {len(pts), nodes}
         assert sizes.count(nodes) == 3
 

@@ -514,17 +514,19 @@ LAYER_EVALUATORS = ("interface", "far", "far-and-near")
 
 
 def layer_evaluator(kind, f):
-    """Z_index of a density, as ``composite(index, density)`` of one new
-    evaluator of the given kind."""
+    """The layer sums of a list of (index, density) requests: on the
+    interface one stand-alone ``composite`` per request, all on one
+    ``DiagonalOps``; off it one ``fields._blocked`` call over them all."""
     if kind == "interface":
-        return DiagonalOps(f).composite
+        ops = DiagonalOps(f)
+        return lambda requests: [ops.composite(index, d) for index, d in requests]
     pts = [[0.3, 2.5], [4.0, -2.5]]
     near = kind == "far-and-near"
     if near:
         collar = fields.default_collar(f)
         pts += [[0.0, f.values[0] + 0.5 * collar], [2.5, f.eval_at(2.5) - 0.2 * collar]]
-    [(_, layers)] = fields._point_blocks(f, np.array(pts), near=near)
-    return lambda index, density: layers.composites(index, density)[0]
+    return lambda requests: fields._blocked(
+        f, np.array(pts), lambda B: [z for index, d in requests for z in B(index, d)], near=near)
 
 
 class TestComposites:
@@ -553,15 +555,14 @@ class TestComposites:
 
     @pytest.mark.parametrize("kind", LAYER_EVALUATORS)
     def test_kept_kernel_matches_fresh_ops(self, kind):
-        # one evaluator keeps its samples and products; calls in any order
-        # of indices give the values of a fresh evaluator per call
+        # requests in any order of indices, repeats included, give the
+        # values of one fresh evaluation per request
         grid = PeriodicGrid(128)
         f = InterfaceProfile(grid, band_limited(grid, 5, modes=16, amplitude=0.3))
         phis = [band_limited(grid, 30 + c, modes=16) for c in range(2)]
-        ops = layer_evaluator(kind, f)
-        for idx in (3, 3, 0, 4, 2, 4, 6, 1, 0, 5):
-            for phi in phis:
-                assert np.array_equal(ops(idx, phi), layer_evaluator(kind, f)(idx, phi))
+        requests = [(idx, phi) for idx in (3, 3, 0, 4, 2, 4, 6, 1, 0, 5) for phi in phis]
+        for request, got in zip(requests, layer_evaluator(kind, f)(requests)):
+            assert np.array_equal(got, layer_evaluator(kind, f)([request])[0])
 
     @pytest.mark.parametrize("kind", LAYER_EVALUATORS)
     def test_density_changed_in_place_is_sampled_afresh(self, kind):
@@ -569,12 +570,12 @@ class TestComposites:
         f = InterfaceProfile(grid, band_limited(grid, 7, modes=12, amplitude=0.3))
         phi = band_limited(grid, 8, modes=12)
         ops = layer_evaluator(kind, f)
-        before = [ops(idx, phi) for idx in (0, 1, 3)]
+        requests = [(idx, phi) for idx in (0, 1, 3)]
+        before = ops(requests)
         phi *= 2.0
         phi[5] += 0.1
-        for idx, old in zip((0, 1, 3), before):
-            got = ops(idx, phi)
-            assert np.array_equal(got, layer_evaluator(kind, f)(idx, phi))
+        for request, got, old in zip(requests, ops(requests), before):
+            assert np.array_equal(got, layer_evaluator(kind, f)([request])[0])
             assert not np.array_equal(got, old)
 
     def test_live_ops_hold_their_own_tables(self):
@@ -793,7 +794,8 @@ class TestRowBlocks:
 
     def test_one_sweep_per_evaluation(self, monkeypatch):
         # Psi, both traces and the traces of the jump checks each take all
-        # their products in one sweep; a composite no sweep took runs its own
+        # their products in one sweep; a stand-alone composite is the sweep
+        # of its one request
         from stokes2p import fields
 
         sweeps = []
@@ -814,11 +816,11 @@ class TestRowBlocks:
         sweeps.clear()
         ops = DiagonalOps(f)
         ops.composite(3, phi), ops.composite(4, phi), eval_B0(f, phi)
-        assert sweeps == [1, 1]
+        assert sweeps == [1, 1, 1]
 
     def test_ops_freed_without_the_cycle_collector(self):
-        # no rule holds the object itself, so its samples and products go
-        # with the last reference
+        # nothing it holds refers back to it, so its queue of composites
+        # goes with the last reference
         import gc
         import weakref
 
