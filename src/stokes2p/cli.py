@@ -72,6 +72,16 @@ def _params_from_args(args) -> PhysParams:
                       rho_plus=args.rho_plus, rho_minus=args.rho_minus)
 
 
+def _check_output_file(path) -> None:
+    """Raise ValueError, before any work, unless the directory of an output
+    file exists and the path is not a directory itself."""
+    path = Path(path)
+    if path.is_dir():
+        raise ValueError(f"output path {path} is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"output directory {path.parent} does not exist")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stokes2p",
                                      description="two-phase periodic Stokes interface flow")
@@ -131,7 +141,11 @@ def cmd_simulate(args) -> int:
               f"{params.sigma + params.theta:g} < 0); perturbations grow", file=sys.stderr)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot make the output directory {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     manifest = {
         "version": __version__,
         "command": "simulate",
@@ -171,6 +185,8 @@ def cmd_spectrum(args) -> int:
         params = _params_from_args(args)
         if args.k_max < 1 or args.k_max > grid.n_points // 4:
             raise ValueError("k-max must be in 1..n/4")
+        if args.out:
+            _check_output_file(args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -203,6 +219,8 @@ def _load_last_snapshot(path):
                 last = json.loads(line)
     if last is None:
         raise ValueError(f"no snapshots in {path}")
+    if not isinstance(last, dict) or not {"t", "values"} <= last.keys():
+        raise ValueError(f"the last snapshot in {path} needs the fields 't' and 'values'")
     return last
 
 
@@ -217,7 +235,8 @@ def cmd_field(args) -> int:
             raise ValueError(f"nx1 and nx2 must be >= 1, got {args.nx1} and {args.nx2}")
         if not np.all(np.isfinite([args.x1_min, args.x1_max, args.x2_min, args.x2_max])):
             raise ValueError("window bounds must be finite")
-    except (OSError, ValueError, KeyError) as exc:
+        _check_output_file(args.out)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

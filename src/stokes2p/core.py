@@ -33,6 +33,8 @@ class PeriodicGrid:
     """Uniform collocation of [0, 2*pi) plus its half-spacing companion grid."""
 
     def __init__(self, n_points: int):
+        if not float(n_points).is_integer():
+            raise ValueError(f"n_points must be an integer, got {n_points}")
         n_points = int(n_points)
         if n_points < 8 or n_points % 2 != 0:
             raise ValueError(f"n_points must be even and >= 8, got {n_points}")

@@ -223,8 +223,9 @@ class StepperConfig:
             raise ValueError("dt, t_end, tol and blowup_factor must be finite")
         if self.dt < 0 or self.tol <= 0 or self.blowup_factor <= 1:
             raise ValueError("dt must be >= 0, tol > 0, blowup_factor > 1")
-        if self.snapshot_stride < 1:
-            raise ValueError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
+        if self.snapshot_stride < 1 or not float(self.snapshot_stride).is_integer():
+            raise ValueError(f"snapshot_stride must be an integer >= 1, "
+                             f"got {self.snapshot_stride}")
 
     def effective_dt(self, grid: PeriodicGrid) -> float:
         if self.dt > 0:

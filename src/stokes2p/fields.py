@@ -7,9 +7,11 @@ their one-sided interface limits reproduce the singular trace composites
 plus explicit local jump terms.  Off the interface they are asked for as
 on it (``operators._Plan``): an evaluation is recorded once a call, its
 densities sampled once a call for the far rules, and each block of points
-hands the sums back by position (``operators._Replay``) in the call form
-``composites(index, *densities)``, so the bulk velocity and the velocity
-traces read the same layer-velocity coding of ``evolution``.
+takes the products of its rule, which the plan turns into sums
+(``operators._Plan.sums``) and hands back by position
+(``operators._Replay``) in the call form ``composites(index,
+*densities)``, so the bulk velocity and the velocity traces read the same
+layer-velocity coding of ``evolution``.
 
 Every evaluator first routes its points in one pass (``_collar_search``)
 over max(8N, 1024) uniform samples of f.  The points that clear the
@@ -20,10 +22,12 @@ the trapezoid rule's sums as exact series (``layer_series``), with no table
 over (point, node); fewer take the tables, which then cost less.  Only the
 others go through the distance search on those samples, which finds the
 points inside the collar and starts the Newton feet of the near ones.  The
-evaluator then works block by block (``_blocked``): each run of consecutive
-points holding at most ``core._EVAL_BLOCK`` (point, node) entries gets its
-own rules (``_point_blocks``), and the blocks take turns in one working
-set, so memory is bounded by one block for any number of points.
+evaluator then works block by block (``_blocked``): each rule's points, in
+input order, are split into runs holding at most ``core._EVAL_BLOCK``
+(point, node) entries (``_point_blocks``), so that a block takes one rule,
+and the blocks take turns in one working set, so memory is bounded by one
+block for any number of points.  A block's outputs are scattered back to
+the input order by the indices of its points.
 
 Off-grid values come from ``core``: uniform ones from ``_samples``, f's
 kept on the profile and a call's densities as one stack; the others (the
@@ -45,7 +49,7 @@ from .core import (_EVAL_BLOCK, InterfaceProfile, PhysParams, _samples, geometry
 from .evolution import (_direct_velocity, _far_field_constants, _parts_velocity,
                         forcing_G, phi_of)
 from .layer_series import _Series, _terms
-from .operators import _PARTS, _LayerTables, _Plan, _recorded, _Replay, _swept
+from .operators import _LayerTables, _Plan, _recorded, _Replay, _swept
 
 SIDE_PLUS = "plus"
 SIDE_MINUS = "minus"
@@ -328,37 +332,38 @@ def _collar_search(f: InterfaceProfile, pts: np.ndarray, collar, near):
 
 
 def _block_bounds(nodes) -> list:
-    """Bounds of the blocks of points with the given node counts: runs of
+    """The blocks of points with the given node counts, as slices: runs of
     consecutive points holding at most ``_EVAL_BLOCK`` (point, node)
-    entries, or two points where those exceed it; [0, 0] for no points."""
+    entries, or two points where those exceed it; one empty block for no
+    points."""
     ends = np.concatenate([[0], np.cumsum(nodes)])
     bounds = [0]
     while bounds[-1] < len(nodes) or len(bounds) == 1:
         start = bounds[-1]
         stop = int(np.searchsorted(ends, ends[start] + _EVAL_BLOCK, side="right")) - 1
         bounds.append(min(max(stop, start + 2), len(nodes)))
-    return bounds
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _point_blocks(f: InterfaceProfile, pts: np.ndarray, stack, *, collar=None, near=False):
-    """The rows and rules of each block of the points, in input order,
-    after one routing pass (see ``_collar_search`` and ``_block_bounds``).
-    A rule is (share, samples, product): the rows of the block it fills,
-    the samples of each density of the (k, N) ``stack`` and product(lead,
-    samples[row]), the sum of a lead's table at its points.  The points
-    clear of the strip on a side take the series rule (``_Series``) if
-    they outnumber its terms, those inside the collar ``_near_rule`` from
-    their feet and the others ``_trapezoid_rule``.  A far point holds
-    max(N, 256) nodes, whichever rule it takes, and a near point those of
-    its panel rule.  An empty point set is one empty block.
+    """The blocks of the points after one routing pass (``_collar_search``),
+    each of one rule: (rows, samples, product), the input indices of its
+    points, the samples of each density of the (k, N) ``stack`` and
+    product(lead, samples[row]), the sum of a lead's table at its points.
+    The points clear of the strip on a side take that side's series rule
+    (``_Series``) if they outnumber its terms, those inside the collar
+    ``_near_rule`` from their feet and the others ``_trapezoid_rule``.
+    Each rule's points, in input order, are split by ``_block_bounds`` on
+    their node counts: max(N, 256) for a far point, whichever rule it
+    takes, and those of its panel rule for a near point.  An empty point
+    set is one empty block of the trapezoid rule.
 
     The stack is sampled once a call for the trapezoid rule and the series
     coefficients built once a call; the near rule samples it at each
     block's nodes.  The trapezoid tables of every block are written into
-    one working set, sized for the most trapezoid points of a block, and
-    the series powers into one buffer: fresh tables per block would fault
-    their pages in anew.  So a block's rules are valid only until the next
-    block is drawn."""
+    one working set, sized for the largest block, and the series powers
+    into one buffer: fresh tables per block would fault their pages in
+    anew.  So a block is valid only until the next block is drawn."""
     collar = default_collar(f) if collar is None else collar
     m, k = _trapezoid_nodes(f), _terms(default_collar(f))
     side, close, feet, dist = _collar_search(f, pts, collar, near)
@@ -370,58 +375,49 @@ def _point_blocks(f: InterfaceProfile, pts: np.ndarray, stack, *, collar=None, n
     for sg in (1, -1):
         if np.count_nonzero(side == sg) <= len(k):
             side[side == sg] = 0
-    nodes = np.full(len(pts), m)
-    # counts only: a block builds its own near nodes, so they never span all points
-    nodes[close] = [len(_near_nodes(d, f.grid.spacing)[1]) for d in dist]
-    bounds = _block_bounds(nodes)
-    # the near and series points before each bound (the near ones index the
-    # feet); only these O(blocks) counts outlive the bookkeeping over the points
-    near_bounds = np.concatenate([[0], np.cumsum(close)])[bounds]
-    series_bounds = np.concatenate([[0], np.cumsum(side != 0)])[bounds]
-    del nodes
-    size = m * int(np.max(np.diff(bounds) - np.diff(near_bounds) - np.diff(series_bounds)))
-    work = {"u": np.empty(size, complex), "r2": np.empty(size), "planes": np.empty(4 * size)}
-    table = ~close & (side == 0)
-    samples = _samples(stack, m)[0] if np.any(table) else None
-    series = None
-    if np.any(side):
-        series = _Series(f, m, k, side, int(np.max(np.diff(series_bounds))), stack)
-    for start, stop, a, b in zip(bounds[:-1], bounds[1:], near_bounds[:-1], near_bounds[1:]):
-        rows = slice(start, stop)
-        rules = []
-        if np.any(table[rows]):
-            rules.append((table[rows], samples, _trapezoid_rule(f, pts[rows][table[rows]], work)))
-        if np.any(close[rows]):
-            rules.append((close[rows], *_near_rule(f, pts[rows][close[rows]], feet[a:b],
-                                                   dist[a:b], stack)))
-        if series is not None:
-            rules += series.rules(pts[rows], side[rows])
-        yield rows, rules
+    # each rule's points, at 4 bytes a point: the one table over all the
+    # points that is held beside a block's tables
+    rows = {rule: np.flatnonzero(mask).astype(np.int32) for rule, mask in
+            (("table", ~close & (side == 0)), (1.0, side == 1), (-1.0, side == -1),
+             ("near", close))}
+    del side, close
+    if len(rows["table"]) or not len(pts):
+        blocks = [rows["table"][b] for b in _block_bounds(np.full(len(rows["table"]), m))]
+        size = m * max(len(block) for block in blocks)
+        work = {"u": np.empty(size, complex), "r2": np.empty(size), "planes": np.empty(4 * size)}
+        samples = _samples(stack, m)[0]
+        for block in blocks:
+            yield block, samples, _trapezoid_rule(f, pts[block], work)
+    blocks = {sg: [rows[sg][b] for b in _block_bounds(np.full(len(rows[sg]), m))]
+              for sg in (1.0, -1.0) if len(rows[sg])}
+    if blocks:
+        most = max(len(block) for side_blocks in blocks.values() for block in side_blocks)
+        series = _Series(f, m, k, list(blocks), most, stack)
+        for sg, side_blocks in blocks.items():
+            for block in side_blocks:
+                yield block, *series.rule(pts[block], sg)
+    if len(dist):
+        # counts only: a block builds its own near nodes, so they never span all points
+        for b in _block_bounds([len(_near_nodes(d, f.grid.spacing)[1]) for d in dist]):
+            yield rows["near"][b], *_near_rule(f, pts[rows["near"][b]], feet[b], dist[b], stack)
 
 
 def _blocked(f: InterfaceProfile, points, evaluate, *, collar=None, near=False) -> list:
     """The arrays over the points that ``evaluate(composites)`` returns,
     each assembled over the blocks of ``_point_blocks``.  Its requests are
     recorded and planned once a call (``operators._Plan``); each block
-    takes one product per rule, lead and row of the plan and replays
-    ``evaluate`` on the sums by position (``operators._Replay``).  A
-    block's rules and products are dropped before the next block is
-    drawn."""
+    takes one product per lead and row of the plan, which the plan turns
+    into sums (``_Plan.sums``), and replays ``evaluate`` on them by
+    position (``operators._Replay``).  A block's rule and products are
+    dropped before the next block is drawn."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     plan = _Plan(_recorded(evaluate))
     outs = []
-    for rows, rules in _point_blocks(f, pts, plan.stack(f.grid), collar=collar, near=near):
-        products = [(share, {lead: [product(lead, samples[row]) for row in lead_rows]
-                             for lead, lead_rows in plan.leads.items()})
-                    for share, samples, product in rules]
-        sums = []
-        for index, lead, column in plan.slots:
-            _, take, factor = _PARTS[index]
-            z = np.empty(rows.stop - rows.start)
-            for share, p in products:
-                z[share] = take(p[lead][column]) * factor
-            sums.append((index, z))
-        del rules, products
+    for rows, samples, product in _point_blocks(f, pts, plan.stack(f.grid), collar=collar,
+                                                near=near):
+        sums = plan.sums({lead: [product(lead, samples[row]) for row in lead_rows]
+                          for lead, lead_rows in plan.leads.items()})
+        del samples, product
         parts = _Replay(sums).replay(evaluate)
         outs = outs or [np.empty((len(pts),) + np.shape(p)[1:]) for p in parts]
         for out, part in zip(outs, parts):

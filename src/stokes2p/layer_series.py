@@ -19,12 +19,13 @@ The coefficients of (v, f v) are built once per density and side for all
 point blocks of a call, from the call's stack of densities when its
 ``_Series`` is made, in slabs of at most ``_EVAL_BLOCK`` (term, node)
 entries: the first holds z^r from ``_powers``, and each next one is the
-last times z^h, h its height.  A block's powers W^k come from ``_powers``
-too, into one buffer that all blocks share.  K, the number of terms
-(``_terms``), follows from the least gap that a point of the rule may
-have, never from the points themselves.  ``fields`` routes the points and
-takes these rules beside its tables, a density's coefficients on a side
-standing for its samples.
+last times z^h, h its height.  A block holds the points of one side, and
+its powers W^k come from ``_powers`` too, into one buffer that all blocks
+share.  K, the number of terms (``_terms``), follows from the least gap
+that a point of the rule may have, never from the points themselves.
+``fields`` routes the points and gives each side's blocks this rule
+(``_Series.rule``), a density's coefficients on that side standing for its
+samples.
 """
 
 from __future__ import annotations
@@ -59,15 +60,15 @@ def _powers(w, out) -> None:
 class _Series:
     """The series rule of the points of one call that clear the strip by
     at least the gap of its terms k (``_terms``; see the module docstring),
-    on the m nodes of the trapezoid rule; ``side`` is +1 at the points above
-    it, -1 at those below and 0 at the others, and ``stack`` holds the
-    call's densities, whose coefficients are built here."""
+    on the m nodes of the trapezoid rule, on the ``sides`` (+1 above, -1
+    below) that hold such points; ``stack`` holds the call's densities,
+    whose coefficients are built here, and a block takes at most
+    ``block_points`` points."""
 
-    def __init__(self, f: InterfaceProfile, m: int, k: np.ndarray, side, block_points: int,
+    def __init__(self, f: InterfaceProfile, m: int, k: np.ndarray, sides, block_points: int,
                  stack):
-        self.m, self.fs, self.k = m, f.uniform_samples(m), k
+        self.m, self.fs, self.k, self.sides = m, f.uniform_samples(m), k, sides
         self.s = 2.0 * np.pi * np.arange(m) / m
-        self.sides = [sg for sg in (1.0, -1.0) if np.any(side == sg)]
         self.h0 = {1.0: np.max(self.fs), -1.0: np.min(self.fs)}
         self._slab = np.empty((max(1, min(len(k), _EVAL_BLOCK // m)), m), complex)
         self._block = np.empty(block_points * len(k), complex)
@@ -94,23 +95,13 @@ class _Series:
                     out[start:start + len(rows)] = rows @ w
         return coefficients
 
-    def rules(self, pts: np.ndarray, side) -> list:
-        """The rules (share, samples, product) of a block's points, one per
-        side that holds some: the samples of a density are its coefficients
-        on that side."""
-        rules, used, n_terms = [], 0, len(self.k)
-        for sg in self.sides:
-            share = side == sg
-            x1, x2 = pts[share, 0], pts[share, 1]
-            if not len(x2):
-                continue
-            powers = self._block[used * n_terms:(used + len(x2)) * n_terms]
-            powers = powers.reshape(n_terms, len(x2))
-            used += len(x2)
-            _powers(np.exp(-sg * (1j * x1 + (x2 - self.h0[sg]))), powers)
-            rules.append((share, [c[sg] for c in self._coefficients],
-                          self._product(powers.T, x2, sg)))
-        return rules
+    def rule(self, pts: np.ndarray, sg: float):
+        """The rule (samples, product) of a block's points on side sg: the
+        samples of a density are its coefficients on that side."""
+        x1, x2 = pts[:, 0], pts[:, 1]
+        powers = self._block[:len(self.k) * len(x2)].reshape(len(self.k), len(x2))
+        _powers(np.exp(-sg * (1j * x1 + (x2 - self.h0[sg]))), powers)
+        return [c[sg] for c in self._coefficients], self._product(powers.T, x2, sg)
 
     def _product(self, powers, x2, sg):
         """product(lead, c) of a rule: the sum of the table of a lead of

@@ -37,8 +37,10 @@ Every layer sum, on the interface and off it (``fields``), is asked for
 one way.  An evaluation runs once against a recorder (``_recorded``); its
 requests are planned (``_Plan``: the distinct densities, by identity, as
 one stack, the rows that each table takes and one slot per request); the
-sums are taken; and the evaluation runs again against a positional queue
-of them (``_Replay``), which raises if it asks for other ones.
+products of each table with its rows are taken, and the plan alone turns
+them into sums (``_Plan.sums``, by the take and factor of ``_PARTS``); and
+the evaluation runs again against a positional queue of them
+(``_Replay``), which raises if it asks for other ones.
 ``DiagonalOps`` takes them on the interface, each composite a part of the
 product of its table at r = (s, delta f) with a density's half-grid
 samples, sampled with f as one FFT stack.  The products come from sweeps
@@ -696,6 +698,18 @@ class _Plan:
         return np.array([_density_values(d, grid) for d in self.densities]
                         + list(rows)).reshape(-1, grid.n_points)
 
+    def sums(self, products) -> list:
+        """The (index, sum) of each slot, in request order: ``products``
+        maps each lead to its products with the lead's rows, entry
+        ``column`` that of the column's row, and a slot's sum is its product
+        taken apart and scaled by the take and factor of its index in
+        ``_PARTS``, in a fresh array."""
+        sums = []
+        for index, lead, column in self.slots:
+            _, take, factor = _PARTS[index]
+            sums.append((index, take(products[lead][column]) * factor))
+        return sums
+
 
 class _Replay:
     """A positional queue of layer sums: ``composite`` hands back the next
@@ -827,17 +841,17 @@ class DiagonalOps(_Replay):
         self._queue = deque(self._sums(_Plan(requests)))
 
     def _sums(self, plan: _Plan) -> list:
-        """(index, composite) per slot of the plan."""
+        """(index, composite) per slot of the plan; index 0 adds its
+        spectral log part to its sum."""
         half, coeffs = _samples(plan.stack(self.grid, self.f.values))
-        products = _sweep(self.f, half[-1], {lead: half[rows] for lead, rows in plan.leads.items()})
+        sums = plan.sums(_sweep(self.f, half[-1],
+                                {lead: half[rows] for lead, rows in plan.leads.items()}))
         if 0 in plan.leads:
             logs = np.fft.ifft(_log_sin_multiplier(self.grid.n_points)
                                * coeffs[plan.leads[0]]).real
-        sums = []
-        for index, lead, column in plan.slots:
-            _, take, factor = _PARTS[index]
-            z = take(products[lead][column]) * factor
-            sums.append((index, logs[column] + z if index == 0 else z))
+            for (index, _, column), (_, z) in zip(plan.slots, sums):
+                if index == 0:
+                    z += logs[column]
         return sums
 
     def kernel(self, n: int, m: int, p: int, q: int) -> np.ndarray:

@@ -112,6 +112,17 @@ class TestSimulate:
         assert "error: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_dir_onto_a_file_exit_one(self, tmp_path, capsys):
+        # a file where the output directory would go: an error line, no
+        # traceback and nothing written
+        blocker = tmp_path / "run"
+        blocker.write_text("keep")
+        for out in (blocker, blocker / "sub"):
+            code = run_cli("simulate", "--n", "16", "--t-end", "0.02", "--out-dir", str(out))
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: ")
+        assert blocker.read_text() == "keep" and sorted(tmp_path.iterdir()) == [blocker]
+
     def test_determinism_bitwise(self, tmp_path):
         args = ["simulate", "--n", "64", "--sigma", "1", "--mu", "1",
                 "--init", "cos:1:0.01,sin:3:0.002", "--dt", "0.01",
@@ -184,6 +195,18 @@ class TestSpectrum:
 
     def test_bad_kmax(self):
         assert run_cli("spectrum", "--n", "64", "--k-max", "50") == 1
+
+    def test_out_into_a_missing_directory_exit_one(self, tmp_path, capsys, monkeypatch):
+        # refused before the Jacobian is taken: no table is printed
+        from stokes2p import cli
+
+        monkeypatch.setattr(cli, "numeric_jacobian_at_zero",
+                            lambda *args: pytest.fail("computed"))
+        for out in (tmp_path / "missing" / "spec.csv", tmp_path):
+            assert run_cli("spectrum", "--n", "64", "--k-max", "2", "--out", str(out)) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestField:
@@ -402,6 +425,26 @@ class TestField:
     def test_missing_snapshot(self, tmp_path):
         assert run_cli("field", "--snapshot", str(tmp_path / "nope.jsonl"),
                        "--out", str(tmp_path / "f.csv")) == 1
+
+    @pytest.mark.parametrize("record", [{"values": [0.0] * 16}, {"t": 0.5}, [0.0] * 16])
+    def test_last_record_without_t_or_values_exit_one(self, tmp_path, capsys, record):
+        # the last record counts, whatever the ones before it hold; nothing
+        # is written
+        snapshot = tmp_path / "snap.jsonl"
+        good = {"t": 0.0, "values": [0.0] * 16}
+        snapshot.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        out = tmp_path / "f.csv"
+        assert run_cli("field", "--snapshot", str(snapshot), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: the last snapshot in")
+        assert sorted(tmp_path.iterdir()) == [snapshot]
+
+    def test_out_into_a_missing_directory_exit_one(self, tmp_path, capsys):
+        snapshot = tmp_path / "snap.jsonl"
+        snapshot.write_text(json.dumps({"t": 0.0, "values": [0.0] * 16}) + "\n")
+        out = tmp_path / "missing" / "f.csv"
+        assert run_cli("field", "--snapshot", str(snapshot), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: output directory")
+        assert sorted(tmp_path.iterdir()) == [snapshot]
 
     @pytest.mark.parametrize("text", ["", "\n\n  \n"])
     def test_empty_snapshot_file(self, tmp_path, capsys, text):

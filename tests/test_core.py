@@ -46,6 +46,16 @@ class TestPeriodicGrid:
         with pytest.raises(ValueError):
             PeriodicGrid(n)
 
+    @pytest.mark.parametrize("n", [8.5, np.float64(33.9), 64.25, np.nan, np.inf])
+    def test_rejects_non_integral_sizes(self, n):
+        # not truncated to a grid of another size
+        with pytest.raises(ValueError, match="must be an integer"):
+            PeriodicGrid(n)
+
+    @pytest.mark.parametrize("n", [64.0, np.float64(64.0), np.int32(64)])
+    def test_integral_sizes_of_any_type_accepted(self, n):
+        assert PeriodicGrid(n) == PeriodicGrid(64)
+
 
 class TestSpectral:
     def test_pure_cosine_coefficients(self):

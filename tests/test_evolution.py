@@ -588,6 +588,11 @@ class TestStepping:
         with pytest.raises(ValueError, match="snapshot_stride"):
             StepperConfig(snapshot_stride=0)
 
+    @pytest.mark.parametrize("stride", [1.5, 2.25, np.nan, np.inf])
+    def test_non_integral_snapshot_stride_rejected(self, stride):
+        with pytest.raises(ValueError, match="snapshot_stride must be an integer"):
+            StepperConfig(snapshot_stride=stride)
+
     @pytest.mark.parametrize("field", ["dt", "t_end", "tol", "blowup_factor"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_config_rejected(self, field, value):

@@ -147,22 +147,23 @@ class TestAgainstTheTrapezoidRule:
 def series_calls(monkeypatch):
     """The coefficient builds (density values) and the products (block,
     side, lead, coefficient id) of the series rule while the test runs: a
-    rule is (share, samples, product), product(lead, coefficients)."""
+    block's rule is (samples, product), product(lead, coefficients)."""
     builds, products = [], []
-    build, rules = fields._Series._build, fields._Series.rules
+    build, rule = fields._Series._build, fields._Series.rule
     monkeypatch.setattr(fields._Series, "_build",
                         lambda self, values: builds.append(values.copy()) or build(self, values))
 
-    def spy(self, pts, side):
+    def spy(self, pts, sg):
         block = object()
+        samples, product = rule(self, pts, sg)
 
-        def counted(sg, product):
-            return lambda lead, c: products.append((block, sg, lead, id(c))) or product(lead, c)
+        def counted(lead, c):
+            products.append((block, sg, lead, id(c)))
+            return product(lead, c)
 
-        return [(share, samples, counted(side[share][0], product))
-                for share, samples, product in rules(self, pts, side)]
+        return samples, counted
 
-    monkeypatch.setattr(fields._Series, "rules", spy)
+    monkeypatch.setattr(fields._Series, "rule", spy)
     return builds, products
 
 
@@ -179,13 +180,14 @@ class TestSeriesWork:
 
     def test_coefficients_built_once_per_density_per_call(self, far, series_calls,
                                                           monkeypatch):
-        # five blocks of 24 points; no layer table is built at all
+        # six blocks of at most 24 points, three a side; no layer table is
+        # built at all
         from stokes2p import operators
 
         f, pts = far
         builds, products = series_calls
         monkeypatch.setattr(fields, "_EVAL_BLOCK", 24 * 256)
-        assert len(list(fields._point_blocks(f, pts, np.empty((0, f.grid.n_points))))) == 5
+        assert len(list(fields._point_blocks(f, pts, np.empty((0, f.grid.n_points))))) == 6
         G = forcing_G(f, PARAMS)
         monkeypatch.setattr(operators._LayerTables, "__init__",
                             lambda *args, **kw: pytest.fail("a layer table was built"))
@@ -195,13 +197,15 @@ class TestSeriesWork:
 
     def test_one_product_per_lead_and_density_per_block(self, far, series_calls, monkeypatch):
         # the velocity reads leads 0 and 5, the pressure lead 1, each for g1
-        # and g2, on both sides of each of five blocks
+        # and g2, in each of six blocks, three a side
         f, pts = far
         builds, products = series_calls
         monkeypatch.setattr(fields, "_EVAL_BLOCK", 24 * 256)
         sample_flow(f, PARAMS, pts)
-        assert len(products) == len(set(products)) == 5 * 2 * 3 * 2
-        for block, sg in {(block, sg) for block, sg, _, _ in products}:
+        assert len(products) == len(set(products)) == 6 * 3 * 2
+        blocks = {(block, sg) for block, sg, _, _ in products}
+        assert sorted(sg for _, sg in blocks) == [-1.0] * 3 + [1.0] * 3
+        for block, sg in blocks:
             leads = sorted(lead for b, s, lead, _ in products if (b, s) == (block, sg))
             assert leads == [0, 0, 1, 1, 5, 5]
 

@@ -70,8 +70,8 @@ class TestBlockedReplay:
         pts = far_and_near_points(F)[:2].repeat(3, axis=0)
         pts[:, 0] += np.arange(6) * 0.1
         monkeypatch.setattr(fields, "_EVAL_BLOCK", 2 * fields._trapezoid_nodes(F))
-        rows = [r for r, _ in fields._point_blocks(F, pts, np.empty((0, GRID.n_points)))]
-        assert len(rows) == 3
+        rows = [r for r, _, _ in fields._point_blocks(F, pts, np.empty((0, GRID.n_points)))]
+        assert [r.tolist() for r in rows] == [[0, 1], [2, 3], [4, 5]]
         want = [eval_Z(1, F, phi, pts), eval_Z(5, F, psi, pts)]
         runs, received = [], []
 
@@ -97,10 +97,10 @@ class TestBlockedReplay:
 
 
 def test_one_sampling_per_call(monkeypatch):
-    # a near evaluation over blocks that mix the three rules: the trapezoid
-    # stack is sampled once a call, each density's series coefficients are
-    # built once a call, and the near rule samples f and each density once
-    # at each block's nodes
+    # a near evaluation of the three rules, each over at least two blocks:
+    # the trapezoid stack is sampled once a call, each density's series
+    # coefficients are built once a call, and the near rule samples f and
+    # each density once at each block's nodes
     rng = np.random.default_rng(3)
     top, bottom = np.max(F.values), np.min(F.values)
     above = np.column_stack([rng.uniform(0.0, 6.0, 60), top + rng.uniform(1.5, 4.0, 60)])
@@ -109,9 +109,14 @@ def test_one_sampling_per_call(monkeypatch):
     close = np.column_stack([x, F.eval_at(x) + 0.3 * fields.default_collar(F)])
     pts = np.concatenate([above[:20], close[:2], below, above[20:40], close[2:], above[40:]])
     assert len(above) > len(layer_series._terms(fields.default_collar(F))) >= len(below)
-    monkeypatch.setattr(fields, "_EVAL_BLOCK", 24 * fields._trapezoid_nodes(F))
+    monkeypatch.setattr(fields, "_EVAL_BLOCK", 4 * fields._trapezoid_nodes(F))
     want = velocity_field(F, PARAMS, pts, near=True)
-    assert len(list(fields._point_blocks(F, pts, np.empty((0, GRID.n_points)), near=True))) >= 3
+    rule = np.repeat(["series", "near", "table", "series", "near", "series"],
+                     [20, 2, 8, 20, 4, 20])
+    stack = np.empty((0, GRID.n_points))
+    blocks = [set(rule[r]) for r, _, _ in fields._point_blocks(F, pts, stack, near=True)]
+    assert all(blocks.count({name}) >= 2 for name in ("table", "series", "near"))
+    assert sum(map(len, blocks)) == len(blocks)
     sampled, built, near, evals = [], [], [], []
     samples = fields._samples
     monkeypatch.setattr(fields, "_samples", lambda stack, m=None:

@@ -89,3 +89,41 @@ def test_runtime_needs_only_numpy():
     assert roots - set(sys.stdlib_module_names) <= {"numpy", "stokes2p"}, roots
     dependencies = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in dependencies] == ["numpy"]
+
+
+def test_private_names_in_the_docs_resolve():
+    # a docstring, comment or README line that names a private attribute
+    # (a dotted name with a part that starts with "_", ``double-backticked``
+    # in the sources, `backticked` in README.md) names one that exists, in a
+    # module of the package or on one of its classes: a refactor that
+    # removes it must fail here, not leave the docs naming it
+    import importlib
+    import pkgutil
+
+    import stokes2p
+
+    modules = {"stokes2p": stokes2p}
+    for info in pkgutil.iter_modules(stokes2p.__path__):
+        modules[info.name] = importlib.import_module(f"stokes2p.{info.name}")
+    dotted = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+    def resolves(name):
+        parts = name.split(".")
+        routes = [(modules[parts[0]], parts[1:])] if parts[0] in modules else []
+        for owner, rest in routes + [(module, parts) for module in modules.values()]:
+            try:
+                for part in rest:
+                    owner = getattr(owner, part)
+            except AttributeError:
+                continue
+            return True
+        return False
+
+    named = [(path.name, name) for path in sorted((ROOT / "src" / "stokes2p").glob("*.py"))
+             for name in re.findall(r"``([^`]+)``", path.read_text())]
+    named += [("README.md", name)
+              for name in re.findall(r"`([^`]+)`", (ROOT / "README.md").read_text())]
+    private = [(where, name) for where, name in named if dotted.fullmatch(name)
+               and any(part.startswith("_") for part in name.split("."))]
+    assert len(private) > 50
+    assert [(where, name) for where, name in private if not resolves(name)] == []
