@@ -221,13 +221,15 @@ def _load_last_snapshot(path):
         raise ValueError(f"no snapshots in {path}")
     if not isinstance(last, dict) or not {"t", "values"} <= last.keys():
         raise ValueError(f"the last snapshot in {path} needs the fields 't' and 'values'")
-    return last
+    try:
+        return last, np.array(last["values"], dtype=float, ndmin=1)
+    except TypeError:
+        raise ValueError(f"the last snapshot in {path} has 'values' not all numbers") from None
 
 
 def cmd_field(args) -> int:
     try:
-        snap = _load_last_snapshot(args.snapshot)
-        values = np.asarray(snap["values"], dtype=float)
+        snap, values = _load_last_snapshot(args.snapshot)
         grid = PeriodicGrid(len(values))
         f = InterfaceProfile(grid, values)
         params = _params_from_args(args)
@@ -244,7 +246,7 @@ def cmd_field(args) -> int:
     x2 = np.linspace(args.x2_min, args.x2_max, args.nx2)
     pts = np.stack(np.meshgrid(x1, x2), axis=-1).reshape(-1, 2)    # x2 outer, x1 inner
     collar = default_collar(f)
-    keep = ~_collar_search(f, pts, collar, False)[1]
+    keep = ~_collar_search(f, pts, collar)[1]
     skipped = int(np.sum(~keep))
     # one routing pass: the kept points need no second search, and f keeps
     # its search samples.  One forcing serves the samples, the constants and

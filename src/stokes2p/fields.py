@@ -6,12 +6,11 @@ scalar layer integrals Z_0 .. Z_6 with kernels smooth off the interface;
 their one-sided interface limits reproduce the singular trace composites
 plus explicit local jump terms.  Off the interface they are asked for as
 on it (``operators._Plan``): an evaluation is recorded once a call, its
-densities sampled once a call for the far rules, and each block of points
-takes the products of its rule, which the plan turns into sums
-(``operators._Plan.sums``) and hands back by position
-(``operators._Replay``) in the call form ``composites(index,
-*densities)``, so the bulk velocity and the velocity traces read the same
-layer-velocity coding of ``evolution``.
+densities sampled once a call, and each block of points takes the products
+of its rule, which the plan turns into sums (``operators._Plan.sums``) and
+hands back by position (``operators._Replay``) in the call form
+``composites(index, *densities)``, so the bulk velocity and the velocity
+traces read the same layer-velocity coding of ``evolution``.
 
 Every evaluator first routes its points in one pass (``_collar_search``)
 over max(8N, 1024) uniform samples of f.  The points that clear the
@@ -21,20 +20,15 @@ more such points than the series has terms (K + 1, about 0.67 N), they take
 the trapezoid rule's sums as exact series (``layer_series``), with no table
 over (point, node); fewer take the tables, which then cost less.  Only the
 others go through the distance search on those samples, which finds the
-points inside the collar and starts the Newton feet of the near ones.  The
+points inside the collar.  These take the barycentric Cauchy rule
+(``_Cauchy``): the layer sums of either side of the interface, read off its
+traces and their jumps, the layer potentials' one-sided limits.  The
 evaluator then works block by block (``_blocked``): each rule's points, in
 input order, are split into runs holding at most ``core._EVAL_BLOCK``
 (point, node) entries (``_point_blocks``), so that a block takes one rule,
 and the blocks take turns in one working set, so memory is bounded by one
 block for any number of points.  A block's outputs are scattered back to
 the input order by the indices of its points.
-
-Off-grid values come from ``core``: uniform ones from ``_samples``, f's
-kept on the profile and a call's densities as one stack; the others (the
-near rule's nodes, the Newton feet, ``side_of``) from ``eval_at``, whose
-memory is bounded by a block of its phase matrix, so the near rule
-samples f and each density by one call over the nodes of all the points of
-a block.
 """
 
 from __future__ import annotations
@@ -42,10 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .core import (_EVAL_BLOCK, InterfaceProfile, PhysParams, _samples, geometry_quantities,
-                   spectral_derivative)
+from .core import (_EVAL_BLOCK, InterfaceProfile, PeriodicGrid, PhysParams, _samples,
+                   geometry_quantities)
 from .evolution import (_direct_velocity, _far_field_constants, _parts_velocity,
                         forcing_G, phi_of)
 from .layer_series import _Series, _terms
@@ -196,61 +189,6 @@ def default_collar(f: InterfaceProfile) -> float:
     return 10.0 * f.grid.spacing
 
 
-# near rule: a fixed Gauss-Legendre panel on each interval between the
-# breakpoints s0 +/- d * _PANEL_RATIO**k (k = 0, 1, ...) inside (s0 - pi, s0 + pi),
-# where s0 is the foot of the normal from the point and d its distance.
-# Intervals wider than _PANEL_MAX_WIDTH grid spacings are split evenly, so
-# that a panel spans at most two periods of the highest grid mode.
-_PANEL_ORDER = 16
-_PANEL_RATIO = 4.0
-_PANEL_MAX_WIDTH = 4.0
-_GL_NODES, _GL_WEIGHTS = leggauss(_PANEL_ORDER)
-_FOOT_NEWTON_STEPS = 3
-_MIN_NEAR_DISTANCE = 1e-9   # smallest panel width, for points on the interface itself
-
-
-def _interface_feet(f: InterfaceProfile, pts: np.ndarray, dist, s0):
-    """Foot of the normal from each point: its parameter and distance.
-
-    Newton steps on (x - s)^2 + (y - f(s))^2 start from the nearest dense
-    sample s0, at distance dist (as ``_closest_samples`` gives them); the
-    refined foot is kept where it is closer than that sample.  Between
-    samples the near-singularity can sit well inside the innermost panel,
-    where the fixed rule fails."""
-    fp = InterfaceProfile(f.grid, f.deriv_values)
-    fpp = InterfaceProfile(f.grid, spectral_derivative(f, order=2))
-    x, y = pts[:, 0], pts[:, 1]
-
-    def offsets(s):
-        return (x - s + np.pi) % (2.0 * np.pi) - np.pi, y - f.eval_at(s)
-
-    s = s0
-    for _ in range(_FOOT_NEWTON_STEPS):
-        u, v = offsets(s)
-        d1 = fp.eval_at(s)
-        slope = -u - v * d1                       # half the first derivative
-        curv = 1.0 + d1 * d1 - v * fpp.eval_at(s)  # half the second
-        s = s - slope / np.where(curv > 0.0, curv, np.inf)
-    refined = np.hypot(*offsets(s))
-    closer = refined < dist
-    return np.where(closer, s, s0), np.where(closer, refined, dist)
-
-
-def _near_nodes(dist, spacing):
-    """Node offsets from the foot and weights of the graded panel rule for a
-    point at distance dist."""
-    d = max(dist, _MIN_NEAR_DISTANCE)
-    steps = d * _PANEL_RATIO ** np.arange(np.log(np.pi / d) / np.log(_PANEL_RATIO) + 1)
-    right = np.concatenate([[0.0], steps[steps < np.pi], [np.pi]])
-    edges = np.concatenate([-right[:0:-1], right])
-    pieces = np.ceil(np.diff(edges) / (_PANEL_MAX_WIDTH * spacing)).astype(int)
-    half = np.repeat(np.diff(edges) / (2.0 * pieces), pieces)
-    # piece j of an interval split evenly from a has its midpoint at a + (2j + 1) half
-    j = np.arange(len(half)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    mid = np.repeat(edges[:-1], pieces) + (2 * j + 1) * half
-    return (mid[:, None] + half[:, None] * _GL_NODES).ravel(), (half[:, None] * _GL_WEIGHTS).ravel()
-
-
 def _trapezoid_nodes(f: InterfaceProfile) -> int:
     return max(f.grid.n_points, 256)
 
@@ -281,42 +219,19 @@ def _trapezoid_rule(f: InterfaceProfile, pts: np.ndarray, work: dict):
     return lambda lead, v: layer.part(lead)[0] @ v / m
 
 
-def _near_rule(f: InterfaceProfile, pts: np.ndarray, feet, dist, stack):
-    """The graded panel rule at points near the interface, from their feet
-    (parameter, distance): the weighted samples of each density of the
-    stack and the product of ``_trapezoid_rule``.  The nodes of all points
-    form one flat set, each point's sum one segment of it, on which f and
-    each density are sampled by one ``eval_at``."""
-    rules = [_near_nodes(d, f.grid.spacing) for d in dist]
-    counts = [len(w) for _, w in rules]
-    offset, w = (np.concatenate(parts) for parts in zip(*rules))
-    foot = np.repeat(feet, counts)
-    s = foot + offset
-    # x - s taken as (x - foot) - offset keeps its digits on the small panels
-    r1 = (np.repeat(pts[:, 0], counts) - foot) - offset
-    r2 = np.repeat(pts[:, 1], counts) - f.eval_at(s)
-    starts = np.cumsum([0] + counts[:-1])
-    layer = _LayerTables.at(r1, r2)
-    return ([w * InterfaceProfile(f.grid, v).eval_at(s) for v in stack],
-            lambda lead, v: np.add.reduceat(layer.part(lead)[0] * v, starts, axis=-1)
-            / (2.0 * np.pi))
-
-
-def _collar_search(f: InterfaceProfile, pts: np.ndarray, collar, near):
+def _collar_search(f: InterfaceProfile, pts: np.ndarray, collar):
     """The routing pass: the strip side of each point (+1 above, -1 below,
-    0 inside), the mask of those inside the collar and, with ``near=True``,
-    their feet (parameter, distance).  A point above or below clears, in
-    x2, by at least the larger of the collar and the default collar, both
-    the search samples and the trapezoid nodes: so it is outside the
-    collar, as the search would find, and only the others are searched.  A
-    collar <= 0 admits every point without a search, and the sides then
-    serve the series alone: they are not found where no side can outnumber
-    its K + 1 terms.  Points not finite raise ValueError."""
+    0 inside) and the mask of those inside the collar.  A point above or
+    below clears, in x2, by at least the larger of the collar and the
+    default collar, both the search samples and the trapezoid nodes: so it
+    is outside the collar, as the search would find, and only the others
+    are searched.  A collar <= 0 admits every point without a search, and
+    the sides then serve the series alone: they are not found where no side
+    can outnumber its K + 1 terms.  Points not finite raise ValueError."""
     pts = _field_points(pts)
     side, close = np.zeros(len(pts), np.int8), np.zeros(len(pts), bool)
-    feet, dist = np.empty(0), np.empty(0)
     if collar <= 0 and len(pts) <= len(_terms(default_collar(f))):
-        return side, close, feet, dist
+        return side, close
     fs = _search_samples(f)
     heights = np.concatenate([fs, f.uniform_samples(_trapezoid_nodes(f))])
     gap = max(collar, default_collar(f))
@@ -324,11 +239,90 @@ def _collar_search(f: InterfaceProfile, pts: np.ndarray, collar, near):
     side[np.min(heights) - pts[:, 1] >= gap] = -1
     rest = side == 0
     if collar > 0 and np.any(rest):
-        d, s0 = _closest_samples(fs, pts[rest])
-        close[rest] = inside = d < collar
-        if near and np.any(inside):
-            feet, dist = _interface_feet(f, pts[close], d[inside], s0[inside])
-    return side, close, feet, dist
+        close[rest] = _closest_samples(fs, pts[rest])[0] < collar
+    return side, close
+
+
+def _fourier(values, power: int):
+    """(d/dt)**power, power 1 or -1, of the rows of periodic samples by FFT,
+    with the mean and the Nyquist mode dropped."""
+    k = np.fft.fftfreq(values.shape[-1], 1.0 / values.shape[-1])
+    k[len(k) // 2] = 0.0
+    multiplier = np.zeros(len(k), complex)
+    multiplier[k != 0] = (1j * k[k != 0]) ** power
+    return np.fft.ifft(np.fft.fft(values) * multiplier)
+
+
+class _Cauchy:
+    """The barycentric Cauchy rule at the points of one call inside the
+    collar, on the sides (+1 above, -1 below) that hold them, from boundary
+    values on the m trapezoid nodes, where ``samples`` holds the densities.
+    With eta = t + i f(t), C[psi](z) = (1/2 pi) int cot((z - eta)/2) psi dt
+    is holomorphic on each side and, with C' = dC/dz and alpha z + G (G
+    periodic) an antiderivative of C[psi],
+
+        Z1 + i Z2 = conj C[psi]      Z5 + i Z6 = x2 conj C[psi] - conj C[f psi]
+        2 Z3 + 4 i Z4 = conj(-2 (x2 C'[psi] - C'[f psi]))   Z0 = Re(alpha z + G).
+
+    On side sg, C = conj(T1 + i T2 + sg (j1 + i j2) psi) on the interface,
+    from composites 1 and 2 (one ``operators._swept`` a density, on f
+    resampled at the nodes) and ``z_jump_coefficients``; C' = (dC/dt)/eta';
+    G is the antiderivative of (C - alpha) eta', alpha = mean(C eta'), its
+    real constant set by composite 0.  With zeta = e^{iz}, xi_j = e^{i eta_j}
+    (scaled alike), a value g at a point is sum g_j w_j/(xi_j - zeta) / sum
+    w_j/(xi_j - zeta), w_j = i xi_j eta'_j h above and i eta'_j h below,
+    where the division by xi_j takes each sum's limit far below off it; on
+    a node it is g_j.  Each density takes its own sweep and Cauchy product
+    (columns 1, C[psi], C[f psi], C'[psi], C'[f psi], G): BLAS rounds a
+    column by its neighbours, and its sums must not depend on the others."""
+
+    def __init__(self, f: InterfaceProfile, m: int, samples, sides):
+        fm = InterfaceProfile(PeriodicGrid(m), f.uniform_samples(m))
+        jumps = z_jump_coefficients(fm)
+        eta, eta_p = 2.0 * np.pi * np.arange(m) / m + 1j * fm.values, 1.0 + 1j * fm.deriv_values
+        self.shift = 0.5 * (np.max(fm.values) + np.min(fm.values))
+        self.xi = np.exp(1j * (eta - 1j * self.shift))
+        weights = {1.0: self.xi * eta_p * (2j * np.pi / m), -1.0: eta_p * (2j * np.pi / m)}
+        self.sides = {sg: [] for sg in sides}
+        for psi in samples:
+            dens = [psi, fm.values * psi]
+            t0, t1, t2 = map(np.array, _swept(fm, lambda B: [B(0, psi), B(1, *dens), B(2, *dens)]))
+            for sg, columns in self.sides.items():
+                c = np.conj(t1 + 1j * t2 + sg * (jumps[1] + 1j * jumps[2]) * dens)
+                alpha = np.mean(c[0] * eta_p)
+                g = _fourier((c[0] - alpha) * eta_p, -1)
+                g += np.mean(t0 - (alpha * eta).real - g.real)
+                values = np.vstack([np.ones(m), c, _fourier(c, 1) / eta_p, g]).T
+                columns.append((values, values * weights[sg][:, None], alpha))
+
+    def rule(self, pts: np.ndarray, sg: float):
+        """The rule (samples, product) of a block's points on side sg: a
+        density's samples are its values there, by one product of their
+        Cauchy matrix of two rows or more (one takes another BLAS path)."""
+        x1, x2 = pts[:, 0], pts[:, 1]
+        cauchy = np.zeros((max(2, len(pts)), len(self.xi)), complex)
+        diff = np.subtract.outer(np.exp(1j * (x1 + 1j * (x2 - self.shift))), self.xi,
+                                 out=cauchy[:len(pts)])
+        point, node = np.nonzero(diff == 0.0)
+        diff[point, node] = 1.0
+        np.divide(-1.0, diff, out=diff)
+        samples = []
+        for values, weighted, alpha in self.sides[sg]:
+            sums = (cauchy @ weighted)[:len(pts)]
+            at = sums[:, 1:] / sums[:, :1]
+            at[point] = values[node, 1:]
+            samples.append((at.T, alpha))
+        z = x1 + 1j * x2
+
+        def product(lead, sample):
+            (c, cf, dc, dcf, g), alpha = sample
+            if lead == 0:
+                return (alpha * z + g).real
+            pair = (np.conj(c) if lead == 1 else np.conj(-2.0 * (x2 * dc - dcf)) if lead == 3
+                    else x2 * np.conj(c) - np.conj(cf))
+            return np.stack([pair.real, pair.imag])
+
+        return samples, product
 
 
 def _block_bounds(nodes) -> list:
@@ -351,22 +345,21 @@ def _point_blocks(f: InterfaceProfile, pts: np.ndarray, stack, *, collar=None, n
     points, the samples of each density of the (k, N) ``stack`` and
     product(lead, samples[row]), the sum of a lead's table at its points.
     The points clear of the strip on a side take that side's series rule
-    (``_Series``) if they outnumber its terms, those inside the collar
-    ``_near_rule`` from their feet and the others ``_trapezoid_rule``.
-    Each rule's points, in input order, are split by ``_block_bounds`` on
-    their node counts: max(N, 256) for a far point, whichever rule it
-    takes, and those of its panel rule for a near point.  An empty point
-    set is one empty block of the trapezoid rule.
+    (``_Series``) if they outnumber its terms, those inside the collar the
+    Cauchy rule (``_Cauchy``) of the side ``side_of`` gives them, and the
+    others ``_trapezoid_rule``.  Each rule's points, a side's for the last
+    two, in input order, are split by ``_block_bounds`` at max(N, 256) nodes
+    a point.  An empty point set is one empty block of the trapezoid rule.
 
-    The stack is sampled once a call for the trapezoid rule and the series
-    coefficients built once a call; the near rule samples it at each
-    block's nodes.  The trapezoid tables of every block are written into
-    one working set, sized for the largest block, and the series powers
-    into one buffer: fresh tables per block would fault their pages in
-    anew.  So a block is valid only until the next block is drawn."""
+    The stack is sampled, and the series coefficients and the Cauchy rule's
+    boundary values are built, once a call.  The trapezoid tables of every
+    block are written into one working set, sized for the largest block,
+    and the series powers into one buffer: fresh tables per block would
+    fault their pages in anew.  So a block is valid only until the next
+    block is drawn."""
     collar = default_collar(f) if collar is None else collar
     m, k = _trapezoid_nodes(f), _terms(default_collar(f))
-    side, close, feet, dist = _collar_search(f, pts, collar, near)
+    side, close = _collar_search(f, pts, collar)
     if np.any(close) and not near:
         raise ProximityError("field point within the interface collar; use the trace "
                              "formulas or near=True for an approach study")
@@ -375,31 +368,37 @@ def _point_blocks(f: InterfaceProfile, pts: np.ndarray, stack, *, collar=None, n
     for sg in (1, -1):
         if np.count_nonzero(side == sg) <= len(k):
             side[side == sg] = 0
-    # each rule's points, at 4 bytes a point: the one table over all the
-    # points that is held beside a block's tables
-    rows = {rule: np.flatnonzero(mask).astype(np.int32) for rule, mask in
-            (("table", ~close & (side == 0)), (1.0, side == 1), (-1.0, side == -1),
-             ("near", close))}
-    del side, close
-    if len(rows["table"]) or not len(pts):
-        blocks = [rows["table"][b] for b in _block_bounds(np.full(len(rows["table"]), m))]
-        size = m * max(len(block) for block in blocks)
-        work = {"u": np.empty(size, complex), "r2": np.empty(size), "planes": np.empty(4 * size)}
+    above = np.zeros(len(pts), bool)
+    above[close] = side_of(f, pts[close]) == SIDE_PLUS
+    # each rule's blocks of points, at 4 bytes a point: the one table over
+    # all the points that is held beside a block's tables
+    blocks = {}
+    for rule, mask in (("table", ~close & (side == 0)), (1.0, side == 1), (-1.0, side == -1),
+                       (("near", 1.0), close & above), (("near", -1.0), close & ~above)):
+        rows = np.flatnonzero(mask).astype(np.int32)
+        if len(rows) or rule == "table" and not len(pts):
+            blocks[rule] = [rows[b] for b in _block_bounds(np.full(len(rows), m))]
+    del side, close, above, rows
+    if blocks.keys() - {1.0, -1.0}:
         samples = _samples(stack, m)[0]
-        for block in blocks:
+    if "table" in blocks:
+        size = m * max(len(block) for block in blocks["table"])
+        work = {"u": np.empty(size, complex), "r2": np.empty(size), "planes": np.empty(4 * size)}
+        for block in blocks["table"]:
             yield block, samples, _trapezoid_rule(f, pts[block], work)
-    blocks = {sg: [rows[sg][b] for b in _block_bounds(np.full(len(rows[sg]), m))]
-              for sg in (1.0, -1.0) if len(rows[sg])}
-    if blocks:
-        most = max(len(block) for side_blocks in blocks.values() for block in side_blocks)
-        series = _Series(f, m, k, list(blocks), most, stack)
-        for sg, side_blocks in blocks.items():
-            for block in side_blocks:
-                yield block, *series.rule(pts[block], sg)
-    if len(dist):
-        # counts only: a block builds its own near nodes, so they never span all points
-        for b in _block_bounds([len(_near_nodes(d, f.grid.spacing)[1]) for d in dist]):
-            yield rows["near"][b], *_near_rule(f, pts[rows["near"][b]], feet[b], dist[b], stack)
+    series = [sg for sg in (1.0, -1.0) if sg in blocks]
+    if series:
+        most = max(len(block) for sg in series for block in blocks[sg])
+        rule = _Series(f, m, k, series, most, stack)
+        for sg in series:
+            for block in blocks[sg]:
+                yield block, *rule.rule(pts[block], sg)
+    cauchy = [sg for sg in (1.0, -1.0) if ("near", sg) in blocks]
+    if cauchy:
+        rule = _Cauchy(f, m, samples, cauchy)
+        for sg in cauchy:
+            for block in blocks["near", sg]:
+                yield block, *rule.rule(pts[block], sg)
 
 
 def _blocked(f: InterfaceProfile, points, evaluate, *, collar=None, near=False) -> list:
@@ -435,10 +434,9 @@ def eval_Z(index: int, f: InterfaceProfile, density, points, *,
     roundoff.
 
     Points closer to the interface than the collar raise ProximityError
-    unless ``near=True``, which switches those points to a composite
-    Gauss-Legendre rule: 16-point panels between breakpoints graded
-    geometrically (ratio 4) away from the foot of the normal, the smallest
-    panel as wide as the distance to the interface.
+    unless ``near=True``, which gives those points the barycentric Cauchy
+    rule (``_Cauchy``) of their side: the limit from that side for a point
+    on the interface.
     """
     (vals,) = _blocked(f, points, lambda B: B(index, density), collar=collar, near=near)
     return vals if np.asarray(points).ndim > 1 else float(vals[0])
@@ -639,11 +637,10 @@ def interface_jump_checks(f: InterfaceProfile, params: PhysParams, *,
     composites plus their jump coefficients, the pressure jump against the
     normal forcing, and the viscous-stress jump against the tangential one.
 
-    Off-interface values come from the graded Gauss-Legendre near rule (see
-    ``eval_Z``) along the normal, at approach distances eps_factors * grid
-    spacing; all approach points go through one collar search and one
-    evaluation (``_blocked``).
-    """
+    Off-interface values come from the Cauchy rule of ``eval_Z``, which is
+    built on these traces and jumps (so this checks them, not the rule),
+    along the normal at approach distances eps_factors * grid spacing; all
+    approach points go through one collar search and one evaluation."""
     eps_factors = np.asarray(eps_factors, dtype=float)
     if probe_count < 1 or eps_factors.ndim != 1 or not len(eps_factors) \
             or not np.all((0.0 < eps_factors) & (eps_factors < np.inf)):

@@ -856,7 +856,7 @@ class DiagonalOps(_Replay):
 
     def kernel(self, n: int, m: int, p: int, q: int) -> np.ndarray:
         """The diagonal tangent-family kernel of f, the one ``eval_B`` builds."""
-        # bench/tracer.py still wraps this reader; ROADMAP item 1 retires it
+        # bench/tracer.py still wraps this reader; ROADMAP item 5 retires it
         ws = KernelWorkspace(self.grid)
         df = ws.delta(self.f.values)
         return _tangent_kernel(ws, [df] * m, [df] * n, [df] * q, p)

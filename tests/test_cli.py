@@ -438,6 +438,19 @@ class TestField:
         assert capsys.readouterr().err.startswith("error: the last snapshot in")
         assert sorted(tmp_path.iterdir()) == [snapshot]
 
+    @pytest.mark.parametrize("values, message", [
+        ({"a": 1}, "the last snapshot in"), ([{"a": 1}] * 16, "the last snapshot in"),
+        ([None] * 16, "profile values must be finite"),
+        ([0.0] * 15 + ["x"], "could not convert"), (5.0, "n_points must be even")])
+    def test_values_not_a_list_of_numbers_exit_one(self, tmp_path, capsys, values, message):
+        # an error line, not a traceback, and nothing written
+        snapshot = tmp_path / "snap.jsonl"
+        snapshot.write_text(json.dumps({"t": 0.0, "values": values}) + "\n")
+        out = tmp_path / "f.csv"
+        assert run_cli("field", "--snapshot", str(snapshot), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: " + message)
+        assert sorted(tmp_path.iterdir()) == [snapshot]
+
     def test_out_into_a_missing_directory_exit_one(self, tmp_path, capsys):
         snapshot = tmp_path / "snap.jsonl"
         snapshot.write_text(json.dumps({"t": 0.0, "values": [0.0] * 16}) + "\n")

@@ -86,7 +86,7 @@ class TestAgainstTheTrapezoidRule:
     @given(series_inputs())
     def test_layer_integrals_and_flow(self, inputs):
         f, density, pts = inputs
-        assert np.all(fields._collar_search(f, pts, fields.default_collar(f), False)[0] != 0)
+        assert np.all(fields._collar_search(f, pts, fields.default_collar(f))[0] != 0)
         B = trapezoid_layers(f, pts)
         for index in range(7):
             got = eval_Z(index, f, density, pts)
@@ -115,7 +115,7 @@ class TestAgainstTheTrapezoidRule:
         x2 = np.concatenate([[above, below, np.nextafter(above, 0.0), np.nextafter(below, 0.0)],
                              above + gaps, below - gaps])
         pts = np.column_stack([np.linspace(0.4, 5.9, len(x2)), x2])
-        assert list(fields._collar_search(f, pts[:4], collar, False)[0]) == [1, -1, 0, 0]
+        assert list(fields._collar_search(f, pts[:4], collar)[0]) == [1, -1, 0, 0]
         assert np.all(fields.min_interface_distance(f, pts) >= collar)
         B = trapezoid_layers(f, pts)
         for index in range(7):

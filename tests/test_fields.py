@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from stokes2p import (
     velocity_gradient_field,
 )
 from stokes2p import core, evolution, fields
-from stokes2p.operators import _LayerTables
+from stokes2p.operators import _row_blocks
 from stokes2p.fields import (
     antiderivative,
     default_collar,
@@ -303,13 +304,13 @@ class TestLayerIntegrals:
         far = np.array([[0.3, 2.0], [1.0, -2.5], [4.0, 1.1]])
         close = np.array([[0.0, f.values[0] + 0.5 * default_collar(f)]])
         seen = []
-        original = fields._near_rule
+        original = fields._Cauchy.rule
 
-        def spy(f_, pts, *feet):
+        def spy(self, pts, sg):
             seen.append(np.array(pts))
-            return original(f_, pts, *feet)
+            return original(self, pts, sg)
 
-        monkeypatch.setattr(fields, "_near_rule", spy)
+        monkeypatch.setattr(fields._Cauchy, "rule", spy)
         mixed = eval_Z(1, f, dens, np.vstack([far[:2], close, far[2:]]), near=True)
         assert len(seen) == 1 and np.array_equal(seen[0], close)
         assert np.array_equal(mixed[[0, 1, 3]], eval_Z(1, f, dens, far, near=True))
@@ -317,7 +318,7 @@ class TestLayerIntegrals:
     def test_strip_points_take_the_trapezoid_rule(self, setup):
         grid, f, params = setup
         collar = default_collar(f)
-        side, close, feet, dist = fields._collar_search(f, STRIP_POINTS, collar, False)
+        side, close = fields._collar_search(f, STRIP_POINTS, collar)
         assert np.all(side == 0) and not np.any(close)
         assert np.all(min_interface_distance(f, STRIP_POINTS) >= collar)
 
@@ -328,12 +329,14 @@ class TestLayerIntegrals:
         assert builds_per_table(kernel_builds) == [[0, 5]]
 
     def test_gradient_builds_each_kernel_once_per_rule(self, setup, kernel_builds):
-        # far and near points: one trapezoid table and one flat panel table
+        # far and near points: one trapezoid table; the near points build no
+        # table off the interface, only the log table of each density's
+        # trace sweep on 256 nodes, once a row block
         grid, f, params = setup
         pts = np.array([STRIP_POINTS[0], [0.0, f.values[0] + 0.5 * default_collar(f)],
                         [2.5, f.eval_at(2.5) - 0.2 * default_collar(f)], STRIP_POINTS[1]])
         velocity_gradient_field(f, params, pts, near=True)
-        assert builds_per_table(kernel_builds) == [[3], [3]]
+        assert builds_per_table(kernel_builds) == [[3]] + [[0]] * 2 * _row_blocks(256)
 
     def test_sample_flow_takes_each_product_once(self, setup, table_products):
         # Z5 and Z6 of the velocity are the parts of one product per
@@ -343,8 +346,10 @@ class TestLayerIntegrals:
         assert sorted(table_products) == [0, 0, 1, 1, 5, 5]
 
     def test_gradient_takes_each_product_once_per_rule(self, setup, table_products):
-        # Z1/Z2 and Z3/Z4 share their products; far and near points take
-        # theirs on their own tables
+        # Z1/Z2 and Z3/Z4 share their products; the far points take theirs
+        # on their own tables, and the near points none: their values come
+        # from each density's trace sweep, which reads the log table and D
+        # once a row block
         grid, f, params = setup
         far = STRIP_POINTS[:2]
         velocity_gradient_field(f, params, far)
@@ -352,7 +357,8 @@ class TestLayerIntegrals:
         table_products.clear()
         close = [[0.0, f.values[0] + 0.5 * default_collar(f)]]
         velocity_gradient_field(f, params, np.vstack([far, close]), near=True)
-        assert sorted(table_products) == [1, 1, 1, 1, 3, 3, 3, 3]
+        sweeps = [0, 1] * 2 * _row_blocks(256)
+        assert sorted(table_products) == sorted([1, 1, 3, 3] + sweeps)
 
     def test_trapezoid_tables_peak_bounded(self):
         # a block's tables over (point, node) are r2 (8 bytes an entry), the
@@ -382,9 +388,9 @@ class TestLayerIntegrals:
         assert peaks[1] <= 1.1 * peaks[0]
 
     def test_near_points_scanned_once_for_all_kernels(self, setup, monkeypatch):
-        # seven (index, density) pairs of the gradient share one search, which
-        # is both the collar check and the start of the near points' feet; it
-        # takes the points inside the strip, near or not, and none clear of it
+        # seven (index, density) pairs of the gradient share one search, the
+        # collar check; it takes the points inside the strip, near or not,
+        # and none clear of it
         grid, f, params = setup
         far = np.array([[0.3, 2.0], [4.0, -1.1], STRIP_POINTS[0]])
         close = np.array([[0.0, f.values[0] + 0.5 * default_collar(f)],
@@ -454,8 +460,8 @@ class TestPointBlocks:
 
     def test_budget_splits_points(self, setup, points, monkeypatch):
         # each block takes one rule's points, in input order: runs of at
-        # most three far points; a near point holds hundreds of nodes, so
-        # its block takes two points; the tail holds the rest
+        # most three points, for the near points one side's, those above
+        # the interface first
         grid, f, params = setup
         far, mixed = points
         monkeypatch.setattr(fields, "_EVAL_BLOCK", self.BUDGET)
@@ -463,7 +469,7 @@ class TestPointBlocks:
         rows = [r.tolist() for r, _, _ in fields._point_blocks(f, far, stack)]
         assert rows == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11], [12, 13, 14], [15]]
         rows = [r.tolist() for r, _, _ in fields._point_blocks(f, mixed, stack, near=True)]
-        assert rows == [[0, 2, 3], [5, 6, 8], [9, 11, 12], [1, 4], [7, 10]]
+        assert rows == [[0, 2, 3], [5, 6, 8], [9, 11, 12], [1, 7], [4, 10]]
 
     @pytest.mark.parametrize("name", OUTPUTS)
     def test_blocks_match_one_block(self, name, setup, points, monkeypatch):
@@ -476,7 +482,7 @@ class TestPointBlocks:
         assert np.array_equal(got, output(f, params, *points))
 
     def test_jump_checks_match_one_block(self, setup, monkeypatch):
-        # every approach point is near: the panel sums of a point do not
+        # every approach point is near: the Cauchy sums of a point do not
         # depend on the block it falls in
         grid, f, params = setup
 
@@ -721,46 +727,82 @@ class TestNearRule:
                     worst = max(worst, abs(g - quad_near(index, f_fn, dens_fn, p, foot, dist)))
         assert worst <= 1e-9
 
-    def test_segment_sums_match_point_by_point_loop(self):
-        # the flat table's segment sums against one dot product per point on
-        # that point's own table: the same terms, summed in another order
-        grid = self.GRID
-        f = self.profile(grid, lambda s: 0.1 * np.cos(s) + 0.05 * np.sin(2 * s))
-        dens = InterfaceProfile(grid, np.cos(grid.nodes) + 0.3 * np.sin(2 * grid.nodes))
-        pts = np.vstack([approach_points(f, foot, factor * grid.spacing)
-                         for foot, factor in ((0.4, 1e-1), (2.0, 1e-4), (5.1, 1e-7))])
-        feet, dist = fields._interface_feet(f, pts, *closest_samples(f, pts))
-        for index in range(7):
-            got = eval_Z(index, f, dens, pts, near=True)
-            for p, foot, d, g in zip(pts, feet, dist, got):
-                offset, w = fields._near_nodes(d, grid.spacing)
-                s = foot + offset
-                table, take, factor = _LayerTables.at((p[0] - foot) - offset,
-                                                      p[1] - f.eval_at(s)).part(index)
-                K = factor * take(table)
-                terms = K * (w * dens.eval_at(s)) / (2.0 * np.pi)
-                want = np.dot(K, w * dens.eval_at(s)) / (2.0 * np.pi)
-                assert abs(g - want) <= 64 * np.finfo(float).eps * np.sum(np.abs(terms))
-
     def test_one_sample_of_f_and_of_each_density(self, monkeypatch):
-        # f for r2 and each distinct density (told apart by identity), each
-        # over the flat node set of all points; the feet search samples only
-        # at the points themselves
+        # f's samples on the 256 nodes are the ones it keeps, and the
+        # densities' samples there the call's one sampling of its stack;
+        # the near branch takes no eval_at, which only the routing calls,
+        # once over the collar points, for their sides
         grid = self.GRID
         f = self.profile(grid, lambda s: 0.1 * np.cos(s) + 0.05 * np.sin(2 * s))
         pts = np.vstack([approach_points(f, 0.4, 1e-3 * grid.spacing)[:1],
                          approach_points(f, 2.0, 1e-1 * grid.spacing)])
-        dist = fields._interface_feet(f, pts, *closest_samples(f, pts))[1]
-        nodes = sum(len(fields._near_nodes(d, grid.spacing)[1]) for d in dist)
-        sizes = []
+        sizes, sampled, in_rule = [], [], []
         eval_at = InterfaceProfile.eval_at
         monkeypatch.setattr(InterfaceProfile, "eval_at",
                             lambda self, s: sizes.append(np.size(s)) or eval_at(self, s))
+        samples = fields._samples
+        monkeypatch.setattr(fields, "_samples", lambda stack, m=None:
+                            sampled.append(np.shape(stack)) or samples(stack, m))
+        for name in ("__init__", "rule"):
+            method = getattr(fields._Cauchy, name)
+
+            def counted(*args, method=method):
+                before = len(sizes)
+                out = method(*args)
+                in_rule.append(len(sizes) - before)
+                return out
+
+            monkeypatch.setattr(fields._Cauchy, name, counted)
         a, b = np.cos(grid.nodes), np.sin(3 * grid.nodes)
         fields._blocked(f, pts, lambda B: [z for index in range(7) for z in B(index, a, b, a)],
                         near=True)
-        assert set(sizes) == {len(pts), nodes}
-        assert sizes.count(nodes) == 3
+        assert sizes == [len(pts)] and sampled == [(2, grid.n_points)]
+        assert len(in_rule) == 3 and not any(in_rule)
+
+    def test_points_on_the_interface(self):
+        # a point on one of the 256 boundary nodes, where the barycentric
+        # quotient would divide by zero, and one between nodes: finite, with
+        # no warning, and the limit from the side side_of gives them (below)
+        grid = self.GRID
+        f = self.profile(grid, lambda s: 0.1 * np.cos(s) + 0.05 * np.sin(2 * s))
+        dens = np.cos(grid.nodes) + 0.3 * np.sin(2 * grid.nodes)
+        s = 2.0 * np.pi * np.arange(256) / 256
+        fs = f.uniform_samples(256)
+        j = next(j for j in range(37, 256) if not fs[j] > f.eval_at(s[j]))
+        pts = np.array([[s[j], fs[j]], [1.2345, float(f.eval_at(1.2345))]])
+        assert list(fields.side_of(f, pts)) == ["minus", "minus"]
+        below = pts - [0.0, 1e-9]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for index in range(7):
+                got = eval_Z(index, f, dens, pts, near=True)
+                assert np.all(np.isfinite(got))
+                assert np.max(np.abs(got - eval_Z(index, f, dens, below, near=True))) <= 1e-8
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("amplitude", [0.3, 0.8])
+    def test_matches_the_trapezoid_tables_off_the_collar(self, n, amplitude):
+        # an independent check of the rule, whose approach limits the jump
+        # checks build from its own boundary values: at points 1.05 to 3
+        # collars from the interface on both sides, routed to it by a wider
+        # collar, against the trapezoid tables there
+        grid = PeriodicGrid(n)
+        f = InterfaceProfile(grid, amplitude * (np.cos(grid.nodes) + 0.2 * np.sin(2 * grid.nodes)
+                                                + 0.05 * np.cos(5 * grid.nodes)))
+        dens = 1.0 + 0.5 * np.cos(grid.nodes) + 0.2 * np.sin(3 * grid.nodes)
+        collar = default_collar(f)
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0.0, 2.0 * np.pi, 200)
+        side = np.where(np.arange(200) % 2, 1.0, -1.0)
+        pts = np.column_stack([x, f.eval_at(x) + side * rng.uniform(1.05, 3.0, 200) * collar])
+        dist = min_interface_distance(f, pts)
+        pts = pts[(dist >= 1.05 * collar) & (dist <= 3.0 * collar)][:24]
+        sides = fields.side_of(f, pts)
+        assert len(pts) == 24 and 8 <= np.count_nonzero(sides == "plus") <= 16
+        for index in range(7):
+            tables = eval_Z(index, f, dens, pts)
+            got = eval_Z(index, f, dens, pts, collar=3.5 * collar, near=True)
+            assert np.max(np.abs(got - tables)) <= 1e-13 * np.max(np.abs(tables))
 
     def test_high_modes_resolved(self):
         # wide intervals are split, so grid modes far from the foot are
@@ -780,12 +822,9 @@ class TestNearRule:
             want = [quad_near(index, f_fn, dens_fn, p, foot, dist) for p in pts]
             assert np.max(np.abs(got - want)) <= 1e-9
 
-    def test_sampled_foot_kept_where_newton_cannot_improve(self):
-        # near the centre of curvature of a trough, off its axis by 1e-6:
-        # just below the centre the Newton steps overshoot and end farther
-        # than the sampled foot; just above it the sample is a local maximum
-        # of the distance along the curve, where Newton takes no step.  The
-        # sampled foot and distance are kept in both cases.
+    def test_centre_of_curvature_of_a_trough(self):
+        # near the centre of curvature of a trough, off its axis by 1e-6,
+        # just below and just above it: the sampled foot is the trough
         def f_fn(s):
             return 0.3 * np.cos(8 * s)
 
@@ -795,25 +834,11 @@ class TestNearRule:
         p = np.array([[trough + 1e-6, f_fn(trough) + (1.0 - 1e-4) * radius],
                       [trough + 1e-6, f_fn(trough) + (1.0 + 1e-3) * radius]])
         dist, sample = closest_samples(f, p)
-        feet, refined = fields._interface_feet(f, p, dist, sample)
         assert np.allclose(sample, trough, rtol=0.0, atol=1e-12)
-        assert np.array_equal(feet, sample) and np.array_equal(refined, dist)
         for index in (1, 2):
             got = eval_Z(index, f, np.cos(grid.nodes), p, near=True)
             want = [quad_near(index, f_fn, np.cos, q, trough, d) for q, d in zip(p, dist)]
             assert np.max(np.abs(got - want)) <= 1e-9
-
-    def test_feet_never_farther_than_samples(self):
-        grid = self.GRID
-        f = InterfaceProfile(grid, 0.3 * np.cos(8 * grid.nodes) + 0.2 * np.sin(13 * grid.nodes))
-        rng = np.random.default_rng(7)
-        s = rng.uniform(0.0, 2.0 * np.pi, 200)
-        pts = np.column_stack([rng.uniform(-1.0, 7.0, 200),
-                               f.eval_at(s) + rng.uniform(-1.0, 1.0, 200) * default_collar(f)])
-        dist, sample = closest_samples(f, pts)
-        feet, refined = fields._interface_feet(f, pts, dist, sample)
-        assert np.all(refined <= dist)
-        assert np.all((refined < dist) | (feet == sample))
 
 
 class TestTraces:
@@ -1147,18 +1172,26 @@ class TestBulkFields:
         assert capfd.readouterr().err == ""
 
 
+# the builds of the jump checks: the (3, 4) table of the traces on the
+# interface, then the log table of the trace sweep of each of the three
+# densities of the approach points, on 256 nodes
+JUMP_CHECK_BUILDS = [[3]] + [[0]] * 3 * _row_blocks(256)
+
+
 @pytest.mark.slow
 class TestJumpReport:
     def test_builds_each_kernel_once_per_rule(self, kernel_builds):
-        # the traces on the interface, the approach points on one flat table
+        # the traces on the interface; the approach points build no table
+        # off it, only the log table of each density's trace sweep on 256
+        # nodes, once a row block
         grid = PeriodicGrid(32)
         f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes))
         interface_jump_checks(f, PhysParams.from_theta(1.0, 1.0, 0.5), probe_count=2,
                               eps_factors=(1e-2, 1e-3))
-        assert builds_per_table(kernel_builds) == [[3], [3]]
+        assert builds_per_table(kernel_builds) == JUMP_CHECK_BUILDS
 
     def test_stress_check_shares_the_jump_evaluator(self, kernel_builds, monkeypatch):
-        # one search for the collar check and the feet, one (3, 4) table per rule
+        # one search for the collar check, one (3, 4) table for the traces
         grid = PeriodicGrid(32)
         f = InterfaceProfile(grid, 0.1 * np.cos(grid.nodes))
         scans = []
@@ -1171,7 +1204,7 @@ class TestJumpReport:
         monkeypatch.setattr(fields, "_closest_samples", spy)
         interface_jump_checks(f, PhysParams.from_theta(1.0, 1.0, 0.5), probe_count=2,
                               eps_factors=(1e-2, 1e-3))
-        assert builds_per_table(kernel_builds) == [[3], [3]]
+        assert builds_per_table(kernel_builds) == JUMP_CHECK_BUILDS
         assert len(scans) == 1
 
     def test_report_converges(self):

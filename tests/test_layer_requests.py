@@ -98,9 +98,10 @@ class TestBlockedReplay:
 
 def test_one_sampling_per_call(monkeypatch):
     # a near evaluation of the three rules, each over at least two blocks:
-    # the trapezoid stack is sampled once a call, each density's series
-    # coefficients are built once a call, and the near rule samples f and
-    # each density once at each block's nodes
+    # the stack is sampled once a call, for the trapezoid and the Cauchy
+    # rule, each density's series coefficients and the Cauchy rule's
+    # boundary values are built once a call, and the Cauchy rule's blocks
+    # take no eval_at
     rng = np.random.default_rng(3)
     top, bottom = np.max(F.values), np.min(F.values)
     above = np.column_stack([rng.uniform(0.0, 6.0, 60), top + rng.uniform(1.5, 4.0, 60)])
@@ -117,7 +118,7 @@ def test_one_sampling_per_call(monkeypatch):
     blocks = [set(rule[r]) for r, _, _ in fields._point_blocks(F, pts, stack, near=True)]
     assert all(blocks.count({name}) >= 2 for name in ("table", "series", "near"))
     assert sum(map(len, blocks)) == len(blocks)
-    sampled, built, near, evals = [], [], [], []
+    sampled, built, near, evals, setups = [], [], [], [], []
     samples = fields._samples
     monkeypatch.setattr(fields, "_samples", lambda stack, m=None:
                         sampled.append(np.shape(stack)) or samples(stack, m))
@@ -127,17 +128,20 @@ def test_one_sampling_per_call(monkeypatch):
     eval_at = InterfaceProfile.eval_at
     monkeypatch.setattr(InterfaceProfile, "eval_at",
                         lambda self, s: evals.append(np.size(s)) or eval_at(self, s))
-    near_rule = fields._near_rule
+    init = fields._Cauchy.__init__
+    monkeypatch.setattr(fields._Cauchy, "__init__",
+                        lambda self, *args: setups.append(1) or init(self, *args))
+    rule = fields._Cauchy.rule
 
     def counted(*args):
         before = len(evals)
-        out = near_rule(*args)
+        out = rule(*args)
         near.append(len(evals) - before)
         return out
 
-    monkeypatch.setattr(fields, "_near_rule", counted)
+    monkeypatch.setattr(fields._Cauchy, "rule", counted)
     got = velocity_field(F, PARAMS, pts, near=True)
     assert np.array_equal(got, want)
     assert sampled == [(2, GRID.n_points)]
-    assert len(built) == 2
-    assert near == [3] * len(near) and len(near) >= 2
+    assert len(built) == 2 and len(setups) == 1
+    assert near == [0] * len(near) and len(near) >= 2

@@ -794,8 +794,9 @@ class TestRowBlocks:
 
     def test_one_sweep_per_evaluation(self, monkeypatch):
         # Psi, both traces and the traces of the jump checks each take all
-        # their products in one sweep; a stand-alone composite is the sweep
-        # of its one request
+        # their products in one sweep, and the Cauchy rule of the approach
+        # points one a density; a stand-alone composite is the sweep of its
+        # one request
         from stokes2p import fields
 
         sweeps = []
@@ -812,7 +813,7 @@ class TestRowBlocks:
             assert sweeps == [products]
         sweeps.clear()
         fields.interface_jump_checks(f, self.PARAMS, probe_count=1, eps_factors=(1e-2,))
-        assert sweeps == [2]
+        assert sweeps == [2, 3, 3, 3]
         sweeps.clear()
         ops = DiagonalOps(f)
         ops.composite(3, phi), ops.composite(4, phi), eval_B0(f, phi)
